@@ -1,25 +1,19 @@
 // Command meccvet is the project's static-analysis multichecker:
-// seventeen analyzers that pin the simulator's compile-time invariants —
+// fourteen analyzers that pin the simulator's compile-time invariants —
 // deterministic replay, the zero-allocation hot path (locally and
 // through the whole callee closure), nil-safe telemetry hooks,
 // unit-safe clock conversions (typed and name-inferred), documented
 // panics, sentinel-error wrapping, batch-worker write discipline, seed
 // provenance, atomic-field access discipline, the seqlock writer/reader
-// protocol shape, unsigned cycle-arithmetic wrap guards, an SSA escape
-// audit that retires stale hot-path allow directives, and the
-// concurrency layer built on points-to and happens-before analysis:
-// lockorder (lock-order cycles and double acquisition of non-reentrant
-// mutexes, intra- and interprocedural), goleak (goroutines whose every
-// path blocks forever, WaitGroup Add/Done accounting), and
-// chandiscipline (single closing owner, send-after-close, dead
-// receives). Run it over the module with
+// protocol shape, unsigned cycle-arithmetic wrap guards, and an SSA
+// escape audit that retires stale hot-path allow directives. Run it
+// over the module with
 //
 //	go run ./cmd/meccvet ./...
 //
 // (or `make lint`). It exits non-zero on any diagnostic; suppress an
 // individual finding with a `//meccvet:allow <analyzer> -- reason`
-// comment on or directly above the offending line, and declare an
-// intentional lock hierarchy with `//meccvet:lockorder -- reason`.
+// comment on or directly above the offending line.
 //
 // Machine-readable output and the CI baseline workflow:
 //

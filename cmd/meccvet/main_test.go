@@ -42,10 +42,10 @@ func TestListCoversAllAnalyzers(t *testing.T) {
 		t.Fatalf("exit = %d, want 0", code)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 17 {
-		t.Fatalf("-list printed %d analyzers, want 17:\n%s", len(lines), out)
+	if len(lines) != 14 {
+		t.Fatalf("-list printed %d analyzers, want 14:\n%s", len(lines), out)
 	}
-	for _, name := range []string{"concsafety", "seedflow", "hotclosure", "unitflow", "atomicfield", "seqlock", "cyclewrap", "hotescape", "lockorder", "goleak", "chandiscipline"} {
+	for _, name := range []string{"concsafety", "seedflow", "hotclosure", "unitflow", "atomicfield", "seqlock", "cyclewrap", "hotescape"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s", name)
 		}

@@ -7,7 +7,7 @@
 //
 // The analyzers themselves (determinism, hotpath, hotclosure, nilhook,
 // cycleunits, unitflow, nopanic, errwrap, concsafety, seedflow, and
-// the rest of the seventeen-strong registry) encode invariants of this
+// the rest of the fourteen-strong registry) encode invariants of this
 // simulator that the run-time layers (internal/golden,
 // internal/checker) cannot see until a simulation executes:
 // deterministic replay, the zero-allocation BCH decode contract
@@ -17,14 +17,11 @@
 // write discipline, and run-config seed provenance. The
 // interprocedural analyzers run on a whole-program layer (program.go:
 // call graph + function index; cfg.go: per-function control-flow
-// graphs with a worklist dataflow solver; ssa.go: an SSA form) built
-// once per Run; the concurrency analyzers (lockorder, goleak,
-// chandiscipline) additionally consume an Andersen-style points-to
-// solution (pointsto.go) and a happens-before graph (hb.go) resolving
-// which concrete mutexes and channels each operation touches. An
-// incremental fact cache (factcache.go) replays findings for
-// unchanged packages across runs. See DESIGN.md §9 for the rationale
-// and the suppression syntax.
+// graphs with a worklist dataflow solver; ssa.go: an SSA form with an
+// escape oracle in escape.go and CHA devirtualization in devirt.go)
+// built once per Run. An incremental fact cache (factcache.go) replays
+// findings for unchanged packages across runs. See DESIGN.md §9 for
+// the rationale and the suppression syntax.
 package analysis
 
 import (

@@ -35,12 +35,6 @@ import (
 //	                                         analyzer checks its
 //	                                         open/store/release or
 //	                                         load/recheck shape
-//	//meccvet:lockorder [-- reason]          (acquire line) this lock
-//	                                         acquisition is part of an
-//	                                         intentional hierarchy: its
-//	                                         order-graph edges and
-//	                                         double-acquire checks are
-//	                                         exempt (lockorder analyzer)
 const (
 	verbAllow     = "allow"
 	verbHotpath   = "hotpath"
@@ -49,7 +43,6 @@ const (
 	verbQuiescent = "quiescent"
 	verbSeed      = "seed"
 	verbSeqlock   = "seqlock"
-	verbLockorder = "lockorder"
 )
 
 const directivePrefix = "//meccvet:"

@@ -22,8 +22,8 @@ const factsVersion = "1"
 // dependency closure — exactly what the per-package closure key
 // covers — so their diagnostics can be replayed for an unchanged
 // package even when the rest of the tree changed. Every other analyzer
-// reads the whole-program index (call graph, SSA, points-to,
-// happens-before) and must re-run whenever any root changes.
+// reads the whole-program index (call graph, SSA, escape, CHA) and
+// must re-run whenever any root changes.
 var localAnalyzers = map[string]bool{
 	"cycleunits":  true,
 	"cyclewrap":   true,

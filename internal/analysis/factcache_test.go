@@ -18,7 +18,7 @@ func TestFactCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := analysis.All()
-	patterns := []string{"./testdata/src/chandisc"}
+	patterns := []string{"./testdata/src/conc"}
 
 	cold, coldStats, err := analysis.RunCached(cache, ".", patterns, all, nil)
 	if err != nil {
@@ -28,7 +28,7 @@ func TestFactCacheRoundTrip(t *testing.T) {
 		t.Fatalf("cold stats = %+v, want a full miss over one root", coldStats)
 	}
 	if len(cold) == 0 {
-		t.Fatal("the chandisc fixture must produce findings")
+		t.Fatal("the conc fixture must produce findings")
 	}
 
 	warm, warmStats, err := analysis.RunCached(cache, ".", patterns, all, nil)
@@ -44,7 +44,7 @@ func TestFactCacheRoundTrip(t *testing.T) {
 
 	// A different analyzer selection is a different universe: the
 	// cached global facts must not be replayed wholesale.
-	sub, err := analysis.Select([]string{"chandiscipline"})
+	sub, err := analysis.Select([]string{"concsafety"})
 	if err != nil {
 		t.Fatal(err)
 	}

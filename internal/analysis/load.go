@@ -33,7 +33,8 @@ type Package struct {
 	Root bool
 	// Fset is the file set shared by every package of one Load call.
 	Fset *token.FileSet
-	// Files are the parsed non-test sources.
+	// Files are the parsed non-test sources (without comments for
+	// dependencies).
 	Files []*ast.File
 	// Types is the type-checked package (nil when parsing failed).
 	Types *types.Package
@@ -59,7 +60,8 @@ type listPkg struct {
 
 // Load enumerates the packages matching the patterns (relative to dir),
 // parses them together with their full dependency closure, and type
-// checks everything from source in dependency order. It needs only the
+// checks everything from source in dependency order (dependencies at
+// declaration level only, skipping function bodies). It needs only the
 // go command and GOROOT sources — no compiled export data and no
 // third-party loader — which keeps the module dependency-free.
 //
@@ -232,8 +234,16 @@ func typeCheck(fset *token.FileSet, m *listPkg, imp *mapImporter) *Package {
 		pkg.Errors = append(pkg.Errors, fmt.Errorf("%w: %s: %s", ErrLoad, m.ImportPath, m.Error.Err))
 		return pkg
 	}
+	// Dependencies only contribute package-level type information:
+	// their comments (directives, doc) and function bodies are never
+	// read, so they are parsed without comments and checked without
+	// bodies. Roots keep both.
+	mode := parser.SkipObjectResolution
+	if pkg.Root {
+		mode |= parser.ParseComments
+	}
 	for _, name := range m.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(m.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(m.Dir, name), nil, mode)
 		if err != nil {
 			pkg.Errors = append(pkg.Errors, err)
 			continue
@@ -256,8 +266,9 @@ func typeCheck(fset *token.FileSet, m *listPkg, imp *mapImporter) *Package {
 		}
 	}
 	conf := types.Config{
-		Importer: imp,
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
+		Importer:         imp,
+		Sizes:            types.SizesFor("gc", runtime.GOARCH),
+		IgnoreFuncBodies: !pkg.Root,
 		Error: func(err error) {
 			if pkg.Root {
 				pkg.Errors = append(pkg.Errors, err)

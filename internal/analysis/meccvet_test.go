@@ -107,41 +107,12 @@ func TestHotescape(t *testing.T) {
 	analysistest.MustFindings(t, diags, 1)
 }
 
-// TestLockorder covers direct, diamond-join, interprocedural (static
-// and devirtualized-dynamic) double acquisition, the class-cycle
-// audit, the same-class nesting rule, and both suppression forms. The
-// loop and released-diamond shapes in the fixture double as lockset
-// dataflow goldens: they must stay silent.
-func TestLockorder(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Lockorder, "./testdata/src/lockord")
-	analysistest.MustFindings(t, diags, 7)
-}
-
-// TestGoleak covers blocking receives/sends/empty selects in spawned
-// literals and declared functions, the never-closed worker-pool shape
-// (the closed-world batch.Pool twin), and the three WaitGroup
-// accounting rules; loop-shaped accounting and a suppressed Wait stay
-// silent.
-func TestGoleak(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Goleak, "./testdata/src/gleak")
-	analysistest.MustFindings(t, diags, 8)
-}
-
-// TestChandiscipline covers the single-closing-owner rule, reachable
-// double closes, a send dominated by a close, and dead receives plain
-// and in select; the branch-disjoint and single-owner shapes stay
-// silent.
-func TestChandiscipline(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Chandiscipline, "./testdata/src/chandisc")
-	analysistest.MustFindings(t, diags, 6)
-}
-
-// TestSelect pins the registry: All covers the seventeen analyzers and
+// TestSelect pins the registry: All covers the fourteen analyzers and
 // Select rejects unknown names.
 func TestSelect(t *testing.T) {
 	all := analysis.All()
-	if len(all) != 17 {
-		t.Fatalf("All() = %d analyzers, want 17", len(all))
+	if len(all) != 14 {
+		t.Fatalf("All() = %d analyzers, want 14", len(all))
 	}
 	got, err := analysis.Select([]string{"determinism", "nopanic"})
 	if err != nil || len(got) != 2 {

@@ -27,22 +27,30 @@ func (f Finding) String() string {
 }
 
 // Findings converts diagnostics, relativizing filenames against baseDir
-// (paths outside baseDir keep their absolute form).
+// (paths outside baseDir keep their absolute form). Source locations
+// that a message names (an atomic site, a shared write, an allocation,
+// a tainted argument) are relativized against the same base, so a
+// baseline entry written in one checkout matches in any other.
 func Findings(diags []Diagnostic, baseDir string) []Finding {
 	out := make([]Finding, 0, len(diags))
+	var prefix string
+	if baseDir != "" {
+		prefix = filepath.Clean(baseDir) + string(filepath.Separator)
+	}
 	for _, d := range diags {
-		file := d.Pos.Filename
-		if baseDir != "" {
+		file, msg := d.Pos.Filename, d.Message
+		if prefix != "" {
 			if rel, err := filepath.Rel(baseDir, file); err == nil && !strings.HasPrefix(rel, "..") {
 				file = filepath.ToSlash(rel)
 			}
+			msg = strings.ReplaceAll(msg, prefix, "")
 		}
 		out = append(out, Finding{
 			File:     file,
 			Line:     d.Pos.Line,
 			Column:   d.Pos.Column,
 			Analyzer: d.Analyzer,
-			Message:  d.Message,
+			Message:  msg,
 		})
 	}
 	return out

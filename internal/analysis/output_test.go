@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -36,6 +37,37 @@ func TestFindingsRelativize(t *testing.T) {
 	out := analysis.Findings(sampleDiags(), "/elsewhere")
 	if out[0].File != "/repo/internal/bch/bch.go" {
 		t.Fatalf("outside baseDir: file = %q, want absolute", out[0].File)
+	}
+}
+
+// TestFindingMessagesRelative sweeps every fixture under all analyzers
+// and checks that no message embeds the module's absolute directory:
+// a second location a message names (atomic site, shared write,
+// allocation, tainted argument) is relativized like the file field, so
+// a baseline entry written in one checkout matches in any other.
+func TestFindingMessagesRelative(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := analysis.Load(".", "./testdata/src/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings := analysis.Findings(analysis.Run(analysis.Roots(pkgs), analysis.All()), root)
+	naming := make(map[string]bool)
+	for _, f := range findings {
+		if strings.Contains(f.Message, root) {
+			t.Errorf("message embeds the absolute module path: %s", f)
+		}
+		if strings.Contains(f.Message, "internal/analysis/testdata/src/") {
+			naming[f.Analyzer] = true
+		}
+	}
+	for _, a := range []string{"atomicfield", "concsafety", "hotclosure", "seedflow"} {
+		if !naming[a] {
+			t.Errorf("no %s message names a module-relative location; the check is vacuous", a)
+		}
 	}
 }
 

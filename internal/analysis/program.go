@@ -37,12 +37,6 @@ type Program struct {
 	callers    map[*types.Func][]CallerEdge
 	directives []directive
 
-	// funcsInOrder lists every declared function in deterministic
-	// (package load, file, declaration) order — the generation order of
-	// the points-to constraint system, so location numbering is stable
-	// across runs.
-	funcsInOrder []*FuncInfo
-
 	// Memoized interprocedural summaries (single-threaded access).
 	allocFacts  map[*types.Func]*allocIssue
 	allocDone   map[*types.Func]bool
@@ -61,11 +55,6 @@ type Program struct {
 	universe    []types.Type // named non-interface types across all loaded packages
 	uniDone     bool
 	atomicIdx   *atomicIndex
-	ptSolve     *ptSolver
-	hbFacts     *hbGraph
-	lockIdx     *lockIndex
-	leakIdx     *leakIndex
-	chanIdx     *chanIndex
 	// allowUsed marks (by index into directives) each allow directive
 	// that suppressed at least one would-be finding; hotescape flags
 	// hotpath/hotclosure allows that stay unmarked after a full replay.
@@ -137,9 +126,7 @@ func buildProgram(pkgs []*Package) *Program {
 				if !ok {
 					continue
 				}
-				fi := &FuncInfo{Fn: fn, Decl: fd, Pkg: pkg}
-				prog.funcs[fn] = fi
-				prog.funcsInOrder = append(prog.funcsInOrder, fi)
+				prog.funcs[fn] = &FuncInfo{Fn: fn, Decl: fd, Pkg: pkg}
 			}
 		}
 	}

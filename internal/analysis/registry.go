@@ -9,17 +9,14 @@ import (
 func All() []*Analyzer {
 	return []*Analyzer{
 		Atomicfield,
-		Chandiscipline,
 		Concsafety,
 		Cycleunits,
 		Cyclewrap,
 		Determinism,
 		Errwrap,
-		Goleak,
 		Hotclosure,
 		Hotescape,
 		Hotpath,
-		Lockorder,
 		Nilhook,
 		Nopanic,
 		Seedflow,

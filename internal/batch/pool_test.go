@@ -1,9 +1,11 @@
 package batch
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestPoolCoversRange: every index in [0, n) is visited exactly once,
@@ -32,8 +34,11 @@ func TestPoolCoversRange(t *testing.T) {
 
 // TestPoolCloseIdempotent: a second Close (the deferred-plus-explicit
 // shutdown shape) must be a no-op, not a double-close panic on the
-// span channels.
+// span channels. The workers are the library's only long-lived
+// goroutines, so Close must also end every one of them: the goroutine
+// count returns to its value from before NewPool.
 func TestPoolCloseIdempotent(t *testing.T) {
+	before := runtime.NumGoroutine()
 	p := NewPool(3)
 	var count atomic.Int32
 	p.Run(100, 1, func(_, lo, hi int) { count.Add(int32(hi - lo)) })
@@ -42,6 +47,13 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	}
 	p.Close()
 	p.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5 s after Close, want at most %d (before NewPool)", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestPoolShardIndexStable: shard w always receives the same [lo, hi)
