@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test cover cover-gate bench vet lint lint-fast lint-baseline speclint self-test fmt paperbench trace-demo obs-smoke obs-demo scenarios scenarios-short fuzz fuzz-short clean
+.PHONY: all build test cover cover-gate bench vet lint lint-baseline speclint self-test fmt paperbench trace-demo obs-smoke obs-demo scenarios scenarios-short fuzz fuzz-short clean
 
 # Pinned staticcheck release for CI; `make lint` uses a local install
 # when one is on PATH and skips it (with a note) otherwise.
@@ -37,24 +37,17 @@ vet:
 # atomicfield + seqlock, seedflow — see DESIGN.md §9) plus vet, plus
 # scenario-spec validation, plus staticcheck when available. meccvet
 # compares against the committed lint.baseline.json, so only NEW
-# findings fail, and keeps its incremental fact cache in .meccvet-cache
-# so warm re-runs on an unchanged tree replay from metadata alone. CI
+# findings fail. `go vet` runs first: it compiles the export data in
+# the Go build cache that meccvet imports every dependency from. CI
 # runs the same set with staticcheck pinned at STATICCHECK_VERSION.
 lint: speclint
 	$(GO) vet ./...
-	$(GO) run ./cmd/meccvet -baseline lint.baseline.json -cache-dir .meccvet-cache ./...
+	$(GO) run ./cmd/meccvet -baseline lint.baseline.json ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
 	else \
 		echo "staticcheck not on PATH; skipping (CI installs $(STATICCHECK_VERSION))"; \
 	fi
-
-# Just the cached meccvet sweep — the editor-save loop. Warm runs on an
-# unchanged tree skip parsing and type-checking entirely (sub-second);
-# after an edit only the changed packages and the whole-program
-# analyzers re-run.
-lint-fast:
-	$(GO) run ./cmd/meccvet -baseline lint.baseline.json -cache-dir .meccvet-cache ./...
 
 # Validate every committed scenario spec (schema, invariant expressions,
 # cross-references) without running the scenarios.
@@ -115,13 +108,16 @@ scenarios-short:
 fuzz:
 	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzReadText -fuzztime 10s ./internal/trace/
+	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
 
-# 10-second BCH fuzz pass seeded with the extension-bit-guard and
-# t+1-error corpus (testdata/fuzz); quick regression check for the
-# decoder's miscorrection defences.
+# 10-second BCH fuzz passes seeded with the extension-bit-guard and
+# t+1-error corpus (testdata/fuzz) — a quick regression check for the
+# decoder's miscorrection defences — plus one over the meccvet
+# baseline file, seeded with lint.baseline.json.
 fuzz-short:
 	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 10s ./internal/bch/
+	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
 
 clean:
 	$(GO) clean ./...

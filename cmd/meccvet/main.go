@@ -25,13 +25,11 @@
 // The baseline matches findings on (file, analyzer, message), ignoring
 // line numbers, so unrelated edits do not break CI.
 //
-// Incremental runs: `-cache-dir DIR` keeps a per-package fact cache
-// keyed by content hashes of each package's files and dependency
-// closure. A warm run over an unchanged tree replays every finding
-// from `go list` metadata alone (no parsing or type-checking); after
-// an edit, package-local analyzers skip every unchanged package while
-// the whole-program analyzers re-run. `-timings` attributes wall time
-// per analyzer on stderr. See DESIGN.md §9.
+// Only the named packages are parsed and type-checked; their
+// dependencies are imported from the export data in the Go build
+// cache, so a sweep right after `go build` or `go vet` reuses the
+// compiler's work. `-timings` attributes wall time on stderr to the
+// load, the whole-program index, and each analyzer. See DESIGN.md §9.
 package main
 
 import (
@@ -61,8 +59,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	outPath := fs.String("o", "", "write output to this file instead of stdout")
 	basePath := fs.String("baseline", "", "baseline file: filter out accepted findings")
 	writeBase := fs.Bool("write-baseline", false, "write the current findings to -baseline and exit")
-	cacheDir := fs.String("cache-dir", "", "incremental fact cache directory: skip unchanged packages")
-	timings := fs.Bool("timings", false, "print per-analyzer wall time to stderr")
+	timings := fs.Bool("timings", false, "print load and per-analyzer wall time to stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -113,32 +110,16 @@ func run(args []string, stdout, stderr *os.File) int {
 	if *timings {
 		times = make(map[string]time.Duration)
 	}
-	var diags []analysis.Diagnostic
-	if *cacheDir != "" {
-		cache, err := analysis.OpenFactCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		d, stats, err := analysis.RunCached(cache, ".", patterns, analyzers, times)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		diags = d
-		mode := ""
-		if stats.FastPath {
-			mode = " (metadata only, no type-check)"
-		}
-		fmt.Fprintf(stderr, "meccvet: cache: %d/%d packages warm%s\n", stats.Warm, stats.Roots, mode)
-	} else {
-		pkgs, err := analysis.Load(".", patterns...)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		diags = analysis.RunTimed(analysis.Roots(pkgs), analyzers, times)
+	loadStart := time.Now()
+	pkgs, err := analysis.Load(".", patterns...)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
+	if *timings {
+		times["load"] = time.Since(loadStart)
+	}
+	diags := analysis.Run(pkgs, analyzers, times)
 	if *timings {
 		names := make([]string, 0, len(times))
 		for n := range times {

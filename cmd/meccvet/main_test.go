@@ -116,39 +116,14 @@ func TestBaselineFlow(t *testing.T) {
 	}
 }
 
-// TestCacheGolden pins the fact-cache contract end to end: a cold run
-// populates the cache, the warm run replays from metadata alone, and
-// the rendered findings are byte-identical between the two.
-func TestCacheGolden(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "factcache")
-
-	coldCode, coldOut, coldErr := capture(t, "-run", "seedflow", "-cache-dir", dir, seedFixture)
-	if coldCode != 1 {
-		t.Fatalf("cold exit = %d, want 1 (stderr: %s)", coldCode, coldErr)
-	}
-	if !strings.Contains(coldErr, "cache: 0/1 packages warm") {
-		t.Fatalf("cold run stderr missing cache stats: %s", coldErr)
-	}
-
-	warmCode, warmOut, warmErr := capture(t, "-run", "seedflow", "-cache-dir", dir, seedFixture)
-	if warmCode != coldCode {
-		t.Fatalf("warm exit = %d, cold = %d", warmCode, coldCode)
-	}
-	if warmOut != coldOut {
-		t.Errorf("warm findings differ from cold:\ncold:\n%s\nwarm:\n%s", coldOut, warmOut)
-	}
-	if !strings.Contains(warmErr, "cache: 1/1 packages warm (metadata only, no type-check)") {
-		t.Fatalf("warm run did not take the fast path: %s", warmErr)
-	}
-}
-
-// TestTimings checks -timings prints an attribution line per analyzer.
+// TestTimings checks -timings prints an attribution line for the load,
+// the whole-program index, and each analyzer.
 func TestTimings(t *testing.T) {
 	code, _, stderr := capture(t, "-run", "seedflow", "-timings", seedFixture)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
-	for _, want := range []string{"meccvet: timing seedflow", "meccvet: timing program"} {
+	for _, want := range []string{"meccvet: timing load", "meccvet: timing seedflow", "meccvet: timing program"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("-timings stderr missing %q:\n%s", want, stderr)
 		}

@@ -2,8 +2,9 @@
 // the meccvet linter (cmd/meccvet). It mirrors the shape of
 // golang.org/x/tools/go/analysis — an Analyzer holds a Run function
 // over a Pass carrying one type-checked package — but is built purely
-// on the standard library (go/parser + go/types over `go list -json`
-// metadata) so the module keeps its zero-dependency property.
+// on the standard library (go/parser, go/types and go/importer over
+// `go list -json` metadata) so the module keeps its zero-dependency
+// property.
 //
 // The analyzers themselves (determinism, hotpath, hotclosure, nilhook,
 // cycleunits, unitflow, nopanic, errwrap, concsafety, seedflow, and
@@ -19,9 +20,10 @@
 // call graph + function index; cfg.go: per-function control-flow
 // graphs with a worklist dataflow solver; ssa.go: an SSA form with an
 // escape oracle in escape.go and CHA devirtualization in devirt.go)
-// built once per Run. An incremental fact cache (factcache.go) replays
-// findings for unchanged packages across runs. See DESIGN.md §9 for
-// the rationale and the suppression syntax.
+// built once per Run. The loader (load.go) type-checks the analyzed
+// packages from source and imports their dependencies from the export
+// data in the Go build cache. See DESIGN.md §9 for the rationale and
+// the suppression syntax.
 package analysis
 
 import (
@@ -146,28 +148,10 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 // assume complete type information. Before the per-package passes run,
 // the error-free packages are indexed into one Program — the call
 // graph and function index the interprocedural analyzers traverse.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return runPasses(pkgs, analyzers, nil, nil, nil)
-}
-
-// RunTimed is Run with wall-time accounting: when timings is non-nil,
-// each analyzer's total across all packages accumulates under its name
-// (plus "program" for the whole-program index build).
-func RunTimed(pkgs []*Package, analyzers []*Analyzer, timings map[string]time.Duration) []Diagnostic {
-	return runPasses(pkgs, analyzers, nil, nil, timings)
-}
-
-// runPasses is the engine behind Run and the fact cache. skip, when it
-// returns ok, replays previously computed diagnostics for a
-// (package, analyzer) pass instead of running it; record observes each
-// pass's fresh diagnostics (internalErr flags an analyzer failure, whose
-// output must not be cached).
-func runPasses(
-	pkgs []*Package, analyzers []*Analyzer,
-	skip func(pkg *Package, a *Analyzer) ([]Diagnostic, bool),
-	record func(pkg *Package, a *Analyzer, diags []Diagnostic, internalErr bool),
-	timings map[string]time.Duration,
-) []Diagnostic {
+// When timings is non-nil, each analyzer's wall time across all
+// packages accumulates under its name (plus "program" for the index
+// build).
+func Run(pkgs []*Package, analyzers []*Analyzer, timings map[string]time.Duration) []Diagnostic {
 	var out []Diagnostic
 	progStart := time.Now()
 	prog := buildProgram(pkgs)
@@ -186,13 +170,6 @@ func runPasses(
 			continue
 		}
 		for _, a := range analyzers {
-			if skip != nil {
-				if cached, ok := skip(pkg, a); ok {
-					out = append(out, cached...)
-					continue
-				}
-			}
-			var got []Diagnostic
 			pass := &Pass{
 				Analyzer:   a,
 				Fset:       pkg.Fset,
@@ -202,24 +179,19 @@ func runPasses(
 				PkgPath:    pkg.PkgPath,
 				Prog:       prog,
 				directives: prog.directives,
-				report:     func(d Diagnostic) { got = append(got, d) },
+				report:     func(d Diagnostic) { out = append(out, d) },
 			}
 			start := time.Now()
 			err := a.Run(pass)
 			if timings != nil {
 				timings[a.Name] += time.Since(start)
 			}
-			internalErr := err != nil
-			if internalErr {
-				got = append(got, Diagnostic{
+			if err != nil {
+				out = append(out, Diagnostic{
 					Pos:      token.Position{Filename: pkg.Dir},
 					Analyzer: a.Name,
 					Message:  fmt.Sprintf("internal analyzer error: %v", err),
 				})
-			}
-			out = append(out, got...)
-			if record != nil {
-				record(pkg, a, got, internalErr)
 			}
 		}
 	}
@@ -228,8 +200,7 @@ func runPasses(
 }
 
 // sortDiags orders diagnostics by position, then analyzer, then
-// message — a total order, so cached replays and fresh runs always
-// render byte-identically.
+// message — a total order, so every run renders byte-identically.
 func sortDiags(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -33,15 +33,14 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgdir string) []analysis.Diagnosti
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgdir, err)
 	}
-	roots := analysis.Roots(pkgs)
-	if len(roots) != 1 {
-		t.Fatalf("fixture %s: want exactly one package, got %d", pkgdir, len(roots))
+	if len(pkgs) != 1 {
+		t.Fatalf("fixture %s: want exactly one package, got %d", pkgdir, len(pkgs))
 	}
-	root := roots[0]
+	root := pkgs[0]
 	if len(root.Errors) > 0 {
 		t.Fatalf("fixture %s does not type-check: %v", pkgdir, root.Errors[0])
 	}
-	diags := analysis.Run(roots, []*analysis.Analyzer{a})
+	diags := analysis.Run(pkgs, []*analysis.Analyzer{a}, nil)
 	checkWants(t, root, diags)
 	return diags
 }

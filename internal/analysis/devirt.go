@@ -6,8 +6,7 @@ import (
 
 // devirt.go resolves dynamic interface-method calls by class-hierarchy
 // analysis: the possible targets of iface.M() are the M methods of
-// every concrete type in the loaded package universe (root packages
-// plus their transitive type-checked imports) that implements the
+// every concrete type declared in a root package that implements the
 // interface. When every target is itself proven allocation-free —
 // annotated //meccvet:hotpath or with a clean transitive closure — the
 // dynamic edge is proven too, and hotclosure stops demanding an allow
@@ -16,17 +15,24 @@ import (
 // the Codec implementer set is closed over {None, LineSECDED,
 // WordSECDED, BCH}, all of whose methods the closure check clears.
 //
-// Soundness leans on the whole-module load: meccvet always analyzes
-// the full ./... root set, so any type a root package could stuff into
-// one of its interfaces is in the universe. An implementer declared
-// outside the root set (a stdlib type satisfying the interface by
-// coincidence) cannot be vetted and makes the edge unproven.
+// Soundness leans on two rules. First, the whole-module load: meccvet
+// analyzes the full ./... root set, so every type the module declares
+// is a root type. Second, only a closed interface is devirtualized:
+// one that no type outside the roots can implement, because one of
+// its methods is unexported from a root package or names a
+// root-declared type in its signature (stdlib code can do neither).
+// An open interface — exported methods over stdlib types only — could
+// be implemented by a stdlib type nobody vetted, so its calls stay
+// unproven. Dependencies come from export data, which omits
+// unexported stdlib types, so the rule also keeps the proof
+// independent of which stdlib types the loader happens to see.
+// Generic instantiations are not enumerated.
 
 // chaResult is the memoized outcome of devirtualizing one interface
 // method.
 type chaResult struct {
-	// proven marks the edge allocation-free: the implementer set is
-	// non-empty, fully inside the root set, and every target method's
+	// proven marks the edge allocation-free: the interface is closed,
+	// its implementer set is non-empty, and every target method's
 	// closure is clean.
 	proven bool
 	// targets are the concrete methods the call can reach.
@@ -66,11 +72,12 @@ func (prog *Program) cha(m *types.Func) *chaResult {
 	}
 	r := &chaResult{}
 	prog.chaFacts[m] = r
+	prog.indexRootTypes()
 	iface, ok := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
-	if !ok {
+	if !ok || !prog.closedInterface(iface) {
 		return r
 	}
-	for _, T := range prog.typeUniverse() {
+	for _, T := range prog.universe {
 		ptr := types.NewPointer(T)
 		if !types.Implements(T, iface) && !types.Implements(ptr, iface) {
 			continue
@@ -90,7 +97,7 @@ func (prog *Program) cha(m *types.Func) *chaResult {
 			continue // proven at its own root
 		}
 		if prog.funcs[target] == nil {
-			return r // declared outside the root set: cannot vet
+			return r // promoted from outside the root set: cannot vet
 		}
 		if prog.allocSummary(target) != nil {
 			return r
@@ -100,22 +107,42 @@ func (prog *Program) cha(m *types.Func) *chaResult {
 	return r
 }
 
-// typeUniverse enumerates (once) every named non-interface type in the
-// root packages and their transitive type-checked imports — the class
-// hierarchy cha matches implementers against.
-func (prog *Program) typeUniverse() []types.Type {
-	if prog.uniDone {
-		return prog.universe
-	}
-	prog.uniDone = true
-	seen := make(map[*types.Package]bool)
-	var visit func(p *types.Package)
-	visit = func(p *types.Package) {
-		if p == nil || seen[p] {
-			return
+// closedInterface reports whether only root-declared types can
+// implement the interface: some method is unexported from a root
+// package, or names a root-declared type in its signature.
+func (prog *Program) closedInterface(iface *types.Interface) bool {
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		if !m.Exported() && prog.roots[m.Pkg()] || prog.namesRootType(m.Type()) {
+			return true
 		}
-		seen[p] = true
-		scope := p.Scope()
+	}
+	return false
+}
+
+// namesRootType reports whether a root-declared named type appears in
+// t. TypeString calls the qualifier with the package of every named
+// type it writes, type arguments and nested literals included.
+func (prog *Program) namesRootType(t types.Type) bool {
+	found := false
+	types.TypeString(t, func(p *types.Package) string {
+		found = found || prog.roots[p]
+		return ""
+	})
+	return found
+}
+
+// indexRootTypes records (once) the root package set and every named
+// non-interface type declared at package scope in it — the class
+// hierarchy cha matches implementers against.
+func (prog *Program) indexRootTypes() {
+	if prog.roots != nil {
+		return
+	}
+	prog.roots = make(map[*types.Package]bool, len(prog.Pkgs))
+	for _, pkg := range prog.Pkgs {
+		prog.roots[pkg.Types] = true
+		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -127,12 +154,5 @@ func (prog *Program) typeUniverse() []types.Type {
 			}
 			prog.universe = append(prog.universe, named)
 		}
-		for _, imp := range p.Imports() {
-			visit(imp)
-		}
 	}
-	for _, pkg := range prog.Pkgs {
-		visit(pkg.Types)
-	}
-	return prog.universe
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -20,7 +21,8 @@ import (
 // requested packages.
 var ErrLoad = errors.New("analysis: load failed")
 
-// A Package is one loaded, parsed, and type-checked package.
+// A Package is one loaded root package: parsed with comments and
+// type-checked from source with full fact tables.
 type Package struct {
 	// PkgPath is the package's import path.
 	PkgPath string
@@ -28,17 +30,13 @@ type Package struct {
 	Name string
 	// Dir is the directory holding the package's sources.
 	Dir string
-	// Root marks packages named by the Load patterns (as opposed to
-	// dependencies pulled in only for type information).
-	Root bool
 	// Fset is the file set shared by every package of one Load call.
 	Fset *token.FileSet
-	// Files are the parsed non-test sources (without comments for
-	// dependencies).
+	// Files are the parsed non-test sources.
 	Files []*ast.File
 	// Types is the type-checked package (nil when parsing failed).
 	Types *types.Package
-	// Info holds full type-checking facts for root packages.
+	// Info holds the package's type-checking facts.
 	Info *types.Info
 	// Errors collects parse and type errors; analyzers only run on
 	// error-free packages.
@@ -50,84 +48,83 @@ type listPkg struct {
 	ImportPath string
 	Dir        string
 	Name       string
-	Standard   bool
 	DepOnly    bool
 	GoFiles    []string
 	Imports    []string
 	ImportMap  map[string]string
+	Export     string
 	Error      *struct{ Err string }
 }
 
-// Load enumerates the packages matching the patterns (relative to dir),
-// parses them together with their full dependency closure, and type
-// checks everything from source in dependency order (dependencies at
-// declaration level only, skipping function bodies). It needs only the
-// go command and GOROOT sources — no compiled export data and no
-// third-party loader — which keeps the module dependency-free.
+// Load returns the packages matching the patterns (relative to dir),
+// each parsed and type-checked from source. Their dependencies are
+// imported from the compiler export data that `go list -export` points
+// to in the Go build cache — the same files `go build` and `go vet`
+// write — so no dependency is parsed. The one exception is a
+// dependency that itself imports a pattern package: it is checked from
+// source too (declarations only), because it must see the same
+// source-checked types as the roots, which export data cannot supply.
 //
-// Cgo is disabled for the enumeration so that every dependency is pure
-// Go and can be checked from source.
+// The metadata and the export locations come from two separate `go
+// list` runs: asking the first for export data would turn a root's
+// type error into a build failure and mark every package importing it
+// as unimportable, while the roots themselves never need export data.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	order, _, err := loadMetas(dir, patterns)
+	metas, err := goList(dir, []string{"-json"}, patterns)
 	if err != nil {
 		return nil, err
 	}
-	return checkAll(order), nil
-}
-
-// loadMetas runs the metadata half of Load — enumeration and
-// topological ordering, no parsing or type-checking — so the fact
-// cache can decide whether a sweep even needs the expensive half.
-func loadMetas(dir string, patterns []string) ([]*listPkg, map[string]*listPkg, error) {
-	metas, err := goList(dir, patterns)
+	exports, err := goList(dir, []string{"-export", "-json=ImportPath,Export,DepOnly"}, patterns)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	byPath := make(map[string]*listPkg, len(metas))
-	for _, m := range metas {
-		byPath[m.ImportPath] = m
+	exportFile := make(map[string]string, len(exports))
+	for _, e := range exports {
+		if e.DepOnly {
+			exportFile[e.ImportPath] = e.Export
+		}
 	}
-	order, err := topoOrder(metas, byPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	return order, byPath, nil
-}
 
-// checkAll parses and type-checks an already-ordered package list.
-func checkAll(order []*listPkg) []*Package {
 	fset := token.NewFileSet()
-	built := make(map[string]*types.Package, len(order))
-	imp := &mapImporter{built: built}
-	var out []*Package
-	for _, m := range order {
+	imp := &srcImporter{
+		built: make(map[string]*types.Package),
+		export: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			if f := exportFile[path]; f != "" {
+				return os.Open(f)
+			}
+			return nil, fmt.Errorf("%w: no export data for %s", ErrLoad, path)
+		}),
+	}
+	// `go list -deps` lists every package after its dependencies, so one
+	// pass both finds the source set and checks it in dependency order.
+	source := make(map[string]bool)
+	var roots []*Package
+	for _, m := range metas {
+		fromSource := !m.DepOnly
+		for _, dep := range m.Imports {
+			fromSource = fromSource || source[m.resolve(dep)]
+		}
+		if !fromSource {
+			continue
+		}
+		source[m.ImportPath] = true
 		pkg := typeCheck(fset, m, imp)
 		if pkg.Types != nil {
-			built[m.ImportPath] = pkg.Types
+			imp.built[m.ImportPath] = pkg.Types
 		}
-		out = append(out, pkg)
-	}
-	return out
-}
-
-// Roots filters a Load result down to the packages named by the
-// patterns — the analysis targets.
-func Roots(pkgs []*Package) []*Package {
-	var out []*Package
-	for _, p := range pkgs {
-		if p.Root {
-			out = append(out, p)
+		if !m.DepOnly {
+			roots = append(roots, pkg)
 		}
 	}
-	return out
+	return roots, nil
 }
 
-// goList shells out to `go list -e -deps -json` and decodes the stream.
-func goList(dir string, patterns []string) ([]*listPkg, error) {
-	args := append([]string{"list", "-e", "-deps", "-json"}, patterns...)
+// goList shells out to `go list -e -deps <flags> <patterns>` and
+// decodes the stream.
+func goList(dir string, flags, patterns []string) ([]*listPkg, error) {
+	args := append(append([]string{"list", "-e", "-deps"}, flags...), patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	stdout, err := cmd.Output()
@@ -151,95 +148,54 @@ func goList(dir string, patterns []string) ([]*listPkg, error) {
 	return metas, nil
 }
 
-// topoOrder sorts packages so every package follows its imports.
-func topoOrder(metas []*listPkg, byPath map[string]*listPkg) ([]*listPkg, error) {
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	state := make(map[string]int, len(metas))
-	var order []*listPkg
-	var visit func(m *listPkg) error
-	visit = func(m *listPkg) error {
-		switch state[m.ImportPath] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("%w: import cycle through %s", ErrLoad, m.ImportPath)
-		}
-		state[m.ImportPath] = visiting
-		for _, imp := range m.Imports {
-			if mapped, ok := m.ImportMap[imp]; ok {
-				imp = mapped
-			}
-			if imp == "unsafe" || imp == "C" {
-				continue
-			}
-			dep, ok := byPath[imp]
-			if !ok {
-				return fmt.Errorf("%w: %s imports %s, which go list did not report", ErrLoad, m.ImportPath, imp)
-			}
-			if err := visit(dep); err != nil {
-				return err
-			}
-		}
-		state[m.ImportPath] = done
-		order = append(order, m)
-		return nil
+// resolve maps an import path through the package's ImportMap (vendor
+// and PGO variants) to the path go list reported the package under.
+func (m *listPkg) resolve(path string) string {
+	if mapped, ok := m.ImportMap[path]; ok {
+		return mapped
 	}
-	for _, m := range metas {
-		if err := visit(m); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
+	return path
 }
 
-// mapImporter resolves imports from the packages type-checked so far.
-// Type checking is strictly serial and in dependency order, so cur (the
-// package being checked, for its vendor ImportMap) is plain state.
-type mapImporter struct {
-	built map[string]*types.Package
-	cur   *listPkg
+// srcImporter resolves the imports of the package being checked (cur):
+// packages already checked from source come from built, the rest from
+// export data. Type checking is strictly serial, so cur is plain state.
+type srcImporter struct {
+	cur    *listPkg
+	built  map[string]*types.Package
+	export types.Importer
 }
 
-// Import resolves one import path against the built-package map.
-func (mi *mapImporter) Import(path string) (*types.Package, error) {
-	if mi.cur != nil {
-		if mapped, ok := mi.cur.ImportMap[path]; ok {
-			path = mapped
-		}
-	}
+// Import resolves one import path of the current package.
+func (si *srcImporter) Import(path string) (*types.Package, error) {
+	path = si.cur.resolve(path)
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	pkg, ok := mi.built[path]
-	if !ok {
-		return nil, fmt.Errorf("%w: import %q not yet type-checked", ErrLoad, path)
+	if pkg, ok := si.built[path]; ok {
+		return pkg, nil
 	}
-	return pkg, nil
+	return si.export.Import(path)
 }
 
-// typeCheck parses and checks one package from source.
-func typeCheck(fset *token.FileSet, m *listPkg, imp *mapImporter) *Package {
+// typeCheck parses and checks one package from source. A root keeps
+// its comments, function bodies, and fact tables; a source-checked
+// dependency needs only its package-level declarations, and its errors
+// surface on the roots that import it.
+func typeCheck(fset *token.FileSet, m *listPkg, imp *srcImporter) *Package {
+	root := !m.DepOnly
 	pkg := &Package{
 		PkgPath: m.ImportPath,
 		Name:    m.Name,
 		Dir:     m.Dir,
-		Root:    !m.DepOnly,
 		Fset:    fset,
 	}
 	if m.Error != nil {
 		pkg.Errors = append(pkg.Errors, fmt.Errorf("%w: %s: %s", ErrLoad, m.ImportPath, m.Error.Err))
 		return pkg
 	}
-	// Dependencies only contribute package-level type information:
-	// their comments (directives, doc) and function bodies are never
-	// read, so they are parsed without comments and checked without
-	// bodies. Roots keep both.
 	mode := parser.SkipObjectResolution
-	if pkg.Root {
+	if root {
 		mode |= parser.ParseComments
 	}
 	for _, name := range m.GoFiles {
@@ -253,10 +209,7 @@ func typeCheck(fset *token.FileSet, m *listPkg, imp *mapImporter) *Package {
 	if len(pkg.Errors) > 0 || len(pkg.Files) == 0 {
 		return pkg
 	}
-
-	// Full fact tables are only kept for analysis targets; dependencies
-	// just need their package-level type information.
-	if pkg.Root {
+	if root {
 		pkg.Info = &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),
@@ -268,20 +221,14 @@ func typeCheck(fset *token.FileSet, m *listPkg, imp *mapImporter) *Package {
 	conf := types.Config{
 		Importer:         imp,
 		Sizes:            types.SizesFor("gc", runtime.GOARCH),
-		IgnoreFuncBodies: !pkg.Root,
+		IgnoreFuncBodies: !root,
 		Error: func(err error) {
-			if pkg.Root {
+			if root {
 				pkg.Errors = append(pkg.Errors, err)
 			}
 		},
 	}
 	imp.cur = m
-	tpkg, err := conf.Check(m.ImportPath, fset, pkg.Files, pkg.Info)
-	imp.cur = nil
-	if err != nil && !pkg.Root {
-		// A broken dependency surfaces on the roots that import it.
-		pkg.Errors = append(pkg.Errors, err)
-	}
-	pkg.Types = tpkg
+	pkg.Types, _ = conf.Check(m.ImportPath, fset, pkg.Files, pkg.Info)
 	return pkg
 }

@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -211,20 +213,25 @@ func NewBaseline(findings []Finding) *Baseline {
 	return b
 }
 
-// LoadBaseline reads a baseline file. A missing file is an error: a CI
-// job that names a baseline which is not there would otherwise silently
-// run unbaselined, and a typo in the path would look like a pass.
+// ErrBadBaseline reports a baseline file that is missing, unreadable,
+// or not baseline JSON.
+var ErrBadBaseline = errors.New("analysis: bad baseline")
+
+// LoadBaseline reads a baseline file; every failure wraps
+// ErrBadBaseline. A missing file is an error: a CI job that names a
+// baseline which is not there would otherwise silently run
+// unbaselined, and a typo in the path would look like a pass.
 func LoadBaseline(path string) (*Baseline, error) {
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("analysis: baseline %s does not exist (run -write-baseline to create one)", path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %s does not exist (run -write-baseline to create one)", ErrBadBaseline, path)
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: reading %s: %w", ErrBadBaseline, path, err)
 	}
 	var b Baseline
 	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("analysis: parsing baseline %s: %w", path, err)
+		return nil, fmt.Errorf("%w: parsing %s: %w", ErrBadBaseline, path, err)
 	}
 	return &b, nil
 }

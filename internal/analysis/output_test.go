@@ -3,9 +3,11 @@ package analysis_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -54,7 +56,7 @@ func TestFindingMessagesRelative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := analysis.Findings(analysis.Run(analysis.Roots(pkgs), analysis.All()), root)
+	findings := analysis.Findings(analysis.Run(pkgs, analysis.All(), nil), root)
 	naming := make(map[string]bool)
 	for _, f := range findings {
 		if strings.Contains(f.Message, root) {
@@ -221,7 +223,69 @@ func TestBaselineRoundtrip(t *testing.T) {
 
 	// A missing baseline file is an error, not an empty baseline: a
 	// mistyped -baseline path must not silently pass CI.
-	if _, err := analysis.LoadBaseline(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Fatal("LoadBaseline on a missing file succeeded, want error")
+	if _, err := analysis.LoadBaseline(filepath.Join(t.TempDir(), "absent.json")); !errors.Is(err, analysis.ErrBadBaseline) {
+		t.Fatalf("LoadBaseline on a missing file: err = %v, want ErrBadBaseline", err)
 	}
+	// So is a path that cannot be read as a file.
+	if _, err := analysis.LoadBaseline(t.TempDir()); !errors.Is(err, analysis.ErrBadBaseline) {
+		t.Fatalf("LoadBaseline on a directory: err = %v, want ErrBadBaseline", err)
+	}
+}
+
+// FuzzLoadBaseline treats the baseline file as an input surface: every
+// input is rejected with ErrBadBaseline, or it loads, filters without
+// panicking, and survives a Write/LoadBaseline round trip unchanged.
+func FuzzLoadBaseline(f *testing.F) {
+	committed, err := os.ReadFile(filepath.Join("..", "..", "lint.baseline.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(committed)
+	var sample bytes.Buffer
+	if err := analysis.NewBaseline(analysis.Findings(sampleDiags(), "/repo")).Write(&sample); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sample.Bytes())
+	f.Add([]byte(`{"version": 1, "entries": [{"file": "a.go", "analyzer": "x", "message": "m", "count": -1}]}`))
+	f.Add([]byte(`{"entries": [`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "lint.baseline.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := analysis.LoadBaseline(path)
+		if err != nil {
+			if !errors.Is(err, analysis.ErrBadBaseline) {
+				t.Fatalf("LoadBaseline error %v does not wrap ErrBadBaseline", err)
+			}
+			return
+		}
+		findings := analysis.Findings(sampleDiags(), "/repo")
+		for _, e := range b.Entries {
+			findings = append(findings, analysis.Finding{File: e.File, Analyzer: e.Analyzer, Message: e.Message})
+		}
+		b.Filter(findings)
+
+		var first bytes.Buffer
+		if err := b.Write(&first); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, first.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		again, err := analysis.LoadBaseline(path)
+		if err != nil {
+			t.Fatalf("a written baseline does not load: %v\n%s", err, first.Bytes())
+		}
+		if !reflect.DeepEqual(b, again) {
+			t.Fatalf("round trip changed the baseline:\nbefore %+v\nafter  %+v", b, again)
+		}
+		var second bytes.Buffer
+		if err := again.Write(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Write is not stable:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

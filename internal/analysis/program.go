@@ -52,8 +52,8 @@ type Program struct {
 	ssaFuncs    map[*types.Func]*ssaFunc
 	escFacts    map[*types.Func]map[ast.Expr]bool
 	chaFacts    map[*types.Func]*chaResult
-	universe    []types.Type // named non-interface types across all loaded packages
-	uniDone     bool
+	roots       map[*types.Package]bool // the Pkgs' types, set with universe
+	universe    []types.Type            // named non-interface root types
 	atomicIdx   *atomicIndex
 	// allowUsed marks (by index into directives) each allow directive
 	// that suppressed at least one would-be finding; hotescape flags
