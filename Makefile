@@ -31,10 +31,9 @@ bench:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis (cmd/meccvet: the fourteen-analyzer
-# suite — determinism, hotpath + hotclosure + hotescape, nilhook,
-# cycleunits + unitflow + cyclewrap, nopanic, errwrap, concsafety +
-# atomicfield + seqlock, seedflow — see DESIGN.md §9) plus vet, plus
+# Project-specific static analysis (cmd/meccvet: the eight-analyzer
+# suite — concsafety, cyclewrap, determinism, errwrap, hotpath,
+# nilhook, nopanic, unitflow — see DESIGN.md §9) plus vet, plus
 # scenario-spec validation, plus staticcheck when available. meccvet
 # compares against the committed lint.baseline.json, so only NEW
 # findings fail. `go vet` runs first: it compiles the export data in

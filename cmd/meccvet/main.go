@@ -1,13 +1,11 @@
-// Command meccvet is the project's static-analysis multichecker:
-// fourteen analyzers that pin the simulator's compile-time invariants —
-// deterministic replay, the zero-allocation hot path (locally and
-// through the whole callee closure), nil-safe telemetry hooks,
-// unit-safe clock conversions (typed and name-inferred), documented
-// panics, sentinel-error wrapping, batch-worker write discipline, seed
-// provenance, atomic-field access discipline, the seqlock writer/reader
-// protocol shape, unsigned cycle-arithmetic wrap guards, and an SSA
-// escape audit that retires stale hot-path allow directives. Run it
-// over the module with
+// Command meccvet is the project's static-analysis multichecker: eight
+// analyzers that pin the simulator's compile-time invariants —
+// deterministic replay and seed provenance, the zero-allocation hot
+// path (through the whole callee closure, with stale allow directives
+// retired), nil-safe telemetry hooks, unit-safe clock conversions
+// (typed and name-inferred), documented panics, sentinel-error
+// wrapping, batch-worker write discipline with typed atomics, and
+// unsigned cycle-arithmetic wrap guards. Run it over the module with
 //
 //	go run ./cmd/meccvet ./...
 //

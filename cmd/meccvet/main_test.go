@@ -33,7 +33,9 @@ func capture(t *testing.T, args ...string) (int, string, string) {
 	return code, read(stdout), read(stderr)
 }
 
-// seedFixture is a fixture package with known seedflow findings.
+// seedFixture is a fixture package with known determinism findings:
+// it sits outside the direct-call scope, so all four are seed
+// provenance.
 const seedFixture = "../../internal/analysis/testdata/src/seed"
 
 func TestListCoversAllAnalyzers(t *testing.T) {
@@ -41,19 +43,18 @@ func TestListCoversAllAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 14 {
-		t.Fatalf("-list printed %d analyzers, want 14:\n%s", len(lines), out)
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		names = append(names, strings.Fields(line)[0])
 	}
-	for _, name := range []string{"concsafety", "seedflow", "hotclosure", "unitflow", "atomicfield", "seqlock", "cyclewrap", "hotescape"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output missing %s", name)
-		}
+	want := "concsafety cyclewrap determinism errwrap hotpath nilhook nopanic unitflow"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("-list printed %s, want %s:\n%s", got, want, out)
 	}
 }
 
 func TestJSONFormat(t *testing.T) {
-	code, out, _ := capture(t, "-run", "seedflow", "-format", "json", seedFixture)
+	code, out, _ := capture(t, "-run", "determinism", "-format", "json", seedFixture)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (fixture has findings)", code)
 	}
@@ -67,18 +68,18 @@ func TestJSONFormat(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("-format json output is not valid JSON: %v\n%s", err, out)
 	}
-	if rep.Version != 1 || len(rep.Findings) == 0 {
-		t.Fatalf("report = %+v, want version 1 with findings", rep)
+	if rep.Version != 1 || len(rep.Findings) != 4 {
+		t.Fatalf("report = %+v, want version 1 with the fixture's 4 findings", rep)
 	}
 	for _, f := range rep.Findings {
-		if f.Analyzer != "seedflow" {
-			t.Errorf("finding from %s leaked through -run seedflow", f.Analyzer)
+		if f.Analyzer != "determinism" {
+			t.Errorf("finding from %s leaked through -run determinism", f.Analyzer)
 		}
 	}
 }
 
 func TestSARIFFormat(t *testing.T) {
-	code, out, _ := capture(t, "-run", "seedflow", "-format", "sarif", seedFixture)
+	code, out, _ := capture(t, "-run", "determinism", "-format", "sarif", seedFixture)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
@@ -96,7 +97,7 @@ func TestSARIFFormat(t *testing.T) {
 func TestBaselineFlow(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "lint.baseline.json")
 
-	code, _, stderr := capture(t, "-run", "seedflow", "-baseline", base, "-write-baseline", seedFixture)
+	code, _, stderr := capture(t, "-run", "determinism", "-baseline", base, "-write-baseline", seedFixture)
 	if code != 0 {
 		t.Fatalf("-write-baseline exit = %d, want 0 (stderr: %s)", code, stderr)
 	}
@@ -104,13 +105,13 @@ func TestBaselineFlow(t *testing.T) {
 		t.Fatalf("baseline file not written: %v", err)
 	}
 
-	code, out, _ := capture(t, "-run", "seedflow", "-baseline", base, seedFixture)
+	code, out, _ := capture(t, "-run", "determinism", "-baseline", base, seedFixture)
 	if code != 0 {
 		t.Fatalf("baselined run exit = %d, want 0; new findings:\n%s", code, out)
 	}
 
 	// Without the baseline the same findings fail the run.
-	code, _, _ = capture(t, "-run", "seedflow", seedFixture)
+	code, _, _ = capture(t, "-run", "determinism", seedFixture)
 	if code != 1 {
 		t.Fatalf("unbaselined run exit = %d, want 1", code)
 	}
@@ -119,11 +120,11 @@ func TestBaselineFlow(t *testing.T) {
 // TestTimings checks -timings prints an attribution line for the load,
 // the whole-program index, and each analyzer.
 func TestTimings(t *testing.T) {
-	code, _, stderr := capture(t, "-run", "seedflow", "-timings", seedFixture)
+	code, _, stderr := capture(t, "-run", "determinism", "-timings", seedFixture)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
-	for _, want := range []string{"meccvet: timing load", "meccvet: timing seedflow", "meccvet: timing program"} {
+	for _, want := range []string{"meccvet: timing load", "meccvet: timing determinism", "meccvet: timing program"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("-timings stderr missing %q:\n%s", want, stderr)
 		}

@@ -6,24 +6,23 @@
 // `go list -json` metadata) so the module keeps its zero-dependency
 // property.
 //
-// The analyzers themselves (determinism, hotpath, hotclosure, nilhook,
-// cycleunits, unitflow, nopanic, errwrap, concsafety, seedflow, and
-// the rest of the fourteen-strong registry) encode invariants of this
+// The eight analyzers (concsafety, cyclewrap, determinism, errwrap,
+// hotpath, nilhook, nopanic, unitflow) encode invariants of this
 // simulator that the run-time layers (internal/golden,
 // internal/checker) cannot see until a simulation executes:
-// deterministic replay, the zero-allocation BCH decode contract
-// (locally and through the whole callee closure), nil-safe telemetry
-// hooks, unit-safe cycle/time conversions (typed and name-inferred),
-// documented panics, sentinel-error wrapping, the batch.For per-index
-// write discipline, and run-config seed provenance. The
-// interprocedural analyzers run on a whole-program layer (program.go:
-// call graph + function index; cfg.go: per-function control-flow
-// graphs with a worklist dataflow solver; ssa.go: an SSA form with an
-// escape oracle in escape.go and CHA devirtualization in devirt.go)
-// built once per Run. The loader (load.go) type-checks the analyzed
-// packages from source and imports their dependencies from the export
-// data in the Go build cache. See DESIGN.md §9 for the rationale and
-// the suppression syntax.
+// deterministic replay and run-config seed provenance, the
+// zero-allocation BCH decode contract (through the whole callee
+// closure), nil-safe telemetry hooks, unit-safe cycle/time conversions
+// (typed and name-inferred), unsigned cycle-arithmetic wrap guards,
+// documented panics, sentinel-error wrapping, and the batch.For
+// per-index write discipline with typed atomics. The interprocedural
+// analyzers run on a whole-program layer (program.go: call graph +
+// function index; cfg.go: per-function control-flow graphs; ssa.go: an
+// SSA form with the one dataflow solver, solveSSA, an escape oracle in
+// escape.go and CHA devirtualization in devirt.go) built once per Run.
+// The loader (load.go) type-checks the analyzed packages from source
+// and imports their dependencies from the export data in the Go build
+// cache. See DESIGN.md §9 for the rationale and the suppression syntax.
 package analysis
 
 import (
@@ -80,18 +79,17 @@ type Pass struct {
 	PkgPath string
 	// Prog is the whole-program view over every root package of the
 	// run — the call graph, function index, and interprocedural
-	// summaries behind hotclosure, concsafety, seedflow, and unitflow.
+	// summaries behind hotpath, concsafety, determinism, and unitflow.
 	Prog *Program
 
-	directives []directive
-	report     func(Diagnostic)
+	report func(Diagnostic)
 }
 
 // Reportf records a finding unless an `//meccvet:allow` directive on
 // the same line or the line above suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	if p.allowedAt(position) {
+	if p.Prog.allowed(p.Analyzer.Name, position) {
 		return
 	}
 	p.report(Diagnostic{
@@ -101,24 +99,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// allowedAt reports whether an allow directive covers the position for
-// this pass's analyzer. Directives are collected program-wide, because
-// interprocedural analyzers report at positions outside the current
-// package (the breaking call edge of a hot-path closure may live in a
-// callee's package); the filename match keeps the check exact.
-func (p *Pass) allowedAt(pos token.Position) bool {
-	return directivesAllow(p.directives, p.Analyzer.Name, pos)
-}
-
-// directivesAllow reports whether an allow directive in the set covers
-// the position for the named analyzer: the directive may trail the
-// offending line or sit alone on the line directly above it.
-func directivesAllow(dirs []directive, analyzer string, pos token.Position) bool {
-	return directiveAllowIndex(dirs, analyzer, pos) >= 0
-}
-
 // directiveAllowIndex returns the index of the allow directive covering
-// the position for the named analyzer, or -1.
+// the position for the named analyzer, or -1: the directive may trail
+// the offending line or sit alone on the line directly above it.
 func directiveAllowIndex(dirs []directive, analyzer string, pos token.Position) int {
 	for i, d := range dirs {
 		if d.verb != verbAllow || d.pos.Filename != pos.Filename {
@@ -171,15 +154,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer, timings map[string]time.Duratio
 		}
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer:   a,
-				Fset:       pkg.Fset,
-				Files:      pkg.Files,
-				Pkg:        pkg.Types,
-				Info:       pkg.Info,
-				PkgPath:    pkg.PkgPath,
-				Prog:       prog,
-				directives: prog.directives,
-				report:     func(d Diagnostic) { out = append(out, d) },
+				Analyzer: a,
+				Fset:     pkg.Fset,
+				Files:    pkg.Files,
+				Pkg:      pkg.Types,
+				Info:     pkg.Info,
+				PkgPath:  pkg.PkgPath,
+				Prog:     prog,
+				report:   func(d Diagnostic) { out = append(out, d) },
 			}
 			start := time.Now()
 			err := a.Run(pass)

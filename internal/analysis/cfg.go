@@ -3,14 +3,12 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // cfg is a per-function control-flow graph: basic blocks of
 // straight-line statements joined by successor edges. It is the
-// substrate for the worklist dataflow solver below, which seedflow and
-// unitflow use to propagate abstract values (taint provenance, clock
-// units) flow-sensitively through a function body.
+// substrate of the SSA form (ssa.go), over which every value-sensitive
+// analyzer propagates its facts.
 //
 // The builder is deliberately compact: composite statements are
 // desugared just enough for forward dataflow (branch statements split
@@ -22,8 +20,8 @@ import (
 type cfg struct {
 	blocks []*cfgBlock
 	// stmtBlock locates the block holding each recorded statement, for
-	// stateAt queries. Composite statements (if/for/switch) are recorded
-	// at their branch point.
+	// enclosingSite queries. Composite statements (if/for/switch) are
+	// recorded at their branch point.
 	stmtBlock map[ast.Stmt]int
 	// conds records the branch condition governing each two-way split
 	// block (if/for headers), so dominance-based analyzers can reason
@@ -399,116 +397,4 @@ func (b *cfgBuilder) pushSwitch(breakTarget int) {
 func (b *cfgBuilder) popSwitch() {
 	b.breakTo = b.breakTo[:len(b.breakTo)-1]
 	b.continueTo = b.continueTo[:len(b.continueTo)-1]
-}
-
-// varState is the dataflow fact at a program point: the abstract value
-// of each tracked variable. A missing entry is bottom (untracked).
-type varState[T comparable] map[*types.Var]T
-
-// dataflow bundles one forward may-analysis over a cfg: the transfer
-// function folds a statement into a state (mutating and returning it),
-// join merges two abstract values at a control-flow merge.
-type dataflow[T comparable] struct {
-	transfer func(s ast.Stmt, in varState[T]) varState[T]
-	join     func(a, b T) T
-}
-
-// solve runs the worklist algorithm to a fixpoint and returns the
-// entry state of every block. The iteration cap bounds runaway
-// non-monotone transfer functions; the small finite lattices used by
-// seedflow and unitflow converge long before it.
-func (d *dataflow[T]) solve(g *cfg) []varState[T] {
-	n := len(g.blocks)
-	ins := make([]varState[T], n)
-	outs := make([]varState[T], n)
-	for i := range ins {
-		ins[i] = varState[T]{}
-	}
-	work := []int{0}
-	inWork := make([]bool, n)
-	if n > 0 {
-		inWork[0] = true
-	}
-	steps, maxSteps := 0, 8*n+64
-	for len(work) > 0 && steps < maxSteps {
-		steps++
-		bi := work[0]
-		work = work[1:]
-		inWork[bi] = false
-		out := cloneState(ins[bi])
-		for _, s := range g.blocks[bi].stmts {
-			out = d.transfer(s, out)
-		}
-		outs[bi] = out
-		for _, succ := range g.blocks[bi].succs {
-			if d.mergeInto(ins[succ], out) && !inWork[succ] {
-				work = append(work, succ)
-				inWork[succ] = true
-			}
-		}
-	}
-	return ins
-}
-
-// mergeInto joins src into dst, reporting whether dst changed.
-func (d *dataflow[T]) mergeInto(dst, src varState[T]) bool {
-	changed := false
-	for v, sv := range src {
-		dv, ok := dst[v]
-		if !ok {
-			dst[v] = sv
-			changed = true
-			continue
-		}
-		j := d.join(dv, sv)
-		if j != dv {
-			dst[v] = j
-			changed = true
-		}
-	}
-	return changed
-}
-
-// stateAt replays the target statement's block up to (not including)
-// the target, yielding the state the target executes under. The caller
-// locates the enclosing recorded statement via enclosingRecorded.
-func (d *dataflow[T]) stateAt(g *cfg, ins []varState[T], target ast.Stmt) varState[T] {
-	bi, ok := g.stmtBlock[target]
-	if !ok {
-		return varState[T]{}
-	}
-	st := cloneState(ins[bi])
-	for _, s := range g.blocks[bi].stmts {
-		if s == target {
-			break
-		}
-		st = d.transfer(s, st)
-	}
-	return st
-}
-
-// enclosingRecorded returns the nearest ancestor statement (including n
-// itself) that the cfg recorded, or nil.
-func (g *cfg) enclosingRecorded(stack []ast.Node, n ast.Node) ast.Stmt {
-	if s, ok := n.(ast.Stmt); ok {
-		if _, ok := g.stmtBlock[s]; ok {
-			return s
-		}
-	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		if s, ok := stack[i].(ast.Stmt); ok {
-			if _, ok := g.stmtBlock[s]; ok {
-				return s
-			}
-		}
-	}
-	return nil
-}
-
-func cloneState[T comparable](s varState[T]) varState[T] {
-	out := make(varState[T], len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
 }

@@ -36,124 +36,12 @@ func parseFunc(t *testing.T, src, name string) (*ast.FuncDecl, *types.Info) {
 	return nil, nil
 }
 
-// bitDataflow tracks, per variable, a bitmask of the literal values
-// assigned to it — join is set union, so a merge point sees the values
-// of every reaching branch.
-func bitDataflow(info *types.Info) *dataflow[int] {
-	return &dataflow[int]{
-		join: func(a, b int) int { return a | b },
-		transfer: func(s ast.Stmt, in varState[int]) varState[int] {
-			as, ok := s.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-				return in
-			}
-			id, ok := as.Lhs[0].(*ast.Ident)
-			if !ok {
-				return in
-			}
-			obj := info.Defs[id]
-			if obj == nil {
-				obj = info.Uses[id]
-			}
-			v, ok := obj.(*types.Var)
-			if !ok {
-				return in
-			}
-			if lit, ok := as.Rhs[0].(*ast.BasicLit); ok && lit.Kind == token.INT {
-				bit := 0
-				switch lit.Value {
-				case "1":
-					bit = 1
-				case "2":
-					bit = 2
-				case "4":
-					bit = 4
-				}
-				in[v] = bit
-			}
-			return in
-		},
-	}
-}
-
-// findReturn locates the first return statement in a body.
-func findReturn(body *ast.BlockStmt) *ast.ReturnStmt {
-	var ret *ast.ReturnStmt
-	ast.Inspect(body, func(n ast.Node) bool {
-		if r, ok := n.(*ast.ReturnStmt); ok && ret == nil {
-			ret = r
-		}
-		return ret == nil
-	})
-	return ret
-}
-
-// varNamed finds the *types.Var the function declares under a name.
-func varNamed(info *types.Info, name string) *types.Var {
-	for _, obj := range info.Defs {
-		if v, ok := obj.(*types.Var); ok && v.Name() == name {
-			return v
-		}
-	}
-	return nil
-}
-
-// TestCFGBranchJoin checks that both arms of an if reach the merge
-// point: the state at the return joins the assignments of both
-// branches.
-func TestCFGBranchJoin(t *testing.T) {
-	fd, info := parseFunc(t, `package p
-func f(a bool) int {
-	x := 0
-	if a {
-		x = 1
-	} else {
-		x = 2
-	}
-	return x
-}`, "f")
-	g := buildCFG(fd.Body)
-	df := bitDataflow(info)
-	ins := df.solve(g)
-	ret := findReturn(fd.Body)
-	if ret == nil {
-		t.Fatal("no return statement")
-	}
-	st := df.stateAt(g, ins, ret)
-	x := varNamed(info, "x")
-	if st[x] != 1|2 {
-		t.Fatalf("state at return: x = %b, want %b (both branches joined)", st[x], 1|2)
-	}
-}
-
-// TestCFGLoopFixpoint checks the back edge: a value assigned inside the
-// loop body reaches the loop header on the next iteration, and the
-// solver terminates.
-func TestCFGLoopFixpoint(t *testing.T) {
-	fd, info := parseFunc(t, `package p
-func f(n int) int {
-	x := 1
-	for i := 0; i < n; i++ {
-		x = 2
-	}
-	return x
-}`, "f")
-	g := buildCFG(fd.Body)
-	df := bitDataflow(info)
-	ins := df.solve(g)
-	ret := findReturn(fd.Body)
-	st := df.stateAt(g, ins, ret)
-	x := varNamed(info, "x")
-	if st[x] != 1|2 {
-		t.Fatalf("state at return: x = %b, want %b (zero-trip and looped paths joined)", st[x], 1|2)
-	}
-}
-
-// TestCFGSwitchAndBreak checks the switch lowering: every clause joins
-// at the exit, and a break inside a loop wires to the loop's after
-// block.
+// TestCFGSwitchAndBreak pins the switch and break lowering through the
+// SSA form: every clause of a switch with a default joins at the exit,
+// so x gets one 3-operand phi there, and the loop's break edge reaches
+// the loop exit without adding an x phi.
 func TestCFGSwitchAndBreak(t *testing.T) {
-	fd, info := parseFunc(t, `package p
+	f, _ := buildTestSSA(t, `package p
 func f(k, n int) int {
 	x := 0
 	switch k {
@@ -171,20 +59,16 @@ func f(k, n int) int {
 	}
 	return x
 }`, "f")
-	g := buildCFG(fd.Body)
-	df := bitDataflow(info)
-	ins := df.solve(g)
-	ret := findReturn(fd.Body)
-	st := df.stateAt(g, ins, ret)
-	x := varNamed(info, "x")
-	if st[x] != 1|2|4 {
-		t.Fatalf("state at return: x = %b, want %b (all clauses joined)", st[x], 1|2|4)
-	}
+	checkGolden(t, phiGolden(f), []string{
+		"b1: x1 = phi(x2, x3, x4)",
+		"b5: i1 = phi(i0, i2)",
+	})
+	checkDefUse(t, f)
 }
 
 // TestCFGRecordsStatements checks stmtBlock coverage: every straight-
-// line statement of a mixed body is locatable, which stateAt depends
-// on.
+// line statement of a mixed body is locatable, which enclosingSite
+// depends on.
 func TestCFGRecordsStatements(t *testing.T) {
 	fd, _ := parseFunc(t, `package p
 func f(n int) int {

@@ -16,12 +16,18 @@ import (
 // into a checked annotation: a //meccvet:quiescent function reachable
 // from a batch.For work function or a go statement is reported, because
 // those are exactly the contexts that run concurrently with traffic.
+// Finally, shared words must be typed atomics (atomic.Uint64,
+// atomic.Pointer[T]): a typed atomic allows no plain access at all,
+// while the address-based sync/atomic functions leave the word open to
+// a racing plain read or write anywhere else, so every call to them is
+// reported.
 var Concsafety = &Analyzer{
 	Name: "concsafety",
 	Doc: "batch.For work functions may write only per-index or atomic " +
-		"state (checked through the callee closure), and " +
+		"state (checked through the callee closure), " +
 		"//meccvet:quiescent functions must not be reachable from work " +
-		"functions or goroutines",
+		"functions or goroutines, and atomic words must be typed atomics, " +
+		"not plain words passed to sync/atomic functions",
 	Run: runConcsafety,
 }
 
@@ -33,14 +39,16 @@ type sharedWrite struct {
 }
 
 func runConcsafety(pass *Pass) error {
-	if pass.Prog == nil {
-		return nil
-	}
 	pass.WithStack(func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if isBatchFor(pass, n) && len(n.Args) > 0 {
 				checkWorker(pass, n.Args[len(n.Args)-1])
+			}
+			if obj := pass.calleeObject(n); isPkgLevelFunc(obj, "sync/atomic") {
+				pass.Reportf(n.Pos(),
+					"atomic.%s leaves its word open to plain access elsewhere; declare the word as a typed atomic (atomic.Uint64, atomic.Pointer[T])",
+					obj.Name())
 			}
 		case *ast.GoStmt:
 			checkGoStmt(pass, n)

@@ -528,7 +528,7 @@ func factProves(fct guardFact, ta, tb term, need int64) bool {
 // recorded statement's block, or the block owning the branch condition
 // or dispatch expression containing it.
 func blockOfNode(f *ssaFunc, n ast.Node) (int, bool) {
-	if b, _, ok := enclosingSite(f, n); ok {
+	if b, ok := enclosingSite(f, n); ok {
 		return b, true
 	}
 	for bi := range f.g.blocks {

@@ -24,25 +24,35 @@ var randConstructors = map[string]bool{
 
 // Determinism forbids wall-clock reads, the process-global math/rand
 // source, and map-order iteration in the simulation packages, where any
-// run-to-run variation breaks deterministic replay.
+// run-to-run variation breaks deterministic replay. Program-wide, it
+// also checks that every seed reaching a math/rand source constructor
+// (NewSource, NewPCG, the global Seed) traces back to run
+// configuration; see seed.go.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid time.Now, global math/rand, crypto/rand, and map-order " +
 		"iteration in the simulation packages (sim, dram, memctrl, core, " +
-		"retention, bch, ecc); thread a seeded *rand.Rand instead",
+		"retention, bch, ecc); everywhere, seeds reaching math/rand source " +
+		"constructors must trace to a run-config seed (constant, " +
+		"*seed*-named value, or //meccvet:seed helper)",
 	Run: runDeterminism,
 }
 
 func runDeterminism(pass *Pass) error {
-	if !anySegment(pass.PkgPath, determinismScope) {
-		return nil
-	}
+	inScope := anySegment(pass.PkgPath, determinismScope)
 	pass.WithStack(func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			checkDeterministicCall(pass, n)
+			if inScope {
+				checkDeterministicCall(pass, n)
+			}
+			if isRandSink(pass.calleeObject(n)) {
+				checkSink(pass, n, enclosingFuncDecl(stack))
+			}
 		case *ast.RangeStmt:
-			checkMapRange(pass, n)
+			if inScope {
+				checkMapRange(pass, n)
+			}
 		}
 		return true
 	})

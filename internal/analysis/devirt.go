@@ -9,7 +9,7 @@ import (
 // every concrete type declared in a root package that implements the
 // interface. When every target is itself proven allocation-free —
 // annotated //meccvet:hotpath or with a clean transitive closure — the
-// dynamic edge is proven too, and hotclosure stops demanding an allow
+// dynamic edge is proven too, and hotpath stops demanding an allow
 // for it. This is what lets the Morphable codec dispatch (weak/strong
 // Codec fields populated from the experiment matrix) count as proven:
 // the Codec implementer set is closed over {None, LineSECDED,

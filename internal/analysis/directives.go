@@ -28,13 +28,7 @@ import (
 //	                                         deterministic seeds; its
 //	                                         results are sanctioned
 //	                                         rand-source provenance
-//	                                         (trusted by seedflow)
-//	//meccvet:seqlock writer|reader          (func doc) function takes
-//	                                         part in a sequence-lock
-//	                                         protocol; the seqlock
-//	                                         analyzer checks its
-//	                                         open/store/release or
-//	                                         load/recheck shape
+//	                                         (trusted by determinism)
 const (
 	verbAllow     = "allow"
 	verbHotpath   = "hotpath"
@@ -42,7 +36,6 @@ const (
 	verbUnitconv  = "unitconv"
 	verbQuiescent = "quiescent"
 	verbSeed      = "seed"
-	verbSeqlock   = "seqlock"
 )
 
 const directivePrefix = "//meccvet:"
@@ -113,23 +106,6 @@ func hasDirective(doc *ast.CommentGroup, verb string) bool {
 		}
 	}
 	return false
-}
-
-// directiveArg returns the first argument of the given directive verb
-// in a doc comment group ("" when the directive is absent or bare).
-func directiveArg(doc *ast.CommentGroup, verb string) string {
-	if doc == nil {
-		return ""
-	}
-	for _, c := range doc.List {
-		if v, names, ok := parseDirective(c.Text); ok && v == verb {
-			if len(names) > 0 {
-				return names[0]
-			}
-			return ""
-		}
-	}
-	return ""
 }
 
 // typeHasDirective reports whether the type declaration of the named

@@ -2,23 +2,13 @@ package analysis
 
 import "sort"
 
-// dom.go computes dominator and post-dominator trees plus dominance
-// frontiers over cfg basic blocks, using the Cooper–Harvey–Kennedy
-// iterative algorithm ("A Simple, Fast Dominance Algorithm"). The SSA
-// builder places phi nodes on the (iterated) dominance frontier; the
-// seqlock analyzer uses dominance and post-dominance to check that
-// guarded stores sit inside the open/release window of a sequence
-// word; cyclewrap uses dominance to decide whether a guard condition
-// necessarily holds at a subtraction.
-//
-// The post-dominator tree is built on the reverse graph rooted at a
-// virtual exit node (index len(blocks)) that every block without
-// successors feeds. Blocks that cannot reach any exit (infinite
-// loops) are unreachable in the reverse graph and post-dominate
-// nothing — analyses treat "unreachable in the tree" conservatively.
+// dom.go computes the dominator tree and dominance frontiers over cfg
+// basic blocks, using the Cooper–Harvey–Kennedy iterative algorithm ("A
+// Simple, Fast Dominance Algorithm"). The SSA builder places phi nodes
+// on the (iterated) dominance frontier; cyclewrap uses dominance to
+// decide whether a guard condition necessarily holds at a subtraction.
 
-// domTree is one dominance relation over a cfg (forward dominators or
-// post-dominators, depending on construction).
+// domTree is the dominance relation over a cfg.
 type domTree struct {
 	root int
 	// idom is each block's immediate dominator; root maps to itself,
@@ -64,32 +54,6 @@ func (g *cfg) dominators() *domTree {
 		succs[i] = b.succs
 	}
 	return buildDomTree(n, 0, succs, g.predecessors())
-}
-
-// virtualExit is the post-dominator root's index: one past the last
-// real block.
-func (g *cfg) virtualExit() int { return len(g.blocks) }
-
-// postDominators builds the post-dominator tree: dominators of the
-// reverse graph rooted at a virtual exit every successor-less block
-// feeds.
-func (g *cfg) postDominators() *domTree {
-	n := len(g.blocks)
-	exit := g.virtualExit()
-	preds := g.predecessors()
-	// Reverse graph: succsRev[b] = preds of b; succsRev[exit] = the
-	// exit blocks. predsRev[b] = succs of b, plus exit for exit blocks.
-	succsRev := make([][]int, n+1)
-	predsRev := make([][]int, n+1)
-	for i := 0; i < n; i++ {
-		succsRev[i] = preds[i]
-		predsRev[i] = append(predsRev[i], g.blocks[i].succs...)
-		if len(g.blocks[i].succs) == 0 {
-			succsRev[exit] = append(succsRev[exit], i)
-			predsRev[i] = append(predsRev[i], exit)
-		}
-	}
-	return buildDomTree(n+1, exit, succsRev, predsRev)
 }
 
 // buildDomTree runs the iterative RPO dominance algorithm over an

@@ -9,11 +9,11 @@ import (
 // escape.go is an SSA-based escape analysis: it decides, per allocation
 // expression (function literal, &CompositeLit, new(T)), whether the
 // allocated object can outlive the frame that created it. The hotpath
-// and hotclosure analyzers consult it before flagging — a closure or
-// composite that provably never escapes is stack-allocatable and costs
-// no heap traffic, so reporting it would only push people toward
-// //meccvet:allow noise. The hotescape analyzer inverts the same
-// machinery to find allow directives the proof has made stale.
+// analyzer consults it before flagging — a closure or composite that
+// provably never escapes is stack-allocatable and costs no heap
+// traffic, so reporting it would only push people toward
+// //meccvet:allow noise — and reports the allow directives the proof
+// has made stale.
 //
 // The analysis is a may-escape BFS over SSA copies: starting from the
 // value the allocation defines, every use is classified as benign

@@ -23,18 +23,6 @@ func (p *Pass) WithStack(f func(n ast.Node, stack []ast.Node) bool) {
 	}
 }
 
-// enclosingFunc returns the innermost function declaration or literal
-// on the stack, or nil.
-func enclosingFunc(stack []ast.Node) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return stack[i]
-		}
-	}
-	return nil
-}
-
 // enclosingFuncDecl returns the innermost *named* function declaration
 // on the stack, or nil.
 func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {

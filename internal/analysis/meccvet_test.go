@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -24,7 +25,7 @@ func TestDeterminismOutOfScope(t *testing.T) {
 
 func TestHotpath(t *testing.T) {
 	diags := analysistest.Run(t, analysis.Hotpath, "./testdata/src/hot")
-	analysistest.MustFindings(t, diags, 11)
+	analysistest.MustFindings(t, diags, 15)
 }
 
 func TestNilhook(t *testing.T) {
@@ -32,13 +33,18 @@ func TestNilhook(t *testing.T) {
 	analysistest.MustFindings(t, diags, 3)
 }
 
+// TestCycleunits pins unitflow's typed boundary: conversions between
+// time.Duration and raw numbers outside //meccvet:unitconv helpers.
 func TestCycleunits(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Cycleunits, "./testdata/src/dram")
+	diags := analysistest.Run(t, analysis.Unitflow, "./testdata/src/dram")
 	analysistest.MustFindings(t, diags, 3)
 }
 
+// TestCycleunitsOutOfScope pins that the typed boundary shares
+// unitflow's package scope: scopefree's bare time.Duration(x) is not
+// reported.
 func TestCycleunitsOutOfScope(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Cycleunits, "./testdata/src/scopefree")
+	diags := analysistest.Run(t, analysis.Unitflow, "./testdata/src/scopefree")
 	analysistest.MustFindings(t, diags, 0)
 }
 
@@ -62,13 +68,18 @@ func TestConcsafety(t *testing.T) {
 	analysistest.MustFindings(t, diags, 6)
 }
 
+// TestSeedflow pins determinism's program-wide seed-provenance check.
+// The seed fixture sits outside the direct-call scope, so every finding
+// comes from provenance.
 func TestSeedflow(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Seedflow, "./testdata/src/seed")
+	diags := analysistest.Run(t, analysis.Determinism, "./testdata/src/seed")
 	analysistest.MustFindings(t, diags, 4)
 }
 
+// TestHotclosure pins hotpath's callee-closure rules: an edge reaching
+// an allocating callee and an unprovable dynamic call.
 func TestHotclosure(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Hotclosure, "./testdata/src/hotcall")
+	diags := analysistest.Run(t, analysis.Hotpath, "./testdata/src/hotcall")
 	analysistest.MustFindings(t, diags, 2)
 }
 
@@ -77,13 +88,13 @@ func TestHotclosure(t *testing.T) {
 // interfaces are closed to root types (a method names a root type, or
 // is unexported) and whose root implementers are all clean are proven.
 func TestHotclosureCHA(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Hotclosure, "./testdata/src/cha")
+	diags := analysistest.Run(t, analysis.Hotpath, "./testdata/src/cha")
 	analysistest.MustFindings(t, diags, 2)
 }
 
 func TestUnitflow(t *testing.T) {
 	diags := analysistest.Run(t, analysis.Unitflow, "./testdata/src/power")
-	analysistest.MustFindings(t, diags, 7)
+	analysistest.MustFindings(t, diags, 11)
 }
 
 func TestUnitflowOutOfScope(t *testing.T) {
@@ -91,14 +102,11 @@ func TestUnitflowOutOfScope(t *testing.T) {
 	analysistest.MustFindings(t, diags, 0)
 }
 
+// TestAtomicfield pins concsafety's typed-atomics rule: every call to
+// an address-based sync/atomic function is a finding.
 func TestAtomicfield(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Atomicfield, "./testdata/src/atomicf")
-	analysistest.MustFindings(t, diags, 3)
-}
-
-func TestSeqlock(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Seqlock, "./testdata/src/slock")
-	analysistest.MustFindings(t, diags, 5)
+	diags := analysistest.Run(t, analysis.Concsafety, "./testdata/src/atomicf")
+	analysistest.MustFindings(t, diags, 2)
 }
 
 func TestCyclewrap(t *testing.T) {
@@ -111,17 +119,24 @@ func TestCyclewrapOutOfScope(t *testing.T) {
 	analysistest.MustFindings(t, diags, 0)
 }
 
+// TestHotescape pins hotpath's stale-allow audit: an allow whose
+// finding the escape analysis discharges is reported, one that still
+// suppresses a finding is not.
 func TestHotescape(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Hotescape, "./testdata/src/esc")
+	diags := analysistest.Run(t, analysis.Hotpath, "./testdata/src/esc")
 	analysistest.MustFindings(t, diags, 1)
 }
 
-// TestSelect pins the registry: All covers the fourteen analyzers and
-// Select rejects unknown names.
+// TestSelect pins the registry: All holds exactly the eight analyzers
+// and Select rejects unknown names.
 func TestSelect(t *testing.T) {
-	all := analysis.All()
-	if len(all) != 14 {
-		t.Fatalf("All() = %d analyzers, want 14", len(all))
+	var names []string
+	for _, a := range analysis.All() {
+		names = append(names, a.Name)
+	}
+	want := "concsafety cyclewrap determinism errwrap hotpath nilhook nopanic unitflow"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("All() = %s, want %s", got, want)
 	}
 	got, err := analysis.Select([]string{"determinism", "nopanic"})
 	if err != nil || len(got) != 2 {

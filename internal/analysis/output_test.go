@@ -23,7 +23,7 @@ func sampleDiags() []analysis.Diagnostic {
 		},
 		{
 			Pos:      token.Position{Filename: "/repo/cmd/tool/main.go", Line: 3, Column: 5},
-			Analyzer: "seedflow",
+			Analyzer: "determinism",
 			Message:  "rand source seed derives from the wall clock (time.Now)",
 		},
 	}
@@ -44,8 +44,8 @@ func TestFindingsRelativize(t *testing.T) {
 
 // TestFindingMessagesRelative sweeps every fixture under all analyzers
 // and checks that no message embeds the module's absolute directory:
-// a second location a message names (atomic site, shared write,
-// allocation, tainted argument) is relativized like the file field, so
+// a second location a message names (shared write, allocation,
+// tainted argument) is relativized like the file field, so
 // a baseline entry written in one checkout matches in any other.
 func TestFindingMessagesRelative(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
@@ -66,7 +66,7 @@ func TestFindingMessagesRelative(t *testing.T) {
 			naming[f.Analyzer] = true
 		}
 	}
-	for _, a := range []string{"atomicfield", "concsafety", "hotclosure", "seedflow"} {
+	for _, a := range []string{"concsafety", "determinism", "hotpath"} {
 		if !naming[a] {
 			t.Errorf("no %s message names a module-relative location; the check is vacuous", a)
 		}
@@ -93,7 +93,7 @@ func TestWriteJSONGolden(t *testing.T) {
       "file": "cmd/tool/main.go",
       "line": 3,
       "column": 5,
-      "analyzer": "seedflow",
+      "analyzer": "determinism",
       "message": "rand source seed derives from the wall clock (time.Now)"
     }
   ]

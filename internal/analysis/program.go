@@ -39,27 +39,23 @@ type Program struct {
 
 	// Memoized interprocedural summaries (single-threaded access).
 	allocFacts  map[*types.Func]*allocIssue
-	allocDone   map[*types.Func]bool
 	sharedFacts map[*types.Func]*sharedWrite
 	sharedDone  map[*types.Func]bool
 	quiescent   map[*types.Func]*types.Func
 	quietDone   map[*types.Func]bool
 	cfgs        map[*types.Func]*cfg
-	provFacts   map[*types.Func]prov
-	provDone    map[*types.Func]bool
-	unitFacts   map[*types.Func]unit
-	unitDone    map[*types.Func]bool
+	provCtxs    map[*types.Func]*provCtx
+	provFacts   map[*types.Func]prov // return summaries
 	ssaFuncs    map[*types.Func]*ssaFunc
 	escFacts    map[*types.Func]map[ast.Expr]bool
 	chaFacts    map[*types.Func]*chaResult
 	roots       map[*types.Package]bool // the Pkgs' types, set with universe
 	universe    []types.Type            // named non-interface root types
-	atomicIdx   *atomicIndex
 	// allowUsed marks (by index into directives) each allow directive
-	// that suppressed at least one would-be finding; hotescape flags
-	// hotpath/hotclosure allows that stay unmarked after a full replay.
+	// that suppressed at least one would-be finding; hotpath flags its
+	// own allows that stay unmarked after the audit.
 	allowUsed map[int]bool
-	auditDone bool
+	hotDiags  map[*types.Package][]Diagnostic // hotAudit's findings, once computed
 }
 
 // A CallSite is one call expression inside a declared function's body
@@ -95,16 +91,13 @@ func buildProgram(pkgs []*Package) *Program {
 		calls:       make(map[*types.Func][]CallSite),
 		callers:     make(map[*types.Func][]CallerEdge),
 		allocFacts:  make(map[*types.Func]*allocIssue),
-		allocDone:   make(map[*types.Func]bool),
 		sharedFacts: make(map[*types.Func]*sharedWrite),
 		sharedDone:  make(map[*types.Func]bool),
 		quiescent:   make(map[*types.Func]*types.Func),
 		quietDone:   make(map[*types.Func]bool),
 		cfgs:        make(map[*types.Func]*cfg),
+		provCtxs:    make(map[*types.Func]*provCtx),
 		provFacts:   make(map[*types.Func]prov),
-		provDone:    make(map[*types.Func]bool),
-		unitFacts:   make(map[*types.Func]unit),
-		unitDone:    make(map[*types.Func]bool),
 		ssaFuncs:    make(map[*types.Func]*ssaFunc),
 		escFacts:    make(map[*types.Func]map[ast.Expr]bool),
 		chaFacts:    make(map[*types.Func]*chaResult),
@@ -153,9 +146,6 @@ func (prog *Program) FuncOf(fn *types.Func) *FuncInfo {
 	return prog.funcs[fn]
 }
 
-// CallsFrom returns the call sites inside fn's body.
-func (prog *Program) CallsFrom(fn *types.Func) []CallSite { return prog.calls[fn] }
-
 // CallersOf returns the call edges targeting fn from root packages.
 func (prog *Program) CallersOf(fn *types.Func) []CallerEdge { return prog.callers[fn] }
 
@@ -166,11 +156,12 @@ func (prog *Program) funcVerb(fn *types.Func, verb string) bool {
 }
 
 // allowed reports whether an //meccvet:allow directive anywhere in the
-// program covers the position for the named analyzer — the program-wide
-// counterpart of Pass.allowedAt, needed because interprocedural
-// analyzers report at positions in packages other than the current
-// pass's (the breaking call edge may live two packages away). A match
-// marks the directive as load-bearing for the hotescape audit.
+// program covers the position for the named analyzer. Directives are
+// collected program-wide because interprocedural analyzers report at
+// positions in packages other than the current pass's (the breaking
+// call edge may live two packages away); the filename match keeps the
+// check exact. A match marks the directive as load-bearing for
+// hotpath's stale-allow audit.
 func (prog *Program) allowed(analyzer string, pos token.Position) bool {
 	if i := directiveAllowIndex(prog.directives, analyzer, pos); i >= 0 {
 		prog.allowUsed[i] = true

@@ -8,19 +8,13 @@ import (
 // All returns every meccvet analyzer in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Atomicfield,
 		Concsafety,
-		Cycleunits,
 		Cyclewrap,
 		Determinism,
 		Errwrap,
-		Hotclosure,
-		Hotescape,
 		Hotpath,
 		Nilhook,
 		Nopanic,
-		Seedflow,
-		Seqlock,
 		Unitflow,
 	}
 }

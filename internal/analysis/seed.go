@@ -2,28 +2,23 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
 
-// Seedflow is a taint analysis over rand-source construction: every
-// seed reaching a math/rand source constructor (NewSource, NewPCG, the
-// global Seed) must be provenance-traceable to a run-config seed — an
-// integer constant, a *seed*-named parameter, variable, or config
-// field, or the result of a //meccvet:seed-annotated derivation helper.
-// Provenance is propagated flow-sensitively through each function by
-// the CFG worklist solver and across function boundaries through the
-// call graph: a seed that is a plain parameter is checked at every call
-// site, and a callee's return provenance is summarized and substituted
-// at the caller. Wall-clock reads, the process-global rand source, and
-// process state (pid, environment) taint everything they touch.
-var Seedflow = &Analyzer{
-	Name: "seedflow",
-	Doc: "seeds reaching math/rand source constructors must be " +
-		"provenance-traceable to a run-config seed (constant, *seed*-named " +
-		"value, or //meccvet:seed helper), checked through the call graph",
-	Run: runSeedflow,
-}
+// seed.go is determinism's program-wide seed-provenance check, a taint
+// analysis over rand-source construction: every seed reaching a
+// math/rand source constructor (NewSource, NewPCG, the global Seed)
+// must trace back to a run-config seed — an integer constant, a
+// *seed*-named parameter, variable, or config field, or the result of a
+// //meccvet:seed-annotated derivation helper. Provenance propagates
+// through each function over its SSA form and across function
+// boundaries through the call graph: a seed that is a plain parameter
+// is checked at every call site, and a callee's return provenance is
+// summarized and substituted at the caller. Wall-clock reads, the
+// process-global rand source, and process state (pid, environment)
+// taint everything they touch.
 
 // provKind is the seed-provenance lattice, ordered by rank: unknown <
 // seeded < param < opaque < tainted.
@@ -44,29 +39,19 @@ type prov struct {
 	reason string     // provTainted: the nondeterministic origin
 }
 
-// joinProv is the lattice join: higher rank wins; two different
-// parameters (or a parameter against anything but itself) collapse to
-// opaque because a single substitution site no longer exists.
+// joinProv is the lattice join: higher rank wins, so a parameter
+// joined with a traceable seed stays checkable at the parameter's call
+// sites, and either of two taint reasons serves. Two different
+// parameters collapse to opaque because a single substitution site no
+// longer exists.
 func joinProv(a, b prov) prov {
-	if a == b {
+	switch {
+	case a == b:
 		return a
-	}
-	if a.kind == b.kind {
-		if a.kind == provParam {
-			return prov{kind: provOpaque}
-		}
-		if a.kind == provTainted {
-			return a // either reason serves
-		}
-		return a
-	}
-	if a.kind < b.kind {
-		a, b = b, a
-	}
-	if a.kind == provParam && b.kind == provSeeded {
-		// One arm traceable, one a parameter: still checkable at the
-		// parameter's call sites.
-		return a
+	case a.kind == provParam && b.kind == provParam:
+		return prov{kind: provOpaque}
+	case a.kind < b.kind:
+		return b
 	}
 	return a
 }
@@ -80,53 +65,31 @@ func seedish(name string) bool {
 // must carry seed provenance.
 var randSinks = map[string]bool{"NewSource": true, "NewPCG": true, "Seed": true}
 
-func runSeedflow(pass *Pass) error {
-	if pass.Prog == nil {
-		return nil
+// isRandSink reports whether a call target is a math/rand(/v2) source
+// constructor.
+func isRandSink(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || !randSinks[fn.Name()] || fn.Pkg() == nil {
+		return false
 	}
-	pass.WithStack(func(n ast.Node, stack []ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		obj := pass.calleeObject(call)
-		fn, ok := obj.(*types.Func)
-		if !ok || !randSinks[fn.Name()] || fn.Pkg() == nil {
-			return true
-		}
-		if path := fn.Pkg().Path(); path != "math/rand" && path != "math/rand/v2" {
-			return true
-		}
-		checkSink(pass, call, stack)
-		return true
-	})
-	return nil
+	path := fn.Pkg().Path()
+	return path == "math/rand" || path == "math/rand/v2"
 }
 
 // checkSink evaluates the provenance of every argument of one rand
-// source constructor in its enclosing function's dataflow state.
-func checkSink(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
+// source constructor inside fd (nil at package level).
+func checkSink(pass *Pass, call *ast.CallExpr, fd *ast.FuncDecl) {
+	var fi *FuncInfo
+	if fd != nil {
+		fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
+		fi = pass.Prog.FuncOf(fn)
+	}
 	ctx := &provCtx{prog: pass.Prog, info: pass.Info}
-	var st varState[prov]
-	if fd := enclosingFuncDecl(stack); fd != nil {
-		if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-			ctx.fi = pass.Prog.FuncOf(fn)
-		}
-	}
-	if ctx.fi != nil {
-		if g := pass.Prog.cfgOf(ctx.fi.Fn); g != nil {
-			df := ctx.dataflow()
-			ins := df.solve(g)
-			if target := g.enclosingRecorded(stack, call); target != nil {
-				st = df.stateAt(g, ins, target)
-			}
-		}
-	}
-	if st == nil {
-		st = varState[prov]{}
+	if fi != nil {
+		ctx = pass.Prog.provCtxOf(fi)
 	}
 	for _, arg := range call.Args {
-		p := ctx.eval(arg, st)
+		p := ctx.eval(arg)
 		switch p.kind {
 		case provSeeded, provUnknown:
 			// Unknown means the argument is not an integer-bearing
@@ -139,7 +102,7 @@ func checkSink(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
 			pass.Reportf(arg.Pos(),
 				"rand source seed is not provenance-traceable to a run-config seed (name it *seed*, take it from config, or annotate the deriving helper //meccvet:seed)")
 		case provParam:
-			checkParamCallers(pass, arg, p.param, ctx.fi, make(map[*types.Var]bool))
+			checkParamCallers(pass, arg, p.param, fi, make(map[*types.Var]bool))
 		}
 	}
 }
@@ -162,9 +125,7 @@ func checkParamCallers(pass *Pass, sinkArg ast.Expr, param *types.Var, fi *FuncI
 			continue // variadic shapes the index no longer matches
 		}
 		arg := edge.Call.Args[idx]
-		ctx := &provCtx{prog: pass.Prog, info: edge.Caller.Pkg.Info, fi: edge.Caller}
-		st := ctx.stateAtCall(edge.Call)
-		p := ctx.eval(arg, st)
+		p := pass.Prog.provCtxOf(edge.Caller).eval(arg)
 		switch p.kind {
 		case provParam:
 			checkParamCallers(pass, sinkArg, p.param, edge.Caller, visiting)
@@ -196,126 +157,80 @@ func paramIndex(fn *types.Func, param *types.Var) int {
 	return -1
 }
 
-// provCtx evaluates provenance of expressions within one function.
+// provCtx evaluates provenance of expressions within one function:
+// facts holds the provenance of each SSA value.
 type provCtx struct {
 	prog  *Program
 	info  *types.Info
 	fi    *FuncInfo // enclosing function; nil at package-level initializers
-	depth int
+	f     *ssaFunc
+	facts map[*ssaVal]prov
 }
 
-// dataflow binds the provenance transfer/join for the worklist solver.
-func (c *provCtx) dataflow() *dataflow[prov] {
-	return &dataflow[prov]{
-		transfer: func(s ast.Stmt, in varState[prov]) varState[prov] { return c.transfer(s, in) },
-		join:     joinProv,
+// provCtxOf returns (solving and memoizing) the provenance context of
+// one function.
+func (prog *Program) provCtxOf(fi *FuncInfo) *provCtx {
+	if c := prog.provCtxs[fi.Fn]; c != nil {
+		return c
 	}
+	c := &provCtx{prog: prog, info: fi.Pkg.Info, fi: fi, f: prog.ssaOf(fi.Fn)}
+	if c.f != nil {
+		c.facts = solveSSA(c.f, prov{}, c.defProv, joinProv)
+	}
+	prog.provCtxs[fi.Fn] = c
+	return c
 }
 
-// stateAtCall solves the context function and replays to the statement
-// enclosing the given call.
-func (c *provCtx) stateAtCall(call *ast.CallExpr) varState[prov] {
-	if c.fi == nil {
-		return varState[prov]{}
-	}
-	g := c.prog.cfgOf(c.fi.Fn)
-	if g == nil {
-		return varState[prov]{}
-	}
-	df := c.dataflow()
-	ins := df.solve(g)
-	if target := findEnclosingStmt(c.fi.Decl.Body, call, g); target != nil {
-		return df.stateAt(g, ins, target)
-	}
-	return varState[prov]{}
-}
-
-// findEnclosingStmt locates the recorded statement containing a node.
-func findEnclosingStmt(body *ast.BlockStmt, target ast.Node, g *cfg) ast.Stmt {
-	var found ast.Stmt
-	var stack []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if n == target {
-			found = g.enclosingRecorded(stack, n)
-			return false
-		}
-		stack = append(stack, n)
-		return found == nil
-	})
-	return found
-}
-
-// transfer folds one statement into the provenance state.
-func (c *provCtx) transfer(s ast.Stmt, in varState[prov]) varState[prov] {
-	set := func(lhs ast.Expr, p prov) {
-		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-			obj := c.info.Defs[id]
-			if obj == nil {
-				obj = c.info.Uses[id]
-			}
-			if v, ok := obj.(*types.Var); ok {
-				in[v] = p
-			}
-		}
-	}
-	switch s := s.(type) {
+// defProv computes the provenance one SSA definition carries from its
+// defining statement. Entry values stay unknown: evalIdent resolves a
+// parameter to itself.
+func (c *provCtx) defProv(v *ssaVal, get func(*ssaVal) prov) prov {
+	switch s := v.defStmt.(type) {
 	case *ast.AssignStmt:
-		if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-			p := c.eval(s.Rhs[0], in)
-			for _, l := range s.Lhs {
-				set(l, p)
-			}
-			return in
+		if len(s.Lhs) != len(s.Rhs) {
+			return c.evalWith(s.Rhs[0], get) // multi-value call
 		}
 		for i, l := range s.Lhs {
-			if i >= len(s.Rhs) {
-				break
+			if l != v.def {
+				continue
 			}
-			p := c.eval(s.Rhs[i], in)
-			if s.Tok.String() != "=" && s.Tok.String() != ":=" {
+			p := c.evalWith(s.Rhs[i], get)
+			if s.Tok != token.ASSIGN && s.Tok != token.DEFINE {
 				// Compound assignment mixes old and new provenance.
-				p = joinProv(p, c.eval(l, in))
+				p = joinProv(p, c.evalWith(l, get))
 			}
-			set(l, p)
+			return p
 		}
 	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if i < len(vs.Values) {
-						set(name, c.eval(vs.Values[i], in))
-					}
-				}
-			}
+		if v.rhs != nil {
+			return c.evalWith(v.rhs, get)
 		}
 	case *ast.RangeStmt:
 		// Loop indices are deterministic; ranged values inherit the
 		// container's provenance.
-		if s.Key != nil {
-			set(s.Key, prov{kind: provSeeded})
+		if s.Key == v.def {
+			return prov{kind: provSeeded}
 		}
-		if s.Value != nil {
-			set(s.Value, c.eval(s.X, in))
-		}
+		return c.evalWith(s.X, get)
+	case *ast.IncDecStmt:
+		return c.evalWith(s.X, get) // x++ keeps x's provenance
 	}
-	return in
+	return prov{}
 }
 
-// eval computes the provenance of one expression under a state.
-func (c *provCtx) eval(e ast.Expr, st varState[prov]) prov {
+// eval computes the provenance of one expression from the solved facts.
+func (c *provCtx) eval(e ast.Expr) prov {
+	return c.evalWith(e, func(v *ssaVal) prov { return c.facts[v] })
+}
+
+// evalWith computes the provenance of one expression, reading the
+// provenance of each identifier's reaching definition through get.
+func (c *provCtx) evalWith(e ast.Expr, get func(*ssaVal) prov) prov {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.BasicLit:
 		return prov{kind: provSeeded}
 	case *ast.Ident:
-		return c.evalIdent(e, st)
+		return c.evalIdent(e, get)
 	case *ast.SelectorExpr:
 		if v, ok := c.info.Uses[e.Sel].(*types.Var); ok {
 			if seedish(v.Name()) {
@@ -328,21 +243,21 @@ func (c *provCtx) eval(e ast.Expr, st varState[prov]) prov {
 		// A non-seed field of anything: untraceable.
 		return prov{kind: provOpaque}
 	case *ast.CallExpr:
-		return c.evalCall(e, st)
+		return c.evalCall(e, get)
 	case *ast.BinaryExpr:
-		return joinProv(c.eval(e.X, st), c.eval(e.Y, st))
+		return joinProv(c.evalWith(e.X, get), c.evalWith(e.Y, get))
 	case *ast.UnaryExpr:
-		return c.eval(e.X, st)
+		return c.evalWith(e.X, get)
 	case *ast.IndexExpr:
 		// seeds[i] inherits the container's provenance.
-		return c.eval(e.X, st)
+		return c.evalWith(e.X, get)
 	case *ast.StarExpr:
-		return c.eval(e.X, st)
+		return c.evalWith(e.X, get)
 	}
 	return prov{kind: provOpaque}
 }
 
-func (c *provCtx) evalIdent(id *ast.Ident, st varState[prov]) prov {
+func (c *provCtx) evalIdent(id *ast.Ident, get func(*ssaVal) prov) prov {
 	obj := c.info.Uses[id]
 	if obj == nil {
 		obj = c.info.Defs[id]
@@ -356,8 +271,10 @@ func (c *provCtx) evalIdent(id *ast.Ident, st varState[prov]) prov {
 		if seedish(obj.Name()) {
 			return prov{kind: provSeeded}
 		}
-		if p, ok := st[obj]; ok && p.kind != provUnknown {
-			return p
+		if c.f != nil {
+			if p := get(c.f.useVal[id]); p.kind != provUnknown {
+				return p
+			}
 		}
 		if c.fi != nil && paramIndex(c.fi.Fn, obj) >= 0 {
 			return prov{kind: provParam, param: obj}
@@ -371,10 +288,10 @@ func (c *provCtx) evalIdent(id *ast.Ident, st varState[prov]) prov {
 // taint, //meccvet:seed helpers sanctify, internal callees are
 // summarized and parameter results substituted with the actual
 // arguments, and everything else is opaque.
-func (c *provCtx) evalCall(call *ast.CallExpr, st varState[prov]) prov {
+func (c *provCtx) evalCall(call *ast.CallExpr, get func(*ssaVal) prov) prov {
 	if tv, ok := c.info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
-			return c.eval(call.Args[0], st) // conversion
+			return c.evalWith(call.Args[0], get) // conversion
 		}
 		return prov{kind: provOpaque}
 	}
@@ -394,16 +311,16 @@ func (c *provCtx) evalCall(call *ast.CallExpr, st varState[prov]) prov {
 		// (time.Now().UnixNano() stays tainted through the chain).
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if p := c.eval(sel.X, st); p.kind == provTainted {
+				if p := c.evalWith(sel.X, get); p.kind == provTainted {
 					return p
 				}
 			}
 		}
-		if fi := c.prog.FuncOf(obj); fi != nil && c.depth < 6 {
-			p := c.returnProv(fi)
+		if fi := c.prog.FuncOf(obj); fi != nil {
+			p := c.prog.returnProv(fi)
 			if p.kind == provParam {
 				if idx := paramIndex(fi.Fn, p.param); idx >= 0 && idx < len(call.Args) {
-					return c.eval(call.Args[idx], st)
+					return c.evalWith(call.Args[idx], get)
 				}
 				return prov{kind: provOpaque}
 			}
@@ -445,35 +362,31 @@ func taintedSource(fn *types.Func) string {
 
 // returnProv summarizes the provenance a function's results carry: the
 // join over every return statement's result expressions, evaluated in
-// the function's own solved dataflow states. Cycles resolve to opaque.
-func (c *provCtx) returnProv(fi *FuncInfo) prov {
-	if c.prog.provDone[fi.Fn] {
-		return c.prog.provFacts[fi.Fn]
+// the function's own solved facts. Cycles resolve to opaque.
+func (prog *Program) returnProv(fi *FuncInfo) prov {
+	if p, ok := prog.provFacts[fi.Fn]; ok {
+		return p
 	}
-	c.prog.provDone[fi.Fn] = true
-	c.prog.provFacts[fi.Fn] = prov{kind: provOpaque} // cycle default
-	g := c.prog.cfgOf(fi.Fn)
-	if g == nil {
+	prog.provFacts[fi.Fn] = prov{kind: provOpaque} // cycle default
+	if fi.Decl.Body == nil {
 		return prov{kind: provOpaque}
 	}
-	callee := &provCtx{prog: c.prog, info: fi.Pkg.Info, fi: fi, depth: c.depth + 1}
-	df := callee.dataflow()
-	ins := df.solve(g)
+	callee := prog.provCtxOf(fi)
 	var out prov
-	for bi, blk := range g.blocks {
-		st := cloneState(ins[bi])
-		for _, s := range blk.stmts {
-			if ret, ok := s.(*ast.ReturnStmt); ok {
-				for _, res := range ret.Results {
-					out = joinProv(out, callee.eval(res, st))
-				}
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false // a literal's returns are not fi's
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				out = joinProv(out, callee.eval(res))
 			}
-			st = callee.transfer(s, st)
 		}
-	}
+		return true
+	})
 	if out.kind == provUnknown {
 		out = prov{kind: provOpaque} // naked or resultless returns
 	}
-	c.prog.provFacts[fi.Fn] = out
+	prog.provFacts[fi.Fn] = out
 	return out
 }

@@ -12,8 +12,10 @@ import (
 // local variable is split into versions (one per definition), phi
 // nodes merge versions at dominance-frontier join points, and each
 // identifier use resolves to exactly one reaching version, giving
-// def-use chains the value-sensitive analyzers (cyclewrap, seqlock,
-// hotescape) traverse.
+// def-use chains the value-sensitive analyzers traverse: solveSSA runs
+// unitflow's clock units, determinism's seed provenance and
+// cyclewrap's constants over them, and the escape analysis behind
+// hotpath walks them directly.
 //
 // Eligibility is conservative: a variable is versioned only when the
 // analysis can see every definition. Address-taken variables, variables
@@ -612,13 +614,17 @@ func exprUses(e ast.Expr, emit func(*ast.Ident)) {
 	})
 }
 
-// valueOf resolves an expression to the SSA value it denotes: a plain
-// identifier use (possibly parenthesized) of a versioned variable.
-func (f *ssaFunc) valueOf(e ast.Expr) *ssaVal {
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		return f.useVal[id]
+// enclosingSite locates the basic block of the recorded statement
+// enclosing a node.
+func enclosingSite(f *ssaFunc, n ast.Node) (block int, ok bool) {
+	for cur := n; cur != nil; cur = f.parent[cur] {
+		if s, isStmt := cur.(ast.Stmt); isStmt {
+			if b, recorded := f.g.stmtBlock[s]; recorded {
+				return b, true
+			}
+		}
 	}
-	return nil
+	return 0, false
 }
 
 // solveSSA runs one value lattice over the SSA graph to a fixpoint

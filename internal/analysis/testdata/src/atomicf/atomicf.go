@@ -1,77 +1,49 @@
-// Package atomicf is the atomicfield fixture: once a word is touched
-// through sync/atomic anywhere, every plain access to it elsewhere is
-// a race. The Batch type replays the batch.SetObserver shape — an
-// observer word swapped atomically on the hot path but read plainly
-// from a maintenance path.
+// Package atomicf is the typed-atomics fixture. A word shared through
+// sync/atomic must be declared as a typed atomic (atomic.Uint64,
+// atomic.Pointer[T]), which allows no plain access at all. The
+// address-based package functions leave the word open to a plain read
+// or write anywhere else — the batch.SetObserver race shape — so every
+// call to them is a finding.
 package atomicf
 
 import "sync/atomic"
 
-// Batch accumulates events; seq is bumped atomically per event.
+// Batch is the sanctioned form: its sequence word is a typed atomic.
 type Batch struct {
-	seq uint64
+	seq atomic.Uint64
 	n   int
 }
 
-// Bump is the hot-path producer: it commits the event atomically.
+// Bump commits an event; n has no atomic discipline and stays plain.
 func (b *Batch) Bump() {
-	atomic.AddUint64(&b.seq, 1)
-	b.n++ // n has no atomic discipline: plain access is fine
+	b.seq.Add(1)
+	b.n++
 }
 
-// Flush reads the sequence plainly — the interprocedural race: the
-// atomic discipline was established in Bump, the violation is here.
-func (b *Batch) Flush() uint64 {
-	return b.seq // want `seq is accessed with sync/atomic`
+// Flush can only read the sequence atomically.
+func (b *Batch) Flush() uint64 { return b.seq.Load() }
+
+// legacy keeps its counter as a plain word under address-based atomics.
+type legacy struct{ seq uint64 }
+
+// Bump is the address-based form the rule rejects: nothing stops Flush
+// from reading the same word plainly.
+func (l *legacy) Bump() {
+	atomic.AddUint64(&l.seq, 1) // want `atomic.AddUint64 leaves its word open to plain access elsewhere`
 }
 
-// Snapshot tolerates a torn read and says so.
-func (b *Batch) Snapshot() uint64 {
-	//meccvet:allow atomicfield -- sampling read, torn value tolerated
-	return b.seq
-}
+// Flush is the racing plain read the typed form would not compile.
+func (l *legacy) Flush() uint64 { return l.seq }
 
-// NewBatch initializes seq plainly, but the object is still
-// frame-local at that point — no goroutine can race it yet.
-func NewBatch(start uint64) *Batch {
-	b := new(Batch)
-	b.seq = start
-	publish(b)
-	return b
-}
-
-// published keeps escaped batches reachable.
-var published *Batch
-
-func publish(b *Batch) { published = b }
-
-// hits is a package-level counter under atomic discipline.
+// hits is a package-level counter under address-based atomics.
 var hits uint64
 
-// Record is the sanctioned access.
-func Record() { atomic.AddUint64(&hits, 1) }
-
-// Dump mixes in a plain read of the counter.
-func Dump() uint64 {
-	return hits // want `hits is accessed with sync/atomic`
+// Record is flagged like any other address-based call.
+func Record() {
+	atomic.StoreUint64(&hits, 1) // want `atomic.StoreUint64 leaves its word open to plain access elsewhere`
 }
 
-// Table holds per-slot words accessed atomically by element: the
-// discipline covers the elements, the slice header stays plain.
-type Table struct {
-	slots []uint64
-}
-
-// Set is the sanctioned element access.
-func (t *Table) Set(i int, v uint64) { atomic.StoreUint64(&t.slots[i], v) }
-
-// Peek reads an element plainly — a race with Set.
-func (t *Table) Peek(i int) uint64 {
-	return t.slots[i] // want `slots is accessed with sync/atomic`
-}
-
-// Len touches only the header, which the element discipline leaves
-// plainly accessible.
-func (t *Table) Len() int {
-	return len(t.slots)
+// Sample documents a deliberate address-based read.
+func Sample() uint64 {
+	return atomic.LoadUint64(&hits) //meccvet:allow concsafety -- fixture: sampled by an external tool that owns the word
 }

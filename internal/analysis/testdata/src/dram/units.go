@@ -1,5 +1,5 @@
-// Package dram is a cycleunits-analyzer fixture: the directory name
-// places it in the clock-domain scope like internal/dram.
+// Package dram is the unitflow time.Duration fixture: the directory
+// name places it in the clock-domain scope like internal/dram.
 package dram
 
 import "time"
@@ -43,5 +43,5 @@ func durationMath(d time.Duration) time.Duration {
 
 // suppressed keeps a one-off conversion with a justification.
 func suppressed(d time.Duration) int64 {
-	return int64(d) //meccvet:allow cycleunits -- JSON encoding wants raw nanoseconds
+	return int64(d) //meccvet:allow unitflow -- JSON encoding wants raw nanoseconds
 }

@@ -1,6 +1,6 @@
-// Package esc is the hotescape fixture: //meccvet:allow
-// hotpath/hotclosure directives whose suppressed finding the SSA
-// escape analysis now discharges are stale and must be deleted.
+// Package esc is the stale-allow fixture: a //meccvet:allow hotpath
+// directive whose suppressed finding the SSA escape analysis now
+// discharges is stale and must be deleted.
 package esc
 
 // result mirrors a decode result.
@@ -25,16 +25,4 @@ func spill(n int) *result {
 	p := new(result)
 	p.n = n
 	return p
-}
-
-// keep retains a stale allow deliberately while a revert lands; the
-// hotescape finding itself is suppressed.
-//
-//meccvet:hotpath
-func keep(n int) int {
-	//meccvet:allow hotescape -- directive kept while the revert lands
-	//meccvet:allow hotpath -- scratch header, amortized
-	q := new(result)
-	q.n = n
-	return q.n
 }

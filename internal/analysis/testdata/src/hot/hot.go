@@ -21,7 +21,7 @@ var scratch []int
 func deferred() func() int {
 	defer fmt.Println("done") // want `defer in hot path deferred` `fmt.Println in hot path deferred formats and allocates`
 	f := func() int { return 1 }
-	_ = f()
+	_ = f()                      // want `dynamic call in hot path deferred cannot be proven allocation-free; devirtualize or justify with //meccvet:allow hotpath`
 	g := func() int { return 2 } // want `closure in hot path deferred`
 	return g
 }
@@ -30,7 +30,7 @@ func deferred() func() int {
 //
 //meccvet:hotpath
 func spawns(ch chan int) {
-	go func() { ch <- 1 }() // want `goroutine launch in hot path spawns` `closure in hot path spawns`
+	go func() { ch <- 1 }() // want `goroutine launch in hot path spawns` `closure in hot path spawns` `dynamic call in hot path spawns`
 }
 
 // allocates exercises the construction rules. The new(Result) whose
@@ -70,7 +70,7 @@ func appends(buf []int, v int) []int {
 //
 //meccvet:hotpath
 func boxes(v int, sink func(any), raw []byte) string {
-	sink(v)            // want `argument boxes into interface parameter in hot path boxes`
+	sink(v)            // want `argument boxes into interface parameter in hot path boxes` `dynamic call in hot path boxes`
 	return string(raw) // want `string/slice conversion in hot path boxes copies`
 }
 
@@ -101,5 +101,5 @@ func values(n int) Result {
 //
 //meccvet:hotpath
 func passthrough(sink func(...any), args []any) {
-	sink(args...)
+	sink(args...) // want `dynamic call in hot path passthrough`
 }

@@ -1,4 +1,4 @@
-// Package hotcall is the hotclosure golden fixture: hotpath roots whose
+// Package hotcall is the hotpath callee-closure fixture: roots whose
 // transitive callee closures are allocation-free, allocate through an
 // unannotated intermediate, or reach unprovable dynamic calls.
 package hotcall
@@ -51,5 +51,5 @@ func HotNested(n int) int {
 //
 //meccvet:hotpath
 func HotSuppressed(n int) int {
-	return mid(n) //meccvet:allow hotclosure -- fixture: cold fallback taken once per run
+	return mid(n) //meccvet:allow hotpath -- fixture: cold fallback taken once per run
 }

@@ -56,6 +56,42 @@ func BadResultUse(idleNs uint64) uint64 {
 	return idleNs + windowCycles() // want `\+ mixes a nanosecond count \(idleNs\) with a cycle count \(windowCycles\(\)\)`
 }
 
+// BadIfCond mixes the domains in an if condition.
+func BadIfCond(idleNs, limitCycles uint64) bool {
+	if idleNs > limitCycles { // want `> mixes a nanosecond count \(idleNs\) with a cycle count \(limitCycles\)`
+		return true
+	}
+	return false
+}
+
+// BadLoopCond mixes the domains in a for condition.
+func BadLoopCond(budgetNs uint64) uint64 {
+	var spentCycles uint64
+	for spentCycles < budgetNs { // want `< mixes a cycle count \(spentCycles\) with a nanosecond count \(budgetNs\)`
+		spentCycles += 64
+	}
+	return spentCycles
+}
+
+// BadRangeBody mixes the domains once inside a range body: the mix is
+// one finding, however the loop is lowered.
+func BadRangeBody(waitsNs []uint64, startCycles uint64) uint64 {
+	var sum uint64
+	for _, waitNs := range waitsNs {
+		sum += waitNs - startCycles // want `- mixes a nanosecond count \(waitNs\) with a cycle count \(startCycles\)`
+	}
+	return sum
+}
+
+// BadSwitchTag mixes the domains in a switch tag.
+func BadSwitchTag(nowNs, dueCycles uint64) bool {
+	switch nowNs - dueCycles { // want `- mixes a nanosecond count \(nowNs\) with a cycle count \(dueCycles\)`
+	case 0:
+		return true
+	}
+	return false
+}
+
 // Convert is the sanctioned conversion shape: scaling by a rate.
 func Convert(idleNs, ratio uint64) uint64 {
 	return idleNs * ratio

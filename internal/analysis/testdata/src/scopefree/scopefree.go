@@ -1,5 +1,5 @@
 // Package scopefree is a negative fixture: it commits every
-// determinism and cycleunits sin, but its import path carries none of
+// determinism and unitflow sin, but its import path carries none of
 // the scoped segments, so those analyzers must stay silent.
 package scopefree
 

@@ -1,4 +1,4 @@
-// Package seed is the seedflow golden fixture: rand sources built from
+// Package seed is the seed-provenance fixture: rand sources built from
 // traceable run-config seeds, from tainted nondeterministic values, and
 // from plain parameters whose call sites are vetted through the call
 // graph.
@@ -76,5 +76,5 @@ func GoodCaller(seed int64) *rand.Rand {
 
 // Suppressed documents a deliberate wall-clock seed in a fixture tool.
 func Suppressed() *rand.Rand {
-	return rand.New(rand.NewSource(time.Now().UnixNano())) //meccvet:allow seedflow -- fixture: interactive demo, determinism not required
+	return rand.New(rand.NewSource(time.Now().UnixNano())) //meccvet:allow determinism -- fixture: interactive demo, determinism not required
 }

@@ -8,24 +8,30 @@ import (
 	"unicode"
 )
 
-// Unitflow propagates clock-domain units (CPU/DRAM cycles vs
-// nanoseconds) through the integer arithmetic of the clock-domain
-// packages. Cycleunits polices the typed boundary (time.Duration ↔ raw
-// numeric); unitflow covers the rest of the tree where both domains
-// live as plain integers: a variable, field, parameter, or result whose
-// name carries a unit token (cycle/cycles/cyc vs ns/nanos/nanoseconds)
-// is tagged, units flow through assignments via the CFG dataflow
-// solver, and mixing the two domains in additive arithmetic,
-// comparisons, call arguments, assignments, or returns is reported.
-// Multiplication and division are exempt — scaling by a rate is exactly
-// how sanctioned conversions are written — and //meccvet:unitconv
-// functions are skipped wholesale.
+// unitScope lists the packages that juggle three clock domains (CPU
+// cycles, DRAM cycles, wall-clock time) as plain integers.
+var unitScope = []string{"sim", "dram", "memctrl", "core", "retention", "power", "multirate"}
+
+// Unitflow keeps the clock domains apart in the clock-domain packages.
+// At the typed boundary, conversions between time.Duration and raw
+// numerics are confined to //meccvet:unitconv helpers: a bare
+// time.Duration(x) reinterprets x as nanoseconds and a bare int64(d)
+// silently drops the unit. Where both domains live as plain integers,
+// a variable, field, parameter, or result whose name carries a unit
+// token (cycle/cycles/cyc vs ns/nanos/nanoseconds) is tagged, units
+// flow through assignments over the SSA form, and mixing the two
+// domains in additive arithmetic, comparisons, call arguments,
+// assignments, or returns is reported. Multiplication and division are
+// exempt — scaling by a rate is exactly how sanctioned conversions are
+// written — and //meccvet:unitconv functions are skipped wholesale.
 var Unitflow = &Analyzer{
 	Name: "unitflow",
-	Doc: "cycle-counted and nanosecond-counted integers must not mix in " +
-		"additive arithmetic, comparisons, call arguments, assignments, or " +
-		"returns in the clock-domain packages; units are inferred from " +
-		"*cycle*/*ns* name tokens and propagated flow-sensitively",
+	Doc: "in the clock-domain packages (sim, dram, memctrl, core, retention, " +
+		"power, multirate), time.Duration conversions must live in " +
+		"//meccvet:unitconv helpers, and cycle- and nanosecond-counted " +
+		"integers (inferred from *cycle*/*ns* name tokens, propagated over " +
+		"SSA) must not mix in additive arithmetic, comparisons, call " +
+		"arguments, assignments, or returns",
 	Run: runUnitflow,
 }
 
@@ -69,138 +75,160 @@ func mixed(a, b unit) bool {
 }
 
 func runUnitflow(pass *Pass) error {
-	if pass.Prog == nil || !anySegment(pass.PkgPath, cycleunitsScope) {
+	if !anySegment(pass.PkgPath, unitScope) {
 		return nil
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || hasDirective(fd.Doc, verbUnitconv) {
+			if !ok {
+				checkConversions(pass, decl) // package-level initializers
 				continue
 			}
 			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
+			if !ok || fd.Body == nil || hasDirective(fd.Doc, verbUnitconv) {
 				continue
 			}
-			checkUnitFunc(pass, fn, fd)
+			c := &unitCtx{pass: pass, fn: fn, f: pass.Prog.ssaOf(fn)}
+			c.facts = solveSSA(c.f, unitUnknown, c.defUnit, joinUnit)
+			c.check(fd)
 		}
 	}
 	return nil
 }
 
-// checkUnitFunc solves the unit dataflow over one function and checks
-// every statement under its entry state.
-func checkUnitFunc(pass *Pass, fn *types.Func, fd *ast.FuncDecl) {
-	c := &unitCtx{pass: pass, fn: fn}
-	g := pass.Prog.cfgOf(fn)
-	if g == nil {
-		return
-	}
-	df := &dataflow[unit]{
-		transfer: func(s ast.Stmt, in varState[unit]) varState[unit] { return c.transfer(s, in) },
-		join:     joinUnit,
-	}
-	ins := df.solve(g)
-	for bi, blk := range g.blocks {
-		st := cloneState(ins[bi])
-		for _, s := range blk.stmts {
-			c.check(s, st)
-			st = c.transfer(s, st)
-		}
-	}
-}
-
-// unitCtx evaluates and checks units within one function.
+// unitCtx evaluates and checks units within one function: facts holds
+// the unit of each SSA value.
 type unitCtx struct {
-	pass *Pass
-	fn   *types.Func
+	pass  *Pass
+	fn    *types.Func
+	f     *ssaFunc
+	facts map[*ssaVal]unit
 }
 
-// transfer folds assignments into the unit state. A variable whose own
-// name carries a unit keeps it; anonymous-named variables inherit the
-// unit of what they were assigned.
-func (c *unitCtx) transfer(s ast.Stmt, in varState[unit]) varState[unit] {
-	set := func(lhs ast.Expr, u unit) {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok {
-			return
-		}
-		obj := c.pass.Info.Defs[id]
-		if obj == nil {
-			obj = c.pass.Info.Uses[id]
-		}
-		v, ok := obj.(*types.Var)
-		if !ok || !isIntegerVar(v) {
-			return
-		}
-		if named := unitFromName(v.Name()); named != unitUnknown {
-			u = named // the declared name is authoritative
-		}
-		in[v] = u
+// defUnit computes the unit one SSA definition carries from its
+// defining statement. A variable whose own name carries a unit keeps
+// it; anonymous-named variables inherit the unit of what they were
+// assigned. Parameters and phis need no rule here: a parameter's unit
+// comes from its name, and solveSSA joins phi operands itself.
+func (c *unitCtx) defUnit(v *ssaVal, get func(*ssaVal) unit) unit {
+	if !isIntegerVar(v.v) {
+		return unitUnknown
 	}
-	switch s := s.(type) {
+	if named := unitFromName(v.v.Name()); named != unitUnknown {
+		return named // the declared name is authoritative
+	}
+	switch s := v.defStmt.(type) {
 	case *ast.AssignStmt:
-		if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-			return in // multi-value call: no unit claims
+		if len(s.Lhs) != len(s.Rhs) {
+			return unitUnknown // multi-value call: no unit claims
 		}
 		for i, l := range s.Lhs {
-			if i < len(s.Rhs) {
-				set(l, c.eval(s.Rhs[i], in))
+			if l == v.def {
+				return c.eval(s.Rhs[i], get)
 			}
 		}
 	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for i, name := range vs.Names {
-						if i < len(vs.Values) {
-							set(name, c.eval(vs.Values[i], in))
-						}
-					}
-				}
-			}
+		if v.rhs != nil {
+			return c.eval(v.rhs, get)
 		}
 	case *ast.RangeStmt:
-		if s.Value != nil {
-			set(s.Value, c.eval(s.X, in))
+		if s.Value == v.def {
+			return c.eval(s.X, get)
 		}
+	case *ast.IncDecStmt:
+		return c.eval(s.X, get) // x++ keeps the unit x had
 	}
-	return in
+	return unitUnknown
 }
 
-// check reports unit mixing inside one statement's expressions.
-func (c *unitCtx) check(s ast.Stmt, st varState[unit]) {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-			break
-		}
-		for i, l := range s.Lhs {
-			if i >= len(s.Rhs) {
-				break
-			}
-			lu := c.targetUnit(l, st)
-			ru := c.eval(s.Rhs[i], st)
-			if mixed(lu, ru) {
-				c.pass.Reportf(s.Rhs[i].Pos(),
-					"assigning a %s count to %s-denominated %s; convert in a //meccvet:unitconv helper first",
-					ru, lu, types.ExprString(l))
-			}
-		}
-	case *ast.ReturnStmt:
-		c.checkReturn(s, st)
-	}
-	ast.Inspect(s, func(n ast.Node) bool {
+// get reads a solved fact.
+func (c *unitCtx) get(v *ssaVal) unit { return c.facts[v] }
+
+// check walks one declaration once, reporting unit-changing
+// conversions anywhere in it and unit mixing in the function's own
+// body. A function literal is checked for conversions only: its body
+// is not part of the enclosing function's SSA form.
+func (c *unitCtx) check(n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			return false // separate scope; its own cfg is not this one
+			checkConversions(c.pass, n.Body)
+			return false
+		case *ast.AssignStmt:
+			c.checkAssign(n)
+		case *ast.ReturnStmt:
+			c.checkReturn(n)
 		case *ast.BinaryExpr:
-			c.checkBinary(n, st)
+			c.checkBinary(n)
 		case *ast.CallExpr:
-			c.checkCallArgs(n, st)
+			checkConversion(c.pass, n)
+			c.checkCallArgs(n)
 		}
 		return true
 	})
+}
+
+// checkConversions reports every unit-changing conversion under n.
+func checkConversions(pass *Pass, n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			checkConversion(pass, call)
+		}
+		return true
+	})
+}
+
+// checkConversion reports a conversion that crosses the time.Duration
+// boundary: a raw number reinterpreted as nanoseconds, or a Duration
+// reduced to a unit-less number.
+func checkConversion(pass *Pass, call *ast.CallExpr) {
+	tv, ok := pass.Info.Types[call.Fun]
+	if !ok || !tv.IsType() || len(call.Args) != 1 {
+		return
+	}
+	target := tv.Type
+	argTV, ok := pass.Info.Types[call.Args[0]]
+	if !ok {
+		return
+	}
+	switch {
+	case isDuration(target) && !isDuration(argTV.Type) && argTV.Value == nil:
+		pass.Reportf(call.Pos(),
+			"time.Duration(%s) reinterprets a raw %s as nanoseconds; do this only in a //meccvet:unitconv helper",
+			types.ExprString(call.Args[0]), argTV.Type)
+	case isDuration(argTV.Type) && !isDuration(target) && isRawNumeric(target):
+		pass.Reportf(call.Pos(),
+			"%s(%s) drops the time unit; do this only in a //meccvet:unitconv helper",
+			target, types.ExprString(call.Args[0]))
+	}
+}
+
+// isDuration reports whether t is time.Duration.
+func isDuration(t types.Type) bool { return namedType(t, "time", "Duration") }
+
+// isRawNumeric reports whether t is a plain (unnamed) numeric basic
+// type — the unit-less destinations the analyzer polices.
+func isRawNumeric(t types.Type) bool {
+	b, ok := types.Unalias(t).(*types.Basic)
+	return ok && b.Info()&types.IsNumeric != 0
+}
+
+// checkAssign reports a value stored into a target of the other
+// domain.
+func (c *unitCtx) checkAssign(s *ast.AssignStmt) {
+	if len(s.Lhs) != len(s.Rhs) {
+		return
+	}
+	for i, l := range s.Lhs {
+		lu := targetUnit(c.pass.Info, l)
+		ru := c.eval(s.Rhs[i], c.get)
+		if mixed(lu, ru) {
+			c.pass.Reportf(s.Rhs[i].Pos(),
+				"assigning a %s count to %s-denominated %s; convert in a //meccvet:unitconv helper first",
+				ru, lu, types.ExprString(l))
+		}
+	}
 }
 
 // additiveOps are the operators where both operands must share a unit.
@@ -210,12 +238,12 @@ var additiveOps = map[token.Token]bool{
 	token.EQL: true, token.NEQ: true,
 }
 
-func (c *unitCtx) checkBinary(e *ast.BinaryExpr, st varState[unit]) {
+func (c *unitCtx) checkBinary(e *ast.BinaryExpr) {
 	if !additiveOps[e.Op] {
 		return // mul/div scale between domains: the sanctioned conversion
 	}
-	xu := c.eval(e.X, st)
-	yu := c.eval(e.Y, st)
+	xu := c.eval(e.X, c.get)
+	yu := c.eval(e.Y, c.get)
 	if mixed(xu, yu) {
 		c.pass.Reportf(e.OpPos,
 			"%s mixes a %s count (%s) with a %s count (%s); convert in a //meccvet:unitconv helper first",
@@ -226,7 +254,7 @@ func (c *unitCtx) checkBinary(e *ast.BinaryExpr, st varState[unit]) {
 // checkCallArgs compares each argument's unit against the unit the
 // callee's parameter name declares — the interprocedural half of the
 // analysis, resolved through the call graph.
-func (c *unitCtx) checkCallArgs(call *ast.CallExpr, st varState[unit]) {
+func (c *unitCtx) checkCallArgs(call *ast.CallExpr) {
 	fn, ok := calleeObjectIn(c.pass.Info, call).(*types.Func)
 	if !ok {
 		return
@@ -245,7 +273,7 @@ func (c *unitCtx) checkCallArgs(call *ast.CallExpr, st varState[unit]) {
 			continue
 		}
 		pu := unitFromName(p.Name())
-		au := c.eval(call.Args[i], st)
+		au := c.eval(call.Args[i], c.get)
 		if mixed(pu, au) {
 			c.pass.Reportf(call.Args[i].Pos(),
 				"argument %s carries a %s count but parameter %s of %s is %s-denominated",
@@ -257,7 +285,7 @@ func (c *unitCtx) checkCallArgs(call *ast.CallExpr, st varState[unit]) {
 // checkReturn compares returned expressions against the unit declared
 // by the function's result names (or, for anonymous results, by the
 // function's own name).
-func (c *unitCtx) checkReturn(ret *ast.ReturnStmt, st varState[unit]) {
+func (c *unitCtx) checkReturn(ret *ast.ReturnStmt) {
 	sig, ok := c.fn.Type().(*types.Signature)
 	if !ok {
 		return
@@ -274,7 +302,7 @@ func (c *unitCtx) checkReturn(ret *ast.ReturnStmt, st varState[unit]) {
 		if declared == unitUnknown && sig.Results().Len() == 1 {
 			declared = unitFromName(c.fn.Name())
 		}
-		got := c.eval(res, st)
+		got := c.eval(res, c.get)
 		if mixed(declared, got) {
 			c.pass.Reportf(res.Pos(),
 				"returning a %s count from %s, which declares a %s result; convert in a //meccvet:unitconv helper first",
@@ -283,14 +311,14 @@ func (c *unitCtx) checkReturn(ret *ast.ReturnStmt, st varState[unit]) {
 	}
 }
 
-// targetUnit is the declared unit of an assignment target.
-func (c *unitCtx) targetUnit(lhs ast.Expr, st varState[unit]) unit {
+// targetUnit is the declared unit of an assignment target: only a
+// name can declare one.
+func targetUnit(info *types.Info, lhs ast.Expr) unit {
 	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
-		// The declared name wins; flow state covers unnamed carriers.
-		obj := c.pass.Info.Defs[lhs]
+		obj := info.Defs[lhs]
 		if obj == nil {
-			obj = c.pass.Info.Uses[lhs]
+			obj = info.Uses[lhs]
 		}
 		if v, ok := obj.(*types.Var); ok && isIntegerVar(v) {
 			if u := unitFromName(v.Name()); u != unitUnknown {
@@ -299,19 +327,20 @@ func (c *unitCtx) targetUnit(lhs ast.Expr, st varState[unit]) unit {
 		}
 		return unitUnknown
 	case *ast.SelectorExpr:
-		if v, ok := c.pass.Info.Uses[lhs.Sel].(*types.Var); ok && isIntegerVar(v) {
+		if v, ok := info.Uses[lhs.Sel].(*types.Var); ok && isIntegerVar(v) {
 			return unitFromName(v.Name())
 		}
 	case *ast.IndexExpr:
-		return c.targetUnit(lhs.X, st)
+		return targetUnit(info, lhs.X)
 	case *ast.StarExpr:
-		return c.targetUnit(lhs.X, st)
+		return targetUnit(info, lhs.X)
 	}
 	return unitUnknown
 }
 
-// eval computes the unit an expression carries under a state.
-func (c *unitCtx) eval(e ast.Expr, st varState[unit]) unit {
+// eval computes the unit an expression carries, reading the unit of
+// each identifier's reaching definition through get.
+func (c *unitCtx) eval(e ast.Expr, get func(*ssaVal) unit) unit {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := c.pass.Info.Uses[e]
@@ -325,36 +354,36 @@ func (c *unitCtx) eval(e ast.Expr, st varState[unit]) unit {
 		if named := unitFromName(v.Name()); named != unitUnknown {
 			return named
 		}
-		return st[v]
+		return get(c.f.useVal[e])
 	case *ast.SelectorExpr:
 		if v, ok := c.pass.Info.Uses[e.Sel].(*types.Var); ok && isIntegerVar(v) {
 			return unitFromName(v.Name())
 		}
 		return unitUnknown
 	case *ast.CallExpr:
-		return c.callUnit(e)
+		return c.callUnit(e, get)
 	case *ast.BinaryExpr:
 		if e.Op == token.ADD || e.Op == token.SUB || e.Op == token.REM {
-			return joinUnit(c.eval(e.X, st), c.eval(e.Y, st))
+			return joinUnit(c.eval(e.X, get), c.eval(e.Y, get))
 		}
 		return unitUnknown // mul/div/shift change the denomination
 	case *ast.UnaryExpr:
-		return c.eval(e.X, st)
+		return c.eval(e.X, get)
 	case *ast.IndexExpr:
-		return c.eval(e.X, st)
+		return c.eval(e.X, get)
 	case *ast.StarExpr:
-		return c.eval(e.X, st)
+		return c.eval(e.X, get)
 	}
 	return unitUnknown
 }
 
 // callUnit is the unit a call's (single) result carries: the callee's
 // result summary for internal functions, unknown otherwise.
-func (c *unitCtx) callUnit(call *ast.CallExpr) unit {
+func (c *unitCtx) callUnit(call *ast.CallExpr, get func(*ssaVal) unit) unit {
 	if tv, ok := c.pass.Info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
 			// A conversion preserves the count's denomination.
-			return c.eval(call.Args[0], varState[unit]{})
+			return c.eval(call.Args[0], get)
 		}
 		return unitUnknown
 	}
@@ -363,40 +392,34 @@ func (c *unitCtx) callUnit(call *ast.CallExpr) unit {
 		return unitUnknown
 	}
 	if fi := c.pass.Prog.FuncOf(fn); fi != nil {
-		return c.pass.Prog.resultUnit(fi)
+		return resultUnit(fi)
 	}
 	return unitUnknown
 }
 
-// resultUnit summarizes the unit a function's single integer result
-// carries, from its result name or, failing that, the function name.
+// resultUnit is the unit a function's single integer result carries,
+// from its result name or, failing that, the function name.
 // //meccvet:unitconv converters are deliberately unknown: their whole
 // point is changing denomination.
-func (prog *Program) resultUnit(fi *FuncInfo) unit {
-	if prog.unitDone[fi.Fn] {
-		return prog.unitFacts[fi.Fn]
+func resultUnit(fi *FuncInfo) unit {
+	sig, ok := fi.Fn.Type().(*types.Signature)
+	if !ok || sig.Results().Len() != 1 || hasDirective(fi.Decl.Doc, verbUnitconv) {
+		return unitUnknown
 	}
-	prog.unitDone[fi.Fn] = true
-	u := unitUnknown
-	if !hasDirective(fi.Decl.Doc, verbUnitconv) {
-		if sig, ok := fi.Fn.Type().(*types.Signature); ok && sig.Results().Len() == 1 {
-			r := sig.Results().At(0)
-			if isIntegerVar(r) {
-				u = unitFromName(r.Name())
-				if u == unitUnknown {
-					u = unitFromName(fi.Fn.Name())
-				}
-			}
-		}
+	r := sig.Results().At(0)
+	if !isIntegerVar(r) {
+		return unitUnknown
 	}
-	prog.unitFacts[fi.Fn] = u
-	return u
+	if u := unitFromName(r.Name()); u != unitUnknown {
+		return u
+	}
+	return unitFromName(fi.Fn.Name())
 }
 
 // isIntegerVar reports whether v has a plain integer type — the
 // carriers of unit-less counts. time.Duration and other named types are
-// excluded: they carry their unit in the type system and belong to
-// cycleunits.
+// excluded: they carry their unit in the type system, which the
+// conversion check polices.
 func isIntegerVar(v *types.Var) bool {
 	if v == nil {
 		return false

@@ -49,16 +49,6 @@ func isPkgLevelFunc(obj types.Object, pkgPath string) bool {
 	return ok && sig.Recv() == nil
 }
 
-// isConversion reports whether the call is a type conversion, returning
-// the target type.
-func (p *Pass) isConversion(call *ast.CallExpr) (types.Type, bool) {
-	tv, ok := p.Info.Types[call.Fun]
-	if !ok || !tv.IsType() {
-		return nil, false
-	}
-	return tv.Type, true
-}
-
 // namedType reports whether t (after unaliasing) is the named type
 // pkgPath.name.
 func namedType(t types.Type, pkgPath, name string) bool {

@@ -175,13 +175,13 @@ func (p *Pool) Run(n, minPerWorker int, fn func(worker, lo, hi int)) {
 			pc.inline.Inc()
 			pc.itemsW[0].Add(uint64(n))
 		}
-		//meccvet:allow hotclosure -- caller-supplied shard body; each caller proves its own body at a hotpath root
+		//meccvet:allow hotpath -- caller-supplied shard body; each caller proves its own body at a hotpath root
 		fn(0, 0, n)
 		return
 	}
 	var sweepSpan *obs.Span
 	if pc != nil && pc.rec.Tracing() {
-		//meccvet:allow hotclosure -- span bookkeeping runs only on traced sweeps; untraced runs take the nil path
+		//meccvet:allow hotpath -- span bookkeeping runs only on traced sweeps; untraced runs take the nil path
 		sweepSpan = pc.rec.StartSpan("batch_run", uint64(time.Now().UnixNano()))
 	}
 	p.mu.Lock()
@@ -204,7 +204,7 @@ func (p *Pool) Run(n, minPerWorker int, fn func(worker, lo, hi int)) {
 	p.fn = nil
 	p.mu.Unlock()
 	if sweepSpan != nil {
-		//meccvet:allow hotclosure -- traced sweeps only; see above
+		//meccvet:allow hotpath -- traced sweeps only; see above
 		sweepSpan.End(uint64(time.Now().UnixNano()))
 	}
 }

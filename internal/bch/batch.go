@@ -22,7 +22,7 @@ func (c *Code) EncodeBatch(data []line.Line, parityOut []uint64) {
 		// invariant: callers pass parallel slices (documented contract).
 		panic("bch: EncodeBatch slice lengths differ")
 	}
-	//meccvet:allow hotpath,hotclosure -- one closure per batch call, amortized over the lines
+	//meccvet:allow hotpath -- one closure per batch call, amortized over the lines
 	batch.For(len(data), minLinesPerWorker, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			parityOut[i] = c.Encode(data[i])
@@ -43,7 +43,7 @@ func (c *Code) SyndromeScreenBatch(data []line.Line, parity []uint64, clean []bo
 		// invariant: callers pass parallel slices (documented contract).
 		panic("bch: SyndromeScreenBatch slice lengths differ")
 	}
-	//meccvet:allow hotpath,hotclosure -- one closure per batch call, amortized over the lines
+	//meccvet:allow hotpath -- one closure per batch call, amortized over the lines
 	batch.For(len(data), minLinesPerWorker, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			clean[i] = c.ScreenClean(data[i], parity[i])
@@ -63,7 +63,7 @@ func (c *Code) DecodeBatch(data []line.Line, parity []uint64, out []line.Line, r
 		// invariant: callers pass parallel slices (documented contract).
 		panic("bch: DecodeBatch slice lengths differ")
 	}
-	//meccvet:allow hotpath,hotclosure -- one closure per batch call, amortized over the lines
+	//meccvet:allow hotpath -- one closure per batch call, amortized over the lines
 	batch.For(len(data), minLinesPerWorker, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i], results[i] = c.Decode(data[i], parity[i])

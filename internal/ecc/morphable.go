@@ -144,7 +144,7 @@ func (m *Morphable) EncodeBatch(data []line.Line, mode Mode, out []uint64) {
 		}
 		return
 	}
-	//meccvet:allow hotpath,hotclosure -- one closure per batch call, amortized over the lines
+	//meccvet:allow hotpath -- one closure per batch call, amortized over the lines
 	batch.For(len(data), minMorphablePerWorker, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = modeField | c.Encode(data[i])<<ModeBits
@@ -163,7 +163,7 @@ func (m *Morphable) DecodeBatch(data []line.Line, spare []uint64, out []line.Lin
 		// invariant: callers pass parallel slices (documented contract).
 		panic("ecc: DecodeBatch slice lengths differ")
 	}
-	//meccvet:allow hotpath,hotclosure -- one closure per batch call, amortized over the lines
+	//meccvet:allow hotpath -- one closure per batch call, amortized over the lines
 	batch.For(len(data), minMorphablePerWorker, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i], evs[i] = m.Decode(data[i], spare[i])

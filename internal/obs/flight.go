@@ -12,7 +12,7 @@ import (
 // never share mutable non-atomic memory (the race detector accepts the
 // ring) and the record path allocates nothing:
 //
-//	w0  seq: writer ticket+1; 0 marks a slot mid-write or never written
+//	w0  seq: writer ticket+1; 0 never written, flightBusy mid-write
 //	w1  T
 //	w2  packed kind | strong | shift | cmd/phase/name intern indices
 //	w3  bank (low 32, two's complement) | regions (high 32)
@@ -51,12 +51,12 @@ const DefaultFlightEvents = 16384
 // invariant fires, a panic unwinds, SIGQUIT arrives — WriteJSONL dumps
 // the window as a replayable JSONL trace.
 //
-// Writers claim a slot by ticket (pos.Add), zero its seq word, store
-// the fields, then publish seq=ticket+1; readers copy a slot and keep
-// it only if seq was non-zero and unchanged across the copy (a seqlock
-// over atomic words). A torn slot — one being overwritten during the
-// dump — is simply dropped, which for a post-mortem window is the right
-// trade.
+// Writers take a ticket (pos.Add), claim its slot with a CAS of the seq
+// word to flightBusy, store the fields, then publish seq=ticket+1; a
+// writer that finds the slot busy (a writer one ring lap away is still
+// storing) drops its event. Readers copy a slot and keep it only if seq
+// was published and unchanged across the copy. A slot overwritten during
+// the dump is simply dropped, the right trade for a post-mortem window.
 //
 //meccvet:nilsafe
 type FlightRecorder struct {
@@ -108,7 +108,7 @@ func (f *FlightRecorder) intern(s string) uint64 {
 	for i := 1; i < internOverflow; i++ {
 		p := f.strings[i].Load()
 		if p == nil {
-			//meccvet:allow hotclosure -- first occurrence of a distinct string interns it once; steady-state lookups take the *p == s path below and allocate nothing
+			//meccvet:allow hotpath -- first occurrence of a distinct string interns it once; steady-state lookups take the *p == s path below and allocate nothing
 			q := new(string)
 			*q = s
 			if f.strings[i].CompareAndSwap(nil, q) {
@@ -137,25 +137,25 @@ func (f *FlightRecorder) internLookup(i uint64) string {
 	return "?"
 }
 
-// Record stores one event into the ring. Wait-free, lock-free,
-// allocation-free in steady state, and a no-op on a nil receiver, so it
-// is safe to leave enabled on every hot path.
+// Record stores one event into the ring. Wait-free, lock-free and
+// allocation-free in steady state, and a no-op on a nil receiver; it
+// drops the event when a lapping writer still holds its slot.
 //
 //meccvet:hotpath
-//meccvet:seqlock writer
 func (f *FlightRecorder) Record(e Event) {
 	if f == nil {
 		return
 	}
 	ticket := f.pos.Add(1) - 1
 	s := &f.slots[ticket&f.mask]
-	s.w[0].Store(0)
+	if seq := s.w[0].Load(); seq > ticket || !s.w[0].CompareAndSwap(seq, flightBusy) {
+		return // busy, or already holding a newer event
+	}
 	s.w[1].Store(e.T)
-	packed := uint64(e.Kind)
+	packed := uint64(e.Kind) | (uint64(e.Shift)&0xff)<<16
 	if e.Strong {
 		packed |= 1 << 8
 	}
-	packed |= (uint64(e.Shift) & 0xff) << 16
 	packed |= f.intern(e.Cmd) << 24
 	packed |= f.intern(e.Phase) << 32
 	packed |= f.intern(e.Name) << 40
@@ -171,11 +171,13 @@ func (f *FlightRecorder) Record(e Event) {
 	s.w[0].Store(ticket + 1)
 }
 
+// flightBusy is the seq word of a slot a writer has claimed but not yet
+// published. It exceeds every ticket, so Record's claim test rejects it.
+const flightBusy = ^uint64(0)
+
 // Events returns a consistent snapshot of the retained window in record
-// order (oldest first). Slots mid-overwrite during the snapshot are
-// dropped. Nil receivers return nil.
-//
-//meccvet:seqlock reader
+// order (oldest first). Busy slots, and slots a writer claims while they
+// are being copied, are dropped. Nil receivers return nil.
 func (f *FlightRecorder) Events() []Event {
 	if f == nil {
 		return nil
@@ -188,8 +190,8 @@ func (f *FlightRecorder) Events() []Event {
 	for i := range f.slots {
 		s := &f.slots[i]
 		seq := s.w[0].Load()
-		if seq == 0 {
-			continue
+		if seq == 0 || seq == flightBusy {
+			continue // never written, or a writer holds it
 		}
 		var w [flightWords]uint64
 		for j := 1; j < flightWords; j++ {

@@ -82,17 +82,41 @@ func TestFlightRecorderInternOverflow(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderConcurrentRecordAndDump races writers one ring lap
+// apart against a reader. Every field of an event derives from one
+// value (writer id and index), so an event stitched together from two
+// writes shows fields that disagree.
 func TestFlightRecorderConcurrentRecordAndDump(t *testing.T) {
-	f := NewFlightRecorder(128)
-	const writers = 4
+	f := NewFlightRecorder(64)
+	const writers, records = 8, 50000
+	names := make([]string, writers)
+	for w := range names {
+		names[w] = fmt.Sprintf("writer-%d", w)
+	}
+	event := func(w, i int) Event {
+		v := uint64(w)<<32 | uint64(i)
+		return Event{
+			T: v, Kind: KindDecode, Cmd: names[w], Phase: names[w], Name: names[w],
+			Bank: w, Row: i, Shift: int(int8(i)), Regions: -i, Strong: i%2 == 1,
+			Lines: v + 1, Cycles: v + 2, MPKC: float64(v) / 2, Region: v + 3, Span: v + 4, Parent: v + 5,
+		}
+	}
+	check := func(e Event) bool {
+		w, i := int(e.T>>32), int(uint32(e.T))
+		if w >= writers || i >= records || e != event(w, i) {
+			t.Errorf("torn event leaked: %+v", e)
+			return false
+		}
+		return true
+	}
 	var writeWG, readWG sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
 		writeWG.Add(1)
 		go func(w int) {
 			defer writeWG.Done()
-			for i := 0; i < 5000; i++ {
-				f.Record(Event{T: uint64(i), Kind: KindDecode, Bank: w, Cycles: uint64(i)})
+			for i := 0; i < records; i++ {
+				f.Record(event(w, i))
 			}
 		}(w)
 	}
@@ -106,8 +130,7 @@ func TestFlightRecorderConcurrentRecordAndDump(t *testing.T) {
 			default:
 			}
 			for _, e := range f.Events() {
-				if e.Kind != KindDecode {
-					t.Errorf("torn event leaked: %+v", e)
+				if !check(e) {
 					return
 				}
 			}
@@ -116,11 +139,17 @@ func TestFlightRecorderConcurrentRecordAndDump(t *testing.T) {
 	writeWG.Wait()
 	close(stop)
 	readWG.Wait()
-	if got := f.Recorded(); got != writers*5000 {
-		t.Errorf("Recorded() = %d, want %d", got, writers*5000)
+	if got := f.Recorded(); got != writers*records {
+		t.Errorf("Recorded() = %d, want %d", got, writers*records)
 	}
-	if n := len(f.Events()); n != 128 {
-		t.Errorf("retained %d events, want full ring of 128", n)
+	events := f.Events()
+	if len(events) != 64 {
+		t.Errorf("retained %d events, want full ring of 64", len(events))
+	}
+	for _, e := range events {
+		if !check(e) {
+			break
+		}
 	}
 }
 

@@ -137,7 +137,7 @@ func (w *Wheel) grow(id int32) {
 //meccvet:hotpath
 func (w *Wheel) Schedule(id int32, at uint64) {
 	if int(id) >= len(w.where) {
-		//meccvet:allow hotclosure -- doubling growth only while the id space is still expanding; steady state never grows
+		//meccvet:allow hotpath -- doubling growth only while the id space is still expanding; steady state never grows
 		w.grow(id)
 	}
 	if w.where[id] != whereNone {
