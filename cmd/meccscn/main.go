@@ -204,7 +204,7 @@ func cmdRun(args []string) int {
 			return 1
 		}
 		defer traceFile.Close()
-		elog = obs.NewEventLog()
+		elog = obs.NewEventLog(obs.MaskAll)
 		elog.SetStream(traceFile)
 		rec := obs.New()
 		rec.SetEventLog(elog)

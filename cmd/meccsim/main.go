@@ -136,7 +136,7 @@ func run() error {
 		timeline    = flag.Bool("timeline", false, "render an ASCII run timeline after the report")
 		check       = flag.Bool("check", false, "attach run-time invariant checkers; violations fail the run")
 		serve       = flag.String("serve", "", "serve /metrics, /healthz, /progress and /debug/pprof on this address while running (e.g. :9090)")
-		flightN     = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder capacity in events (0 disables)")
+		flightN     = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder capacity in events (0 disables); the ring keeps every event kind except dram_cmd, decode and refresh")
 		flightOut   = flag.String("flight-out", "", "dump the flight recorder to this file at exit and on incident (- for stdout; default incidents go to stderr)")
 		linger      = flag.Duration("linger", 0, "keep the obs server up this long after the run completes")
 	)
@@ -195,11 +195,15 @@ func run() error {
 	}
 	cfg.CheckpointEvery = *checkpoints
 
-	// Telemetry. The flight recorder is on by default — its record path
-	// is lock-free and allocation-free, so it rides along at negligible
-	// cost and there is always a tail of recent events to dump when
-	// something breaks. Passing -flight 0 with no other telemetry flag
-	// keeps cfg.Obs nil and the hot paths on their zero-cost branches.
+	// Telemetry. The flight recorder is on by default. It keeps only
+	// the low-rate kinds (obs.FlightKinds: spans, phase transitions,
+	// sweeps, SMD decisions, MDT marks), so the per-command and per-read
+	// emit sites stay behind a false Tracing check, the counters are
+	// published from the model's own statistics every 1024 trace
+	// records, and the default configuration runs at nil-recorder speed
+	// with the whole run's phase history ready to dump when something
+	// breaks. Passing -flight 0 with no other telemetry flag keeps
+	// cfg.Obs nil.
 	var (
 		elog    *obs.EventLog
 		sampler *obs.Sampler
@@ -213,14 +217,14 @@ func run() error {
 			rec.SetFlightRecorder(flight)
 		}
 		prog = obs.NewProgress()
+		prog.SetWork(0, uint64(cfg.Instructions))
 		rec.SetProgress(prog)
 		if *traceOut != "" || *timeline {
 			mask, err := obs.ParseKindMask(*traceEvents)
 			if err != nil {
 				return err
 			}
-			elog = obs.NewEventLog()
-			elog.SetMask(mask)
+			elog = obs.NewEventLog(mask)
 			if *traceOut != "" {
 				w, closeFn, err := openOut(*traceOut)
 				if err != nil {

@@ -81,7 +81,7 @@ func run() error {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		check      = flag.Bool("check", false, "attach run-time invariant checkers to every simulation; violations fail the run")
 		serve      = flag.String("serve", "", "serve /metrics, /healthz, /progress and /debug/pprof on this address while running (e.g. :9090)")
-		flightN    = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder capacity in events (0 disables)")
+		flightN    = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder capacity in events (0 disables); the ring keeps every event kind except dram_cmd, decode and refresh")
 		flightOut  = flag.String("flight-out", "", "dump the flight recorder to this file at exit and on incident (- for stdout; default incidents go to stderr)")
 		linger     = flag.Duration("linger", 0, "keep the obs server up this long after the run completes")
 	)
@@ -139,9 +139,12 @@ func run() error {
 		return nil
 	}
 
-	// The harness always carries a recorder: per-simulation counters are
-	// atomic adds that never change results, and the wall-time summary
-	// reuses the same registry. The event log is opt-in via -trace-out /
+	// The harness always carries a recorder: each simulation publishes
+	// its counters from its own statistics every 1024 trace records
+	// (never changing results), and the wall-time summary reuses the
+	// same registry. The default flight recorder keeps only the
+	// low-rate event kinds (obs.FlightKinds); the event log, and with
+	// it per-command and per-read events, is opt-in via -trace-out /
 	// -timeline.
 	rec := obs.New()
 	var flight *obs.FlightRecorder
@@ -157,8 +160,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		elog = obs.NewEventLog()
-		elog.SetMask(mask)
+		elog = obs.NewEventLog(mask)
 		if *traceOut != "" {
 			w, closeFn, err := openOut(*traceOut)
 			if err != nil {
@@ -536,8 +538,9 @@ func run() error {
 		if !selected(e.name) {
 			continue
 		}
-		// /progress reports the exhibit currently running; runMany
-		// refines done/total to the simulation jobs inside it. Each
+		// /progress reports the exhibit currently running; its
+		// simulations set done/total to their retired instructions and
+		// summed instruction budgets. Each
 		// exhibit is also a wall-clock trace span, sitting alongside the
 		// harness's per-job spans in obsdump's latency summary.
 		prog.SetPhase(e.name)

@@ -14,13 +14,16 @@ import (
 //     guard, so holders of a nil hook may call through it freely.
 //   - Consumer side: a call to (*obs.Recorder).Emit whose arguments
 //     construct a composite literal (the obs.Event) must be dominated
-//     by a check of the same recorder — `if r.Tracing()` or
-//     `if r != nil` — so the disabled path never even builds the event.
+//     by a check of the same recorder so the disabled path never even
+//     builds the event. The guard form is `if r.Tracing(k)`, which is
+//     true only when an attached sink keeps kind k (any argument is
+//     accepted; the method name is what marks the guard); a bare
+//     `if r != nil` also counts.
 var Nilhook = &Analyzer{
 	Name: "nilhook",
 	Doc: "nil-safe hook types (//meccvet:nilsafe) must nil-guard every " +
 		"exported pointer-receiver method, and Emit calls constructing " +
-		"events must be dominated by a Tracing()/nil check of the recorder",
+		"events must be dominated by a Tracing(kind)/nil check of the recorder",
 	Run: runNilhook,
 }
 
@@ -127,7 +130,7 @@ func checkEmitConsumers(pass *Pass) {
 		recvStr := types.ExprString(sel.X)
 		if !dominatedByRecorderCheck(stack, recvStr) {
 			pass.Reportf(call.Pos(),
-				"unguarded %s.Emit constructs its event even when tracing is off; wrap in `if %s.Tracing() { ... }`",
+				"unguarded %s.Emit constructs its event even when tracing is off; wrap in `if %s.Tracing(kind) { ... }`",
 				recvStr, recvStr)
 		}
 		return true
@@ -165,7 +168,7 @@ func argsBuildLiteral(args []ast.Expr) bool {
 }
 
 // dominatedByRecorderCheck reports whether some enclosing if condition
-// checks the same recorder expression — via .Tracing() or a nil
+// checks the same recorder expression — via .Tracing(k) or a nil
 // comparison.
 func dominatedByRecorderCheck(stack []ast.Node, recvStr string) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
@@ -180,7 +183,7 @@ func dominatedByRecorderCheck(stack []ast.Node, recvStr string) bool {
 	return false
 }
 
-// condChecksRecorder matches `<recv>.Tracing()` calls and
+// condChecksRecorder matches `<recv>.Tracing(k)` calls and
 // `<recv> != nil` / `<recv> == nil` comparisons anywhere inside cond.
 func condChecksRecorder(cond ast.Expr, recvStr string) bool {
 	found := false

@@ -14,7 +14,7 @@ func (c *controller) unguarded() {
 
 // guardedTracing is the sanctioned pattern.
 func (c *controller) guardedTracing() {
-	if c.obs.Tracing() {
+	if c.obs.Tracing("refresh") {
 		c.obs.Emit(Event{T: c.now, Kind: "refresh"})
 	}
 }

@@ -25,9 +25,9 @@ func (r *Recorder) Emit(e Event) {
 	r.events = append(r.events, e)
 }
 
-// Tracing reports whether events are being collected; the
+// Tracing reports whether events of the kind are being collected; the
 // return-expression guard form.
-func (r *Recorder) Tracing() bool { return r != nil && r.on }
+func (r *Recorder) Tracing(kind string) bool { return r != nil && r.on }
 
 // Count is missing its guard.
 func (r *Recorder) Count() int { // want `exported method \(\*Recorder\).Count must begin with a nil-receiver guard`

@@ -180,7 +180,7 @@ func (p *Pool) Run(n, minPerWorker int, fn func(worker, lo, hi int)) {
 		return
 	}
 	var sweepSpan *obs.Span
-	if pc != nil && pc.rec.Tracing() {
+	if pc != nil && pc.rec.Tracing(obs.KindSpanStart) {
 		//meccvet:allow hotpath -- span bookkeeping runs only on traced sweeps; untraced runs take the nil path
 		sweepSpan = pc.rec.StartSpan("batch_run", uint64(time.Now().UnixNano()))
 	}

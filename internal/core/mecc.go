@@ -188,15 +188,9 @@ type Controller struct {
 	// Invariant checker (nil-safe no-ops when detached).
 	chk *checker.MECC
 
-	// Telemetry (nil-safe no-ops when detached).
+	// Telemetry (nil-safe no-ops when detached). Counters with a Stats
+	// twin are published from Stats by the simulation runner.
 	obs          *obs.Recorder
-	cStrongReads *obs.Counter
-	cWeakReads   *obs.Counter
-	cDowngrades  *obs.Counter
-	cSweeps      *obs.Counter
-	cUpgraded    *obs.Counter
-	cSMDWindows  *obs.Counter
-	cSMDEnables  *obs.Counter
 	cMDTMarks    *obs.Counter
 	gDowngradeOn *obs.Gauge
 }
@@ -223,32 +217,17 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// SetObserver attaches a telemetry recorder (nil detaches): MECC
-// counters plus structured events for mode transitions, ECC-Upgrade
-// sweeps, SMD decisions (with the MPKC sample that triggered them) and
-// MDT region marks. All event timestamps are CPU cycles.
+// SetObserver attaches a telemetry recorder (nil detaches): the MDT mark
+// counter and downgrade-state gauge, plus structured events for mode
+// transitions, ECC-Upgrade sweeps, SMD decisions (with the MPKC sample
+// that triggered them) and MDT region marks. All event timestamps are
+// CPU cycles.
 func (c *Controller) SetObserver(r *obs.Recorder) {
 	c.obs = r
 	if r == nil {
-		c.cStrongReads, c.cWeakReads, c.cDowngrades = nil, nil, nil
-		c.cSweeps, c.cUpgraded, c.cSMDWindows, c.cSMDEnables = nil, nil, nil, nil
 		c.cMDTMarks, c.gDowngradeOn = nil, nil
 		return
 	}
-	c.cStrongReads = r.Counter("mecc_strong_reads_total")
-	c.cWeakReads = r.Counter("mecc_weak_reads_total")
-	c.cDowngrades = r.Counter("mecc_downgrades_total")
-	// Expose the read counters under a per-ECC-mode label too: the alias
-	// shares the underlying cell, so the live breakdown costs the hot
-	// path nothing.
-	reg := r.Registry()
-	reg.SetHelp("mecc_reads_total", "Demand reads by the ECC mode that decoded them.")
-	reg.AliasCounter(obs.SeriesName("mecc_reads_total", "mode", "strong"), "mecc_strong_reads_total")
-	reg.AliasCounter(obs.SeriesName("mecc_reads_total", "mode", "weak"), "mecc_weak_reads_total")
-	c.cSweeps = r.Counter("mecc_sweeps_total")
-	c.cUpgraded = r.Counter("mecc_upgraded_lines_total")
-	c.cSMDWindows = r.Counter("mecc_smd_windows_total")
-	c.cSMDEnables = r.Counter("mecc_smd_enables_total")
 	c.cMDTMarks = r.Counter("mecc_mdt_marks_total")
 	c.gDowngradeOn = r.Gauge("mecc_downgrade_on")
 	c.gDowngradeOn.Set(boolGauge(c.downgradeOn))
@@ -336,7 +315,6 @@ func (c *Controller) advanceSMD(nowCPU uint64) {
 	}
 	for nowCPU >= c.windowStart+c.cfg.SMDWindowCycles {
 		c.stats.SMDWindows++
-		c.cSMDWindows.Inc()
 		mpkc := float64(c.windowMisses) / (float64(c.cfg.SMDWindowCycles) / 1000)
 		boundary := c.windowStart + c.cfg.SMDWindowCycles
 		c.windowStart = boundary
@@ -346,15 +324,14 @@ func (c *Controller) advanceSMD(nowCPU uint64) {
 			c.stats.SMDEnables++
 			c.chk.OnSMDEnable(boundary, mpkc, true)
 			if c.obs != nil {
-				c.cSMDEnables.Inc()
 				c.gDowngradeOn.Set(1)
-				if c.obs.Tracing() {
+				if c.obs.Tracing(obs.KindSMDEnable) {
 					c.obs.Emit(obs.Event{T: boundary, Kind: obs.KindSMDEnable, MPKC: mpkc})
 				}
 			}
 			return
 		}
-		if c.obs != nil && c.obs.Tracing() {
+		if c.obs.Tracing(obs.KindSMDWindow) {
 			c.obs.Emit(obs.Event{T: boundary, Kind: obs.KindSMDWindow, MPKC: mpkc})
 		}
 	}
@@ -366,7 +343,7 @@ func (c *Controller) markMDT(addr, nowCPU uint64) {
 	rg := c.regionOf(addr)
 	if c.obs != nil && !c.mdt.get(rg) {
 		c.cMDTMarks.Inc()
-		if c.obs.Tracing() {
+		if c.obs.Tracing(obs.KindMDTMark) {
 			c.obs.Emit(obs.Event{T: nowCPU, Kind: obs.KindMDTMark, Region: rg})
 		}
 	}
@@ -398,12 +375,10 @@ func (c *Controller) OnRead(lineAddr, nowCPU uint64) (ReadOutcome, error) {
 	addr := lineAddr % c.cfg.TotalLines
 	if !c.strongMode.get(addr) {
 		c.stats.WeakReads++
-		c.cWeakReads.Inc()
 		c.chk.OnRead(addr, nowCPU, false, false)
 		return ReadOutcome{}, nil
 	}
 	c.stats.StrongReads++
-	c.cStrongReads.Inc()
 	if !c.downgradeOn {
 		c.chk.OnRead(addr, nowCPU, true, false)
 		return ReadOutcome{StrongDecode: true}, nil
@@ -414,7 +389,6 @@ func (c *Controller) OnRead(lineAddr, nowCPU uint64) (ReadOutcome, error) {
 		c.markMDT(addr, nowCPU)
 	}
 	c.stats.Downgrades++
-	c.cDowngrades.Inc()
 	c.chk.OnRead(addr, nowCPU, true, true)
 	return ReadOutcome{StrongDecode: true, Downgrade: true}, nil
 }
@@ -438,7 +412,6 @@ func (c *Controller) OnWrite(lineAddr, nowCPU uint64) error {
 			c.markMDT(addr, nowCPU)
 		}
 		c.stats.Downgrades++
-		c.cDowngrades.Inc()
 		c.chk.OnWrite(addr, nowCPU, true, true)
 		return nil
 	}
@@ -456,7 +429,7 @@ func (c *Controller) EnterIdle(nowCPU uint64) (IdleTransition, error) {
 	c.noteActiveTime(nowCPU)
 	// The checker inspects the MDT before the sweep resets it.
 	c.chk.OnSweepStart(nowCPU)
-	if c.obs != nil && c.obs.Tracing() {
+	if c.obs.Tracing(obs.KindSweepStart) {
 		c.obs.Emit(obs.Event{T: nowCPU, Kind: obs.KindSweepStart, Regions: c.MDTTrackedRegions()})
 	}
 
@@ -501,15 +474,15 @@ func (c *Controller) EnterIdle(nowCPU uint64) (IdleTransition, error) {
 	c.windowMisses = 0
 	c.chk.OnSweepEnd(nowCPU, tr.LinesUpgraded)
 	if c.obs != nil {
-		c.cSweeps.Inc()
-		c.cUpgraded.Add(tr.LinesUpgraded)
 		c.gDowngradeOn.Set(0)
-		if c.obs.Tracing() {
+		if c.obs.Tracing(obs.KindSweepEnd) {
 			c.obs.Emit(obs.Event{T: nowCPU, Kind: obs.KindSweepEnd,
 				Lines: tr.LinesUpgraded, Regions: tr.RegionsSwept, Cycles: tr.SweepCycles})
-			if wasOn {
-				c.obs.Emit(obs.Event{T: nowCPU, Kind: obs.KindSMDDisable})
-			}
+		}
+		if wasOn && c.obs.Tracing(obs.KindSMDDisable) {
+			c.obs.Emit(obs.Event{T: nowCPU, Kind: obs.KindSMDDisable})
+		}
+		if c.obs.Tracing(obs.KindMECCTransition) {
 			c.obs.Emit(obs.Event{T: nowCPU, Kind: obs.KindMECCTransition, Phase: PhaseIdle.String()})
 		}
 	}
@@ -531,13 +504,13 @@ func (c *Controller) ExitIdle(nowCPU uint64) error {
 	c.chk.OnPhase(nowCPU, true, c.downgradeOn)
 	if c.obs != nil {
 		c.gDowngradeOn.Set(boolGauge(c.downgradeOn))
-		if c.obs.Tracing() {
+		if c.obs.Tracing(obs.KindMECCTransition) {
 			c.obs.Emit(obs.Event{T: nowCPU, Kind: obs.KindMECCTransition, Phase: PhaseActive.String()})
-			if c.downgradeOn {
-				// Without SMD the downgrade path opens unconditionally on
-				// wake-up; there is no MPKC sample behind the decision.
-				c.obs.Emit(obs.Event{T: nowCPU, Kind: obs.KindSMDEnable})
-			}
+		}
+		if c.downgradeOn && c.obs.Tracing(obs.KindSMDEnable) {
+			// Without SMD the downgrade path opens unconditionally on
+			// wake-up; there is no MPKC sample behind the decision.
+			c.obs.Emit(obs.Event{T: nowCPU, Kind: obs.KindSMDEnable})
 		}
 	}
 	return nil

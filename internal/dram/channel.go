@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"strings"
 
 	"repro/internal/checker"
 	"repro/internal/obs"
@@ -148,11 +147,9 @@ type Channel struct {
 	// auditor, when set, records every issued command for independent
 	// post-hoc constraint validation.
 	auditor *Auditor
-	// obs, when set, receives per-command counters and structured
-	// events; nil (the default) costs one branch per command.
-	obs         *obs.Recorder
-	cmdCounters [CmdREFpb + 1]*obs.Counter
-	srPulses    *obs.Counter
+	// obs, when set, receives structured events of the kinds it
+	// traces; nil (the default) costs one branch per command.
+	obs *obs.Recorder
 	// chk, when set, is told about fast-forwards so the refresh-ratio
 	// invariant can exclude them; nil (the default) costs one nil check.
 	chk *checker.RefreshTracker
@@ -201,19 +198,13 @@ func (ch *Channel) Stats() Stats { return ch.stats }
 // one append per command; attach it in tests, not in benchmark loops.
 func (ch *Channel) SetAuditor(a *Auditor) { ch.auditor = a }
 
-// SetObserver attaches a telemetry recorder (nil detaches): every
-// issued command increments a dram_<cmd>_total counter and, when
-// tracing, emits a KindDRAMCmd event stamped in DRAM cycles.
-func (ch *Channel) SetObserver(r *obs.Recorder) {
-	ch.obs = r
-	if r == nil {
-		return
-	}
-	for k := CmdACT; k <= CmdREFpb; k++ {
-		ch.cmdCounters[k] = r.Counter("dram_" + strings.ToLower(k.String()) + "_total")
-	}
-	ch.srPulses = r.Counter("dram_self_refresh_pulses_total")
-}
+// SetObserver attaches a telemetry recorder (nil detaches): when the
+// recorder traces the kind, every issued command emits a KindDRAMCmd
+// event stamped in DRAM cycles and every self-refresh entry a
+// KindRefreshRate event. The dram_<cmd>_total and
+// dram_self_refresh_pulses_total counters are published from Stats by
+// the simulation runner.
+func (ch *Channel) SetObserver(r *obs.Recorder) { ch.obs = r }
 
 // SetChecker attaches a refresh-ratio invariant tracker (nil detaches).
 // The channel reports fast-forwarded stretches so the tracker can
@@ -221,17 +212,14 @@ func (ch *Channel) SetObserver(r *obs.Recorder) {
 // credited during self refresh.
 func (ch *Channel) SetChecker(t *checker.RefreshTracker) { ch.chk = t }
 
-// record notes an issued command when an auditor or observer is
-// attached.
+// record notes an issued command when an auditor is attached or the
+// observer traces DRAM commands.
 func (ch *Channel) record(kind CommandKind, bank, row int) {
 	if ch.auditor != nil {
 		ch.auditor.Record(ch.now, kind, bank, row)
 	}
-	if ch.obs != nil {
-		ch.cmdCounters[kind].Inc()
-		if ch.obs.Tracing() {
-			ch.obs.Emit(obs.Event{T: ch.now, Kind: obs.KindDRAMCmd, Cmd: kind.String(), Bank: bank, Row: row})
-		}
+	if ch.obs.Tracing(obs.KindDRAMCmd) {
+		ch.obs.Emit(obs.Event{T: ch.now, Kind: obs.KindDRAMCmd, Cmd: kind.String(), Bank: bank, Row: row})
 	}
 }
 
@@ -273,7 +261,6 @@ func (ch *Channel) AdvanceTo(cycle uint64) {
 		// Account the self-refresh pulses that elapsed.
 		eff := uint64(ch.cfg.Timing.TREFI) << ch.dividerBits
 		ch.stats.NSelfRefreshPulses += delta / eff
-		ch.srPulses.Add(delta / eff)
 		ch.chk.OnAdvance(ch.now, delta, true, delta/eff)
 		ch.now = cycle
 		return
@@ -281,7 +268,6 @@ func (ch *Channel) AdvanceTo(cycle uint64) {
 		ch.stats.CyclesPASR += delta
 		eff := uint64(ch.cfg.Timing.TREFI) << ch.dividerBits
 		ch.stats.NSelfRefreshPulses += delta / eff
-		ch.srPulses.Add(delta / eff)
 		ch.chk.OnAdvance(ch.now, delta, true, delta/eff)
 		ch.now = cycle
 		return
@@ -653,7 +639,7 @@ func (ch *Channel) EnterSelfRefresh(dividerBits int) error {
 	ch.dividerBits = dividerBits
 	ch.stats.SRDividerBits = dividerBits
 	ch.srEnteredAt = ch.now
-	if ch.obs != nil && ch.obs.Tracing() {
+	if ch.obs.Tracing(obs.KindRefreshRate) {
 		ch.obs.Emit(obs.Event{T: ch.now, Kind: obs.KindRefreshRate, Shift: dividerBits})
 	}
 	return nil

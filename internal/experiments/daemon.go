@@ -40,15 +40,17 @@ func Daemon(opts Options) (DaemonResult, error) {
 	prof := workload.Daemon()
 	instrs := opts.Instructions() / 10 // daemon episodes are short
 
-	var out DaemonResult
-	tb := stats.NewTable("Config", "Slow-refresh time", "Refresh energy (uJ)", "Daemon IPC")
-	for _, variant := range []struct {
+	variants := []struct {
 		name string
 		smd  bool
 	}{
 		{"MECC without SMD", false},
 		{"MECC with SMD (MPKC=2)", true},
-	} {
+	}
+	opts.Obs.Progress().SetWork(0, uint64(len(variants))*uint64(instrs))
+	var out DaemonResult
+	tb := stats.NewTable("Config", "Slow-refresh time", "Refresh energy (uJ)", "Daemon IPC")
+	for _, variant := range variants {
 		cfg := opts.simConfig(sim.SchemeMECC)
 		cfg.MECC.SMDEnabled = variant.smd
 		cfg.Instructions = instrs

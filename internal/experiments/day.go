@@ -56,9 +56,11 @@ func DayInTheLife(opts Options) (DayResult, error) {
 	}
 	burst := opts.Instructions() / 6
 
+	schemes := []sim.SchemeKind{sim.SchemeBaseline, sim.SchemeECC6, sim.SchemeMECC}
+	opts.Obs.Progress().SetWork(0, uint64(len(schemes)*out.Sessions)*uint64(burst))
 	tb := stats.NewTable("Scheme", "Energy (mJ)", "Saving", "Active IPC", "Upgraded lines")
 	var baseline float64
-	for _, k := range []sim.SchemeKind{sim.SchemeBaseline, sim.SchemeECC6, sim.SchemeMECC} {
+	for _, k := range schemes {
 		cfg := opts.simConfig(k)
 		runner, err := sim.NewRunner(prof, cfg)
 		if err != nil {

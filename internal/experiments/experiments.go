@@ -102,18 +102,20 @@ type runJob struct {
 }
 
 // runMany executes jobs across a bounded worker pool, preserving order.
-// With telemetry attached it advances the shared progress tracker per
-// completed job and wraps each simulation in a trace span (wall-clock
-// nanoseconds — the harness's clock domain) that the runner's own
-// CPU-cycle "run" span parents under.
+// With telemetry attached it sets the shared progress total to the sum
+// of the jobs' instruction budgets (each runner adds its retired
+// instructions as it publishes) and wraps each simulation in a trace
+// span (wall-clock nanoseconds — the harness's clock domain) that the
+// runner's own CPU-cycle "run" span parents under.
 func runMany(jobs []runJob, width int) ([]sim.Result, error) {
 	results := make([]sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
-	var prog *obs.Progress
 	if len(jobs) > 0 {
-		if prog = jobs[0].cfg.Obs.Progress(); prog != nil {
-			prog.SetWork(0, uint64(len(jobs)))
+		var budget uint64
+		for _, j := range jobs {
+			budget += uint64(j.cfg.Instructions)
 		}
+		jobs[0].cfg.Obs.Progress().SetWork(0, budget)
 	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, width)
@@ -124,14 +126,13 @@ func runMany(jobs []runJob, width int) ([]sim.Result, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			var sp *obs.Span
-			if rec := j.cfg.Obs; rec.Tracing() {
+			if rec := j.cfg.Obs; rec.Tracing(obs.KindSpanStart) {
 				sp = rec.StartSpan(
 					fmt.Sprintf("job:%s/%s", j.prof.Name, j.cfg.Scheme), uint64(time.Now().UnixNano()))
 				j.cfg.SpanParent = sp.ID()
 			}
 			results[slot], errs[slot] = sim.RunBenchmark(j.prof, j.cfg)
 			sp.End(uint64(time.Now().UnixNano()))
-			prog.AddDone(1)
 		}(jobs[i], i)
 	}
 	wg.Wait()

@@ -231,14 +231,12 @@ type Controller struct {
 	faults     *checker.RefreshFaults
 	refreshSeq uint64
 
-	// Telemetry (nil-safe no-ops when detached).
-	obs        *obs.Recorder
-	cReads     *obs.Counter
-	cWrites    *obs.Counter
-	cRefreshes *obs.Counter
-	cDrains    *obs.Counter
-	hLatency   *obs.Histogram
-	gShift     *obs.Gauge
+	// Telemetry (nil-safe no-ops when detached). Counters with a Stats
+	// twin are published from Stats by the simulation runner; read
+	// latencies are buffered in hLatency and drained by PublishObs.
+	obs      *obs.Recorder
+	hLatency *obs.LocalHistogram
+	gShift   *obs.Gauge
 	// cTier splits refreshes by the divider in force when they issued
 	// (memctrl_tier_refreshes_total{shift="N"}); the last cell absorbs
 	// any deeper divider.
@@ -288,24 +286,19 @@ func New(ch *dram.Channel, cfg Config, onReadDone func(*Request)) (*Controller, 
 // Channel returns the underlying DRAM channel.
 func (c *Controller) Channel() *dram.Channel { return c.ch }
 
-// SetObserver attaches a telemetry recorder (nil detaches): request and
-// refresh counters (total and per-refresh-tier), the read-latency
-// histogram, wheel/queue depth gauges, and refresh events.
+// SetObserver attaches a telemetry recorder (nil detaches): per-tier
+// refresh counters, the read-latency histogram, wheel/queue depth
+// gauges, and refresh events.
 func (c *Controller) SetObserver(r *obs.Recorder) {
 	c.obs = r
 	if r == nil {
-		c.cReads, c.cWrites, c.cRefreshes, c.cDrains = nil, nil, nil, nil
 		c.hLatency, c.gShift = nil, nil
 		c.cTier = [refreshTiers]*obs.Counter{}
 		c.cWheelSched, c.cWheelMature, c.cWheelCascade = nil, nil, nil
 		c.gWheelDepth, c.gReadDepth, c.gWriteDepth = nil, nil, nil
 		return
 	}
-	c.cReads = r.Counter("memctrl_reads_total")
-	c.cWrites = r.Counter("memctrl_writes_total")
-	c.cRefreshes = r.Counter("memctrl_refreshes_total")
-	c.cDrains = r.Counter("memctrl_write_drains_total")
-	c.hLatency = r.Histogram("memctrl_read_latency_dram_cycles")
+	c.hLatency = r.Histogram("memctrl_read_latency_dram_cycles").Local()
 	c.gShift = r.Gauge("memctrl_refresh_shift_bits")
 	reg := r.Registry()
 	reg.SetHelp("memctrl_tier_refreshes_total",
@@ -325,14 +318,17 @@ func (c *Controller) SetObserver(r *obs.Recorder) {
 }
 
 // PublishObs pushes the controller's sampled-state metrics — timing
-// wheel operation deltas and wheel/queue depths — to the attached
-// recorder. The wheel itself keeps plain counters so its hot paths
-// stay atomic-free; callers (the sim loop, a serving tick) invoke this
-// at whatever cadence live scraping needs.
+// wheel operation deltas, wheel/queue depths, and the read latencies
+// buffered since the last call — to the attached recorder. The wheel
+// and the latency buffer are plain memory so the hot paths stay
+// atomic-free; callers (the sim loop, a serving tick) invoke this at
+// whatever cadence live scraping needs, and once more at the end so
+// the totals are exact.
 func (c *Controller) PublishObs() {
 	if c.obs == nil {
 		return
 	}
+	c.hLatency.Drain()
 	s := c.wheel.Stats()
 	c.cWheelSched.Add(monotonicDelta(s.Scheduled, c.lastWheel.Scheduled))
 	c.cWheelMature.Add(monotonicDelta(s.Matured, c.lastWheel.Matured))
@@ -378,7 +374,7 @@ func (c *Controller) SetRefreshShift(shift int) {
 		c.chk.OnShift(c.ch.Now(), shift)
 		if c.obs != nil {
 			c.gShift.Set(float64(shift))
-			if c.obs.Tracing() {
+			if c.obs.Tracing(obs.KindRefreshRate) {
 				c.obs.Emit(obs.Event{T: c.ch.Now(), Kind: obs.KindRefreshRate, Shift: shift})
 			}
 		}
@@ -468,7 +464,6 @@ func (c *Controller) EnqueueRead(lineAddr, tag uint64) error {
 			r.Tag = tag
 			c.stats.ReadsEnqueued++
 			c.stats.ReadsDone++
-			c.cReads.Inc()
 			c.hLatency.Observe(0)
 			if c.onReadDone != nil {
 				c.onReadDone(r)
@@ -484,7 +479,6 @@ func (c *Controller) EnqueueRead(lineAddr, tag uint64) error {
 	r.coord = c.ch.Decode(lineAddr)
 	c.readQ = append(c.readQ, r)
 	c.stats.ReadsEnqueued++
-	c.cReads.Inc()
 	return nil
 }
 
@@ -501,7 +495,6 @@ func (c *Controller) EnqueueWrite(lineAddr, tag uint64) error {
 	r.coord = c.ch.Decode(lineAddr)
 	c.writeQ = append(c.writeQ, r)
 	c.stats.WritesEnqueued++
-	c.cWrites.Inc()
 	return nil
 }
 
@@ -958,13 +951,13 @@ func (c *Controller) issuePerBankRefresh() bool {
 	return true // urgent: hold the slot until the bank frees up
 }
 
-// noteRefresh accounts one issued refresh to telemetry; bank is -1 for
-// an all-bank REF.
+// noteRefresh accounts one issued refresh to its divider tier's counter
+// and, when traced, a KindRefresh event; bank is -1 for an all-bank
+// REF.
 func (c *Controller) noteRefresh(bank int) {
 	if c.obs == nil {
 		return
 	}
-	c.cRefreshes.Inc()
 	tier := c.refreshShift
 	if tier < 0 {
 		tier = 0
@@ -973,7 +966,7 @@ func (c *Controller) noteRefresh(bank int) {
 		tier = refreshTiers - 1
 	}
 	c.cTier[tier].Inc()
-	if c.obs.Tracing() {
+	if c.obs.Tracing(obs.KindRefresh) {
 		e := obs.Event{T: c.ch.Now(), Kind: obs.KindRefresh, Shift: c.refreshShift}
 		if bank >= 0 {
 			e.Bank = bank
@@ -1013,7 +1006,6 @@ func (c *Controller) activeQueue() []*Request {
 	if len(c.writeQ) >= c.cfg.WriteHighWater {
 		c.draining = true
 		c.stats.WriteDrains++
-		c.cDrains.Inc()
 		return c.writeQ
 	}
 	if len(c.readQ) > 0 {

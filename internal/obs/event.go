@@ -301,11 +301,13 @@ const defaultRetained = 1 << 20
 
 // EventLog collects emitted events: it counts every event by kind,
 // retains a bounded in-memory window (for the timeline renderer), and
-// optionally streams every event as JSONL to a writer. Safe for
-// concurrent emitters (parallel experiment sweeps share one log).
+// optionally streams every event as JSONL to a writer. Its kind set is
+// fixed at construction, so Recorder.Tracing reads it without the lock.
+// Safe for concurrent emitters (parallel experiment sweeps share one
+// log).
 type EventLog struct {
-	mu          sync.Mutex
 	mask        KindMask
+	mu          sync.Mutex
 	retainMask  KindMask
 	maxRetained int
 	events      []Event
@@ -315,17 +317,11 @@ type EventLog struct {
 	counts      [maxKind + 1]uint64
 }
 
-// NewEventLog builds a log that captures every kind, retains up to
-// defaultRetained events in memory, and streams nowhere.
-func NewEventLog() *EventLog {
-	return &EventLog{mask: MaskAll, retainMask: MaskAll, maxRetained: defaultRetained}
-}
-
-// SetMask restricts which kinds are captured at all.
-func (l *EventLog) SetMask(m KindMask) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.mask = m
+// NewEventLog builds a log that captures the kinds in mask (MaskAll for
+// every kind), retains up to defaultRetained events in memory, and
+// streams nowhere.
+func NewEventLog(mask KindMask) *EventLog {
+	return &EventLog{mask: mask, retainMask: MaskAll, maxRetained: defaultRetained}
 }
 
 // SetRetention restricts which kinds are retained in memory and how
@@ -347,13 +343,11 @@ func (l *EventLog) SetStream(w io.Writer) {
 	l.w = bufio.NewWriterSize(w, 1<<16)
 }
 
-// add records one event.
+// add records one event; Recorder.Emit has already checked its kind
+// against the mask.
 func (l *EventLog) add(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.mask.Has(e.Kind) {
-		return
-	}
 	if e.Kind <= maxKind {
 		l.counts[e.Kind]++
 	}

@@ -117,16 +117,20 @@ func TestKindParseStringInverse(t *testing.T) {
 }
 
 func TestEventLogMaskCountsRetention(t *testing.T) {
-	l := NewEventLog()
-	l.SetMask(MaskOf(KindDecode, KindSMDEnable))
+	l := NewEventLog(MaskOf(KindDecode, KindSMDEnable))
 	l.SetRetention(MaskOf(KindSMDEnable), 2)
-	for i := 0; i < 5; i++ {
-		l.add(Event{T: uint64(i), Kind: KindDecode})
+	rec := New()
+	rec.SetEventLog(l)
+	if rec.Tracing(KindDRAMCmd) || !rec.Tracing(KindDecode) {
+		t.Fatal("Tracing must follow the log's mask")
 	}
-	l.add(Event{T: 9, Kind: KindSMDEnable})
-	l.add(Event{T: 10, Kind: KindSMDEnable})
-	l.add(Event{T: 11, Kind: KindSMDEnable})
-	l.add(Event{T: 12, Kind: KindDRAMCmd}) // masked out entirely
+	for i := 0; i < 5; i++ {
+		rec.Emit(Event{T: uint64(i), Kind: KindDecode})
+	}
+	rec.Emit(Event{T: 9, Kind: KindSMDEnable})
+	rec.Emit(Event{T: 10, Kind: KindSMDEnable})
+	rec.Emit(Event{T: 11, Kind: KindSMDEnable})
+	rec.Emit(Event{T: 12, Kind: KindDRAMCmd}) // masked out entirely
 
 	if got := l.Count(KindDecode); got != 5 {
 		t.Errorf("decode count = %d", got)
@@ -149,11 +153,11 @@ func TestEventLogMaskCountsRetention(t *testing.T) {
 
 func TestEventLogStream(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewEventLog()
+	l := NewEventLog(MaskAll)
 	l.SetStream(&buf)
 	rec := New()
 	rec.SetEventLog(l)
-	if !rec.Tracing() {
+	if !rec.Tracing(KindRefresh) {
 		t.Fatal("Tracing must be true with a log attached")
 	}
 	rec.Emit(Event{T: 1, Kind: KindRefresh, Shift: 1})

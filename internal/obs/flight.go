@@ -33,10 +33,12 @@ type flightSlot struct {
 
 // Intern-table geometry: strings carried by events (DRAM mnemonics,
 // phase names, span labels) are mapped to small indices so slots stay
-// plain words. Index 0 is the empty string; internOverflow marks a
-// string that arrived after the table filled and decodes as "?".
+// plain words; the packed 8-bit index fields of w2 bound the table at
+// 256 entries. Index 0 is the empty string; internOverflow marks a
+// string that arrived after the table filled and decodes as "?". Fig 7
+// alone labels 112 distinct job spans.
 const (
-	internSlots    = 64
+	internSlots    = 256
 	internOverflow = internSlots - 1
 )
 
@@ -44,12 +46,23 @@ const (
 // window covers the last ~16k events (~1.5 MiB resident).
 const DefaultFlightEvents = 16384
 
+// FlightKinds is the fixed set of kinds a Recorder sends to its flight
+// recorder: every kind except the per-command (KindDRAMCmd), per-read
+// (KindDecode) and per-tREFI (KindRefresh) streams. What is left —
+// spans, phase transitions, sweeps, SMD decisions, MDT marks and rate
+// changes — arrives at a few events per simulated phase, so the ring
+// holds a whole run's causal history instead of the last milliseconds
+// of DRAM traffic, and leaving it on costs the hot paths one branch.
+// The per-request kinds stay available through an event log.
+const FlightKinds = MaskAll &^ (1<<KindDRAMCmd | 1<<KindDecode | 1<<KindRefresh)
+
 // FlightRecorder is a fixed-size lock-free ring of the most recent
 // events, meant to be always on: the record path is wait-free, takes no
 // locks, performs no allocation in steady state, and a nil
-// *FlightRecorder is a no-op. When something goes wrong — a checker
-// invariant fires, a panic unwinds, SIGQUIT arrives — WriteJSONL dumps
-// the window as a replayable JSONL trace.
+// *FlightRecorder is a no-op. A Recorder feeds it only FlightKinds
+// events. When something goes wrong — a checker invariant fires, a
+// panic unwinds, SIGQUIT arrives — WriteJSONL dumps the window as a
+// replayable JSONL trace.
 //
 // Writers take a ticket (pos.Add), claim its slot with a CAS of the seq
 // word to flightBusy, store the fields, then publish seq=ticket+1; a

@@ -54,8 +54,35 @@ func TestFlightRecorderWrapKeepsNewest(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderNamesRoundTrip records more distinct span names
+// than a Fig 7 run has (112 job labels plus run/active/exhibit) and
+// checks every one survives a WriteJSONL dump: none may decode as "?".
+func TestFlightRecorderNamesRoundTrip(t *testing.T) {
+	const distinct = 200
+	f := NewFlightRecorder(distinct)
+	for i := 0; i < distinct; i++ {
+		f.Record(Event{T: uint64(i), Kind: KindSpanStart, Span: uint64(i) + 1, Name: fmt.Sprintf("job:bench%d/mecc", i)})
+	}
+	var buf bytes.Buffer
+	if err := f.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != distinct {
+		t.Fatalf("dumped %d events, want %d", len(got), distinct)
+	}
+	for i, e := range got {
+		if want := fmt.Sprintf("job:bench%d/mecc", i); e.Name != want {
+			t.Errorf("event %d: name %q, want %q", i, e.Name, want)
+		}
+	}
+}
+
 func TestFlightRecorderInternOverflow(t *testing.T) {
-	f := NewFlightRecorder(256)
+	f := NewFlightRecorder(2 * internSlots)
 	const distinct = internSlots + 10
 	for i := 0; i < distinct; i++ {
 		f.Record(Event{T: uint64(i), Kind: KindSpanStart, Span: uint64(i) + 1, Name: fmt.Sprintf("span-%d", i)})
@@ -175,10 +202,11 @@ func TestFlightRecorderWriteJSONLParses(t *testing.T) {
 // TestFlightRecorderZeroAllocs pins the record path's allocation
 // contract: nil-disabled and enabled steady-state records both cost 0
 // allocations (interning of a string's first occurrence is the only
-// exception, warmed here before measuring).
+// exception, warmed here before measuring). The event's kind is one the
+// ring keeps, so the guarded Emit below really records.
 func TestFlightRecorderZeroAllocs(t *testing.T) {
 	var nilF *FlightRecorder
-	e := Event{T: 1, Kind: KindDecode, Cmd: "RD", Phase: "active", Name: "sweep", Cycles: 30}
+	e := Event{T: 1, Kind: KindSpanEnd, Cmd: "RD", Phase: "active", Name: "sweep", Cycles: 30}
 	if n := testing.AllocsPerRun(1000, func() { nilF.Record(e) }); n != 0 {
 		t.Errorf("nil FlightRecorder.Record allocates %v/op", n)
 	}
@@ -189,10 +217,48 @@ func TestFlightRecorderZeroAllocs(t *testing.T) {
 	}
 	r := &Recorder{flight: f}
 	if n := testing.AllocsPerRun(1000, func() {
-		if r.Tracing() {
+		if r.Tracing(e.Kind) {
 			r.Emit(e)
 		}
 	}); n != 0 {
 		t.Errorf("Emit into flight-only recorder allocates %v/op", n)
+	}
+	before := f.Recorded()
+	if r.Tracing(e.Kind) {
+		r.Emit(e)
+	}
+	if f.Recorded() != before+1 {
+		t.Error("guarded Emit of a FlightKinds event did not reach the ring")
+	}
+}
+
+// TestFlightOnlyRecorderGatesKinds pins the ring's fixed kind set: a
+// flight-only recorder traces exactly FlightKinds, and Emit drops the
+// per-command, per-read and per-tREFI kinds before they reach the ring.
+func TestFlightOnlyRecorderGatesKinds(t *testing.T) {
+	f := NewFlightRecorder(64)
+	r := New()
+	r.SetFlightRecorder(f)
+	for _, k := range []Kind{KindDRAMCmd, KindDecode, KindRefresh} {
+		if FlightKinds.Has(k) || r.Tracing(k) {
+			t.Errorf("flight-only recorder traces %s", k)
+		}
+	}
+	var want []Kind
+	for _, k := range Kinds() {
+		if r.Tracing(k) != FlightKinds.Has(k) {
+			t.Errorf("Tracing(%s) = %v, FlightKinds has it: %v", k, r.Tracing(k), FlightKinds.Has(k))
+		}
+		r.Emit(Event{T: uint64(k), Kind: k})
+		if FlightKinds.Has(k) {
+			want = append(want, k)
+		}
+	}
+	var got []Kind
+	for _, e := range f.Events() {
+		got = append(got, e.Kind)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ring kinds = %v, want %v", got, want)
 	}
 }

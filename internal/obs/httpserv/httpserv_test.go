@@ -38,7 +38,7 @@ func TestServerEndpoints(t *testing.T) {
 	rec.SetProgress(prog)
 	flight := obs.NewFlightRecorder(64)
 	rec.SetFlightRecorder(flight)
-	rec.Emit(obs.Event{T: 10, Kind: obs.KindDecode, Cycles: 30})
+	rec.Emit(obs.Event{T: 10, Kind: obs.KindSweepEnd, Cycles: 30})
 
 	healthy := true
 	srv := New(Config{
@@ -110,7 +110,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/flight status %d", code)
 	}
 	evs, err := obs.ReadJSONL(strings.NewReader(body))
-	if err != nil || len(evs) != 1 || evs[0].Kind != obs.KindDecode {
+	if err != nil || len(evs) != 1 || evs[0].Kind != obs.KindSweepEnd {
 		t.Errorf("/flight = %v %q", err, body)
 	}
 

@@ -9,6 +9,12 @@ package obs
 // possibly-nil *Recorder and never branch on "is telemetry on" beyond
 // a nil check.
 //
+// Each event sink keeps a fixed set of kinds: the flight recorder
+// keeps FlightKinds, an event log the mask it was built with. Tracing(k)
+// tells producers whether any attached sink keeps kind k, so a kind
+// nobody keeps — per-command and per-read events under the default
+// flight-only configuration — costs its producer one branch.
+//
 //meccvet:nilsafe
 type Recorder struct {
 	reg     *Registry
@@ -41,10 +47,9 @@ func (r *Recorder) SetSampler(s *Sampler) {
 }
 
 // SetFlightRecorder attaches (or, with nil, detaches) a flight
-// recorder. With one attached, every emitted event also lands in the
-// ring and Tracing() reports true, so instrumented packages construct
-// events; the ring's record path itself stays lock- and
-// allocation-free.
+// recorder. With one attached, every emitted event of a FlightKinds
+// kind also lands in the ring and Tracing reports true for those kinds;
+// the ring's record path itself stays lock- and allocation-free.
 func (r *Recorder) SetFlightRecorder(f *FlightRecorder) {
 	if r == nil {
 		return
@@ -126,27 +131,31 @@ func (r *Recorder) Histogram(name string) *Histogram {
 	return r.reg.Histogram(name)
 }
 
-// Emit records one structured event into the event log and/or flight
-// recorder, whichever is attached. Callers on hot paths should guard
-// the call (and the Event construction) behind their own Tracing()
-// check so the disabled path does no work at all. With only a flight
-// recorder attached, Emit takes no locks and allocates nothing.
+// Emit records one structured event into each attached sink that keeps
+// its kind: the flight recorder (FlightKinds) and the event log (its
+// mask). Callers on hot paths guard the call (and the Event
+// construction) behind their own Tracing(kind) check so a kind no sink
+// keeps costs no work at all. With only a flight recorder attached,
+// Emit takes no locks and allocates nothing.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
 	}
-	if r.flight != nil {
+	if r.flight != nil && FlightKinds.Has(e.Kind) {
 		r.flight.Record(e)
 	}
-	if r.log != nil {
+	if r.log != nil && r.log.mask.Has(e.Kind) {
 		r.log.add(e)
 	}
 }
 
-// Tracing reports whether any event sink (event log or flight
-// recorder) is attached — hot paths use it to skip Event construction
-// entirely when no one is listening.
-func (r *Recorder) Tracing() bool { return r != nil && (r.log != nil || r.flight != nil) }
+// Tracing reports whether an attached sink keeps events of kind k — the
+// guard hot paths put around building and emitting an Event of that
+// kind (`if r.Tracing(obs.KindDecode) { r.Emit(...) }`). Both sinks'
+// kind sets are fixed once attached, so the check reads no lock.
+func (r *Recorder) Tracing(k Kind) bool {
+	return r != nil && (r.flight != nil && FlightKinds.Has(k) || r.log != nil && r.log.mask.Has(k))
+}
 
 // Tick advances the sampler, if any, to cycle now.
 func (r *Recorder) Tick(now uint64) {

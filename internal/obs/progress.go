@@ -3,11 +3,16 @@ package obs
 import "sync/atomic"
 
 // Progress is the live "where is the run" surface scraped by
-// obs/httpserv's /progress endpoint. The writing side is the simulator
-// loop, so every field is a single atomic store — no locks, no
-// allocation (phase strings are stored by pointer; callers pass
-// long-lived labels). A nil *Progress is a no-op. Throughput and ETA
-// are deliberately not computed here: the scraper derives them from
+// obs/httpserv's /progress endpoint. Done and Total count retired
+// instructions: the harness (or meccsim) sets Total to the sum of its
+// runs' instruction budgets, and each runner adds its retired-instruction
+// growth to Done on its publish cadence (every 1024 trace records, at
+// phase boundaries and at the end), so parallel runners sharing one
+// tracker add up instead of overwriting each other. The writing side is
+// the simulator loop, so every field is a single atomic operation — no
+// locks, no allocation (phase strings are stored by pointer; callers
+// pass long-lived labels). A nil *Progress is a no-op. Throughput and
+// ETA are deliberately not computed here: the scraper derives them from
 // successive snapshots, keeping rate math off the hot path.
 //
 //meccvet:nilsafe
@@ -31,8 +36,8 @@ func (p *Progress) SetPhase(phase string) {
 	p.phase.Store(&phase)
 }
 
-// SetWork sets the done/total work counters (units are the caller's:
-// quanta, jobs, exhibits).
+// SetWork sets the done/total work counters (retired instructions in
+// the simulator's harnesses).
 func (p *Progress) SetWork(done, total uint64) {
 	if p == nil {
 		return
@@ -47,6 +52,16 @@ func (p *Progress) AddDone(n uint64) {
 		return
 	}
 	p.done.Add(n)
+}
+
+// AddTotal raises the total by n. A runner whose last trace record
+// carried it past its instruction budget adds the excess, so Total stays
+// an upper bound on Done and the two meet when every run completes.
+func (p *Progress) AddTotal(n uint64) {
+	if p == nil {
+		return
+	}
+	p.total.Add(n)
 }
 
 // SetSimTime publishes the current simulated time in CPU cycles.

@@ -9,11 +9,22 @@
 // obs/httpserv serves the live side over HTTP.
 //
 // Every entry point is nil-safe: a nil *Recorder, *Counter, *Gauge,
-// *Histogram, *Span, *FlightRecorder or *Progress is a no-op, so
-// instrumented hot paths (the BCH decoder, the DRAM command issue path)
-// pay one nil check and zero allocations when telemetry is disabled,
-// and simulation results are bit-identical either way — the subsystem
-// only observes, it never steers.
+// *Histogram, *LocalHistogram, *Span, *FlightRecorder or *Progress is a
+// no-op, so instrumented hot paths (the BCH decoder, the DRAM command
+// issue path) pay one nil check and zero allocations when telemetry is
+// disabled, and simulation results are bit-identical either way — the
+// subsystem only observes, it never steers.
+//
+// The default-on configuration is as cheap as the disabled one. Each
+// event sink keeps a fixed set of kinds — the flight recorder
+// FlightKinds, which leaves out the per-command, per-read and
+// per-tREFI streams — and Recorder.Tracing(k) tells producers whether
+// any attached sink keeps kind k, so those emit sites cost one false
+// branch. Counters that mirror a model statistic are published from
+// that statistic by the simulation runner on a coarse cadence, and
+// per-request histograms are staged in single-owner LocalHistogram
+// buffers, so parallel runs sharing one registry write no shared cache
+// line per request.
 package obs
 
 import (
@@ -136,6 +147,55 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.Sum()) / float64(n)
+}
+
+// LocalHistogram is a single-owner staging buffer for a shared
+// Histogram: Observe is a plain add to memory only its owner writes,
+// and Drain moves the buffered samples into the shared series. A
+// simulation runner observes per-request latencies into its own buffers
+// and drains them on its publish cadence, so runners sharing a registry
+// never write the same histogram cache lines per request. A nil
+// *LocalHistogram is a no-op. Not safe for concurrent use.
+type LocalHistogram struct {
+	dst     *Histogram
+	sum     uint64
+	buckets [histBuckets]uint64
+}
+
+// Local returns a staging buffer that drains into h; a nil histogram
+// yields a nil (no-op) buffer.
+func (h *Histogram) Local() *LocalHistogram {
+	if h == nil {
+		return nil
+	}
+	return &LocalHistogram{dst: h}
+}
+
+// Observe buffers one sample (same bucket mapping as Histogram.Observe).
+//
+//meccvet:hotpath
+func (l *LocalHistogram) Observe(v uint64) {
+	if l == nil {
+		return
+	}
+	l.sum += v
+	l.buckets[bits.Len64(v)]++
+}
+
+// Drain adds the buffered samples to the shared histogram and empties
+// the buffer.
+func (l *LocalHistogram) Drain() {
+	if l == nil {
+		return
+	}
+	l.dst.sum.Add(l.sum)
+	l.sum = 0
+	for i, n := range l.buckets {
+		if n != 0 {
+			l.dst.buckets[i].Add(n)
+			l.buckets[i] = 0
+		}
+	}
 }
 
 // bucketUpper returns the inclusive upper bound of bucket i.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -29,12 +30,12 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 
 	var rec *Recorder
-	if rec.Counter("x") != nil || rec.Registry() != nil || rec.Tracing() {
+	if rec.Counter("x") != nil || rec.Registry() != nil || rec.Tracing(KindDecode) {
 		t.Error("nil recorder must be fully inert")
 	}
 	rec.Emit(Event{Kind: KindDecode})
 	rec.Tick(100)
-	rec.SetEventLog(NewEventLog())
+	rec.SetEventLog(NewEventLog(MaskAll))
 	rec.SetSampler(nil)
 	if err := rec.Flush(); err != nil {
 		t.Errorf("nil recorder Flush: %v", err)
@@ -187,5 +188,33 @@ func TestCounterNames(t *testing.T) {
 	got := reg.CounterNames()
 	if len(got) != 2 || got[0] != "a" || got[1] != "z" {
 		t.Errorf("CounterNames = %v", got)
+	}
+}
+
+// TestLocalHistogramDrain checks a staging buffer drains to exactly the
+// series direct observation would build, and that a second drain adds
+// nothing.
+func TestLocalHistogramDrain(t *testing.T) {
+	reg := NewRegistry()
+	direct, shared := reg.Histogram("direct"), reg.Histogram("shared")
+	local := shared.Local()
+	for _, v := range []uint64{0, 1, 7, 8, 30, 30, 1 << 40} {
+		direct.Observe(v)
+		local.Observe(v)
+	}
+	if shared.Count() != 0 {
+		t.Fatal("samples reached the shared series before Drain")
+	}
+	local.Drain()
+	local.Drain()
+	if !reflect.DeepEqual(shared.Buckets(), direct.Buckets()) || shared.Sum() != direct.Sum() {
+		t.Errorf("drained %v sum %d, want %v sum %d", shared.Buckets(), shared.Sum(), direct.Buckets(), direct.Sum())
+	}
+	var nilH *Histogram
+	nilL := nilH.Local()
+	nilL.Observe(1)
+	nilL.Drain()
+	if nilL != nil {
+		t.Error("nil histogram must hand out a nil buffer")
 	}
 }

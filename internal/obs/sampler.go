@@ -55,10 +55,14 @@ func (s *Sampler) AddGaugeProbe(name string, f func() float64) {
 	s.last = append(s.last, 0)
 }
 
-// AddCounterProbe samples the counter's delta over each quantum.
-func (s *Sampler) AddCounterProbe(name string, c *Counter) {
+// AddCounterProbe samples the delta of a cumulative count over each
+// quantum. f reads the count at a boundary; pass the owner's own
+// statistic (a runner's model stats) rather than a shared registry
+// counter, which is published on a coarser cadence than the sampler
+// ticks.
+func (s *Sampler) AddCounterProbe(name string, f func() uint64) {
 	s.names = append(s.names, name)
-	s.probes = append(s.probes, func() float64 { return float64(c.Value()) })
+	s.probes = append(s.probes, func() float64 { return float64(f()) })
 	s.cumul = append(s.cumul, true)
 	s.last = append(s.last, 0)
 }

@@ -18,7 +18,7 @@ func TestSamplerCounterDeltasAndGauges(t *testing.T) {
 	}
 	c := NewRegistry().Counter("reads")
 	level := 0.0
-	s.AddCounterProbe("reads", c)
+	s.AddCounterProbe("reads", c.Value)
 	s.AddGaugeProbe("level", func() float64 { return level })
 
 	c.Add(5)
@@ -61,7 +61,7 @@ func TestSamplerWriteCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewRegistry().Counter("n")
-	s.AddCounterProbe("n", c)
+	s.AddCounterProbe("n", c.Value)
 	c.Add(3)
 	s.Tick(10)
 	var sb strings.Builder
@@ -83,7 +83,7 @@ func TestSamplerRetentionBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewRegistry().Counter("n")
-	s.AddCounterProbe("n", c)
+	s.AddCounterProbe("n", c.Value)
 	c.Add(1)
 	s.Tick(uint64(defaultMaxRows) + 10)
 	if got := len(s.Rows()); got != defaultMaxRows {

@@ -9,10 +9,11 @@ import "sync/atomic"
 var spanIDs atomic.Uint64
 
 // Span is one node of the hierarchical trace: run → experiment → phase
-// → sweep. A span is created only when the recorder is tracing (an
-// event log or flight recorder is attached) — otherwise StartSpan and
-// Child return nil, and every method of a nil *Span is a free no-op —
-// so hot paths hold a possibly-nil *Span without branching.
+// → sweep. A span is created only when an attached sink keeps span
+// events (a flight recorder, or an event log whose mask selects
+// KindSpanStart) — otherwise StartSpan and Child return nil, and every
+// method of a nil *Span is a free no-op — so hot paths hold a
+// possibly-nil *Span without branching.
 //
 // Spans are recorded as paired KindSpanStart / KindSpanEnd events in
 // the emitter's clock domain (CPU cycles inside the simulator,
@@ -29,9 +30,9 @@ type Span struct {
 }
 
 // StartSpan opens a root span named name at time t, or returns nil when
-// the recorder is not tracing.
+// no sink keeps span events.
 func (r *Recorder) StartSpan(name string, t uint64) *Span {
-	if r == nil || !r.Tracing() {
+	if r == nil || !r.Tracing(KindSpanStart) {
 		return nil
 	}
 	return r.newSpan(name, 0, t)
@@ -40,9 +41,9 @@ func (r *Recorder) StartSpan(name string, t uint64) *Span {
 // StartSpanUnder opens a span as a child of an externally supplied
 // parent span id — for crossing a package boundary (experiment harness
 // → simulator) where threading the *Span handle itself is impractical.
-// Parent 0 makes a root. Returns nil when not tracing.
+// Parent 0 makes a root. Returns nil when no sink keeps span events.
 func (r *Recorder) StartSpanUnder(name string, parent, t uint64) *Span {
-	if r == nil || !r.Tracing() {
+	if r == nil || !r.Tracing(KindSpanStart) {
 		return nil
 	}
 	return r.newSpan(name, parent, t)
@@ -60,7 +61,7 @@ func (s *Span) Child(name string, t uint64) *Span {
 // newSpan allocates an id and emits the start event.
 func (r *Recorder) newSpan(name string, parent, t uint64) *Span {
 	s := &Span{r: r, id: spanIDs.Add(1), parent: parent, name: name, start: t}
-	if r.Tracing() {
+	if r.Tracing(KindSpanStart) {
 		r.Emit(Event{T: t, Kind: KindSpanStart, Span: s.id, Parent: parent, Name: name})
 	}
 	return s
@@ -78,7 +79,7 @@ func (s *Span) End(t uint64) {
 		dur = t - s.start
 	}
 	r := s.r
-	if r.Tracing() {
+	if r.Tracing(KindSpanEnd) {
 		r.Emit(Event{T: t, Kind: KindSpanEnd, Span: s.id, Parent: s.parent, Name: s.name, Cycles: dur})
 	}
 }

@@ -4,7 +4,7 @@ import "testing"
 
 func TestSpanHierarchyEvents(t *testing.T) {
 	r := New()
-	log := NewEventLog()
+	log := NewEventLog(MaskAll)
 	r.SetEventLog(log)
 
 	run := r.StartSpan("run", 100)
@@ -56,7 +56,7 @@ func TestSpanDisabledIsNil(t *testing.T) {
 		t.Error("nil recorder must hand out nil spans")
 	}
 	r := New() // metrics only: not tracing
-	if r.Tracing() {
+	if r.Tracing(KindSpanStart) {
 		t.Fatal("metrics-only recorder should not be tracing")
 	}
 	if s := r.StartSpan("run", 0); s != nil {
@@ -76,8 +76,8 @@ func TestSpanFlightOnlyTracing(t *testing.T) {
 	r := New()
 	f := NewFlightRecorder(64)
 	r.SetFlightRecorder(f)
-	if !r.Tracing() {
-		t.Fatal("flight-only recorder must report Tracing()")
+	if !r.Tracing(KindSpanStart) {
+		t.Fatal("flight-only recorder must report Tracing(KindSpanStart)")
 	}
 	sp := r.StartSpan("run", 5)
 	sp.End(25)

@@ -45,7 +45,7 @@ func TestTimelineRendersStripsAndIntervals(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewRegistry().Counter("reads")
-	s.AddCounterProbe("reads", c)
+	s.AddCounterProbe("reads", c.Value)
 	for q := 1; q <= 20; q++ {
 		c.Add(uint64(q))
 		s.Tick(uint64(q * 100))

@@ -45,7 +45,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	}
 
 	rec := obs.New()
-	rec.SetEventLog(obs.NewEventLog())
+	rec.SetEventLog(obs.NewEventLog(obs.MaskAll))
 	sampler, err := obs.NewSampler(cfg.MECC.SMDWindowCycles)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 func TestTracedRunEmitsExpectedKinds(t *testing.T) {
 	prof, cfg := obsConfig(t, SchemeMECC, 4000)
 	rec := obs.New()
-	elog := obs.NewEventLog()
+	elog := obs.NewEventLog(obs.MaskAll)
 	rec.SetEventLog(elog)
 	cfg.Obs = rec
 	if _, err := RunBenchmark(prof, cfg); err != nil {
@@ -121,8 +121,7 @@ func TestTracedRunEmitsExpectedKinds(t *testing.T) {
 func TestTimelineShowsSMDIntervals(t *testing.T) {
 	prof, cfg := obsConfig(t, SchemeMECC, 4000)
 	rec := obs.New()
-	elog := obs.NewEventLog()
-	elog.SetMask(obs.MaskOf(obs.KindSMDEnable, obs.KindSMDDisable, obs.KindSMDWindow))
+	elog := obs.NewEventLog(obs.MaskOf(obs.KindSMDEnable, obs.KindSMDDisable, obs.KindSMDWindow))
 	rec.SetEventLog(elog)
 	sampler, err := obs.NewSampler(cfg.MECC.SMDWindowCycles)
 	if err != nil {

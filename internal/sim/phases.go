@@ -108,6 +108,7 @@ func (r *Runner) GoIdle(duration time.Duration) error {
 	r.ch.AdvanceTo(r.ch.Now() + idleDRAM)
 	r.idle = true
 	r.idleTime += duration
+	r.publishObs()
 	return nil
 }
 
@@ -136,6 +137,7 @@ func (r *Runner) WakeUp() error {
 	r.idleSpan = nil
 	r.updateRefreshShift()
 	r.idle = false
+	r.publishObs()
 	return nil
 }
 

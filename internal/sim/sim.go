@@ -185,17 +185,22 @@ type Runner struct {
 	calc                 *power.Calculator
 	weakCost, strongCost ecc.CostModel
 
-	// Telemetry (nil-safe; see attachObserver).
+	// Telemetry (nil-safe; see attachObserver and publishObs).
 	obs     *obs.Recorder
-	hDecode *obs.Histogram
+	hDecode *obs.LocalHistogram
 	prog    *obs.Progress
+	// statCtrs holds the registry counter of each statCounters entry
+	// (nil when not registered); published and publishedRetired are the
+	// stats and retired count as of the last publishObs.
+	statCtrs         [len(statCounters)]*obs.Counter
+	published        modelStats
+	publishedRetired uint64
 	// Trace spans: the run root plus the currently open idle-phase span
 	// (opened by GoIdle, closed by WakeUp). Nil when not tracing.
 	runSpan  *obs.Span
 	idleSpan *obs.Span
-	// obsTickN counts processed trace records so sampled-state metrics
-	// (wheel/queue depths) publish on a coarse cadence, off the per-record
-	// path.
+	// obsTickN counts processed trace records so shared telemetry
+	// publishes on a coarse cadence, off the per-record path.
 	obsTickN uint64
 
 	// Invariant checking (nil-safe; see attachChecker).
@@ -518,14 +523,11 @@ func (r *Runner) runLoop() error {
 		}
 		if r.obs != nil {
 			r.obs.Tick(r.cpu.Now())
-			r.prog.SetSimTime(r.cpu.Now())
-			r.prog.SetWork(r.cpu.Retired(), uint64(r.cfg.Instructions))
 			r.obsTickN++
-			if r.obsTickN&1023 == 0 {
-				if s := r.obs.Sampler(); s != nil && s.Quantum() > 0 {
-					r.prog.SetQuantum(r.cpu.Now() / s.Quantum())
-				}
-				r.ctl.PublishObs()
+			// The segment's last record publishes below, after any
+			// budget overrun has been added to the progress total.
+			if r.obsTickN&1023 == 0 && r.segmentBudget > 0 {
+				r.publishObs()
 			}
 		}
 		if checkAt > 0 && int64(r.cpu.Retired()) >= checkAt*int64(len(r.checkpoints)+1) {
@@ -542,14 +544,18 @@ func (r *Runner) runLoop() error {
 	if _, err := r.ctl.DrainAll(10_000_000); err != nil {
 		return err
 	}
-	if r.obs != nil {
-		r.prog.SetSimTime(r.cpu.Now())
-		r.ctl.PublishObs()
+	// A final record that overran the budget raises the progress total
+	// by the excess before its instructions are published as done, so
+	// done never exceeds total.
+	if r.segmentBudget < 0 {
+		r.prog.AddTotal(uint64(-r.segmentBudget))
 	}
+	r.publishObs()
 	return nil
 }
 
 func (r *Runner) result(checkpoints []Checkpoint) Result {
+	r.publishObs()
 	if r.runSpan != nil {
 		r.runSpan.End(r.cpu.Now())
 		r.runSpan = nil

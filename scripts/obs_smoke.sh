@@ -3,10 +3,12 @@
 # dependency beyond the go toolchain and curl: start meccsim with the
 # obs server on a local port, poll /healthz until it answers, validate
 # /metrics with the repo's own strict exposition parser (cmd/obsscrape)
-# including the per-refresh-tier and per-ECC-mode series, and check
-# /progress returns the expected JSON keys. "demo" as the first
-# argument additionally prints the scraped progress and a metrics
-# excerpt (that is what `make obs-demo` runs).
+# including the per-refresh-tier and per-ECC-mode series, check
+# /progress returns the expected JSON keys with done <= total, and check
+# /flight holds the run's spans but no per-command (dram_cmd), per-read
+# (decode) or per-tREFI (refresh) event. "demo" as the first argument
+# additionally prints the scraped progress and a metrics excerpt (that
+# is what `make obs-demo` runs).
 set -eu
 
 GO=${GO:-go}
@@ -60,6 +62,30 @@ case $prog in
 *'"sim_time_cycles"'*) ;;
 *)
     echo "obs_smoke: /progress missing sim_time_cycles: $prog" >&2
+    exit 1
+    ;;
+esac
+
+# Done and total both count instructions; a runner whose last trace
+# record overran its budget raises the total by the excess.
+done_n=$(printf '%s\n' "$prog" | sed -n 's/.*"done": *\([0-9][0-9]*\).*/\1/p')
+total_n=$(printf '%s\n' "$prog" | sed -n 's/.*"total": *\([0-9][0-9]*\).*/\1/p')
+if [ -z "$done_n" ] || [ -z "$total_n" ] || [ "$done_n" -gt "$total_n" ]; then
+    echo "obs_smoke: /progress done ${done_n:-?} exceeds total ${total_n:-?}: $prog" >&2
+    exit 1
+fi
+
+# The default flight ring keeps only the low-rate kinds.
+flight=$(curl -fsS "$BASE/flight")
+if printf '%s\n' "$flight" | grep -Eq '"kind":"(dram_cmd|decode|refresh)"'; then
+    echo "obs_smoke: /flight holds per-request events:" >&2
+    printf '%s\n' "$flight" | grep -E '"kind":"(dram_cmd|decode|refresh)"' | head -5 >&2
+    exit 1
+fi
+case $flight in
+*'"kind":"span_start"'*) ;;
+*)
+    echo "obs_smoke: /flight holds no span: $flight" >&2
     exit 1
     ;;
 esac
