@@ -71,12 +71,48 @@ func TestSnapshotScale50(t *testing.T) {
 
 // TestSnapshotDeterministic runs the same exhibits twice and requires
 // byte-identical output: the golden test above is only meaningful if
-// the simulator is deterministic under a fixed seed.
+// the simulator is deterministic under a fixed seed. The Fig 7 pair
+// fans its jobs out over two workers and also compares the -metrics-out
+// exposition, so a series that parallel jobs write last-writer-wins
+// fails it; only the exp_*_wall_seconds gauges may differ.
 func TestSnapshotDeterministic(t *testing.T) {
 	a := runMain(t, "-experiment", "day", "-scale", "50", "-seed", "1", "-summary=false")
 	b := runMain(t, "-experiment", "day", "-scale", "50", "-seed", "1", "-summary=false")
 	if a != b {
 		t.Errorf("two identical runs diverged:\n%s", firstDiff(a, b))
+	}
+
+	fig7 := func() (section, exposition string) {
+		path := filepath.Join(t.TempDir(), "fig7.prom")
+		out := runMain(t, "-experiment", "fig7", "-scale", "4000", "-seed", "2",
+			"-parallel", "2", "-metrics-out", path)
+		start := strings.Index(out, "=== Fig 7")
+		if start < 0 {
+			t.Fatalf("no Fig 7 section in:\n%s", out)
+		}
+		section = out[start:]
+		if end := strings.Index(section, "\n\n"); end >= 0 {
+			section = section[:end]
+		}
+		prom, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept []string
+		for _, line := range strings.Split(string(prom), "\n") {
+			if !(strings.HasPrefix(line, "exp_") && strings.Contains(line, "_wall_seconds ")) {
+				kept = append(kept, line)
+			}
+		}
+		return section, strings.Join(kept, "\n")
+	}
+	secA, expA := fig7()
+	secB, expB := fig7()
+	if secA != secB {
+		t.Errorf("two identical Fig 7 runs diverged:\n%s", firstDiff(secA, secB))
+	}
+	if expA != expB {
+		t.Errorf("two identical Fig 7 metrics expositions diverged:\n%s", firstDiff(expA, expB))
 	}
 }
 

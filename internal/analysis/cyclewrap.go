@@ -9,11 +9,11 @@ import (
 )
 
 // Cyclewrap flags unsigned subtractions that can wrap around. The
-// simulator's scheduling core is 64-bit cycle arithmetic — sched.Wheel
-// jump/cascade math, memctrl.StepOrJump deltas, dram.Earliest*
-// horizon comparisons — where `a - b` on uint64 silently produces a
-// number near 2^64 when b > a, turning "how far in the future" into
-// "practically forever" and stalling or exploding the event wheel.
+// simulator's scheduling core is 64-bit cycle arithmetic — memctrl's
+// jump edges and latency deltas, dram.Earliest* horizon comparisons —
+// where `a - b` on uint64 silently produces a number near 2^64 when
+// b > a, turning "how far in the future" into "practically forever"
+// and stalling or exploding a fast-forward.
 //
 // A subtraction is accepted when the analysis proves a >= b:
 //   - a dominating branch guard establishes it (if b <= a { ... },
@@ -24,18 +24,18 @@ import (
 //   - both sides reduce to the same term with a non-negative offset.
 //
 // Everything else is a finding. The check runs only in the cycle-math
-// packages (sched, memctrl, dram) so string/buffer arithmetic
-// elsewhere stays out of scope.
+// packages (memctrl, dram) so string/buffer arithmetic elsewhere stays
+// out of scope.
 var Cyclewrap = &Analyzer{
 	Name: "cyclewrap",
-	Doc: "unsigned cycle arithmetic in sched/memctrl/dram must guard " +
+	Doc: "unsigned cycle arithmetic in memctrl/dram must guard " +
 		"a - b with a dominating proof that a >= b; an unguarded " +
 		"subtraction can wrap and corrupt the event horizon",
 	Run: runCyclewrap,
 }
 
 // cyclewrapSegments are the package path segments in scope.
-var cyclewrapSegments = []string{"sched", "memctrl", "dram", "cwrap"}
+var cyclewrapSegments = []string{"memctrl", "dram", "cwrap"}
 
 func runCyclewrap(pass *Pass) error {
 	if pass.Prog == nil || !anySegment(pass.PkgPath, cyclewrapSegments) {

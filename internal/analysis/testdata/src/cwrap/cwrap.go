@@ -1,7 +1,7 @@
 // Package cwrap is the cyclewrap fixture: unsigned cycle subtraction
 // must carry a dominating proof that it cannot wrap. The directory
-// name puts it in the analyzer's scope the way internal/sched,
-// internal/memctrl and internal/dram are.
+// name puts it in the analyzer's scope the way internal/memctrl and
+// internal/dram are.
 package cwrap
 
 // Cycle is an absolute simulator cycle count.

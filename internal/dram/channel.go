@@ -456,10 +456,11 @@ func (ch *Channel) WR(bank, row int) (uint64, error) {
 // corresponding command could issue, assuming the channel receives no
 // commands in between (bank and bus state static). Each mirrors its
 // Can* predicate exactly: with no intervening commands, Can* holds at
-// cycle t iff t >= Earliest*. The controller's busy-period fast-forward
-// uses them to find the next scheduling edge; rowOpen/row-match
-// preconditions are the caller's job, and all assume active standby
-// (other states never fast-forward).
+// cycle t iff t >= Earliest*. The controller's FR-FCFS pass uses them
+// both to test whether a command can issue now and to find the next
+// scheduling edge when none can; rowOpen/row-match preconditions are the
+// caller's job, and all assume active standby, the only state in which
+// commands issue.
 
 // EarliestRD mirrors CanRD's timing terms.
 //

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -829,5 +830,73 @@ func TestValidateRefreshCadence(t *testing.T) {
 	}
 	if err := b.ValidateRefreshCadence(1600); err != nil {
 		t.Fatalf("REFpb cadence flagged: %v", err)
+	}
+}
+
+// TestEarliestMatchesCan pins the contract the controller's FR-FCFS pass
+// schedules on: in active standby, each Can* predicate holds at the
+// current cycle exactly when the cycle has reached its Earliest* value.
+// Random legal traffic over two ranks (so tRTRS, tRRD, tFAW, tWTR, the
+// refresh blackouts and the power-down exit stall all come into play)
+// checks every bank on every cycle.
+func TestEarliestMatchesCan(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Ranks = 2
+	ch, err := NewChannel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	banks := cfg.TotalBanks()
+	for cycle := 0; cycle < 50_000; cycle++ {
+		if ch.State() == StateActiveStandby {
+			now := ch.Now()
+			for b := 0; b < banks; b++ {
+				if !ch.AnyRowOpen(b) {
+					if got, want := ch.CanACT(b), now >= ch.EarliestACT(b); got != want {
+						t.Fatalf("cycle %d bank %d: CanACT = %v, EarliestACT %d", now, b, got, ch.EarliestACT(b))
+					}
+					continue
+				}
+				row := ch.OpenRow(b)
+				if got, want := ch.CanRD(b, row), now >= ch.EarliestRD(b); got != want {
+					t.Fatalf("cycle %d bank %d: CanRD = %v, EarliestRD %d", now, b, got, ch.EarliestRD(b))
+				}
+				if got, want := ch.CanWR(b, row), now >= ch.EarliestWR(b); got != want {
+					t.Fatalf("cycle %d bank %d: CanWR = %v, EarliestWR %d", now, b, got, ch.EarliestWR(b))
+				}
+				if got, want := ch.CanPRE(b), now >= ch.EarliestPRE(b); got != want {
+					t.Fatalf("cycle %d bank %d: CanPRE = %v, EarliestPRE %d", now, b, got, ch.EarliestPRE(b))
+				}
+			}
+		}
+		// Issue at most one random legal command, or change power state.
+		b := rng.Intn(banks)
+		switch op := rng.Intn(20); {
+		case ch.State() != StateActiveStandby:
+			if op < 2 {
+				if err := ch.ExitPowerDown(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case op < 5 && ch.CanACT(b):
+			err = ch.ACT(b, rng.Intn(4))
+		case op < 9 && ch.AnyRowOpen(b) && ch.CanRD(b, ch.OpenRow(b)):
+			_, err = ch.RD(b, ch.OpenRow(b))
+		case op < 12 && ch.AnyRowOpen(b) && ch.CanWR(b, ch.OpenRow(b)):
+			_, err = ch.WR(b, ch.OpenRow(b))
+		case op < 15 && ch.CanPRE(b):
+			err = ch.PRE(b)
+		case op == 15 && ch.CanREFpb(b):
+			err = ch.REFpb(b)
+		case op == 16 && ch.CanREF():
+			err = ch.REF()
+		case op == 17 && rng.Intn(50) == 0:
+			err = ch.EnterPowerDown()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch.Tick()
 	}
 }

@@ -2,10 +2,9 @@ package memctrl
 
 import "testing"
 
-// TestMonotonicDelta pins the clamp that keeps counter deltas sane: a
-// snapshot that runs backwards (a reset, or a torn read of an external
-// counter) must contribute 0, not a near-2^64 delta that poisons every
-// cumulative metric after it.
+// TestMonotonicDelta pins the clamp that keeps cycle deltas sane: a
+// count that runs backwards must contribute 0, not a near-2^64 delta
+// that poisons every cumulative latency or duration after it.
 func TestMonotonicDelta(t *testing.T) {
 	cases := []struct{ cur, prev, want uint64 }{
 		{10, 3, 7},

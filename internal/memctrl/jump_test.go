@@ -15,6 +15,10 @@ type traceHarness struct {
 	ch    *dram.Channel
 	ctl   *Controller
 	trace []string
+	// waitTag is the demand read a closed-loop client blocks on; arrived
+	// latches when its completion callback fires.
+	waitTag uint64
+	arrived bool
 }
 
 func newTraceHarness(t *testing.T, cfg Config) *traceHarness {
@@ -26,6 +30,9 @@ func newTraceHarness(t *testing.T, cfg Config) *traceHarness {
 	h := &traceHarness{ch: ch}
 	ctl, err := New(ch, cfg, func(r *Request) {
 		h.trace = append(h.trace, fmt.Sprintf("done tag=%d at=%d enq=%d", r.Tag, r.DoneAt, r.EnqueuedAt))
+		if r.Tag == h.waitTag {
+			h.arrived = true
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,11 +46,38 @@ func newTraceHarness(t *testing.T, cfg Config) *traceHarness {
 // transitions as they happen.
 func (h *traceHarness) stepTo(target uint64) {
 	for h.ch.Now() < target {
-		before := h.ch.State()
-		h.ctl.StepOrJump(target)
-		if after := h.ch.State(); after != before {
-			h.trace = append(h.trace, fmt.Sprintf("state %v->%v at=%d", before, after, h.ch.Now()))
+		h.step(target)
+	}
+}
+
+// step is one StepOrJump call toward limit, recording a power-state
+// transition if it made one.
+func (h *traceHarness) step(limit uint64) {
+	before := h.ch.State()
+	h.ctl.StepOrJump(limit)
+	if after := h.ch.State(); after != before {
+		h.trace = append(h.trace, fmt.Sprintf("state %v->%v at=%d", before, after, h.ch.Now()))
+	}
+}
+
+// enqueue adds a request, stepping one cycle at a time until the queue
+// accepts it (bit-exact on both paths).
+func (h *traceHarness) enqueue(t *testing.T, isWrite bool, addr, tag uint64) {
+	t.Helper()
+	var err error
+	if isWrite {
+		for !h.ctl.CanEnqueueWrite() {
+			h.ctl.StepOrJump(h.ch.Now() + 1)
 		}
+		err = h.ctl.EnqueueWrite(addr, tag)
+	} else {
+		for !h.ctl.CanEnqueueRead() {
+			h.ctl.StepOrJump(h.ch.Now() + 1)
+		}
+		err = h.ctl.EnqueueRead(addr, tag)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -60,26 +94,36 @@ func (h *traceHarness) runSchedule(t *testing.T, ops []scheduleOp, tailIdle uint
 	t.Helper()
 	for i, op := range ops {
 		h.stepTo(op.cycle)
-		// Bit-exact on both paths: if the queue is full, step one cycle
-		// at a time until it accepts.
-		if op.isWrite {
-			for !h.ctl.CanEnqueueWrite() {
-				h.ctl.StepOrJump(h.ch.Now() + 1)
-			}
-			if err := h.ctl.EnqueueWrite(op.addr, uint64(i)); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			for !h.ctl.CanEnqueueRead() {
-				h.ctl.StepOrJump(h.ch.Now() + 1)
-			}
-			if err := h.ctl.EnqueueRead(op.addr, uint64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		h.enqueue(t, op.isWrite, op.addr, uint64(i))
 	}
-	end := h.ch.Now() + tailIdle
-	h.stepTo(end)
+	h.stepTo(h.ch.Now() + tailIdle)
+}
+
+// runClosedLoop drives the controller as a blocking client, the way the
+// simulation runner does: each of n iterations enqueues a demand read,
+// an unawaited next-line read (when the queue has room) and, one time in
+// three, a write; drifts with StepOrJump(^uint64(0)) until the demand
+// read's callback fires; then computes for 0-40 cycles. Every arrival
+// depends on the cycle at which a callback handed control back, so a
+// jump that crosses a callback shifts the rest of the run.
+func (h *traceHarness) runClosedLoop(t *testing.T, rng *rand.Rand, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		addr := uint64(rng.Intn(1 << 16))
+		h.waitTag, h.arrived = uint64(2*i+1), false
+		h.enqueue(t, false, addr, h.waitTag)
+		if h.ctl.CanEnqueueRead() {
+			h.enqueue(t, false, addr+1, h.waitTag+1)
+		}
+		if rng.Intn(3) == 0 {
+			h.enqueue(t, true, uint64(rng.Intn(1<<16)), 0)
+		}
+		for !h.arrived {
+			h.step(^uint64(0))
+		}
+		h.trace = append(h.trace, fmt.Sprintf("resume at=%d", h.ch.Now()))
+		h.stepTo(h.ch.Now() + uint64(rng.Intn(41)))
+	}
 }
 
 // randomSchedule builds a bursty arrival pattern with long quiescent
@@ -106,8 +150,8 @@ func randomSchedule(rng *rand.Rand, n int) []scheduleOp {
 	return ops
 }
 
-// diffConfigs is the config matrix the wheel-vs-legacy differential
-// runs over: default, per-bank refresh, closed-page, no power-down,
+// diffConfigs is the config matrix the jump-vs-legacy differentials
+// run over: default, per-bank refresh, closed-page, no power-down,
 // refresh off, FCFS.
 func diffConfigs() map[string]Config {
 	base := DefaultConfig()
@@ -127,24 +171,22 @@ func diffConfigs() map[string]Config {
 	}
 }
 
-// TestJumpMatchesLegacyStepping is the wheel-vs-legacy property test:
-// on randomized bursty schedules, event-wheel fast-forwarding must
-// reproduce the per-cycle reference bit-exactly — same completion
-// trace, same power-state transition trace (with timestamps), same
-// channel command/residency statistics, same controller statistics.
-func TestJumpMatchesLegacyStepping(t *testing.T) {
+// diffAgainstLegacy runs drive on a LegacyStepping harness and on a
+// jumping one, for every config of diffConfigs and six seeds, and
+// requires the two to agree bit-exactly: same completion trace, same
+// power-state transition trace (with timestamps), same channel
+// command/residency statistics, same controller statistics.
+func diffAgainstLegacy(t *testing.T, drive func(t *testing.T, h *traceHarness, seed int64)) {
 	for name, cfg := range diffConfigs() {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 6; seed++ {
-				ops := randomSchedule(rand.New(rand.NewSource(100+seed)), 120)
-
 				legacyCfg := cfg
 				legacyCfg.LegacyStepping = true
 				ref := newTraceHarness(t, legacyCfg)
-				ref.runSchedule(t, ops, 200_000)
+				drive(t, ref, seed)
 
 				fast := newTraceHarness(t, cfg)
-				fast.runSchedule(t, ops, 200_000)
+				drive(t, fast, seed)
 
 				if len(fast.trace) != len(ref.trace) {
 					t.Fatalf("seed %d: trace lengths differ: %d vs %d\nfast tail: %v\nref tail: %v",
@@ -172,6 +214,26 @@ func TestJumpMatchesLegacyStepping(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestJumpMatchesLegacyStepping is the jump-vs-legacy property test on
+// open-loop input: randomized bursty arrival schedules, replayed at
+// fixed cycles whatever the controller does.
+func TestJumpMatchesLegacyStepping(t *testing.T) {
+	diffAgainstLegacy(t, func(t *testing.T, h *traceHarness, seed int64) {
+		h.runSchedule(t, randomSchedule(rand.New(rand.NewSource(100+seed)), 120), 200_000)
+	})
+}
+
+// TestJumpMatchesLegacyClosedLoop is the closed-loop twin: a blocking
+// client whose next arrivals wait on its demand read's callback. It
+// pins the rule that no jump crosses a completion callback, which the
+// open-loop schedules cannot see.
+func TestJumpMatchesLegacyClosedLoop(t *testing.T) {
+	diffAgainstLegacy(t, func(t *testing.T, h *traceHarness, seed int64) {
+		h.runClosedLoop(t, rand.New(rand.NewSource(200+seed)), 300)
+		h.stepTo(h.ch.Now() + 20_000)
+	})
 }
 
 func tail(s []string) []string {
@@ -208,20 +270,55 @@ func TestJumpSkipsCycles(t *testing.T) {
 	t.Logf("%d StepOrJump calls covered %d idle cycles", calls, target)
 }
 
-// TestStepOrJumpZeroAllocs: the jump path must stay off the heap.
+// TestStepOrJumpZeroAllocs: both jump paths must stay off the heap.
 func TestStepOrJumpZeroAllocs(t *testing.T) {
-	ch, err := dram.NewChannel(dram.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	newCtl := func(t *testing.T) (*dram.Channel, *Controller) {
+		ch, err := dram.NewChannel(dram.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl, err := New(ch, DefaultConfig(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch, ctl
 	}
-	ctl, err := New(ch, DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl.StepOrJump(ch.Now() + 10_000) // warm up
-	if n := testing.AllocsPerRun(200, func() {
-		ctl.StepOrJump(ch.Now() + 10_000)
-	}); n != 0 {
-		t.Fatalf("StepOrJump allocates %v per call, want 0", n)
-	}
+	t.Run("idle", func(t *testing.T) {
+		ch, ctl := newCtl(t)
+		ctl.StepOrJump(ch.Now() + 10_000) // warm up
+		if n := testing.AllocsPerRun(200, func() {
+			ctl.StepOrJump(ch.Now() + 10_000)
+		}); n != 0 {
+			t.Fatalf("StepOrJump allocates %v per call, want 0", n)
+		}
+	})
+	t.Run("busy", func(t *testing.T) {
+		ch, ctl := newCtl(t)
+		// A burst of 8 reads and 8 writes, each to its own row (row i of
+		// bank i%4 under the default row:bank:col mapping), stepped until
+		// every request has completed.
+		linesPerRow := uint64(ch.Config().LinesPerRow())
+		banks := uint64(ch.Config().Banks)
+		burst := func() {
+			for i := uint64(0); i < 16; i++ {
+				addr := (i*banks + i%banks) * linesPerRow
+				var err error
+				if i < 8 {
+					err = ctl.EnqueueRead(addr, i)
+				} else {
+					err = ctl.EnqueueWrite(addr, i)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for ctl.Pending() > 0 {
+				ctl.StepOrJump(^uint64(0))
+			}
+		}
+		burst() // warm up: fills the request freelist
+		if n := testing.AllocsPerRun(50, burst); n != 0 {
+			t.Fatalf("a busy burst allocates %v, want 0", n)
+		}
+	})
 }

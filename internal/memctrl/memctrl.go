@@ -14,7 +14,6 @@ import (
 	"repro/internal/checker"
 	"repro/internal/dram"
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // Errors returned by the controller.
@@ -75,9 +74,9 @@ type Config struct {
 	// FCFS disables the row-hit-first pass of FR-FCFS: requests issue
 	// strictly oldest-first (the scheduling-championship baseline).
 	FCFS bool
-	// LegacyStepping disables the event-wheel fast-forward: StepOrJump
-	// degrades to plain per-cycle Step. Kept as the reference path for
-	// the wheel-vs-legacy differential property tests.
+	// LegacyStepping disables StepOrJump's fast-forward jumps: it
+	// degrades to plain per-cycle Step. Kept as the reference path that
+	// every jump-vs-legacy differential test compares against.
 	LegacyStepping bool
 }
 
@@ -218,11 +217,6 @@ type Controller struct {
 	// is safe and keeps the enqueue path allocation-free.
 	freelist []*Request
 
-	// wheel tracks the controller's pending timing edges (next refresh
-	// slot, earliest in-flight completion, power-down entry) for the
-	// tickless fast path; see StepOrJump.
-	wheel *sched.Wheel
-
 	onReadDone func(*Request)
 	stats      Stats
 
@@ -241,15 +235,10 @@ type Controller struct {
 	// (memctrl_tier_refreshes_total{shift="N"}); the last cell absorbs
 	// any deeper divider.
 	cTier [refreshTiers]*obs.Counter
-	// Wheel/queue visibility, published on demand by PublishObs rather
-	// than from the scheduling hot paths.
-	cWheelSched   *obs.Counter
-	cWheelMature  *obs.Counter
-	cWheelCascade *obs.Counter
-	gWheelDepth   *obs.Gauge
-	gReadDepth    *obs.Gauge
-	gWriteDepth   *obs.Gauge
-	lastWheel     sched.Stats
+	// Queue depths, published on demand by PublishObs rather than from
+	// the scheduling hot paths.
+	gReadDepth  *obs.Gauge
+	gWriteDepth *obs.Gauge
 }
 
 // refreshTiers is the number of per-shift refresh counter cells
@@ -270,7 +259,6 @@ func New(ch *dram.Channel, cfg Config, onReadDone func(*Request)) (*Controller, 
 		readQ:      make([]*Request, 0, cfg.ReadQueueCap),
 		writeQ:     make([]*Request, 0, cfg.WriteQueueCap),
 		onReadDone: onReadDone,
-		wheel:      sched.NewWheel(ch.Now(), numEvents),
 		banks:      ch.Config().TotalBanks(),
 		trefi:      uint64(ch.Config().Timing.TREFI),
 	}
@@ -287,15 +275,14 @@ func New(ch *dram.Channel, cfg Config, onReadDone func(*Request)) (*Controller, 
 func (c *Controller) Channel() *dram.Channel { return c.ch }
 
 // SetObserver attaches a telemetry recorder (nil detaches): per-tier
-// refresh counters, the read-latency histogram, wheel/queue depth
-// gauges, and refresh events.
+// refresh counters, the read-latency histogram, queue depth gauges, and
+// refresh events.
 func (c *Controller) SetObserver(r *obs.Recorder) {
 	c.obs = r
 	if r == nil {
 		c.hLatency, c.gShift = nil, nil
 		c.cTier = [refreshTiers]*obs.Counter{}
-		c.cWheelSched, c.cWheelMature, c.cWheelCascade = nil, nil, nil
-		c.gWheelDepth, c.gReadDepth, c.gWriteDepth = nil, nil, nil
+		c.gReadDepth, c.gWriteDepth = nil, nil
 		return
 	}
 	c.hLatency = r.Histogram("memctrl_read_latency_dram_cycles").Local()
@@ -307,41 +294,28 @@ func (c *Controller) SetObserver(r *obs.Recorder) {
 		c.cTier[i] = r.Counter(obs.SeriesName("memctrl_tier_refreshes_total",
 			"shift", strconv.Itoa(i)))
 	}
-	reg.SetHelp("sched_wheel_depth", "Pending deadlines on the controller's timing wheel.")
-	c.cWheelSched = r.Counter("sched_wheel_scheduled_total")
-	c.cWheelMature = r.Counter("sched_wheel_matured_total")
-	c.cWheelCascade = r.Counter("sched_wheel_cascades_total")
-	c.gWheelDepth = r.Gauge("sched_wheel_depth")
 	c.gReadDepth = r.Gauge("memctrl_read_queue_depth")
 	c.gWriteDepth = r.Gauge("memctrl_write_queue_depth")
-	c.lastWheel = c.wheel.Stats()
 }
 
-// PublishObs pushes the controller's sampled-state metrics — timing
-// wheel operation deltas, wheel/queue depths, and the read latencies
-// buffered since the last call — to the attached recorder. The wheel
-// and the latency buffer are plain memory so the hot paths stay
-// atomic-free; callers (the sim loop, a serving tick) invoke this at
-// whatever cadence live scraping needs, and once more at the end so
-// the totals are exact.
+// PublishObs pushes the controller's sampled-state metrics — queue
+// depths and the read latencies buffered since the last call — to the
+// attached recorder. The latency buffer is plain memory so the hot
+// paths stay atomic-free; callers (the sim loop, a serving tick) invoke
+// this at whatever cadence live scraping needs, and once more at the
+// end so the totals are exact.
 func (c *Controller) PublishObs() {
 	if c.obs == nil {
 		return
 	}
 	c.hLatency.Drain()
-	s := c.wheel.Stats()
-	c.cWheelSched.Add(monotonicDelta(s.Scheduled, c.lastWheel.Scheduled))
-	c.cWheelMature.Add(monotonicDelta(s.Matured, c.lastWheel.Matured))
-	c.cWheelCascade.Add(monotonicDelta(s.Cascaded, c.lastWheel.Cascaded))
-	c.lastWheel = s
-	c.gWheelDepth.Set(float64(c.wheel.Len()))
 	c.gReadDepth.Set(float64(len(c.readQ)))
 	c.gWriteDepth.Set(float64(len(c.writeQ)))
 }
 
-// monotonicDelta returns cur-prev for a counter expected to only grow,
-// clamping to 0 if it ever moved backwards (a swapped or reset wheel)
-// instead of wrapping and poisoning a cumulative metric with ~2^64.
+// monotonicDelta returns cur-prev for a cycle count expected to only
+// grow (a read's latency, a drain's duration), clamping to 0 if it ever
+// moved backwards instead of wrapping to ~2^64.
 func monotonicDelta(cur, prev uint64) uint64 {
 	if cur < prev {
 		return 0
@@ -505,8 +479,14 @@ func (c *Controller) Pending() int {
 
 // Step advances the controller and channel by one DRAM cycle: completes
 // reads, manages refresh and power state, and issues at most one command.
-func (c *Controller) Step() {
-	c.completeReads()
+func (c *Controller) Step() { c.step() }
+
+// step is Step returning the busy edge for StepOrJump: issueBest's edge
+// when the cycle issued no command and fired no completion callback,
+// else 0 (no jump). A callback hands control back to the caller, which
+// may act on the very next cycle.
+func (c *Controller) step() uint64 {
+	fired := c.completeReads()
 
 	hasWork := len(c.readQ) > 0 || len(c.writeQ) > 0 || c.refreshDue()
 
@@ -520,19 +500,19 @@ func (c *Controller) Step() {
 			}
 		}
 		c.ch.Tick()
-		return
+		return 0
 	case dram.StateSelfRefresh:
 		// Self refresh is entered/exited by the system layer, never
 		// autonomously here.
 		c.ch.Tick()
-		return
+		return 0
 	}
 
 	if !hasWork && len(c.inflight) == 0 {
 		// Closed-page: drain open rows before powering down.
 		if c.cfg.PagePolicy == ClosedPage && c.closeIdleRow() {
 			c.ch.Tick()
-			return
+			return 0
 		}
 		c.idleCycles++
 		if c.cfg.PowerDownIdle > 0 && c.idleCycles >= c.cfg.PowerDownIdle {
@@ -541,172 +521,85 @@ func (c *Controller) Step() {
 			}
 		}
 		c.ch.Tick()
-		return
+		return 0
 	}
 	c.idleCycles = 0
 
+	var edge uint64
 	if !c.issueRefreshIfNeeded() {
-		c.issueBest()
+		edge = c.issueBest()
 	}
 	c.ch.Tick()
+	if fired {
+		return 0
+	}
+	return edge
 }
-
-// Event ids on the controller's timing wheel.
-const (
-	evRefresh   = int32(0) // next distributed-refresh slot
-	evInflight  = int32(1) // earliest in-flight read completion
-	evPowerDown = int32(2) // cycle at which the next Step enters power-down
-	numEvents   = 3
-)
 
 // maxJumpSpan bounds a single fast-forward (2^20 DRAM cycles, ~1.3 ms at
 // LPDDR rates): long quiescent stretches take a handful of jumps instead
-// of one unbounded leap, keeping wheel placement in the cheap low levels.
+// of one unbounded leap.
 const maxJumpSpan = uint64(1) << 20
 
-// StepOrJump advances the controller by one cycle — or, when the next
-// timing edge is provably further away, jumps straight to it (never past
-// limit). The per-cycle path is bit-exact with Step; the jump path is
-// taken only in quiescent stretches where every skipped Step would have
-// been a no-op Tick, so queues, refresh schedule, power-state residency
-// and statistics all evolve identically to per-cycle stepping (the
-// wheel-vs-legacy differential tests pin this). With Config.
-// LegacyStepping set it always takes the per-cycle path.
+// StepOrJump advances the controller by one cycle, skipping ahead to the
+// next timing edge (never past limit) when the cycles in between provably
+// hold nothing to do. Two jumps exist:
+//   - an idle jump (tryJump) taken instead of the Step when the queues
+//     are empty;
+//   - a busy jump taken directly after a Step that issued no command and
+//     fired no completion callback, to the edge issueBest returned.
+//
+// Every skipped cycle is one whose Step would have issued nothing and
+// changed no state but the clock and the idle counter, so queues, the
+// refresh schedule, power-state residency and statistics evolve exactly
+// as under per-cycle stepping (the jump-vs-legacy differential tests pin
+// this). No jump crosses an enqueue, a completion callback or limit: the
+// caller regains control at the first cycle where any of them could
+// happen. With Config.LegacyStepping set it always takes the per-cycle
+// path.
 func (c *Controller) StepOrJump(limit uint64) {
-	if !c.cfg.LegacyStepping && (c.tryJump(limit) || c.tryJumpBusy(limit)) {
+	if c.cfg.LegacyStepping {
+		c.Step()
 		return
 	}
-	c.Step()
+	if c.tryJump(limit) {
+		return
+	}
+	edge := min(c.step(), limit)
+	if now := c.ch.Now(); edge > now {
+		if err := c.ch.SkipTo(min(edge, now+maxJumpSpan)); err != nil {
+			// invariant: issueBest returns a nonzero edge only in
+			// active standby, and issuing nothing keeps the state.
+			panic(err)
+		}
+	}
 }
 
-// tryJumpBusy fast-forwards through a stretch where requests are queued
-// but none can issue yet: the cycles between an enqueue and its ACT,
-// between an ACT and its column access (tRCD), and the bus/turnaround
-// waits. Every skipped Step would have been completeReads (no
-// completion due), a refresh no-op, an issueBest that issues nothing,
-// and a Tick — so it jumps to the earliest cycle at which the scheduler
-// could act:
-//   - the earliest per-request issue edge over the effective active
-//     queue, mirroring issueBest's FR-FCFS passes (column access for
-//     row hits, ACT for closed banks, PRE for conflicts — suppressed,
-//     like pass 2, while another queued request still hits the row);
-//   - the earliest in-flight completion;
-//   - the refresh machine's next action: the next slot under per-bank
-//     refresh, the urgency deadline under postponed all-bank refresh
-//     (a due-but-postponed refresh is a per-cycle no-op while the
-//     queues stay busy, so due-ness alone does not stop the jump);
-//   - the cycle the anti-starvation limit would trip.
+// busyBound is the queue-independent part of issueBest's busy edge: 0
+// when busy jumps are refused, else the earliest in-flight completion
+// capped by the refresh machine's next action. Busy jumps are refused
+// with empty queues (tryJump's case), under closed-page (idle slots
+// retire open rows) and under refresh fault injection. The refresh
+// bound is the next slot under per-bank refresh, which issues REFpb to
+// idle banks even under load; under all-bank refresh it is the urgency
+// deadline, since a due but postponed REF waits while the queues stay
+// busy.
 //
-// Queue contents are static over the stretch — enqueues only happen
-// between StepOrJump calls, completions are capped by the completion
-// edge, and nothing issues before the jump lands — so the scheduler's
-// queue selection (draining state included) cannot change mid-stretch.
-// Conservatively-early edges are harmless: landing early just re-runs
-// the per-cycle path. Closed-page never busy-jumps (idle slots retire
-// open rows), and refresh fault injection pins per-cycle stepping.
-func (c *Controller) tryJumpBusy(limit uint64) bool {
-	if len(c.readQ) == 0 && len(c.writeQ) == 0 {
-		return false
+//meccvet:hotpath
+func (c *Controller) busyBound() uint64 {
+	if len(c.readQ) == 0 && len(c.writeQ) == 0 ||
+		c.cfg.PagePolicy != OpenPage || c.faults != nil {
+		return 0
 	}
-	if c.cfg.PagePolicy != OpenPage || c.faults != nil {
-		return false
-	}
-	if c.ch.State() != dram.StateActiveStandby {
-		return false
-	}
-	now := c.ch.Now()
-	if now+1 >= limit {
-		return false
-	}
-	edge := limit
+	edge := c.earliestDone
 	if c.cfg.RefreshEnabled {
-		if c.cfg.PerBankRefresh {
-			// Per-bank refresh issues REFpb opportunistically to idle
-			// banks even under load: never skip past a due slot.
-			if c.refreshDue() {
-				return false
-			}
-			edge = minU64(edge, c.nextRefreshAt)
-		} else {
-			if c.refreshUrgent() {
-				return false
-			}
-			edge = minU64(edge, c.nextRefreshAt+
-				uint64(c.cfg.MaxPostponedRefresh)*c.refreshInterval())
+		at := c.nextRefreshAt
+		if !c.cfg.PerBankRefresh {
+			at += uint64(c.cfg.MaxPostponedRefresh) * c.refreshInterval()
 		}
+		edge = min(edge, at)
 	}
-	for _, r := range c.inflight {
-		if r.DoneAt <= now {
-			return false // completion callback due this cycle
-		}
-		edge = minU64(edge, r.DoneAt)
-	}
-
-	// Replicate activeQueue's selection without mutating the draining
-	// flag (the real transition happens at the landing Step).
-	q := c.readQ
-	draining := c.draining && len(c.writeQ) > c.cfg.WriteLowWater
-	switch {
-	case draining || len(c.writeQ) >= c.cfg.WriteHighWater:
-		q = c.writeQ
-	case len(c.readQ) > 0:
-	case len(c.inflight) == 0 && len(c.writeQ) > 0:
-		q = c.writeQ
-	default:
-		q = nil // parked writes below the watermarks: only completions/refresh matter
-	}
-	if c.cfg.FCFS && len(q) > 1 {
-		q = q[:1]
-	}
-	if lim := c.cfg.StarvationLimit; lim > 0 && len(q) > 1 {
-		if now > q[0].EnqueuedAt+uint64(lim) {
-			q = q[:1]
-		} else {
-			// The scheduler's behavior changes when the limit trips.
-			edge = minU64(edge, q[0].EnqueuedAt+uint64(lim)+1)
-		}
-	}
-	for _, r := range q {
-		b := r.coord.Bank
-		switch {
-		case !c.ch.AnyRowOpen(b):
-			edge = minU64(edge, c.ch.EarliestACT(b))
-		case c.ch.OpenRow(b) == r.coord.Row:
-			if r.IsWrite {
-				edge = minU64(edge, c.ch.EarliestWR(b))
-			} else {
-				edge = minU64(edge, c.ch.EarliestRD(b))
-			}
-		case hitsOpenRow(q, c.ch.OpenRow(b), b):
-			// Pass 2 defers this bank's PRE while a queued request
-			// still hits the open row; that request has its own edge.
-		default:
-			edge = minU64(edge, c.ch.EarliestPRE(b))
-		}
-	}
-
-	if span := now + maxJumpSpan; edge > span {
-		edge = span
-	}
-	if edge <= now+1 {
-		return false
-	}
-	if err := c.ch.SkipTo(edge); err != nil {
-		// invariant: the state was checked above.
-		panic(err)
-	}
-	c.wheel.Advance(edge)
-	// Every skipped cycle had queued work, so each reset the idle
-	// counter.
-	c.idleCycles = 0
-	return true
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+	return edge
 }
 
 // tryJump fast-forwards to the next timing edge when the current cycle
@@ -715,11 +608,10 @@ func minU64(a, b uint64) uint64 {
 // or within one cycle.
 //
 // The quiescence argument, case by case:
-//   - queues must be empty: queued work can issue (or alter draining /
-//     starvation state) on any cycle;
+//   - queues must be empty: queued work is the busy jump's case;
 //   - active standby with in-flight reads: per-cycle Steps only reset
 //     idleCycles and Tick until the earliest DoneAt, so the edge is
-//     min(DoneAt);
+//     earliestDone;
 //   - active standby, idle: per-cycle Steps increment idleCycles and
 //     Tick; the next edges are the refresh slot and the power-down
 //     entry cycle now+(PowerDownIdle-idleCycles)-1 (that Step both
@@ -748,52 +640,23 @@ func (c *Controller) tryJump(limit uint64) bool {
 		return false
 	}
 
-	// Publish the pending edges to the wheel. The wheel's clock is only
-	// advanced on successful jumps: placement invariants are all
-	// relative to the wheel's own time, re-scheduling an unchanged
-	// deadline is a no-op, and the refusal checks above (refresh due,
-	// completion due) already catch every matured edge, so running
-	// "behind" the channel clock is safe and skips a per-attempt sweep.
+	// The edge is the minimum of three deadlines: the next refresh slot,
+	// the earliest in-flight completion and the power-down entry cycle.
+	edge := min(limit, now+maxJumpSpan)
 	if c.cfg.RefreshEnabled {
-		c.wheel.Schedule(evRefresh, c.nextRefreshAt)
-	} else {
-		c.wheel.Cancel(evRefresh)
+		edge = min(edge, c.nextRefreshAt)
 	}
 	if len(c.inflight) > 0 {
-		minDone := c.inflight[0].DoneAt
-		for _, r := range c.inflight[1:] {
-			if r.DoneAt < minDone {
-				minDone = r.DoneAt
-			}
-		}
-		if minDone <= now {
-			// A completion callback is due this cycle; Step must fire it.
-			c.wheel.Cancel(evInflight)
-			c.wheel.Cancel(evPowerDown)
-			return false
-		}
-		c.wheel.Schedule(evInflight, minDone)
-	} else {
-		c.wheel.Cancel(evInflight)
-	}
-	if state == dram.StateActiveStandby && len(c.inflight) == 0 && c.cfg.PowerDownIdle > 0 {
+		// earliestDone <= now means a completion callback is due this
+		// cycle; the edge check below then refuses and Step fires it.
+		edge = min(edge, c.earliestDone)
+	} else if state == dram.StateActiveStandby && c.cfg.PowerDownIdle > 0 {
 		need := c.cfg.PowerDownIdle - c.idleCycles
 		if need <= 2 {
 			// Power-down entry within a cycle or two: replay per-cycle.
-			c.wheel.Cancel(evPowerDown)
 			return false
 		}
-		c.wheel.Schedule(evPowerDown, now+uint64(need-1))
-	} else {
-		c.wheel.Cancel(evPowerDown)
-	}
-
-	edge := limit
-	if at, ok := c.wheel.Next(); ok && at < edge {
-		edge = at
-	}
-	if span := now + maxJumpSpan; edge > span {
-		edge = span
+		edge = min(edge, now+uint64(need-1))
 	}
 	if edge <= now+1 {
 		return false
@@ -802,7 +665,6 @@ func (c *Controller) tryJump(limit uint64) bool {
 		// invariant: the state was checked above.
 		panic(err)
 	}
-	c.wheel.Advance(edge)
 	// Replay the skipped Steps' side effects on the idle counter: each
 	// would have reset it (in-flight traffic) or incremented it (true
 	// idle); power-down states leave it alone.
@@ -816,11 +678,12 @@ func (c *Controller) tryJump(limit uint64) bool {
 	return true
 }
 
-// completeReads fires callbacks for finished data bursts.
-func (c *Controller) completeReads() {
+// completeReads fires callbacks for finished data bursts and reports
+// whether any completed.
+func (c *Controller) completeReads() bool {
 	now := c.ch.Now()
 	if now < c.earliestDone {
-		return
+		return false
 	}
 	kept := c.inflight[:0]
 	for _, r := range c.inflight {
@@ -852,6 +715,7 @@ func (c *Controller) completeReads() {
 			c.earliestDone = r.DoneAt
 		}
 	}
+	return true
 }
 
 func (c *Controller) refreshDue() bool {
@@ -1041,60 +905,83 @@ func (c *Controller) closeIdleRow() bool {
 // queue: ready column accesses first (oldest row hit), then the oldest
 // request's ACT or PRE. With FCFS only the oldest request is considered;
 // with ClosedPage, otherwise-idle slots precharge unneeded rows.
-func (c *Controller) issueBest() {
+//
+// It returns 0 when it issued a command. Otherwise it returns the busy
+// edge: the earliest cycle at which it could act, which is the minimum
+// of the Earliest* value of every candidate its passes visit (exact,
+// since Can* holds at t iff t >= Earliest* while no command issues),
+// the anti-starvation trip and busyBound. A 0 from busyBound refuses
+// the jump. Queue contents and the queue selection (draining included)
+// cannot change before that edge: enqueues happen between StepOrJump
+// calls, and completions are capped by busyBound.
+func (c *Controller) issueBest() uint64 {
 	q := c.activeQueue()
+	if c.ch.State() != dram.StateActiveStandby {
+		return 0 // no command can issue
+	}
 	if c.cfg.FCFS && len(q) > 1 {
 		q = q[:1]
 	}
+	now := c.ch.Now()
+	edge := ^uint64(0)
 	// Anti-starvation: when the oldest request has waited past the
 	// limit, stop letting younger row hits overtake it.
-	if lim := c.cfg.StarvationLimit; lim > 0 && len(q) > 1 &&
-		c.ch.Now() > q[0].EnqueuedAt+uint64(lim) {
-		q = q[:1]
+	if lim := c.cfg.StarvationLimit; lim > 0 && len(q) > 1 {
+		if trip := q[0].EnqueuedAt + uint64(lim); now > trip {
+			q = q[:1]
+		} else {
+			edge = trip + 1
+		}
 	}
 	if len(q) == 0 {
 		if c.cfg.PagePolicy == ClosedPage {
 			c.closeIdleRow()
 		}
-		return
+		return min(edge, c.busyBound())
 	}
 
 	// Pass 1: oldest ready row-hit column command.
 	for _, r := range q {
-		if !c.ch.RowOpen(r.coord.Bank, r.coord.Row) {
+		b := r.coord.Bank
+		if !c.ch.RowOpen(b, r.coord.Row) {
 			continue
 		}
 		if r.IsWrite {
-			if c.ch.CanWR(r.coord.Bank, r.coord.Row) {
-				if _, err := c.ch.WR(r.coord.Bank, r.coord.Row); err != nil {
-					// invariant: CanWR was checked.
-					panic(err)
-				}
-				c.ch.NoteRowHit(!r.missed)
-				c.removeWrite(r)
-				c.freeRequest(r)
-				return
+			if at := c.ch.EarliestWR(b); at > now {
+				edge = min(edge, at)
+				continue
 			}
-		} else if c.ch.CanRD(r.coord.Bank, r.coord.Row) {
-			done, err := c.ch.RD(r.coord.Bank, r.coord.Row)
-			if err != nil {
-				// invariant: CanRD was checked.
+			if _, err := c.ch.WR(b, r.coord.Row); err != nil {
+				// invariant: EarliestWR was checked.
 				panic(err)
 			}
 			c.ch.NoteRowHit(!r.missed)
-			r.DoneAt = done
-			c.removeRead(r)
-			c.inflight = append(c.inflight, r)
-			if done < c.earliestDone {
-				c.earliestDone = done
-			}
-			return
+			c.removeWrite(r)
+			c.freeRequest(r)
+			return 0
 		}
+		if at := c.ch.EarliestRD(b); at > now {
+			edge = min(edge, at)
+			continue
+		}
+		done, err := c.ch.RD(b, r.coord.Row)
+		if err != nil {
+			// invariant: EarliestRD was checked.
+			panic(err)
+		}
+		c.ch.NoteRowHit(!r.missed)
+		r.DoneAt = done
+		c.removeRead(r)
+		c.inflight = append(c.inflight, r)
+		if done < c.earliestDone {
+			c.earliestDone = done
+		}
+		return 0
 	}
 
 	// Pass 2: for the oldest request per bank, open its row (ACT) or
 	// close a conflicting one (PRE), provided no queued request still
-	// hits the open row.
+	// hits the open row; such a request has its own pass-1 edge.
 	seen := c.seenBank
 	for i := range seen {
 		seen[i] = false
@@ -1107,25 +994,29 @@ func (c *Controller) issueBest() {
 		seen[b] = true
 		switch {
 		case !c.ch.AnyRowOpen(b):
-			if c.ch.CanACT(b) {
-				if err := c.ch.ACT(b, r.coord.Row); err != nil {
-					// invariant: CanACT was checked.
-					panic(err)
-				}
-				r.missed = true
-				return
+			if at := c.ch.EarliestACT(b); at > now {
+				edge = min(edge, at)
+				continue
 			}
+			if err := c.ch.ACT(b, r.coord.Row); err != nil {
+				// invariant: EarliestACT was checked.
+				panic(err)
+			}
+			r.missed = true
+			return 0
 		case c.ch.OpenRow(b) != r.coord.Row:
 			if hitsOpenRow(q, c.ch.OpenRow(b), b) {
 				continue // a younger same-queue request still wants this row
 			}
-			if c.ch.CanPRE(b) {
-				if err := c.ch.PRE(b); err != nil {
-					// invariant: CanPRE was checked.
-					panic(err)
-				}
-				return
+			if at := c.ch.EarliestPRE(b); at > now {
+				edge = min(edge, at)
+				continue
 			}
+			if err := c.ch.PRE(b); err != nil {
+				// invariant: EarliestPRE was checked.
+				panic(err)
+			}
+			return 0
 		}
 	}
 	// Nothing issued this cycle: closed-page policy uses the slot to
@@ -1133,6 +1024,7 @@ func (c *Controller) issueBest() {
 	if c.cfg.PagePolicy == ClosedPage {
 		c.closeIdleRow()
 	}
+	return min(edge, c.busyBound())
 }
 
 // hitsOpenRow reports whether any request in q hits the bank's open row.

@@ -8,7 +8,7 @@ import (
 
 // Differential coverage (satellite): every seed scenario must produce
 // byte-identical JSONL across worker counts and identical results across
-// the event-wheel and legacy stepping paths. Scenarios are deterministic
+// the jumping and legacy stepping paths. Scenarios are deterministic
 // by construction — seeds are derived from the spec, never from time or
 // scheduling — so any divergence here is a real bug.
 

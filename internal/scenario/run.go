@@ -18,8 +18,8 @@ import (
 )
 
 // Options adjusts how the interpreter executes a spec. The zero value is
-// the standard configuration: event-wheel stepping, invariant checkers
-// attached, no telemetry.
+// the standard configuration: jumping (not legacy per-cycle) stepping,
+// invariant checkers attached, no telemetry.
 type Options struct {
 	// NoCheck skips attaching the run-time checker suite. Scenarios that
 	// declare checker invariants fail under it, by design.
@@ -558,7 +558,7 @@ func Run(s Spec, opts Options) (*Outcome, error) {
 			}
 			if string(a) != string(b) {
 				rec.OK = false
-				rec.Detail = "wheel and legacy stepping results differ"
+				rec.Detail = "jumping and legacy stepping results differ"
 			}
 		}
 		out.Invariants = append(out.Invariants, rec)

@@ -76,8 +76,9 @@ const (
 	// error across all idle periods (retention model at the phase
 	// temperature and divider) stays below budget (default 1e-6).
 	InvZeroUncorrectable = "zero_uncorrectable"
-	// InvSteppingEquivalence asserts the event-wheel and legacy stepping
-	// paths produce byte-identical results for this scenario.
+	// InvSteppingEquivalence asserts the controller's jumping and
+	// per-cycle (LegacyStepping) paths produce byte-identical results
+	// for this scenario.
 	InvSteppingEquivalence = "stepping_equivalence"
 )
 

@@ -21,9 +21,9 @@ func marshalResult(t *testing.T, res Result) []byte {
 	return b
 }
 
-// TestJumpSteppingMatchesLegacyEndToEnd is the top-level wheel-vs-legacy
+// TestJumpSteppingMatchesLegacyEndToEnd is the top-level jump-vs-legacy
 // differential: full benchmark slices must produce byte-identical
-// Results with event-wheel fast-forwarding on and off. This covers the
+// Results with the controller's fast-forward jumps on and off. This covers the
 // whole stack — trace generation, scheme decisions, controller
 // scheduling, refresh, power-down residency, and the energy model —
 // so any cycle-accounting drift introduced by jumping shows up as a
@@ -42,6 +42,15 @@ func TestJumpSteppingMatchesLegacyEndToEnd(t *testing.T) {
 		{"povray-mecc", "povray", SchemeMECC, nil},
 		{"gcc-prefetch", "gcc", SchemeBaseline, func(c *Config) { c.NextLinePrefetch = true }},
 		{"gcc-closedpage", "gcc", SchemeSECDED, func(c *Config) { c.Ctrl.PagePolicy = memctrl.ClosedPage }},
+		// The busy edge's branches: the per-bank refresh slot, the FCFS
+		// queue and the write-drain queue selection.
+		{"gcc-mecc-perbank", "gcc", SchemeMECC, func(c *Config) { c.Ctrl.PerBankRefresh = true }},
+		{"libq-baseline-fcfs", "libq", SchemeBaseline, func(c *Config) { c.Ctrl.FCFS = true }},
+		{"lbm-mecc", "lbm", SchemeMECC, nil},
+		{"lbm-secded-perbank-prefetch", "lbm", SchemeSECDED, func(c *Config) {
+			c.Ctrl.PerBankRefresh = true
+			c.NextLinePrefetch = true
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,7 +82,7 @@ func TestJumpSteppingMatchesLegacyEndToEnd(t *testing.T) {
 // TestJumpSteppingMatchesLegacyPhases extends the differential across
 // idle/active phase transitions: drain, upgrade sweep, self refresh,
 // wake-up, and refresh resync all move the clocks outside the
-// controller's Step loop, and the wheel must stay consistent across
+// controller's Step loop, and the jump paths must stay exact across
 // those external jumps.
 func TestJumpSteppingMatchesLegacyPhases(t *testing.T) {
 	run := func(legacy bool) []byte {
@@ -104,5 +113,33 @@ func TestJumpSteppingMatchesLegacyPhases(t *testing.T) {
 	fast := run(false)
 	if !bytes.Equal(fast, ref) {
 		t.Errorf("phase-pattern results diverged\nfast: %s\nref:  %s", fast, ref)
+	}
+}
+
+// TestJumpSteppingKeepsWritebackCadence pins the one-writeback-per-cycle
+// flush under jumping. With the prefetcher on, consecutive
+// prefetch-buffer hits queue downgrade writebacks without stepping
+// DRAM, so a flush can leave one pending while the write queue still
+// has room; per-cycle stepping enqueues it on the next cycle, and a jump
+// over that cycle delays it. milc under MECC at scale 400 hits this.
+func TestJumpSteppingKeepsWritebackCadence(t *testing.T) {
+	prof, err := workload.ByName("milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(legacy bool) []byte {
+		cfg := DefaultConfig(SchemeMECC, 2_000_000)
+		cfg.NextLinePrefetch = true
+		cfg.Ctrl.LegacyStepping = legacy
+		res, err := RunBenchmark(prof.Scaled(400), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return marshalResult(t, res)
+	}
+	ref := run(true)
+	fast := run(false)
+	if !bytes.Equal(fast, ref) {
+		t.Errorf("results diverged\nfast: %s\nref:  %s", fast, ref)
 	}
 }

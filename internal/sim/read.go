@@ -36,8 +36,9 @@ func (r *Runner) doRead(lineAddr uint64, decodeCycles int) error {
 		r.maybePrefetch(lineAddr)
 		return nil
 	}
-	// A full read queue means pending work, which pins the controller to
-	// per-cycle stepping anyway; driftDRAM degrades to single steps here.
+	// A full read queue frees a slot only on a Step that issues a read,
+	// and the controller never jumps after such a Step, so drifting
+	// stops on the cycle per-cycle stepping would enqueue on.
 	for !r.ctl.CanEnqueueRead() {
 		r.driftDRAM()
 	}

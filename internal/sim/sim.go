@@ -424,13 +424,14 @@ func (r *Runner) maybePrefetch(demandAddr uint64) {
 // ratio is CPU cycles per DRAM cycle.
 func (r *Runner) ratio() uint64 { return r.cpuRatio }
 
-// stepDRAMTo advances the memory system one DRAM cycle — or one
-// event-wheel jump toward limit (never past it) — and opportunistically
-// flushes pending downgrade writebacks. The one-writeback-per-cycle
-// flush cadence survives jumping: a non-empty writeback list either
-// enqueues here (making the controller's queues non-empty) or finds
-// them full, and in both cases the controller refuses to jump, so
-// writebacks drain on exactly the cycles per-cycle stepping would use.
+// stepDRAMTo advances the memory system one DRAM cycle — or through one
+// controller jump toward limit (never past it) — and flushes pending
+// downgrade writebacks, one per cycle. No jump crosses an enqueue, a
+// completion callback or limit, and a jump never frees a write-queue
+// slot (it follows only a Step that issued nothing). So a jump can skip
+// a flush only when a writeback is left pending with room in the queue,
+// which prefetch-buffer hits cause by queueing several without stepping
+// DRAM; then this call steps a single cycle.
 func (r *Runner) stepDRAMTo(limit uint64) {
 	if len(r.pendingWB) > 0 && r.ctl.CanEnqueueWrite() {
 		addr := r.pendingWB[len(r.pendingWB)-1]
@@ -438,6 +439,9 @@ func (r *Runner) stepDRAMTo(limit uint64) {
 		if err := r.ctl.EnqueueWrite(addr, 0); err != nil {
 			// invariant: CanEnqueueWrite was checked.
 			panic(err)
+		}
+		if len(r.pendingWB) > 0 && r.ctl.CanEnqueueWrite() {
+			limit = r.ch.Now() + 1
 		}
 	}
 	r.ctl.StepOrJump(limit)
@@ -447,17 +451,18 @@ func (r *Runner) stepDRAMTo(limit uint64) {
 func (r *Runner) stepDRAM() { r.stepDRAMTo(r.ch.Now() + 1) }
 
 // driftDRAM advances toward the next memory-system edge — a read
-// completion, refresh slot, or power-down entry — with no CPU-side
-// bound. Used while the core is stalled on a demand read: the
-// controller never jumps past the completion because the in-flight
-// request's DoneAt is itself one of the published edges.
+// completion, refresh slot, power-down entry or the next cycle a queued
+// request can issue — with no CPU-side bound. Used while the core is
+// stalled on a demand read: the controller never jumps past the
+// completion, because every jump is capped by the earliest in-flight
+// DoneAt and no jump follows a Step that fired a callback.
 func (r *Runner) driftDRAM() { r.stepDRAMTo(^uint64(0)) }
 
 // syncDRAM advances DRAM until its clock covers the CPU clock.
 func (r *Runner) syncDRAM() {
 	ratio := r.ratio()
 	// First DRAM cycle whose CPU-time is >= the core's clock; quiescent
-	// stretches inside a gap are covered by event-wheel jumps.
+	// stretches inside a gap are covered by controller jumps.
 	target := (r.cpu.Now() + ratio - 1) / ratio
 	for r.ch.Now() < target {
 		r.stepDRAMTo(target)
