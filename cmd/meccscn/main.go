@@ -13,7 +13,9 @@
 //	-specs DIR     load *.json specs from DIR instead of the built-ins
 //	-run REGEX     only scenarios whose name matches
 //	-short         only scenarios marked "short" (the PR-level subset)
-//	-workers N     concurrent scenarios (default 1; results identical)
+//	-workers N     concurrent scenarios (default 1; results identical);
+//	               each may run up to two twin runs alongside its own,
+//	               so a scenario uses up to three goroutines
 //	-legacy        use the per-cycle legacy scheduler
 //	-no-check      skip run-time invariant checkers
 //	-out FILE      write JSONL outcomes ("-" for stdout)
@@ -152,7 +154,7 @@ func cmdRun(args []string) int {
 	specsDir := fs.String("specs", "", "load *.json specs from this directory instead of the built-ins")
 	runRE := fs.String("run", "", "only scenarios whose name matches this regexp")
 	short := fs.Bool("short", false, "only scenarios marked short (the PR-level subset)")
-	workers := fs.Int("workers", 1, "concurrent scenarios")
+	workers := fs.Int("workers", 1, "concurrent scenarios (each uses up to three goroutines: its run and its baseline and stepping twins)")
 	legacy := fs.Bool("legacy", false, "use the per-cycle legacy scheduler")
 	noCheck := fs.Bool("no-check", false, "skip run-time invariant checkers")
 	out := fs.String("out", "", "write JSONL outcomes to this file (- for stdout)")

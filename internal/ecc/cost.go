@@ -40,21 +40,31 @@ func DefaultCost(c Codec) CostModel {
 	case None:
 		return CostModel{}
 	case *LineSECDED, *WordSECDED:
-		return CostModel{
-			EncodeCycles:   1,
-			DecodeCycles:   DefaultSECDEDDecodeCycles,
-			EncodeEnergyPJ: 1,
-			DecodeEnergyPJ: 2,
-			AreaGates:      3_000,
-		}
+		return SECDEDCost()
 	default:
-		t := c.CorrectBits()
-		return CostModel{
-			EncodeCycles:   1,
-			DecodeCycles:   DefaultStrongDecodeCycles,
-			EncodeEnergyPJ: 1 + float64(t),
-			DecodeEnergyPJ: 40 * float64(t) / 6,
-			AreaGates:      25_000 * t,
-		}
+		return BCHCost(c.CorrectBits())
+	}
+}
+
+// SECDEDCost is DefaultCost of either SECDED codec, without building one.
+func SECDEDCost() CostModel {
+	return CostModel{
+		EncodeCycles:   1,
+		DecodeCycles:   DefaultSECDEDDecodeCycles,
+		EncodeEnergyPJ: 1,
+		DecodeEnergyPJ: 2,
+		AreaGates:      3_000,
+	}
+}
+
+// BCHCost is DefaultCost of an ECC-t codec, without building one: the
+// cost depends only on t.
+func BCHCost(t int) CostModel {
+	return CostModel{
+		EncodeCycles:   1,
+		DecodeCycles:   DefaultStrongDecodeCycles,
+		EncodeEnergyPJ: 1 + float64(t),
+		DecodeEnergyPJ: 40 * float64(t) / 6,
+		AreaGates:      25_000 * t,
 	}
 }

@@ -231,6 +231,9 @@ func TestDefaultCosts(t *testing.T) {
 	if got := DefaultCost(None{}); got != (CostModel{}) {
 		t.Errorf("none cost = %+v, want zero", got)
 	}
+	if SECDEDCost() != DefaultCost(secded) || BCHCost(6) != c6 {
+		t.Error("SECDEDCost/BCHCost differ from DefaultCost of the built codecs")
+	}
 }
 
 func TestModeString(t *testing.T) {

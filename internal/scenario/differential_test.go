@@ -3,8 +3,13 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files")
 
 // Differential coverage (satellite): every seed scenario must produce
 // byte-identical JSONL across worker counts and identical results across
@@ -49,6 +54,40 @@ func TestWorkersDifferentialJSONL(t *testing.T) {
 	if !bytes.Equal(one, many) {
 		t.Fatalf("JSONL differs between -workers 1 and -workers 4:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s",
 			firstDiffLine(one, many), firstDiffLine(many, one))
+	}
+}
+
+// TestBuiltinJSONLGolden pins the outcome bytes of every built-in
+// scenario across commits, including the invariant details computed from
+// the twin runs ("slowdown …", "energy saving …"). The whole set runs in
+// well under a second, so -short runs it too.
+func TestBuiltinJSONLGolden(t *testing.T) {
+	specs, err := Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes, err := RunSet(specs, Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, outcomes); err != nil {
+		t.Fatal(err)
+	}
+	got := buf.Bytes()
+	golden := filepath.Join("testdata", "builtin.jsonl")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("JSONL differs from %s:\n--- got ---\n%s\n--- want ---\n%s",
+			golden, firstDiffLine(got, want), firstDiffLine(want, got))
 	}
 }
 

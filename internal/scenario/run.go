@@ -371,7 +371,51 @@ func totalRefreshPulses(res sim.Result) float64 {
 	return float64(res.DRAM.NREF + res.DRAM.NREFpb + res.DRAM.NSelfRefreshPulses)
 }
 
-// Run interprets one validated spec and evaluates its invariants.
+// twin is a second run of a scenario's phase pattern that an invariant
+// compares the primary run against: the unprotected baseline
+// (max_slowdown, min_energy_saving, min_refresh_saving) or the run with
+// stepping flipped (stepping_equivalence). It runs on its own goroutine,
+// concurrently with the primary, and shares no mutable state with it:
+// it has its own runner, its own checker suite or none, and no recorder.
+type twin struct {
+	done chan struct{}
+	st   *runState
+	err  error
+}
+
+// startTwin starts executePhases for one twin on a new goroutine. cfg
+// must be fully built by the caller. what names the twin's role in its
+// error.
+func startTwin(what string, s Spec, cfg sim.Config, suite *checker.Suite, plan *checker.FaultPlan) *twin {
+	t := &twin{done: make(chan struct{})}
+	go func() {
+		defer close(t.done)
+		t.st, t.err = executePhases(s, cfg, suite, plan, nil, 0)
+		if t.err != nil {
+			t.err = fmt.Errorf("scenario %s: %s twin: %w", s.Name, what, t.err)
+		}
+	}()
+	return t
+}
+
+// join waits for the twin to finish. It is a no-op on a twin that was
+// never started.
+func (t *twin) join() {
+	if t != nil {
+		<-t.done
+	}
+}
+
+// result joins the twin and returns its state or its error.
+func (t *twin) result() (*runState, error) {
+	t.join()
+	return t.st, t.err
+}
+
+// Run interprets one validated spec and evaluates its invariants. The
+// twin runs its invariants declare execute concurrently with the primary
+// run, so Run uses up to three goroutines; all have exited when it
+// returns.
 func Run(s Spec, opts Options) (*Outcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -384,6 +428,47 @@ func Run(s Spec, opts Options) (*Outcome, error) {
 	if opts.Tamper != nil {
 		opts.Tamper(&cfg)
 	}
+
+	expected := map[string]bool{}
+	var wantBase, wantStep bool
+	for _, inv := range s.Invariants {
+		switch inv.Kind {
+		case InvExpectViolation:
+			expected[inv.Invariant] = true
+		case InvMaxSlowdown, InvMinEnergySaving, InvMinRefreshSaving:
+			wantBase = true
+		case InvSteppingEquivalence:
+			wantStep = true
+		}
+	}
+
+	// Each declared twin runs once, alongside the primary. Its config is
+	// built here, on the caller's goroutine, so Tamper is never called
+	// concurrently. Every return path joins both twins, so no goroutine
+	// outlives Run.
+	var base, step *twin
+	defer func() {
+		base.join()
+		step.join()
+	}()
+	if wantBase {
+		// No protection, no faults, no checker.
+		bs := s
+		bs.Scheme = "baseline"
+		bs.Faults = nil
+		base = startTwin("baseline", bs, buildConfig(bs, sim.SchemeBaseline, opts), nil, nil)
+	}
+	if wantStep {
+		twinOpts := opts
+		twinOpts.LegacyStepping = !opts.LegacyStepping
+		tcfg := buildConfig(s, kind, twinOpts)
+		if opts.Tamper != nil {
+			opts.Tamper(&tcfg)
+			tcfg.Ctrl.LegacyStepping = twinOpts.LegacyStepping
+		}
+		step = startTwin("stepping", s, tcfg, checker.NewSuite(), faultPlan(s, twinOpts))
+	}
+
 	var suite *checker.Suite
 	if !opts.NoCheck {
 		suite = checker.NewSuite()
@@ -413,31 +498,6 @@ func Run(s Spec, opts Options) (*Outcome, error) {
 	flat[MetricIdleTimeSec] = st.idleTime.Seconds()
 	flat[MetricUncorrectableProb] = out.UncorrectableProb
 
-	// The baseline twin (no protection, no faults, no checker) is run at
-	// most once, only when a comparative invariant asks for it.
-	var base *runState
-	baseline := func() (*runState, error) {
-		if base != nil {
-			return base, nil
-		}
-		bs := s
-		bs.Scheme = "baseline"
-		bs.Faults = nil
-		bcfg := buildConfig(bs, sim.SchemeBaseline, opts)
-		b, err := executePhases(bs, bcfg, nil, nil, nil, 0)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: baseline twin: %w", s.Name, err)
-		}
-		base = b
-		return base, nil
-	}
-
-	expected := map[string]bool{}
-	for _, inv := range s.Invariants {
-		if inv.Kind == InvExpectViolation {
-			expected[inv.Invariant] = true
-		}
-	}
 	declaredClean := false
 
 	for _, inv := range s.Invariants {
@@ -459,7 +519,7 @@ func Run(s Spec, opts Options) (*Outcome, error) {
 				rec.Detail = fmt.Sprintf("%s = %g", inv.Metric, got)
 			}
 		case InvMaxSlowdown:
-			b, err := baseline()
+			b, err := base.result()
 			if err != nil {
 				return nil, err
 			}
@@ -470,7 +530,7 @@ func Run(s Spec, opts Options) (*Outcome, error) {
 				rec.Detail = fmt.Sprintf("slowdown %.4f, want <= %g", slow, inv.Value)
 			}
 		case InvMinEnergySaving:
-			b, err := baseline()
+			b, err := base.result()
 			if err != nil {
 				return nil, err
 			}
@@ -481,7 +541,7 @@ func Run(s Spec, opts Options) (*Outcome, error) {
 				rec.Detail = fmt.Sprintf("energy saving %.4f, want >= %g", saving, inv.Value)
 			}
 		case InvMinRefreshSaving:
-			b, err := baseline()
+			b, err := base.result()
 			if err != nil {
 				return nil, err
 			}
@@ -536,23 +596,15 @@ func Run(s Spec, opts Options) (*Outcome, error) {
 				rec.OK = false
 			}
 		case InvSteppingEquivalence:
-			twinOpts := opts
-			twinOpts.LegacyStepping = !opts.LegacyStepping
-			twinOpts.Obs = nil
-			tcfg := buildConfig(s, kind, twinOpts)
-			if opts.Tamper != nil {
-				opts.Tamper(&tcfg)
-				tcfg.Ctrl.LegacyStepping = twinOpts.LegacyStepping
-			}
-			twin, err := executePhases(s, tcfg, checker.NewSuite(), faultPlan(s, twinOpts), nil, 0)
+			ts, err := step.result()
 			if err != nil {
-				return nil, fmt.Errorf("scenario %s: stepping twin: %w", s.Name, err)
+				return nil, err
 			}
 			a, err := json.Marshal(st.result)
 			if err != nil {
 				return nil, err
 			}
-			b, err := json.Marshal(twin.result)
+			b, err := json.Marshal(ts.result)
 			if err != nil {
 				return nil, err
 			}

@@ -175,15 +175,14 @@ func (r Result) TotalEnergyJ() float64 { return r.Energy.Total() + r.ECCEnergyJ 
 // Runner executes one benchmark slice. Not safe for concurrent use; build
 // one Runner per goroutine.
 type Runner struct {
-	cfg                  Config
-	prof                 workload.Profile
-	ch                   *dram.Channel
-	ctl                  *memctrl.Controller
-	cpu                  *cpu.Core
-	sch                  scheme
-	src                  trace.Source
-	calc                 *power.Calculator
-	weakCost, strongCost ecc.CostModel
+	cfg  Config
+	prof workload.Profile
+	ch   *dram.Channel
+	ctl  *memctrl.Controller
+	cpu  *cpu.Core
+	sch  scheme
+	src  trace.Source
+	calc *power.Calculator
 
 	// Telemetry (nil-safe; see attachObserver and publishObs).
 	obs     *obs.Recorder
@@ -301,16 +300,6 @@ func newRunner(prof workload.Profile, cfg Config, makeSrc func(*Runner) (trace.S
 	}
 	r.attachObserver()
 	r.attachChecker()
-	weak, err := ecc.NewLineSECDED()
-	if err != nil {
-		return nil, err
-	}
-	strong, err := ecc.NewBCH(6, false)
-	if err != nil {
-		return nil, err
-	}
-	r.weakCost = ecc.DefaultCost(weak)
-	r.strongCost = ecc.DefaultCost(strong)
 	return r, nil
 }
 
@@ -598,10 +587,11 @@ func (r *Runner) result(checkpoints []Checkpoint) Result {
 		s := m.Stats()
 		res.MECC = &s
 	}
-	res.ECCEnergyJ = (float64(counts.weakDecodes)*r.weakCost.DecodeEnergyPJ +
-		float64(counts.strongDecodes)*r.strongCost.DecodeEnergyPJ +
-		float64(counts.weakEncodes)*r.weakCost.EncodeEnergyPJ +
-		float64(counts.strongEncodes)*r.strongCost.EncodeEnergyPJ) * 1e-12
+	weak, strong := ecc.SECDEDCost(), ecc.BCHCost(6)
+	res.ECCEnergyJ = (float64(counts.weakDecodes)*weak.DecodeEnergyPJ +
+		float64(counts.strongDecodes)*strong.DecodeEnergyPJ +
+		float64(counts.weakEncodes)*weak.EncodeEnergyPJ +
+		float64(counts.strongEncodes)*strong.EncodeEnergyPJ) * 1e-12
 	res.ActiveTimeSec = float64(res.Cycles) / float64(r.cfg.DRAM.CPUClockHz)
 	if res.ActiveTimeSec > 0 {
 		res.ActivePowerW = res.TotalEnergyJ() / res.ActiveTimeSec
