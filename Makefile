@@ -109,17 +109,22 @@ fuzz:
 	$(GO) test -run=XXX -fuzz FuzzReadText -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzBinaryReader -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
+	$(GO) test -run=XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/
+	$(GO) test -run=XXX -fuzz FuzzParseProm -fuzztime 10s ./internal/obs/
 
 # 10-second BCH fuzz passes seeded with the extension-bit-guard and
 # t+1-error corpus (testdata/fuzz) — a quick regression check for the
 # decoder's miscorrection defences — plus one over the meccvet
-# baseline file, seeded with lint.baseline.json, and one over the
-# binary trace reader.
+# baseline file, seeded with lint.baseline.json, one over the binary
+# trace reader, and one each over obsdump's JSONL event reader and the
+# Prometheus parser obsscrape feeds live HTTP input.
 fuzz-short:
 	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
 	$(GO) test -run=XXX -fuzz FuzzBinaryReader -fuzztime 10s ./internal/trace/
+	$(GO) test -run=XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/
+	$(GO) test -run=XXX -fuzz FuzzParseProm -fuzztime 10s ./internal/obs/
 
 clean:
 	$(GO) clean ./...

@@ -206,10 +206,10 @@ func cmdRun(args []string) int {
 			return 1
 		}
 		defer traceFile.Close()
-		elog = obs.NewEventLog(obs.MaskAll)
+		elog = obs.NewEventLog(obs.MaskAll, 0)
 		elog.SetStream(traceFile)
 		rec := obs.New()
-		rec.SetEventLog(elog)
+		rec.AddEventLog(elog)
 		opts.Obs = rec
 	}
 

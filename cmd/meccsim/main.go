@@ -133,10 +133,10 @@ func run() error {
 		traceOut    = flag.String("trace-out", "", "write a JSONL event trace to this file (- for stdout)")
 		traceEvents = flag.String("trace-events", "all", "event kinds to trace: all, or a comma list (dram_cmd,refresh,mecc_transition,smd_enable,...)")
 		metricsOut  = flag.String("metrics-out", "", "write run metrics to this file (- for stdout; .csv selects CSV, otherwise Prometheus text)")
-		timeline    = flag.Bool("timeline", false, "render an ASCII run timeline after the report")
+		timeline    = flag.Bool("timeline", false, "render an ASCII run timeline after the report: SMD intervals from the flight recorder, exact per-kind counts of the -trace-events kinds (needs -flight > 0)")
 		check       = flag.Bool("check", false, "attach run-time invariant checkers; violations fail the run")
 		serve       = flag.String("serve", "", "serve /metrics, /healthz, /progress and /debug/pprof on this address while running (e.g. :9090)")
-		flightN     = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder capacity in events (0 disables); the ring keeps every event kind except dram_cmd, decode and refresh")
+		flightN     = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder window in events (0 disables); it keeps the newest events of every kind except dram_cmd, decode and refresh")
 		flightOut   = flag.String("flight-out", "", "dump the flight recorder to this file at exit and on incident (- for stdout; default incidents go to stderr)")
 		linger      = flag.Duration("linger", 0, "keep the obs server up this long after the run completes")
 	)
@@ -157,6 +157,9 @@ func run() error {
 	}
 	if *scale < 1 {
 		return fmt.Errorf("scale must be >= 1")
+	}
+	if *timeline && *flightN <= 0 {
+		return fmt.Errorf("-timeline draws from the flight recorder: it needs -flight > 0")
 	}
 	kind, err := sim.ParseScheme(*schemeName)
 	if err != nil {
@@ -202,19 +205,20 @@ func run() error {
 	// published from the model's own statistics every 1024 trace
 	// records, and the default configuration runs at nil-recorder speed
 	// with the whole run's phase history ready to dump when something
-	// breaks. Passing -flight 0 with no other telemetry flag keeps
-	// cfg.Obs nil.
+	// breaks. It is the only log that retains events: the trace log of
+	// -trace-out / -timeline streams and counts. Passing -flight 0 with
+	// no other telemetry flag keeps cfg.Obs nil.
 	var (
 		elog    *obs.EventLog
 		sampler *obs.Sampler
-		flight  *obs.FlightRecorder
+		flight  *obs.EventLog
 		prog    *obs.Progress
 	)
 	if *traceOut != "" || *metricsOut != "" || *timeline || *serve != "" || *flightN > 0 {
 		rec := obs.New()
 		if *flightN > 0 {
-			flight = obs.NewFlightRecorder(*flightN)
-			rec.SetFlightRecorder(flight)
+			flight = obs.NewEventLog(obs.FlightKinds, *flightN)
+			rec.AddEventLog(flight)
 		}
 		prog = obs.NewProgress()
 		prog.SetWork(0, uint64(cfg.Instructions))
@@ -224,7 +228,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			elog = obs.NewEventLog(mask)
+			elog = obs.NewEventLog(mask, 0)
 			if *traceOut != "" {
 				w, closeFn, err := openOut(*traceOut)
 				if err != nil {
@@ -237,7 +241,7 @@ func run() error {
 				}()
 				elog.SetStream(w)
 			}
-			rec.SetEventLog(elog)
+			rec.AddEventLog(elog)
 		}
 		if *timeline {
 			var err error
@@ -253,7 +257,7 @@ func run() error {
 		cfg.Obs = rec
 	}
 
-	// dumpFlight writes the ring's tail once — on the first of: checker
+	// dumpFlight writes the flight window once — on the first of: checker
 	// invariant fire, panic in the run, SIGQUIT, or (when -flight-out is
 	// set) normal exit. Incidents go to -flight-out when set, stderr
 	// otherwise.
@@ -354,7 +358,7 @@ func run() error {
 		if err := enc.Encode(res); err != nil {
 			return err
 		}
-		return renderTimeline(*timeline, sampler, elog)
+		return renderTimeline(*timeline, sampler, flight, elog)
 	}
 
 	fmt.Printf("benchmark        %s (%s)\n", res.Benchmark, prof.Class())
@@ -392,7 +396,7 @@ func run() error {
 	for _, cp := range res.Checkpoints {
 		fmt.Printf("checkpoint       %12d instr  IPC %.4f\n", cp.Instructions, cp.IPC)
 	}
-	return renderTimeline(*timeline, sampler, elog)
+	return renderTimeline(*timeline, sampler, flight, elog)
 }
 
 // newFlightDumper returns a dump function that writes the flight
@@ -400,7 +404,7 @@ func run() error {
 // incident paths race to trigger it. path selects the sink ("" or an
 // open failure falls back to stderr; "-" is stdout). A nil recorder
 // yields a no-op.
-func newFlightDumper(tool string, f *obs.FlightRecorder, path string) func(reason string) {
+func newFlightDumper(tool string, f *obs.EventLog, path string) func(reason string) {
 	var once sync.Once
 	return func(reason string) {
 		if f == nil {
@@ -427,15 +431,11 @@ func newFlightDumper(tool string, f *obs.FlightRecorder, path string) func(reaso
 }
 
 // renderTimeline prints the ASCII run timeline when requested.
-func renderTimeline(on bool, sampler *obs.Sampler, elog *obs.EventLog) error {
+func renderTimeline(on bool, sampler *obs.Sampler, flight, trace *obs.EventLog) error {
 	if !on {
 		return nil
 	}
-	var events []obs.Event
-	if elog != nil {
-		events = elog.Events()
-	}
 	fmt.Println()
-	fmt.Print(obs.NewTimeline(sampler, events).String())
+	fmt.Print(obs.NewTimeline(sampler, flight, trace).String())
 	return nil
 }

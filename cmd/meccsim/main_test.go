@@ -12,8 +12,19 @@ import (
 )
 
 // runMain invokes run() with a fresh flag set and the given arguments,
-// capturing stdout.
+// capturing stdout; a run error fails the test.
 func runMain(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := runCLI(t, args...)
+	if err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	return out
+}
+
+// runCLI invokes run() with a fresh flag set and the given arguments,
+// returning its stdout and error.
+func runCLI(t *testing.T, args ...string) (string, error) {
 	t.Helper()
 	oldArgs, oldFlags := os.Args, flag.CommandLine
 	os.Args = append([]string{"meccsim"}, args...)
@@ -33,11 +44,7 @@ func runMain(t *testing.T, args ...string) string {
 	w.Close()
 	os.Stdout = old
 	os.Args, flag.CommandLine = oldArgs, oldFlags
-	out := <-outc
-	if runErr != nil {
-		t.Fatalf("run(%v): %v", args, runErr)
-	}
-	return out
+	return <-outc, runErr
 }
 
 // TestSmokeCheckedJSON runs a small checked simulation and parses the
@@ -70,5 +77,13 @@ func TestSmokeList(t *testing.T) {
 	out := runMain(t, "-list")
 	if !strings.Contains(out, "libq") || !strings.Contains(out, "gcc") {
 		t.Errorf("benchmark list incomplete:\n%s", out)
+	}
+}
+
+// TestTimelineNeedsFlight: the timeline draws its SMD intervals from
+// the flight recorder, so -timeline with -flight 0 is an error.
+func TestTimelineNeedsFlight(t *testing.T) {
+	if _, err := runCLI(t, "-bench", "libq", "-scale", "20000", "-timeline", "-flight", "0"); err == nil {
+		t.Fatal("-timeline -flight 0: want an error")
 	}
 }

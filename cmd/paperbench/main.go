@@ -76,12 +76,12 @@ func run() error {
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics to this file (- for stdout; .csv selects CSV, otherwise Prometheus text)")
 		traceOut   = flag.String("trace-out", "", "write a JSONL event trace to this file (- for stdout); events from parallel runs interleave")
 		traceEvts  = flag.String("trace-events", "mecc_transition,sweep_start,sweep_end,smd_window,smd_enable,smd_disable,refresh_rate", "event kinds to trace: all, or a comma list")
-		timeline   = flag.Bool("timeline", false, "render the event-census timeline after the run (implies event collection)")
+		timeline   = flag.Bool("timeline", false, "render the event-census timeline after the run: SMD intervals from the flight recorder, exact per-kind counts of the -trace-events kinds (needs -flight > 0)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		check      = flag.Bool("check", false, "attach run-time invariant checkers to every simulation; violations fail the run")
 		serve      = flag.String("serve", "", "serve /metrics, /healthz, /progress and /debug/pprof on this address while running (e.g. :9090)")
-		flightN    = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder capacity in events (0 disables); the ring keeps every event kind except dram_cmd, decode and refresh")
+		flightN    = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder window in events (0 disables); it keeps the newest events of every kind except dram_cmd, decode and refresh")
 		flightOut  = flag.String("flight-out", "", "dump the flight recorder to this file at exit and on incident (- for stdout; default incidents go to stderr)")
 		linger     = flag.Duration("linger", 0, "keep the obs server up this long after the run completes")
 	)
@@ -139,18 +139,22 @@ func run() error {
 		return nil
 	}
 
+	if *timeline && *flightN <= 0 {
+		return fmt.Errorf("-timeline draws from the flight recorder: it needs -flight > 0")
+	}
 	// The harness always carries a recorder: each simulation publishes
 	// its counters from its own statistics every 1024 trace records
 	// (never changing results), and the wall-time summary reuses the
 	// same registry. The default flight recorder keeps only the
-	// low-rate event kinds (obs.FlightKinds); the event log, and with
-	// it per-command and per-read events, is opt-in via -trace-out /
-	// -timeline.
+	// low-rate event kinds (obs.FlightKinds) and is the only log that
+	// retains events; the trace log, and with it per-command and
+	// per-read events, is opt-in via -trace-out / -timeline and only
+	// streams and counts.
 	rec := obs.New()
-	var flight *obs.FlightRecorder
+	var flight *obs.EventLog
 	if *flightN > 0 {
-		flight = obs.NewFlightRecorder(*flightN)
-		rec.SetFlightRecorder(flight)
+		flight = obs.NewEventLog(obs.FlightKinds, *flightN)
+		rec.AddEventLog(flight)
 	}
 	prog := obs.NewProgress()
 	rec.SetProgress(prog)
@@ -160,7 +164,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		elog = obs.NewEventLog(mask)
+		elog = obs.NewEventLog(mask, 0)
 		if *traceOut != "" {
 			w, closeFn, err := openOut(*traceOut)
 			if err != nil {
@@ -173,7 +177,7 @@ func run() error {
 			}()
 			elog.SetStream(w)
 		}
-		rec.SetEventLog(elog)
+		rec.AddEventLog(elog)
 	}
 	bch.SetObserver(rec)
 	defer bch.SetObserver(nil)
@@ -581,7 +585,7 @@ func run() error {
 	}
 	if *timeline {
 		fmt.Println()
-		fmt.Print(obs.NewTimeline(nil, elog.Events()).String())
+		fmt.Print(obs.NewTimeline(nil, flight, elog).String())
 	}
 	if opts.Check != nil {
 		for _, v := range opts.Check.Violations() {
@@ -600,7 +604,7 @@ func run() error {
 // incident paths race to trigger it. path selects the sink ("" or an
 // open failure falls back to stderr; "-" is stdout). A nil recorder
 // yields a no-op.
-func newFlightDumper(tool string, f *obs.FlightRecorder, path string) func(reason string) {
+func newFlightDumper(tool string, f *obs.EventLog, path string) func(reason string) {
 	var once sync.Once
 	return func(reason string) {
 		if f == nil {

@@ -18,8 +18,19 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 const snapshotExhibits = "table1,fig2,fig8,modes,capacity,day"
 
 // runMain invokes run() with a fresh flag set and the given arguments,
-// capturing stdout.
+// capturing stdout; a run error fails the test.
 func runMain(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := runCLI(t, args...)
+	if err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	return out
+}
+
+// runCLI invokes run() with a fresh flag set and the given arguments,
+// returning its stdout and error.
+func runCLI(t *testing.T, args ...string) (string, error) {
 	t.Helper()
 	oldArgs, oldFlags := os.Args, flag.CommandLine
 	os.Args = append([]string{"paperbench"}, args...)
@@ -39,11 +50,7 @@ func runMain(t *testing.T, args ...string) string {
 	w.Close()
 	os.Stdout = old
 	os.Args, flag.CommandLine = oldArgs, oldFlags
-	out := <-outc
-	if runErr != nil {
-		t.Fatalf("run(%v): %v", args, runErr)
-	}
-	return out
+	return <-outc, runErr
 }
 
 // TestSnapshotScale50 diffs the -scale 50 -seed 1 exhibit output against
@@ -125,4 +132,12 @@ func firstDiff(got, want string) string {
 		}
 	}
 	return "lengths differ: got " + strconv.Itoa(len(g)) + " lines, want " + strconv.Itoa(len(w))
+}
+
+// TestTimelineNeedsFlight: the timeline draws its SMD intervals from
+// the flight recorder, so -timeline with -flight 0 is an error.
+func TestTimelineNeedsFlight(t *testing.T) {
+	if _, err := runCLI(t, "-experiment", "table1", "-timeline", "-flight", "0"); err == nil {
+		t.Fatal("-timeline -flight 0: want an error")
+	}
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // defaultTelemetry builds the recorder paperbench attaches when run
-// with default flags: metrics, the flight ring and a progress tracker,
-// no event log.
-func defaultTelemetry() (*obs.Recorder, *obs.FlightRecorder, *obs.Progress) {
+// with default flags: metrics, the flight recorder and a progress
+// tracker, no trace log.
+func defaultTelemetry() (*obs.Recorder, *obs.EventLog, *obs.Progress) {
 	rec := obs.New()
-	flight := obs.NewFlightRecorder(obs.DefaultFlightEvents)
-	rec.SetFlightRecorder(flight)
+	flight := obs.NewEventLog(obs.FlightKinds, obs.DefaultFlightEvents)
+	rec.AddEventLog(flight)
 	prog := obs.NewProgress()
 	rec.SetProgress(prog)
 	return rec, flight, prog
@@ -74,7 +74,7 @@ func TestProgressCountsInstructions(t *testing.T) {
 // paperbench's default telemetry on a small Fig 7 matrix at Parallel 2,
 // every counter published from the model's statistics equals the sum of
 // its sim.Result field over the jobs, each histogram counts exactly the
-// model events it samples, and the flight ring holds the run's spans but
+// model events it samples, and the flight window holds the run's spans but
 // none of the per-command, per-read or per-tREFI kinds.
 func TestCountersPublishModelStats(t *testing.T) {
 	rec, flight, _ := defaultTelemetry()
@@ -117,9 +117,7 @@ func TestCountersPublishModelStats(t *testing.T) {
 		{"memctrl_refreshes_total", all, func(r sim.Result) uint64 { return r.Ctrl.RefreshesIssued }},
 		{"memctrl_write_drains_total", all, func(r sim.Result) uint64 { return r.Ctrl.WriteDrains }},
 		{"mecc_strong_reads_total", isMECC, func(r sim.Result) uint64 { return r.MECC.StrongReads }},
-		{`mecc_reads_total{mode="strong"}`, isMECC, func(r sim.Result) uint64 { return r.MECC.StrongReads }},
 		{"mecc_weak_reads_total", isMECC, func(r sim.Result) uint64 { return r.MECC.WeakReads }},
-		{`mecc_reads_total{mode="weak"}`, isMECC, func(r sim.Result) uint64 { return r.MECC.WeakReads }},
 		{"mecc_downgrades_total", isMECC, func(r sim.Result) uint64 { return r.MECC.Downgrades }},
 		{"mecc_sweeps_total", isMECC, func(r sim.Result) uint64 { return r.MECC.Sweeps }},
 		{"mecc_upgraded_lines_total", isMECC, func(r sim.Result) uint64 { return r.MECC.UpgradedLines }},
@@ -166,12 +164,12 @@ func TestCountersPublishModelStats(t *testing.T) {
 	for _, e := range flight.Events() {
 		switch e.Kind {
 		case obs.KindDRAMCmd, obs.KindDecode, obs.KindRefresh:
-			t.Fatalf("flight ring holds a %s event", e.Kind)
+			t.Fatalf("flight window holds a %s event", e.Kind)
 		case obs.KindSpanStart:
 			spans[e.Name]++
 		}
 	}
 	if spans["run"] != len(jobs) || spans["active"] != len(jobs) {
-		t.Errorf("ring spans %v, want a run and an active span per job (%d)", spans, len(jobs))
+		t.Errorf("flight spans %v, want a run and an active span per job (%d)", spans, len(jobs))
 	}
 }

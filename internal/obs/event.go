@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -270,8 +271,12 @@ func (e *Event) appendJSON(b []byte) []byte {
 // events without an EventLog).
 func (e Event) AppendJSON(b []byte) []byte { return e.appendJSON(b) }
 
+// ErrBadTrace is wrapped by every error ReadJSONL returns.
+var ErrBadTrace = errors.New("obs: bad event trace")
+
 // ReadJSONL parses a JSONL event stream (one event per line; blank
-// lines are skipped).
+// lines are skipped). It rejects a line that is not a JSON event or
+// names no kind with an error wrapping ErrBadTrace.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -285,77 +290,91 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		}
 		var e Event
 		if err := json.Unmarshal(raw, &e); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
+			return nil, fmt.Errorf("%w: line %d: %w", ErrBadTrace, line, err)
+		}
+		if e.Kind == 0 {
+			return nil, fmt.Errorf("%w: line %d: no event kind", ErrBadTrace, line)
 		}
 		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: trace read: %w", err)
+		return nil, fmt.Errorf("%w: read: %w", ErrBadTrace, err)
 	}
 	return out, nil
 }
 
-// defaultRetained bounds in-memory event retention so a long traced run
-// cannot grow without bound; streamed output is unaffected.
-const defaultRetained = 1 << 20
+// DefaultFlightEvents is the default flight-recorder window in events.
+// A whole Fig 7 run records about 760 flight events.
+const DefaultFlightEvents = 16384
 
-// EventLog collects emitted events: it counts every event by kind,
-// retains a bounded in-memory window (for the timeline renderer), and
-// optionally streams every event as JSONL to a writer. Its kind set is
-// fixed at construction, so Recorder.Tracing reads it without the lock.
-// Safe for concurrent emitters (parallel experiment sweeps share one
-// log).
+// FlightKinds is the fixed set of kinds the flight recorder keeps:
+// every kind except the per-command (KindDRAMCmd), per-read
+// (KindDecode) and per-tREFI (KindRefresh) streams. What is left —
+// spans, phase transitions, sweeps, SMD decisions, MDT marks and rate
+// changes — arrives at a few events per simulated phase, so the window
+// holds a whole run's causal history instead of the last milliseconds
+// of DRAM traffic, and leaving it on costs the hot paths one branch.
+// The per-request kinds stay available through a trace log.
+const FlightKinds = MaskAll &^ (1<<KindDRAMCmd | 1<<KindDecode | 1<<KindRefresh)
+
+// EventLog is the event sink. It keeps the kinds in its mask, counts
+// each kind exactly, retains the newest `window` kept events, and can
+// stream every kept event as JSONL. The always-on flight recorder is
+// NewEventLog(FlightKinds, n): when something goes wrong — a checker
+// invariant fires, a panic unwinds, SIGQUIT arrives — WriteJSONL dumps
+// its window as a replayable trace. A trace log is NewEventLog(mask, 0):
+// it streams and counts, and retains nothing.
+//
+// The mask is fixed at construction, so Recorder.Tracing reads it
+// without the lock. Everything else sits under one mutex, so parallel
+// experiment sweeps can share a log. A nil *EventLog is a no-op.
+//
+//meccvet:nilsafe
 type EventLog struct {
-	mask        KindMask
-	mu          sync.Mutex
-	retainMask  KindMask
-	maxRetained int
-	events      []Event
-	dropped     uint64
-	w           *bufio.Writer
-	buf         []byte
-	counts      [maxKind + 1]uint64
+	mask   KindMask
+	window int
+	mu     sync.Mutex
+	events []Event // once len(events) == window, a ring whose oldest entry is at next
+	next   int
+	w      *bufio.Writer
+	buf    []byte
+	counts [maxKind + 1]uint64
 }
 
-// NewEventLog builds a log that captures the kinds in mask (MaskAll for
-// every kind), retains up to defaultRetained events in memory, and
+// NewEventLog builds a log that keeps the kinds in mask (MaskAll for
+// every kind), retains the newest window of them (0 retains none) and
 // streams nowhere.
-func NewEventLog(mask KindMask) *EventLog {
-	return &EventLog{mask: mask, retainMask: MaskAll, maxRetained: defaultRetained}
+func NewEventLog(mask KindMask, window int) *EventLog {
+	return &EventLog{mask: mask, window: window}
 }
 
-// SetRetention restricts which kinds are retained in memory and how
-// many (max <= 0 keeps the current bound). Streaming is unaffected.
-func (l *EventLog) SetRetention(m KindMask, max int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.retainMask = m
-	if max > 0 {
-		l.maxRetained = max
-	}
-}
-
-// SetStream directs a JSONL copy of every captured event to w. Call
-// Flush before reading the destination.
+// SetStream directs a JSONL copy of every kept event to w. Call Flush
+// before reading the destination.
 func (l *EventLog) SetStream(w io.Writer) {
+	if l == nil {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.w = bufio.NewWriterSize(w, 1<<16)
 }
 
 // add records one event; Recorder.Emit has already checked its kind
-// against the mask.
+// against the mask. The window grows to its size once and is then
+// overwritten in place, so a full window records without allocating.
 func (l *EventLog) add(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if e.Kind <= maxKind {
 		l.counts[e.Kind]++
 	}
-	if l.retainMask.Has(e.Kind) {
-		if len(l.events) < l.maxRetained {
-			l.events = append(l.events, e)
-		} else {
-			l.dropped++
+	switch {
+	case len(l.events) < l.window:
+		l.events = append(l.events, e)
+	case l.window > 0:
+		l.events[l.next] = e
+		if l.next++; l.next == l.window {
+			l.next = 0
 		}
 	}
 	if l.w != nil {
@@ -365,27 +384,51 @@ func (l *EventLog) add(e Event) {
 	}
 }
 
-// Events returns a copy of the retained events.
+// Events returns a copy of the retained window, oldest event first.
 func (l *EventLog) Events() []Event {
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
+	out := make([]Event, 0, len(l.events))
+	out = append(out, l.events[l.next:]...)
+	return append(out, l.events[:l.next]...)
 }
 
-// Count returns how many events of the kind were captured.
+// WriteJSONL writes the retained window as JSONL (the schema the stream
+// uses), oldest event first. It copies the window under the lock and
+// writes outside it, so a slow reader never stalls emitters.
+func (l *EventLog) WriteJSONL(w io.Writer) error {
+	if l == nil {
+		return nil
+	}
+	var buf []byte
+	for _, e := range l.Events() {
+		buf = e.appendJSON(buf[:0])
+		buf = append(buf, '\n')
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Count returns how many events of the kind were kept.
 func (l *EventLog) Count(k Kind) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if k > maxKind {
+	if l == nil || k > maxKind {
 		return 0
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return l.counts[k]
 }
 
-// Total returns the total captured event count.
+// Total returns how many events were kept.
 func (l *EventLog) Total() uint64 {
+	if l == nil {
+		return 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var n uint64
@@ -395,16 +438,11 @@ func (l *EventLog) Total() uint64 {
 	return n
 }
 
-// Dropped returns how many events exceeded the retention bound (they
-// were still counted and streamed).
-func (l *EventLog) Dropped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
 // Flush drains the stream buffer to the underlying writer.
 func (l *EventLog) Flush() error {
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.w == nil {

@@ -3,10 +3,11 @@
 // exposition (/metrics), a liveness probe (/healthz), a JSON progress
 // view with scrape-side throughput/ETA estimation (/progress), the
 // flight-recorder window (/flight), and net/http/pprof (/debug/pprof).
-// It reads telemetry only through atomic snapshots — mounting it never
-// adds locks or allocations to the simulator's recording paths — and
-// the whole server is stdlib-only, so `meccsim -serve :PORT` costs no
-// dependencies.
+// Metrics and progress are read through atomic snapshots. A /flight
+// scrape copies the window under the flight log's mutex and writes the
+// copy after releasing it, so a slow client never stalls the
+// simulator's emitters. The whole server is stdlib-only, so
+// `meccsim -serve :PORT` costs no dependencies.
 //
 // This package may use wall-clock time freely: it observes the
 // simulation from outside and is deliberately excluded from the
@@ -34,7 +35,7 @@ type Config struct {
 	// Progress backs /progress.
 	Progress *obs.Progress
 	// Flight backs /flight.
-	Flight *obs.FlightRecorder
+	Flight *obs.EventLog
 	// Health, when set, gates /healthz: a non-nil error reports 503.
 	Health func() error
 }

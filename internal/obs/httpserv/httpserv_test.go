@@ -36,8 +36,8 @@ func TestServerEndpoints(t *testing.T) {
 	prog.SetPhase("active")
 	prog.SetWork(5, 100)
 	rec.SetProgress(prog)
-	flight := obs.NewFlightRecorder(64)
-	rec.SetFlightRecorder(flight)
+	flight := obs.NewEventLog(obs.FlightKinds, 64)
+	rec.AddEventLog(flight)
 	rec.Emit(obs.Event{T: 10, Kind: obs.KindSweepEnd, Cycles: 30})
 
 	healthy := true

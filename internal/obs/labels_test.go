@@ -83,30 +83,6 @@ func TestWritePromHelpEscaping(t *testing.T) {
 	}
 }
 
-func TestAliasCounterSharesCell(t *testing.T) {
-	r := NewRegistry()
-	base := r.Counter("mecc_strong_reads_total")
-	alias := r.AliasCounter(SeriesName("mecc_reads_total", "mode", "strong"), "mecc_strong_reads_total")
-	if alias != base {
-		t.Fatal("alias must return the same *Counter")
-	}
-	base.Add(9)
-	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	got := b.String()
-	for _, want := range []string{
-		"mecc_strong_reads_total 9\n",
-		`mecc_reads_total{mode="strong"} 9` + "\n",
-		"# TYPE mecc_reads_total counter\n",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("exposition missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func TestWritePromLabeledHistogram(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram(SeriesName("lat_cycles", "tier", "fast"))

@@ -1,26 +1,25 @@
 package obs
 
 // Recorder is the telemetry handle threaded through the simulator: it
-// bundles a metrics registry, an optional structured event log, an
-// optional time-series sampler, an optional always-on flight recorder,
-// and an optional live progress tracker. A nil *Recorder is the
-// disabled state — every method is a no-op and every metric handle it
-// returns is a nil no-op — so instrumented packages hold a
-// possibly-nil *Recorder and never branch on "is telemetry on" beyond
-// a nil check.
+// bundles a metrics registry, any number of event logs (the always-on
+// flight recorder, a trace log), an optional time-series sampler, and
+// an optional live progress tracker. A nil *Recorder is the disabled
+// state — every method is a no-op and every metric handle it returns is
+// a nil no-op — so instrumented packages hold a possibly-nil *Recorder
+// and never branch on "is telemetry on" beyond a nil check.
 //
-// Each event sink keeps a fixed set of kinds: the flight recorder
-// keeps FlightKinds, an event log the mask it was built with. Tracing(k)
-// tells producers whether any attached sink keeps kind k, so a kind
-// nobody keeps — per-command and per-read events under the default
+// Each event log keeps a fixed set of kinds: the flight recorder
+// FlightKinds, a trace log the mask it was built with. Tracing(k) tells
+// producers whether any attached log keeps kind k, so a kind nobody
+// keeps — per-command and per-read events under the default
 // flight-only configuration — costs its producer one branch.
 //
 //meccvet:nilsafe
 type Recorder struct {
 	reg     *Registry
-	log     *EventLog
+	logs    []*EventLog
+	mask    KindMask // union of the logs' masks
 	sampler *Sampler
-	flight  *FlightRecorder
 	prog    *Progress
 }
 
@@ -30,12 +29,15 @@ func New() *Recorder {
 	return &Recorder{reg: NewRegistry()}
 }
 
-// SetEventLog attaches (or, with nil, detaches) an event log.
-func (r *Recorder) SetEventLog(l *EventLog) {
-	if r == nil {
+// AddEventLog attaches an event log: from then on Emit sends it every
+// event of a kind its mask keeps, and Tracing reports true for those
+// kinds. Attach logs before the run starts emitting.
+func (r *Recorder) AddEventLog(l *EventLog) {
+	if r == nil || l == nil {
 		return
 	}
-	r.log = l
+	r.logs = append(r.logs, l)
+	r.mask |= l.mask
 }
 
 // SetSampler attaches (or, with nil, detaches) a time-series sampler.
@@ -44,25 +46,6 @@ func (r *Recorder) SetSampler(s *Sampler) {
 		return
 	}
 	r.sampler = s
-}
-
-// SetFlightRecorder attaches (or, with nil, detaches) a flight
-// recorder. With one attached, every emitted event of a FlightKinds
-// kind also lands in the ring and Tracing reports true for those kinds;
-// the ring's record path itself stays lock- and allocation-free.
-func (r *Recorder) SetFlightRecorder(f *FlightRecorder) {
-	if r == nil {
-		return
-	}
-	r.flight = f
-}
-
-// FlightRecorder returns the attached flight recorder, if any.
-func (r *Recorder) FlightRecorder() *FlightRecorder {
-	if r == nil {
-		return nil
-	}
-	return r.flight
 }
 
 // SetProgress attaches (or, with nil, detaches) a progress tracker.
@@ -88,14 +71,6 @@ func (r *Recorder) Registry() *Registry {
 		return nil
 	}
 	return r.reg
-}
-
-// EventLog returns the attached event log, if any.
-func (r *Recorder) EventLog() *EventLog {
-	if r == nil {
-		return nil
-	}
-	return r.log
 }
 
 // Sampler returns the attached sampler, if any.
@@ -131,30 +106,28 @@ func (r *Recorder) Histogram(name string) *Histogram {
 	return r.reg.Histogram(name)
 }
 
-// Emit records one structured event into each attached sink that keeps
-// its kind: the flight recorder (FlightKinds) and the event log (its
-// mask). Callers on hot paths guard the call (and the Event
-// construction) behind their own Tracing(kind) check so a kind no sink
-// keeps costs no work at all. With only a flight recorder attached,
-// Emit takes no locks and allocates nothing.
+// Emit records one structured event into each attached log that keeps
+// its kind. Callers on hot paths guard the call (and the Event
+// construction) behind their own Tracing(kind) check so a kind no log
+// keeps costs no work at all. A FlightKinds event under the default
+// flight-only configuration takes one mutex and allocates nothing.
 func (r *Recorder) Emit(e Event) {
-	if r == nil {
+	if r == nil || !r.mask.Has(e.Kind) {
 		return
 	}
-	if r.flight != nil && FlightKinds.Has(e.Kind) {
-		r.flight.Record(e)
-	}
-	if r.log != nil && r.log.mask.Has(e.Kind) {
-		r.log.add(e)
+	for _, l := range r.logs {
+		if l.mask.Has(e.Kind) {
+			l.add(e)
+		}
 	}
 }
 
-// Tracing reports whether an attached sink keeps events of kind k — the
+// Tracing reports whether an attached log keeps events of kind k — the
 // guard hot paths put around building and emitting an Event of that
-// kind (`if r.Tracing(obs.KindDecode) { r.Emit(...) }`). Both sinks'
-// kind sets are fixed once attached, so the check reads no lock.
+// kind (`if r.Tracing(obs.KindDecode) { r.Emit(...) }`). The logs' kind
+// sets are fixed once attached, so the check is one mask test.
 func (r *Recorder) Tracing(k Kind) bool {
-	return r != nil && (r.flight != nil && FlightKinds.Has(k) || r.log != nil && r.log.mask.Has(k))
+	return r != nil && r.mask.Has(k)
 }
 
 // Tick advances the sampler, if any, to cycle now.
@@ -165,10 +138,15 @@ func (r *Recorder) Tick(now uint64) {
 	r.sampler.Tick(now)
 }
 
-// Flush drains any buffered trace output.
+// Flush drains every log's buffered stream output.
 func (r *Recorder) Flush() error {
-	if r == nil || r.log == nil {
+	if r == nil {
 		return nil
 	}
-	return r.log.Flush()
+	for _, l := range r.logs {
+		if err := l.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

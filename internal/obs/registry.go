@@ -2,24 +2,24 @@
 // registry (counters, gauges, log2-bucket latency histograms), a typed
 // structured event trace (DRAM commands, refresh ops, MECC mode
 // transitions, SMD decisions, MDT marks, decode-latency samples, trace
-// spans), a per-quantum time-series sampler, a hierarchical span tracer,
-// an always-on failure flight recorder, and a live progress tracker,
-// with JSONL / CSV / Prometheus text exposition format (0.0.4)
-// exporters and an ASCII timeline renderer. The sibling package
-// obs/httpserv serves the live side over HTTP.
+// spans) kept by event logs — the always-on flight recorder is one —
+// a per-quantum time-series sampler, a hierarchical span tracer, and a
+// live progress tracker, with JSONL / CSV / Prometheus text exposition
+// format (0.0.4) exporters and an ASCII timeline renderer. The sibling
+// package obs/httpserv serves the live side over HTTP.
 //
 // Every entry point is nil-safe: a nil *Recorder, *Counter, *Gauge,
-// *Histogram, *LocalHistogram, *Span, *FlightRecorder or *Progress is a
+// *Histogram, *LocalHistogram, *Span, *EventLog or *Progress is a
 // no-op, so instrumented hot paths (the BCH decoder, the DRAM command
 // issue path) pay one nil check and zero allocations when telemetry is
 // disabled, and simulation results are bit-identical either way — the
 // subsystem only observes, it never steers.
 //
 // The default-on configuration is as cheap as the disabled one. Each
-// event sink keeps a fixed set of kinds — the flight recorder
+// event log keeps a fixed set of kinds — the flight recorder
 // FlightKinds, which leaves out the per-command, per-read and
 // per-tREFI streams — and Recorder.Tracing(k) tells producers whether
-// any attached sink keeps kind k, so those emit sites cost one false
+// any attached log keeps kind k, so those emit sites cost one false
 // branch. Counters that mirror a model statistic are published from
 // that statistic by the simulation runner on a coarse cadence, and
 // per-request histograms are staged in single-owner LocalHistogram
@@ -304,22 +304,6 @@ func (r *Registry) SetHelp(base, help string) {
 		return
 	}
 	r.help[SanitizeMetricName(base)] = help
-}
-
-// AliasCounter registers alias as a second name for the named counter
-// (creating it if needed): both names resolve to the same *Counter, so
-// one atomic increment feeds both series. Used to expose an existing
-// counter under a labeled name (e.g. mecc_reads_total{mode="strong"}
-// aliasing mecc_strong_reads_total) without a second hot-path add.
-func (r *Registry) AliasCounter(alias, name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := r.Counter(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ctrs[alias] = c
-	return c
 }
 
 // Counter returns (creating if needed) the named counter.

@@ -35,7 +35,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 	rec.Emit(Event{Kind: KindDecode})
 	rec.Tick(100)
-	rec.SetEventLog(NewEventLog(MaskAll))
+	rec.AddEventLog(NewEventLog(MaskAll, 0))
 	rec.SetSampler(nil)
 	if err := rec.Flush(); err != nil {
 		t.Errorf("nil recorder Flush: %v", err)

@@ -9,9 +9,9 @@ import "sync/atomic"
 var spanIDs atomic.Uint64
 
 // Span is one node of the hierarchical trace: run → experiment → phase
-// → sweep. A span is created only when an attached sink keeps span
-// events (a flight recorder, or an event log whose mask selects
-// KindSpanStart) — otherwise StartSpan and Child return nil, and every
+// → sweep. A span is created only when an attached event log keeps
+// span events (the flight recorder does, and so does a trace log whose
+// mask selects KindSpanStart) — otherwise StartSpan and Child return nil, and every
 // method of a nil *Span is a free no-op — so hot paths hold a
 // possibly-nil *Span without branching.
 //
@@ -30,7 +30,7 @@ type Span struct {
 }
 
 // StartSpan opens a root span named name at time t, or returns nil when
-// no sink keeps span events.
+// no log keeps span events.
 func (r *Recorder) StartSpan(name string, t uint64) *Span {
 	if r == nil || !r.Tracing(KindSpanStart) {
 		return nil
@@ -41,7 +41,7 @@ func (r *Recorder) StartSpan(name string, t uint64) *Span {
 // StartSpanUnder opens a span as a child of an externally supplied
 // parent span id — for crossing a package boundary (experiment harness
 // → simulator) where threading the *Span handle itself is impractical.
-// Parent 0 makes a root. Returns nil when no sink keeps span events.
+// Parent 0 makes a root. Returns nil when no log keeps span events.
 func (r *Recorder) StartSpanUnder(name string, parent, t uint64) *Span {
 	if r == nil || !r.Tracing(KindSpanStart) {
 		return nil

@@ -4,8 +4,8 @@ import "testing"
 
 func TestSpanHierarchyEvents(t *testing.T) {
 	r := New()
-	log := NewEventLog(MaskAll)
-	r.SetEventLog(log)
+	log := NewEventLog(MaskAll, 16)
+	r.AddEventLog(log)
 
 	run := r.StartSpan("run", 100)
 	if run == nil {
@@ -74,8 +74,8 @@ func TestSpanDisabledIsNil(t *testing.T) {
 
 func TestSpanFlightOnlyTracing(t *testing.T) {
 	r := New()
-	f := NewFlightRecorder(64)
-	r.SetFlightRecorder(f)
+	f := NewEventLog(FlightKinds, 64)
+	r.AddEventLog(f)
 	if !r.Tracing(KindSpanStart) {
 		t.Fatal("flight-only recorder must report Tracing(KindSpanStart)")
 	}

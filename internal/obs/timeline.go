@@ -62,13 +62,22 @@ func DowngradeIntervals(events []Event, end uint64) []Interval {
 type Timeline struct {
 	sampler *Sampler
 	events  []Event
+	trace   *EventLog
 	width   int
 }
 
-// NewTimeline builds a renderer over a sampler (may be nil) and an
-// event stream (may be empty).
-func NewTimeline(s *Sampler, events []Event) *Timeline {
-	return &Timeline{sampler: s, events: events, width: 72}
+// NewTimeline builds a renderer over a sampler (may be nil), the flight
+// recorder's window and a trace log. It draws the window's events whose
+// kind the trace log keeps, and takes the census from the trace log's
+// exact per-kind counts, so no log has to retain the per-request kinds.
+func NewTimeline(s *Sampler, flight, trace *EventLog) *Timeline {
+	t := &Timeline{sampler: s, trace: trace, width: 72}
+	for _, e := range flight.Events() {
+		if trace != nil && trace.mask.Has(e.Kind) {
+			t.events = append(t.events, e)
+		}
+	}
+	return t
 }
 
 // SetWidth sets the strip width in columns (minimum 16).
@@ -189,18 +198,12 @@ func (t *Timeline) renderStrips(sb *strings.Builder) {
 	}
 }
 
-// renderCensus draws per-kind event counts as a bar chart.
+// renderCensus draws the trace log's per-kind event counts as a bar
+// chart ("" when it kept nothing).
 func (t *Timeline) renderCensus() string {
-	counts := make(map[Kind]uint64)
-	for _, e := range t.events {
-		counts[e.Kind]++
-	}
-	if len(counts) == 0 {
-		return ""
-	}
 	bc := stats.NewBarChart(40)
 	for _, k := range Kinds() {
-		if n := counts[k]; n > 0 {
+		if n := t.trace.Count(k); n > 0 {
 			bc.Add(k.String(), "", float64(n))
 		}
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -50,12 +51,12 @@ func TestTimelineRendersStripsAndIntervals(t *testing.T) {
 		c.Add(uint64(q))
 		s.Tick(uint64(q * 100))
 	}
-	events := []Event{
-		{T: 200, Kind: KindSMDEnable, MPKC: 9},
-		{T: 1200, Kind: KindSMDDisable},
-		{T: 700, Kind: KindDecode, Cycles: 30},
-	}
-	tl := NewTimeline(s, events)
+	_, flight, trace := timelineLogs(MaskAll,
+		Event{T: 200, Kind: KindSMDEnable, MPKC: 9},
+		Event{T: 1200, Kind: KindSMDDisable},
+		Event{T: 700, Kind: KindDecode, Cycles: 30},
+	)
+	tl := NewTimeline(s, flight, trace)
 	tl.SetWidth(20)
 	out := tl.String()
 
@@ -95,9 +96,57 @@ func TestTimelineNilSamplerEventsOnly(t *testing.T) {
 		{T: 10, Kind: KindSMDEnable},
 		{T: 90, Kind: KindSMDDisable},
 	}
-	out := NewTimeline(nil, events).String()
+	_, flight, trace := timelineLogs(MaskAll, events...)
+	out := NewTimeline(nil, flight, trace).String()
 	if !strings.Contains(out, "downgrade-enabled intervals: 1") ||
 		!strings.Contains(out, "[10, 90) cycles") {
 		t.Errorf("events-only timeline:\n%s", out)
 	}
+	// The timeline draws only the kinds the trace log keeps.
+	_, flight, trace = timelineLogs(MaskOf(KindDecode), events...)
+	out = NewTimeline(nil, flight, trace).String()
+	if !strings.Contains(out, "downgrade-enabled intervals: 0") {
+		t.Errorf("SMD decisions drawn though the trace log drops them:\n%s", out)
+	}
+}
+
+// TestTimelineCensusExact emits more decode events than an in-memory
+// trace window ever held (1M) between one SMD enable and disable,
+// through the default flight recorder and a stream-only trace log: the
+// census counts every decode, and the interval comes from the flight
+// window.
+func TestTimelineCensusExact(t *testing.T) {
+	const decodes = 1<<20 + 100
+	r, flight, trace := timelineLogs(MaskAll, Event{T: 10, Kind: KindSMDEnable})
+	for i := 0; i < decodes; i++ {
+		r.Emit(Event{T: uint64(11 + i), Kind: KindDecode, Cycles: 30})
+	}
+	r.Emit(Event{T: decodes + 11, Kind: KindSMDDisable})
+	out := NewTimeline(nil, flight, trace).String()
+	for _, want := range []string{
+		"downgrade-enabled intervals: 1\n",
+		fmt.Sprintf("[10, %d) cycles", decodes+11),
+		fmt.Sprintf(" %d.000\n", decodes),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("timeline missing %q:\n%s", want, out)
+		}
+	}
+	if n := len(trace.Events()); n != 0 {
+		t.Errorf("stream-only trace log retained %d events", n)
+	}
+}
+
+// timelineLogs builds a recorder carrying the default flight recorder
+// and a stream-only trace log that keeps mask, and emits events into it.
+func timelineLogs(mask KindMask, events ...Event) (r *Recorder, flight, trace *EventLog) {
+	flight = NewEventLog(FlightKinds, DefaultFlightEvents)
+	trace = NewEventLog(mask, 0)
+	r = New()
+	r.AddEventLog(flight)
+	r.AddEventLog(trace)
+	for _, e := range events {
+		r.Emit(e)
+	}
+	return r, flight, trace
 }

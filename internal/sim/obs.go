@@ -65,14 +65,6 @@ func (r *Runner) attachObserver() {
 				r.statCtrs[i] = rec.Counter(sc.name)
 			}
 		}
-		if mecc {
-			// The per-ECC-mode read series alias the read counters, so
-			// the labeled breakdown is published by the same adds.
-			reg := rec.Registry()
-			reg.SetHelp("mecc_reads_total", "Demand reads by the ECC mode that decoded them.")
-			reg.AliasCounter(obs.SeriesName("mecc_reads_total", "mode", "strong"), "mecc_strong_reads_total")
-			reg.AliasCounter(obs.SeriesName("mecc_reads_total", "mode", "weak"), "mecc_weak_reads_total")
-		}
 	}
 	// The run-root span anchors the phase hierarchy (run → active/idle →
 	// sweep) in the CPU-cycle clock domain; nil when not tracing. An

@@ -45,7 +45,8 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	}
 
 	rec := obs.New()
-	rec.SetEventLog(obs.NewEventLog(obs.MaskAll))
+	elog := obs.NewEventLog(obs.MaskAll, 0)
+	rec.AddEventLog(elog)
 	sampler, err := obs.NewSampler(cfg.MECC.SMDWindowCycles)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	if string(bj) != string(tj) {
 		t.Errorf("telemetry perturbed the result:\noff: %s\non:  %s", bj, tj)
 	}
-	if rec.EventLog().Total() == 0 {
+	if elog.Total() == 0 {
 		t.Error("traced run captured no events")
 	}
 	if len(sampler.Rows()) == 0 {
@@ -87,8 +88,8 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 func TestTracedRunEmitsExpectedKinds(t *testing.T) {
 	prof, cfg := obsConfig(t, SchemeMECC, 4000)
 	rec := obs.New()
-	elog := obs.NewEventLog(obs.MaskAll)
-	rec.SetEventLog(elog)
+	elog := obs.NewEventLog(obs.MaskAll, 0)
+	rec.AddEventLog(elog)
 	cfg.Obs = rec
 	if _, err := RunBenchmark(prof, cfg); err != nil {
 		t.Fatal(err)
@@ -121,8 +122,10 @@ func TestTracedRunEmitsExpectedKinds(t *testing.T) {
 func TestTimelineShowsSMDIntervals(t *testing.T) {
 	prof, cfg := obsConfig(t, SchemeMECC, 4000)
 	rec := obs.New()
-	elog := obs.NewEventLog(obs.MaskOf(obs.KindSMDEnable, obs.KindSMDDisable, obs.KindSMDWindow))
-	rec.SetEventLog(elog)
+	flight := obs.NewEventLog(obs.FlightKinds, obs.DefaultFlightEvents)
+	rec.AddEventLog(flight)
+	elog := obs.NewEventLog(obs.MaskOf(obs.KindSMDEnable, obs.KindSMDDisable, obs.KindSMDWindow), 0)
+	rec.AddEventLog(elog)
 	sampler, err := obs.NewSampler(cfg.MECC.SMDWindowCycles)
 	if err != nil {
 		t.Fatal(err)
@@ -141,11 +144,11 @@ func TestTimelineShowsSMDIntervals(t *testing.T) {
 	if res.MECC == nil || res.MECC.SMDEnables == 0 {
 		t.Fatalf("libq must trip SMD at this scale (enables=%v)", res.MECC)
 	}
-	ivs := obs.DowngradeIntervals(elog.Events(), res.Cycles)
+	ivs := obs.DowngradeIntervals(flight.Events(), res.Cycles)
 	if len(ivs) == 0 {
 		t.Fatal("no downgrade-enabled intervals recovered from events")
 	}
-	out := obs.NewTimeline(sampler, elog.Events()).String()
+	out := obs.NewTimeline(sampler, flight, elog).String()
 	if !strings.Contains(out, "downgrade-enabled intervals:") || strings.Contains(out, "intervals: 0") {
 		t.Errorf("timeline does not show SMD intervals:\n%s", out)
 	}

@@ -3,7 +3,7 @@
 # dependency beyond the go toolchain and curl: start meccsim with the
 # obs server on a local port, poll /healthz until it answers, validate
 # /metrics with the repo's own strict exposition parser (cmd/obsscrape)
-# including the per-refresh-tier and per-ECC-mode series, check
+# including the per-refresh-tier series and both MECC read counters, check
 # /progress returns the expected JSON keys with done <= total, and check
 # /flight holds the run's spans but no per-command (dram_cmd), per-read
 # (decode) or per-tREFI (refresh) event. "demo" as the first argument
@@ -45,9 +45,9 @@ if [ "$ok" != 1 ]; then
 fi
 
 # The exposition must parse cleanly and carry the tiered-refresh and
-# per-mode read counters the exporter exists to surface.
+# strong/weak read counters the exporter exists to surface.
 "$bin/obsscrape" -require \
-    memctrl_tier_refreshes_total,mecc_reads_total,memctrl_refreshes_total,sim_decode_cycles \
+    memctrl_tier_refreshes_total,mecc_strong_reads_total,mecc_weak_reads_total,memctrl_refreshes_total,sim_decode_cycles \
     "$BASE/metrics"
 
 prog=$(curl -fsS "$BASE/progress")
@@ -75,7 +75,7 @@ if [ -z "$done_n" ] || [ -z "$total_n" ] || [ "$done_n" -gt "$total_n" ]; then
     exit 1
 fi
 
-# The default flight ring keeps only the low-rate kinds.
+# The default flight recorder keeps only the low-rate kinds.
 flight=$(curl -fsS "$BASE/flight")
 if printf '%s\n' "$flight" | grep -Eq '"kind":"(dram_cmd|decode|refresh)"'; then
     echo "obs_smoke: /flight holds per-request events:" >&2
@@ -94,7 +94,7 @@ if [ "$MODE" = demo ]; then
     echo "--- $BASE/progress"
     echo "$prog"
     echo "--- $BASE/metrics (excerpt)"
-    curl -fsS "$BASE/metrics" | grep -E '^(# |memctrl_tier|memctrl_.*_queue_depth|mecc_reads|batch_pool)' | head -40
+    curl -fsS "$BASE/metrics" | grep -E '^(# |memctrl_tier|memctrl_.*_queue_depth|mecc_.*reads|batch_pool)' | head -40
 fi
 
 echo "obs_smoke: ok"
