@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test cover cover-gate bench vet lint lint-baseline speclint self-test fmt paperbench trace-demo obs-smoke obs-demo scenarios scenarios-short fuzz fuzz-short clean
+.PHONY: all build test cover cover-gate bench vet lint lint-baseline speclint self-test fmt paperbench trace-demo obs-smoke obs-demo scenarios scenarios-short fuzz fuzz-short pgo clean
 
 # Pinned staticcheck release for CI; `make lint` uses a local install
 # when one is on PATH and skips it (with a note) otherwise.
@@ -111,13 +111,17 @@ fuzz:
 	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
 	$(GO) test -run=XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/
 	$(GO) test -run=XXX -fuzz FuzzParseProm -fuzztime 10s ./internal/obs/
+	$(GO) test -run=XXX -fuzz FuzzParseKindMask -fuzztime 10s ./internal/obs/
+	$(GO) test -run=XXX -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/scenario/
 
 # 10-second BCH fuzz passes seeded with the extension-bit-guard and
 # t+1-error corpus (testdata/fuzz) — a quick regression check for the
 # decoder's miscorrection defences — plus one over the meccvet
 # baseline file, seeded with lint.baseline.json, one over the binary
-# trace reader, and one each over obsdump's JSONL event reader and the
-# Prometheus parser obsscrape feeds live HTTP input.
+# trace reader, one each over obsdump's JSONL event reader and the
+# Prometheus parser obsscrape feeds live HTTP input, one over the
+# -trace-events kind list, and one over scenario-spec JSON seeded with
+# the built-in specs.
 fuzz-short:
 	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 10s ./internal/bch/
@@ -125,6 +129,13 @@ fuzz-short:
 	$(GO) test -run=XXX -fuzz FuzzBinaryReader -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/
 	$(GO) test -run=XXX -fuzz FuzzParseProm -fuzztime 10s ./internal/obs/
+	$(GO) test -run=XXX -fuzz FuzzParseKindMask -fuzztime 10s ./internal/obs/
+	$(GO) test -run=XXX -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/scenario/
+
+# Recapture paperbench's profile-guided-optimization profile from the
+# current code; commit it only if paired fig7 rounds are no slower.
+pgo:
+	$(GO) run ./cmd/paperbench -experiment fig7 -scale 400 -parallel 1 -cpuprofile cmd/paperbench/default.pgo > /dev/null
 
 clean:
 	$(GO) clean ./...

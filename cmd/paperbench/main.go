@@ -68,7 +68,7 @@ func run() error {
 		experiment = flag.String("experiment", "all", "which exhibit to regenerate (comma-separated, or 'all')")
 		scale      = flag.Int("scale", 400, "divide the paper's 4B-instruction slices by this factor")
 		seed       = flag.Int64("seed", 1, "workload generator seed")
-		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+		parallel   = flag.Int("parallel", 0, "harness workers; each steps the simulations that share a record stream in lockstep (0 = GOMAXPROCS)")
 		trials     = flag.Int("integrity-trials", 5000, "Monte Carlo trials for -experiment integrity")
 		chart      = flag.Bool("chart", false, "render fig7 as an ASCII bar chart too")
 		list       = flag.Bool("list", false, "list experiment names and exit")

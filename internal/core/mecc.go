@@ -279,9 +279,9 @@ func (c *Controller) StrongLines() uint64 { return c.strongMode.count() }
 
 // AppendWeakLines appends the addresses of every line currently in weak
 // mode to buf, in increasing order, and returns the extended slice. The
-// scan is word-at-a-time over the mode bitset, so the data-storing
-// memory can gather an ECC-Upgrade sweep's work list without probing 16M
-// line bits one by one.
+// scan is word-at-a-time over the mode bitset's held pages, so the
+// data-storing memory can gather an ECC-Upgrade sweep's work list
+// without probing 16M line bits one by one.
 func (c *Controller) AppendWeakLines(buf []uint64) []uint64 {
 	return c.strongMode.appendZeroIndices(0, c.cfg.TotalLines, buf)
 }
@@ -435,8 +435,9 @@ func (c *Controller) EnterIdle(nowCPU uint64) (IdleTransition, error) {
 
 	// The sweeps below run word-at-a-time over the mode bitset (count the
 	// weak lines in a region, then fill it) instead of testing each line
-	// bit individually — a 16 M-line sweep touches 256 K words, not 16 M
-	// bits.
+	// bit individually — a 16 M-line sweep touches the words of the pages
+	// it holds (256 K at most) and skips the pages it never downgraded a
+	// line in whole, not 16 M bits.
 	var tr IdleTransition
 	if c.mdt != nil {
 		for r := uint64(0); r < c.mdt.len(); r++ {

@@ -260,21 +260,9 @@ func AblationMapping(opts Options) (MappingResult, error) {
 	if err := opts.Validate(); err != nil {
 		return MappingResult{}, err
 	}
-	benchmarks := []string{"libq", "omnetpp"}
-	mappings := []dram.AddressMapping{dram.MapRowBankCol, dram.MapBankRowCol, dram.MapRowXORBankCol}
-	var jobs []runJob
-	var rows []MappingRow
-	for _, bench := range benchmarks {
-		prof, err := workload.ByName(bench)
-		if err != nil {
-			return MappingResult{}, err
-		}
-		for _, m := range mappings {
-			cfg := opts.simConfig(sim.SchemeBaseline)
-			cfg.DRAM.Mapping = m
-			jobs = append(jobs, runJob{prof: prof.Scaled(opts.Scale), cfg: cfg})
-			rows = append(rows, MappingRow{Benchmark: bench, Mapping: m})
-		}
+	jobs, rows, err := mappingJobs(opts)
+	if err != nil {
+		return MappingResult{}, err
 	}
 	res, err := runMany(jobs, opts.parallel())
 	if err != nil {
@@ -291,6 +279,27 @@ func AblationMapping(opts Options) (MappingResult, error) {
 		tb.AddRow(rows[i].Benchmark, rows[i].Mapping.String(), rows[i].RowHitRate, rows[i].IPC)
 	}
 	return MappingResult{Rows: rows, Rendered: tb.String()}, nil
+}
+
+// mappingJobs builds AblationMapping's jobs, each benchmark under every
+// mapping, and their unfilled rows.
+func mappingJobs(opts Options) ([]runJob, []MappingRow, error) {
+	mappings := []dram.AddressMapping{dram.MapRowBankCol, dram.MapBankRowCol, dram.MapRowXORBankCol}
+	var jobs []runJob
+	var rows []MappingRow
+	for _, bench := range []string{"libq", "omnetpp"} {
+		prof, err := workload.ByName(bench)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, m := range mappings {
+			cfg := opts.simConfig(sim.SchemeBaseline)
+			cfg.DRAM.Mapping = m
+			jobs = append(jobs, runJob{prof: prof.Scaled(opts.Scale), cfg: cfg})
+			rows = append(rows, MappingRow{Benchmark: bench, Mapping: m})
+		}
+	}
+	return jobs, rows, nil
 }
 
 // RefreshPolicyRow compares refresh granularities on one benchmark.

@@ -9,8 +9,11 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/checker"
@@ -35,7 +38,10 @@ type Options struct {
 	Scale int
 	// Seed drives workload generation.
 	Seed int64
-	// Parallel bounds concurrent simulations (0 = GOMAXPROCS).
+	// Parallel is the number of harness workers (0 = GOMAXPROCS). A
+	// worker runs one task at a time: the jobs that replay one record
+	// stream, stepped in lockstep over a single generated copy of it, so
+	// a worker holds several simulations at once (see runMany).
 	Parallel int
 	// Obs, when non-nil, is threaded into every simulation the harness
 	// runs. The recorder's counters are atomic and its event log is
@@ -101,7 +107,61 @@ type runJob struct {
 	cfg  sim.Config
 }
 
-// runMany executes jobs across a bounded worker pool, preserving order.
+// records estimates how many trace records the job's stream holds: its
+// reads (budget × MPKI/1000) and the writebacks that trail them.
+func (j runJob) records() float64 {
+	return float64(j.cfg.Instructions) * j.prof.MPKI / 1000 * (1 + j.prof.WriteFrac)
+}
+
+// task is a set of jobs that replay one record stream, run together by
+// sim.RunBenchmarks: indexes into the job list and their summed records
+// estimate.
+type task struct {
+	jobs []int
+	est  float64
+}
+
+// planTasks groups jobs that replay the same record stream (equal
+// sim.StreamKey) into tasks, largest estimate first. A group whose
+// estimate exceeds a worker's fair share, the total estimate ÷ width, is
+// split into ⌈estimate ÷ share⌉ equal parts (at most one job each), so
+// no single task holds back the end of the run.
+func planTasks(jobs []runJob, width int) []task {
+	groupOf := make(map[sim.StreamKey]int)
+	var groups [][]int
+	var total float64
+	for i, j := range jobs {
+		k := j.cfg.Stream(j.prof)
+		g, ok := groupOf[k]
+		if !ok {
+			g = len(groups)
+			groupOf[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+		total += j.records()
+	}
+	share := total / float64(width)
+	var tasks []task
+	for _, g := range groups {
+		per := jobs[g[0]].records()
+		parts := 1
+		if est := per * float64(len(g)); est > share {
+			parts = min(len(g), int(math.Ceil(est/share)))
+		}
+		for p := 0; p < parts; p++ {
+			part := g[p*len(g)/parts : (p+1)*len(g)/parts]
+			tasks = append(tasks, task{jobs: part, est: per * float64(len(part))})
+		}
+	}
+	sort.SliceStable(tasks, func(a, b int) bool { return tasks[a].est > tasks[b].est })
+	return tasks
+}
+
+// runMany executes jobs on width workers and returns their results in
+// job order. Each worker takes the next task of planTasks and runs its
+// jobs in lockstep over one generated record stream. The first error
+// stops dispatch; runMany waits for the tasks in flight and returns it.
 // With telemetry attached it sets the shared progress total to the sum
 // of the jobs' instruction budgets (each runner adds its retired
 // instructions as it publishes) and wraps each simulation in a trace
@@ -109,39 +169,73 @@ type runJob struct {
 // runner's own CPU-cycle "run" span parents under.
 func runMany(jobs []runJob, width int) ([]sim.Result, error) {
 	results := make([]sim.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	if len(jobs) > 0 {
-		var budget uint64
-		for _, j := range jobs {
-			budget += uint64(j.cfg.Instructions)
-		}
-		jobs[0].cfg.Obs.Progress().SetWork(0, budget)
+	if len(jobs) == 0 {
+		return results, nil
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, width)
-	for i := range jobs {
+	var budget uint64
+	for _, j := range jobs {
+		budget += uint64(j.cfg.Instructions)
+	}
+	jobs[0].cfg.Obs.Progress().SetWork(0, budget)
+
+	tasks := planTasks(jobs, width)
+	var (
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		failed   atomic.Bool
+		errOnce  sync.Once
+		firstErr error
+	)
+	for w := 0; w < min(width, len(tasks)); w++ {
 		wg.Add(1)
-		go func(j runJob, slot int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var sp *obs.Span
-			if rec := j.cfg.Obs; rec.Tracing(obs.KindSpanStart) {
-				sp = rec.StartSpan(
-					fmt.Sprintf("job:%s/%s", j.prof.Name, j.cfg.Scheme), uint64(time.Now().UnixNano()))
-				j.cfg.SpanParent = sp.ID()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(tasks) {
+					return
+				}
+				if err := runTask(jobs, tasks[i].jobs, results); err != nil {
+					errOnce.Do(func() { firstErr = err })
+					failed.Store(true)
+					return
+				}
 			}
-			results[slot], errs[slot] = sim.RunBenchmark(j.prof, j.cfg)
-			sp.End(uint64(time.Now().UnixNano()))
-		}(jobs[i], i)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return results, nil
+}
+
+// runTask runs the jobs at the given indexes, which share one record
+// stream, and stores their results at the same indexes.
+func runTask(jobs []runJob, idx []int, results []sim.Result) error {
+	cfgs := make([]sim.Config, len(idx))
+	spans := make([]*obs.Span, len(idx))
+	for n, i := range idx {
+		j := jobs[i]
+		if rec := j.cfg.Obs; rec.Tracing(obs.KindSpanStart) {
+			spans[n] = rec.StartSpan(
+				fmt.Sprintf("job:%s/%s", j.prof.Name, j.cfg.Scheme), uint64(time.Now().UnixNano()))
+			j.cfg.SpanParent = spans[n].ID()
+		}
+		cfgs[n] = j.cfg
+	}
+	res, err := sim.RunBenchmarks(jobs[idx[0]].prof, cfgs)
+	end := uint64(time.Now().UnixNano())
+	for _, sp := range spans {
+		sp.End(end)
+	}
+	if err != nil {
+		return err
+	}
+	for n, i := range idx {
+		results[i] = res[n]
+	}
+	return nil
 }
 
 // Suite caches the 28-benchmark x 4-scheme result matrix that Figs. 3, 7,

@@ -107,39 +107,22 @@ func Fig12(s *Suite) (Fig12Result, error) {
 	if err != nil {
 		return Fig12Result{}, err
 	}
-	latencies := []int{15, 30, 45, 60}
-	var jobs []runJob
-	type key struct {
-		lat   int
-		k     sim.SchemeKind
-		bench string
-	}
-	var keys []key
-	for _, lat := range latencies {
-		for _, k := range []sim.SchemeKind{sim.SchemeECC6, sim.SchemeMECC} {
-			for _, p := range workload.All() {
-				cfg := s.opts.simConfig(k)
-				cfg.StrongDecodeCycles = lat
-				jobs = append(jobs, runJob{prof: p.Scaled(s.opts.Scale), cfg: cfg})
-				keys = append(keys, key{lat, k, p.Name})
-			}
-		}
-	}
+	jobs, keys := fig12Jobs(s.opts, workload.All())
 	res, err := runMany(jobs, s.opts.parallel())
 	if err != nil {
 		return Fig12Result{}, err
 	}
-	norm := make(map[key]float64, len(keys))
+	norm := make(map[fig12Key]float64, len(keys))
 	for i, k := range keys {
 		norm[k] = res[i].IPC / base[k.bench][sim.SchemeBaseline].IPC
 	}
 	var out Fig12Result
 	tb := stats.NewTable("Decode cycles", "ECC-6", "MECC")
-	for _, lat := range latencies {
+	for _, lat := range fig12Latencies {
 		var e6, me []float64
 		for _, p := range workload.All() {
-			e6 = append(e6, norm[key{lat, sim.SchemeECC6, p.Name}])
-			me = append(me, norm[key{lat, sim.SchemeMECC, p.Name}])
+			e6 = append(e6, norm[fig12Key{lat, sim.SchemeECC6, p.Name}])
+			me = append(me, norm[fig12Key{lat, sim.SchemeMECC, p.Name}])
 		}
 		ge, err := stats.Geomean(e6)
 		if err != nil {
@@ -154,6 +137,34 @@ func Fig12(s *Suite) (Fig12Result, error) {
 	}
 	out.Rendered = tb.String()
 	return out, nil
+}
+
+// fig12Latencies are the strong-decode latencies Fig 12 sweeps.
+var fig12Latencies = []int{15, 30, 45, 60}
+
+// fig12Key names one Fig 12 run.
+type fig12Key struct {
+	lat   int
+	k     sim.SchemeKind
+	bench string
+}
+
+// fig12Jobs builds Fig 12's jobs over profs and their keys, decode
+// latency outermost, then scheme, then benchmark.
+func fig12Jobs(opts Options, profs []workload.Profile) ([]runJob, []fig12Key) {
+	var jobs []runJob
+	var keys []fig12Key
+	for _, lat := range fig12Latencies {
+		for _, k := range []sim.SchemeKind{sim.SchemeECC6, sim.SchemeMECC} {
+			for _, p := range profs {
+				cfg := opts.simConfig(k)
+				cfg.StrongDecodeCycles = lat
+				jobs = append(jobs, runJob{prof: p.Scaled(opts.Scale), cfg: cfg})
+				keys = append(keys, fig12Key{lat, k, p.Name})
+			}
+		}
+	}
+	return jobs, keys
 }
 
 // Fig13Row is one slice-length point of the transition-time study.

@@ -103,6 +103,10 @@ func (k *Kind) UnmarshalText(b []byte) error {
 	return nil
 }
 
+// ErrBadKind is wrapped by every error ParseKind and ParseKindMask
+// return.
+var ErrBadKind = errors.New("obs: unknown event kind")
+
 // ParseKind maps a wire name back to its Kind.
 func ParseKind(s string) (Kind, error) {
 	for k := Kind(1); k <= maxKind; k++ {
@@ -110,7 +114,7 @@ func ParseKind(s string) (Kind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("obs: unknown event kind %q", s)
+	return 0, fmt.Errorf("%w %q", ErrBadKind, s)
 }
 
 // Kinds returns every valid kind in declaration order.
@@ -141,7 +145,8 @@ func MaskOf(kinds ...Kind) KindMask {
 func (m KindMask) Has(k Kind) bool { return m&(1<<k) != 0 }
 
 // ParseKindMask parses a comma-separated list of wire names; "all" (or
-// an empty string) selects every kind.
+// an empty string) selects every kind. An unknown name fails with
+// ErrBadKind.
 func ParseKindMask(s string) (KindMask, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "all" {

@@ -103,8 +103,8 @@ func TestParseKindMask(t *testing.T) {
 	if !m.Has(KindDecode) || !m.Has(KindSMDEnable) || m.Has(KindDRAMCmd) {
 		t.Errorf("mask = %b", m)
 	}
-	if _, err := ParseKindMask("decode,bogus"); err == nil {
-		t.Error("bogus kind: want error")
+	if _, err := ParseKindMask("decode,bogus"); !errors.Is(err, ErrBadKind) {
+		t.Errorf("bogus kind: err = %v, want ErrBadKind", err)
 	}
 	if MaskOf(KindRefresh).Has(KindDRAMCmd) {
 		t.Error("MaskOf selects extra kinds")
@@ -118,8 +118,8 @@ func TestKindParseStringInverse(t *testing.T) {
 			t.Errorf("ParseKind(%s) = %v, %v", k, got, err)
 		}
 	}
-	if _, err := ParseKind("Kind(0)"); err == nil {
-		t.Error("invalid name: want error")
+	if _, err := ParseKind("Kind(0)"); !errors.Is(err, ErrBadKind) {
+		t.Errorf("invalid name: err = %v, want ErrBadKind", err)
 	}
 }
 

@@ -67,3 +67,33 @@ func FuzzParseProm(f *testing.F) {
 		ParseProm(strings.NewReader(in)) //nolint:errcheck // the property is no panic
 	})
 }
+
+// FuzzParseKindMask must never panic, must reject with ErrBadKind, and
+// an accepted list must select exactly the kinds it names: every kind
+// for "" or "all", otherwise the trimmed comma-separated names.
+func FuzzParseKindMask(f *testing.F) {
+	f.Add("")
+	f.Add("all")
+	f.Add("decode, smd_enable")
+	f.Add("dram_cmd,refresh,,")
+	f.Add("decode,bogus")
+	f.Fuzz(func(t *testing.T, in string) {
+		m, err := ParseKindMask(in)
+		if err != nil {
+			if !errors.Is(err, ErrBadKind) {
+				t.Fatalf("rejection does not wrap ErrBadKind: %v", err)
+			}
+			return
+		}
+		named := map[string]bool{}
+		all := strings.TrimSpace(in) == "" || strings.TrimSpace(in) == "all"
+		for _, part := range strings.Split(in, ",") {
+			named[strings.TrimSpace(part)] = true
+		}
+		for _, k := range Kinds() {
+			if want := all || named[k.String()]; m.Has(k) != want {
+				t.Fatalf("ParseKindMask(%q).Has(%s) = %v, want %v", in, k, m.Has(k), want)
+			}
+		}
+	})
+}

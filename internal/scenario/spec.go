@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -310,6 +311,10 @@ func (s Spec) validatePhases(bad func(string, ...any) error) error {
 			// Mirrors sim.ErrBadDuration: durations are rejected here so
 			// the run never starts, not clamped.
 			return bad("phase %s: negative duration %g ms", label, p.DurationMS)
+		}
+		if p.DurationMS*float64(time.Millisecond) >= math.MaxInt64 {
+			// Duration() would wrap negative mid-run.
+			return bad("phase %s: duration %g ms overflows time.Duration", label, p.DurationMS)
 		}
 		if p.Instructions < 0 {
 			return bad("phase %s: negative instructions %d", label, p.Instructions)

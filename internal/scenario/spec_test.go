@@ -37,6 +37,7 @@ func TestParseRejects(t *testing.T) {
 		{"idle-while-idle", "", "bad phase ordering"},
 		{"unknown-metric", "", "unknown metric"},
 		{"negative-duration", "", "negative duration"},
+		{"huge-duration", "", "overflows time.Duration"},
 		{"unknown-workload", "", "unknown benchmark"},
 	}
 	_ = cases
@@ -65,6 +66,17 @@ func TestParseRejects(t *testing.T) {
 		  {"type":"active","workload":"gcc","instructions":1000},
 		  {"type":"idle","duration_ms":-5}],
 		  "invariants":[{"kind":"checker_clean"}]}`, "negative duration")
+	})
+	t.Run("huge-duration", func(t *testing.T) {
+		reject(t, `{"name":"t","phases":[
+		  {"type":"active","workload":"gcc","instructions":1000},
+		  {"type":"idle","duration_ms":1e300}],
+		  "invariants":[{"kind":"checker_clean"}]}`, "overflows time.Duration")
+		// The first value that no longer fits: 2^63 ns.
+		reject(t, `{"name":"t","phases":[
+		  {"type":"active","workload":"gcc","instructions":1000},
+		  {"type":"idle","duration_ms":9223372036854.775808}],
+		  "invariants":[{"kind":"checker_clean"}]}`, "overflows time.Duration")
 	})
 	t.Run("unknown-metric", func(t *testing.T) {
 		reject(t, `{"name":"t","phases":[

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/obs"
 	"repro/internal/retention"
 )
 
@@ -30,16 +31,49 @@ type PhaseTransition struct {
 // RunActive executes the given number of additional instructions in
 // active mode. The runner must not be idle.
 func (r *Runner) RunActive(instructions int64) error {
+	seg, err := r.beginActive(instructions)
+	if err != nil {
+		return err
+	}
+	for err == nil && r.segmentBudget > 0 {
+		rec, ok := r.src.Next()
+		if !ok {
+			break
+		}
+		err = r.step(rec)
+	}
+	return r.endActive(seg, err)
+}
+
+// activeSegment is an active segment in progress: its trace span and
+// the CPU cycle it began at.
+type activeSegment struct {
+	span  *obs.Span
+	start uint64
+}
+
+// beginActive opens an active segment of the given instruction budget;
+// step then consumes its records.
+func (r *Runner) beginActive(instructions int64) (activeSegment, error) {
 	if r.idle {
-		return fmt.Errorf("%w: RunActive while idle", core.ErrBadPhase)
+		return activeSegment{}, fmt.Errorf("%w: RunActive while idle", core.ErrBadPhase)
 	}
 	r.segmentBudget = instructions
 	r.prog.SetPhase("active")
 	start := r.cpu.Now()
-	sp := r.runSpan.Child("active", start)
-	err := r.runLoop()
-	sp.End(r.cpu.Now())
-	r.activeCycles += r.cpu.Now() - start
+	seg := activeSegment{span: r.runSpan.Child("active", start), start: start}
+	r.updateRefreshShift()
+	return seg, nil
+}
+
+// endActive closes the segment. Unless a step failed (err != nil) it
+// first drains outstanding traffic; it returns err or the drain's error.
+func (r *Runner) endActive(seg activeSegment, err error) error {
+	if err == nil {
+		err = r.drain()
+	}
+	seg.span.End(r.cpu.Now())
+	r.activeCycles += r.cpu.Now() - seg.start
 	return err
 }
 

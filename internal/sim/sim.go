@@ -474,64 +474,62 @@ func (r *Runner) Run() (Result, error) {
 	return r.result(r.checkpoints), nil
 }
 
-// runLoop consumes trace records until the segment budget is spent,
-// then drains outstanding traffic so energy accounting is complete.
-func (r *Runner) runLoop() error {
-	checkAt := r.cfg.CheckpointEvery
-	r.updateRefreshShift()
-	for r.segmentBudget > 0 {
-		rec, ok := r.src.Next()
-		if !ok {
-			break
+// step executes one trace record: the gap's instructions, then the read
+// or write, then telemetry and checkpoints. RunActive and RunBenchmarks
+// both drive the runner through it.
+func (r *Runner) step(rec trace.Record) error {
+	r.segmentBudget -= int64(rec.Gap) + 1
+	if rec.Gap > 0 {
+		r.cpu.Execute(uint64(rec.Gap))
+		r.syncDRAM()
+	}
+	if rec.Op == trace.OpWrite {
+		if err := r.sch.onWrite(rec.LineAddr, r.cpu.Now()); err != nil {
+			return err
 		}
-		r.segmentBudget -= int64(rec.Gap) + 1
-		if rec.Gap > 0 {
-			r.cpu.Execute(uint64(rec.Gap))
-			r.syncDRAM()
+		for !r.ctl.CanEnqueueWrite() {
+			r.stepDRAM()
 		}
-		if rec.Op == trace.OpWrite {
-			if err := r.sch.onWrite(rec.LineAddr, r.cpu.Now()); err != nil {
-				return err
-			}
-			for !r.ctl.CanEnqueueWrite() {
-				r.stepDRAM()
-			}
-			if err := r.ctl.EnqueueWrite(rec.LineAddr, 0); err != nil {
-				// invariant: space was ensured.
-				panic(err)
-			}
-			r.cpu.Execute(1)
-		} else {
-			extra, wb, err := r.sch.onRead(rec.LineAddr, r.cpu.Now())
-			if err != nil {
-				return err
-			}
-			if wb {
-				r.pendingWB = append(r.pendingWB, rec.LineAddr)
-			}
-			r.updateRefreshShift()
-			if err := r.doRead(rec.LineAddr, extra); err != nil {
-				return err
-			}
-			r.cpu.Execute(1)
+		if err := r.ctl.EnqueueWrite(rec.LineAddr, 0); err != nil {
+			// invariant: space was ensured.
+			panic(err)
 		}
-		if r.obs != nil {
-			r.obs.Tick(r.cpu.Now())
-			r.obsTickN++
-			// The segment's last record publishes below, after any
-			// budget overrun has been added to the progress total.
-			if r.obsTickN&1023 == 0 && r.segmentBudget > 0 {
-				r.publishObs()
-			}
+		r.cpu.Execute(1)
+	} else {
+		extra, wb, err := r.sch.onRead(rec.LineAddr, r.cpu.Now())
+		if err != nil {
+			return err
 		}
-		if checkAt > 0 && int64(r.cpu.Retired()) >= checkAt*int64(len(r.checkpoints)+1) {
-			r.checkpoints = append(r.checkpoints, Checkpoint{
-				Instructions: r.cpu.Retired(),
-				IPC:          r.cpu.IPC(),
-			})
+		if wb {
+			r.pendingWB = append(r.pendingWB, rec.LineAddr)
+		}
+		r.updateRefreshShift()
+		if err := r.doRead(rec.LineAddr, extra); err != nil {
+			return err
+		}
+		r.cpu.Execute(1)
+	}
+	if r.obs != nil {
+		r.obs.Tick(r.cpu.Now())
+		r.obsTickN++
+		// The segment's last record publishes in endActive, after any
+		// budget overrun has been added to the progress total.
+		if r.obsTickN&1023 == 0 && r.segmentBudget > 0 {
+			r.publishObs()
 		}
 	}
-	// Drain outstanding traffic so energy accounting is complete.
+	if checkAt := r.cfg.CheckpointEvery; checkAt > 0 && int64(r.cpu.Retired()) >= checkAt*int64(len(r.checkpoints)+1) {
+		r.checkpoints = append(r.checkpoints, Checkpoint{
+			Instructions: r.cpu.Retired(),
+			IPC:          r.cpu.IPC(),
+		})
+	}
+	return nil
+}
+
+// drain completes outstanding traffic at the end of an active segment so
+// energy accounting is complete, then publishes telemetry.
+func (r *Runner) drain() error {
 	for len(r.pendingWB) > 0 {
 		r.stepDRAM()
 	}
@@ -601,12 +599,113 @@ func (r *Runner) result(checkpoints []Checkpoint) Result {
 	return res
 }
 
+// ErrStreamMismatch reports RunBenchmarks configs that would not replay
+// the same record stream.
+var ErrStreamMismatch = errors.New("sim: configs replay different record streams")
+
+// StreamKey identifies the record stream a run consumes: the generator's
+// inputs (profile, memory size in lines, seed) and the instruction budget
+// at which the run stops reading. Runs with equal keys consume the same
+// records, whatever their scheme, timing or policy.
+type StreamKey struct {
+	Profile      workload.Profile
+	Lines        uint64
+	Seed         int64
+	Instructions int64
+}
+
+// Stream returns the key of the stream a run of prof under c consumes.
+func (c Config) Stream(prof workload.Profile) StreamKey {
+	return StreamKey{Profile: prof, Lines: c.DRAM.TotalLines(), Seed: c.Seed, Instructions: c.Instructions}
+}
+
+// streamChunk is how many records RunBenchmarks generates at a time.
+const streamChunk = 1024
+
 // RunBenchmark is the one-call entry point: simulate one profile under
 // one configuration.
 func RunBenchmark(prof workload.Profile, cfg Config) (Result, error) {
-	r, err := NewRunner(prof, cfg)
+	res, err := RunBenchmarks(prof, []Config{cfg})
 	if err != nil {
 		return Result{}, err
 	}
-	return r.Run()
+	return res[0], nil
+}
+
+// RunBenchmarks simulates one profile under several configurations with
+// the same Stream key, so every run consumes the same records. The
+// stream is generated once, streamChunk records at a time into one
+// reused buffer, and each chunk is stepped through every config's runner
+// in turn. Results are in cfgs order and equal separate RunBenchmark
+// calls. Configs whose keys differ fail with ErrStreamMismatch.
+func RunBenchmarks(prof workload.Profile, cfgs []Config) ([]Result, error) {
+	if len(cfgs) == 0 {
+		return nil, nil
+	}
+	c0 := cfgs[0]
+	for _, c := range cfgs[1:] {
+		if c.Stream(prof) != c0.Stream(prof) {
+			return nil, fmt.Errorf("%w: %d lines, seed %d, %d instructions against %d lines, seed %d, %d instructions",
+				ErrStreamMismatch, c.DRAM.TotalLines(), c.Seed, c.Instructions,
+				c0.DRAM.TotalLines(), c0.Seed, c0.Instructions)
+		}
+	}
+	// The first runner owns the generator; the others never read a
+	// source of their own.
+	runners := make([]*Runner, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if i == 0 {
+			runners[i], err = NewRunner(prof, cfg)
+		} else {
+			runners[i], err = newRunner(prof, cfg, func(*Runner) (trace.Source, error) { return nil, nil })
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	segs := make([]activeSegment, len(runners))
+	for i, r := range runners {
+		var err error
+		if segs[i], err = r.beginActive(c0.Instructions); err != nil {
+			return nil, err
+		}
+	}
+	// Each runner reads until its budget is spent, so the bounded stream
+	// is exactly what every one of them consumes.
+	src := workload.NewBounded(runners[0].src, c0.Instructions)
+	buf := make([]trace.Record, 0, streamChunk)
+	for {
+		buf = buf[:0]
+		for len(buf) < streamChunk {
+			rec, ok := src.Next()
+			if !ok {
+				break
+			}
+			buf = append(buf, rec)
+		}
+		if len(buf) == 0 {
+			break
+		}
+		for _, r := range runners {
+			for _, rec := range buf {
+				if err := r.step(rec); err != nil {
+					// Close every segment without draining; endActive
+					// hands back the error it is given.
+					for j, q := range runners {
+						_ = q.endActive(segs[j], err)
+					}
+					return nil, err
+				}
+			}
+		}
+	}
+	out := make([]Result, len(runners))
+	for i, r := range runners {
+		if err := r.endActive(segs[i], nil); err != nil {
+			return nil, err
+		}
+		out[i] = r.result(r.checkpoints)
+	}
+	return out, nil
 }
