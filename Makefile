@@ -106,6 +106,7 @@ scenarios-short:
 # Short fuzz session over the parsers and the BCH decoder.
 fuzz:
 	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
+	$(GO) test -run=XXX -fuzz FuzzDecodeDifferential -fuzztime 10s ./internal/golden/
 	$(GO) test -run=XXX -fuzz FuzzReadText -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzBinaryReader -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
@@ -116,7 +117,8 @@ fuzz:
 
 # 10-second BCH fuzz passes seeded with the extension-bit-guard and
 # t+1-error corpus (testdata/fuzz) — a quick regression check for the
-# decoder's miscorrection defences — plus one over the meccvet
+# decoder's miscorrection defences — plus one that holds the ECC-6
+# decoder to the golden reference bit for bit, one over the meccvet
 # baseline file, seeded with lint.baseline.json, one over the binary
 # trace reader, one each over obsdump's JSONL event reader and the
 # Prometheus parser obsscrape feeds live HTTP input, one over the
@@ -125,6 +127,7 @@ fuzz:
 fuzz-short:
 	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 10s ./internal/bch/
+	$(GO) test -run=XXX -fuzz FuzzDecodeDifferential -fuzztime 10s ./internal/golden/
 	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
 	$(GO) test -run=XXX -fuzz FuzzBinaryReader -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/

@@ -9,7 +9,7 @@ import (
 )
 
 // Hotpath enforces the allocation-free contract on functions annotated
-// //meccvet:hotpath (the fused BCH kernels, the batch sweep APIs) and
+// //meccvet:hotpath (the BCH codec kernels, the batch sweep APIs) and
 // on their whole callee closure. A root may not contain defer, a
 // goroutine launch, closures, fmt/log/errors calls, make/new/&T{}
 // construction, fresh-slice append, string<->[]byte conversion, or

@@ -5,10 +5,13 @@
 // A t-error-correcting code for 512 data bits lives in GF(2^10)
 // (n = 1023, shortened), costing 10*t parity bits: ECC-6 therefore needs 60
 // parity bits, exactly the budget the paper carves out of the 64 spare ECC
-// bits of a (72,64)-equipped memory. The decoder follows the classical
-// pipeline: syndrome computation, Berlekamp–Massey, Chien search, with a
-// post-correction syndrome re-check so that miscorrections surface as
-// detected-uncorrectable instead of silent corruption.
+// bits of a (72,64)-equipped memory. The decoder works from the remainder
+// of the received word modulo the generator: a zero remainder is a clean
+// word, otherwise the syndromes come from the remainder, Berlekamp–Massey
+// gives the error locator, its roots (closed form for one or two errors,
+// a Chien search beyond) give the positions, and a post-correction
+// remainder check makes miscorrections surface as detected-uncorrectable
+// instead of silent corruption.
 package bch
 
 import (
@@ -71,25 +74,24 @@ type Code struct {
 	// so the encoder runs at memory-port speed.
 	encPos *[64][256]uint64
 	// Byte-at-a-time syndrome tables: for syndrome j (1-based),
-	// synTable[j-1][v] evaluates the byte polynomial v at alpha^j and
-	// synMul[j-1] = alpha^(8j) advances the Horner accumulator by one
-	// byte. These cut decode cost ~8x over bitwise Horner.
-	synTable [][256]uint16
-	synMul   []uint16
+	// synTable[j-1][v] evaluates the byte polynomial v at alpha^j, and
 	// synStep[j-1] is the dense constant-multiplication table of
-	// alpha^(8j): synStep[j-1][x] = x * alpha^(8j). One lookup replaces
-	// the log/antilog multiply in the Horner step, and having all 2t
-	// tables lets syndromesInto advance every accumulator in a single
-	// fused pass over the data bytes.
-	synStep [][]uint16
-	// parShift[j-1] = alpha^(j*parityBits) splices the separately
-	// evaluated data and parity halves of the codeword back together:
-	// S_j = D(alpha^j)*alpha^(j*parityBits) + P(alpha^j).
-	parShift [maxSyn]uint16
+	// alpha^(8j) (synStep[j-1][x] = x * alpha^(8j)), which advances the
+	// Horner accumulator by one byte in a single lookup.
+	synTable [][256]uint16
+	synStep  [][]uint16
 	// chienStep[k-1] is the dense constant-multiplication table of
 	// alpha^-k, the per-position update factor of locator term k in the
 	// incremental Chien search.
 	chienStep [][]uint16
+	// log[x] is the discrete log of field element x != 0 (alpha^log[x]
+	// = x). The decoder keeps its own table rather than calling
+	// gf2.Field.Log, whose error path allocates.
+	log []uint16
+	// quadRoot[c] is one solution y of y^2 + y = c, or 0 when there is
+	// none; the other solution is y^1. It solves degree-2 locators in
+	// closed form.
+	quadRoot []uint16
 }
 
 // New constructs a t-error-correcting BCH code for 512 data bits.
@@ -147,20 +149,18 @@ func newCode(t int, extended bool) (*Code, error) {
 	return c, nil
 }
 
-// buildSynTables precomputes the byte-wise syndrome evaluation tables.
+// buildSynTables precomputes the byte-wise syndrome evaluation tables
+// and the root-finding tables.
 func (c *Code) buildSynTables() {
 	f := c.field
 	c.synTable = make([][256]uint16, 2*c.t)
-	c.synMul = make([]uint16, 2*c.t)
 	c.synStep = make([][]uint16, 2*c.t)
 	c.chienStep = make([][]uint16, c.t)
 	for k := 1; k <= c.t; k++ {
 		c.chienStep[k-1] = f.MulTable(f.Alpha(f.Order() - k))
 	}
 	for j := 1; j <= 2*c.t; j++ {
-		c.synMul[j-1] = f.Alpha(8 * j)
 		c.synStep[j-1] = f.MulTable(f.Alpha(8 * j))
-		c.parShift[j-1] = f.Alpha(j * c.parityBits)
 		// powers[k] = alpha^(j*k) for bit k of a byte.
 		var powers [8]uint16
 		for k := 0; k < 8; k++ {
@@ -175,6 +175,16 @@ func (c *Code) buildSynTables() {
 			}
 			c.synTable[j-1][v] = acc
 		}
+	}
+	c.log = make([]uint16, c.n+1)
+	for i := 0; i < c.n; i++ {
+		c.log[f.Alpha(i)] = uint16(i)
+	}
+	// y and y^1 give the same c; y = 0 and y = 1 give c = 0, which no
+	// degree-2 locator produces, so 0 is free to mean "no solution".
+	c.quadRoot = make([]uint16, c.n+1)
+	for y := 2; y <= c.n; y++ {
+		c.quadRoot[f.Mul(uint16(y), uint16(y))^uint16(y)] = uint16(y)
 	}
 }
 
@@ -327,8 +337,8 @@ func (c *Code) encodeLFSR(data line.Line) uint64 {
 // Result. The screen rides the systematic-code identity "all syndromes
 // vanish iff g divides the received polynomial iff re-encoding the data
 // reproduces the stored base parity", so it costs one table encode and
-// a compare instead of 2t Horner accumulators. Parity bits above
-// ParityBits() are ignored, as in Decode.
+// a compare, the same remainder test Decode starts with. Parity bits
+// above ParityBits() are ignored, as in Decode.
 //
 //meccvet:hotpath
 func (c *Code) ScreenClean(data line.Line, parity uint64) bool {
@@ -354,7 +364,7 @@ func (c *Code) overallParity(data line.Line, parity uint64) uint64 {
 // not returned, since the caller re-encodes on write-back.
 //
 // Decode performs no heap allocations: syndromes, the Berlekamp–Massey
-// locator and the Chien root list all live in fixed-size stack arrays
+// locator and the error positions all live in fixed-size stack arrays
 // bounded by MaxT (guarded by TestDecodeZeroAllocs).
 //
 //meccvet:hotpath
@@ -366,30 +376,24 @@ func (c *Code) Decode(data line.Line, parity uint64) (line.Line, Result) {
 
 // decode is the telemetry-free correction pipeline behind Decode.
 //
+// It works from rem = R(x) mod g(x), the remainder of the received word
+// R(x) = D(x)*x^parityBits + P(x): the re-encoded data parity XOR the
+// stored parity, 64 independent table lookups. Every alpha^j with
+// j <= 2t is a root of g, so S_j = R(alpha^j) = rem(alpha^j): all 2t
+// syndromes vanish exactly when rem is zero, and otherwise they are
+// evaluated over rem's eight bytes rather than the codeword's 72.
+//
 //meccvet:hotpath
 func (c *Code) decode(data line.Line, parity uint64) (line.Line, Result) {
 	deg := c.parityBits
-	extBit := uint64(0)
-	if c.extended {
-		extBit = (parity >> deg) & 1
-		parity &= (uint64(1) << deg) - 1
-	}
-
-	var synd [maxSyn]uint16
-	c.syndromesInto(&data, parity, &synd)
-	nSyn := 2 * c.t
-	allZero := true
-	for j := 0; j < nSyn; j++ {
-		if synd[j] != 0 {
-			allZero = false
-			break
-		}
-	}
+	extBit := (parity >> deg) & 1
+	parity &= (uint64(1) << deg) - 1
 	extOK := true
 	if c.extended {
 		extOK = c.overallParity(data, parity) == extBit
 	}
-	if allZero {
+	rem := c.encodeRemainder(&data) ^ parity
+	if rem == 0 {
 		if !extOK {
 			// Single error in the extension bit itself.
 			return data, Result{CorrectedBits: 1}
@@ -397,13 +401,15 @@ func (c *Code) decode(data line.Line, parity uint64) (line.Line, Result) {
 		return data, Result{}
 	}
 
+	var synd [maxSyn]uint16
+	c.remSyndromes(rem, &synd)
 	var lambda [maxSyn + 1]uint16
-	degL, ok := c.berlekampMassey(synd[:nSyn], &lambda)
+	degL, ok := c.berlekampMassey(synd[:2*c.t], &lambda)
 	if !ok {
 		return data, Result{Uncorrectable: true}
 	}
 	var positions [MaxT]int
-	nPos, ok := c.chienSearch(lambda[:degL+1], &positions)
+	nPos, ok := c.errorPositions(lambda[:degL+1], &positions)
 	if !ok {
 		return data, Result{Uncorrectable: true}
 	}
@@ -421,74 +427,53 @@ func (c *Code) decode(data line.Line, parity uint64) (line.Line, Result) {
 		}
 	}
 
+	// Correct, and XOR each corrected position's own remainder into rem:
+	// x^pos for a parity bit, the encPos entry for a data bit. The
+	// corrected word is a codeword (all 2t syndromes vanish) exactly when
+	// rem ends at zero; otherwise the decoder was about to miscorrect.
 	corrected := data
-	fixedParity := parity
 	for _, pos := range positions[:nPos] {
-		if pos >= deg {
-			corrected = corrected.FlipBit(pos - deg)
-		} else {
-			fixedParity ^= uint64(1) << pos
+		if pos < deg {
+			rem ^= uint64(1) << pos
+			continue
 		}
+		i := pos - deg
+		corrected = corrected.FlipBit(i)
+		rem ^= c.encPos[i/8][1<<(i%8)]
 	}
-	// Verify: syndromes of the corrected word must vanish, otherwise the
-	// decoder was about to miscorrect.
-	var recheck [maxSyn]uint16
-	c.syndromesInto(&corrected, fixedParity, &recheck)
-	for j := 0; j < nSyn; j++ {
-		if recheck[j] != 0 {
-			return data, Result{Uncorrectable: true}
-		}
+	if rem != 0 {
+		return data, Result{Uncorrectable: true}
 	}
 	return corrected, Result{CorrectedBits: nPos}
 }
 
-// syndromes computes S_1..S_2t of the received polynomial. It is the
-// allocating convenience wrapper around syndromesInto, kept for tests.
+// remSyndromes computes S_1..S_2t from the remainder rem = R(x) mod g(x)
+// into the caller-provided scratch array, without allocating: 2t Horner
+// accumulators advance over rem's eight bytes, top byte first, each step
+// one synStep constant multiply and one synTable byte evaluation.
+//
+//meccvet:hotpath
+func (c *Code) remSyndromes(rem uint64, out *[maxSyn]uint16) {
+	nSyn := 2 * c.t
+	*out = [maxSyn]uint16{}
+	for s := 56; s >= 0; s -= 8 {
+		b := rem >> uint(s) & 0xff
+		for j := 0; j < nSyn; j++ {
+			out[j] = c.synStep[j][out[j]] ^ c.synTable[j][b]
+		}
+	}
+}
+
+// syndromes computes S_1..S_2t of a received word the way decode does,
+// from its remainder. It is the allocating convenience wrapper kept for
+// tests; bits of parity at or above parityBits are ignored.
 func (c *Code) syndromes(data line.Line, parity uint64) []uint16 {
 	var scratch [maxSyn]uint16
-	c.syndromesInto(&data, parity, &scratch)
+	parity &= (uint64(1) << c.parityBits) - 1
+	c.remSyndromes(c.encodeRemainder(&data)^parity, &scratch)
 	synd := make([]uint16, 2*c.t)
 	copy(synd, scratch[:])
 	return synd
-}
-
-// syndromesInto computes S_1..S_2t of the received polynomial into the
-// caller-provided scratch array, without allocating.
-//
-// The codeword splits as R(x) = D(x)*x^parityBits + P(x) with data bit i
-// the coefficient of x^(parityBits+i) and parity bit j of x^j. Both
-// halves are byte-aligned polynomials in their own frame, so a single
-// fused pass over the 64 data bytes advances all 2t Horner accumulators
-// per byte (one synStep constant-multiply lookup plus one synTable byte
-// evaluation each), eight more byte steps fold in the parity word, and
-// parShift splices the halves: S_j = D(a^j)*a^(j*parityBits) + P(a^j).
-// Bits of parity at or above parityBits are ignored, matching the
-// bit-serial reference.
-//
-//meccvet:hotpath
-func (c *Code) syndromesInto(data *line.Line, parity uint64, out *[maxSyn]uint16) {
-	nSyn := 2 * c.t
-	parity &= (uint64(1) << c.parityBits) - 1
-	var accD, accP [maxSyn]uint16
-	for w := len(data) - 1; w >= 0; w-- {
-		word := data[w]
-		for s := 56; s >= 0; s -= 8 {
-			b := word >> uint(s) & 0xff
-			for j := 0; j < nSyn; j++ {
-				accD[j] = c.synStep[j][accD[j]] ^ c.synTable[j][b]
-			}
-		}
-	}
-	for s := 56; s >= 0; s -= 8 {
-		b := parity >> uint(s) & 0xff
-		for j := 0; j < nSyn; j++ {
-			accP[j] = c.synStep[j][accP[j]] ^ c.synTable[j][b]
-		}
-	}
-	f := c.field
-	for j := 0; j < nSyn; j++ {
-		out[j] = f.Mul(accD[j], c.parShift[j]) ^ accP[j]
-	}
 }
 
 // syndromesBitwise is the reference bit-serial implementation, kept for
@@ -540,27 +525,18 @@ func (c *Code) berlekampMassey(synd []uint16, lambda *[maxSyn + 1]uint16) (int, 
 			m++
 			continue
 		}
+		// coef = d/b; b is 1 or an earlier nonzero discrepancy.
+		coef := f.Alpha(int(c.log[d]) + c.n - int(c.log[b]))
+		tmp := *lambda
+		for i := 0; i+m < nLam; i++ {
+			lambda[i+m] ^= f.Mul(coef, prev[i])
+		}
 		if 2*l <= r {
-			tmp := *lambda
-			coef, err := f.Div(d, b)
-			if err != nil {
-				return 0, false
-			}
-			for i := 0; i+m < nLam; i++ {
-				lambda[i+m] ^= f.Mul(coef, prev[i])
-			}
 			l = r + 1 - l
 			prev = tmp
 			b = d
 			m = 1
 		} else {
-			coef, err := f.Div(d, b)
-			if err != nil {
-				return 0, false
-			}
-			for i := 0; i+m < nLam; i++ {
-				lambda[i+m] ^= f.Mul(coef, prev[i])
-			}
 			m++
 		}
 	}
@@ -568,6 +544,70 @@ func (c *Code) berlekampMassey(synd []uint16, lambda *[maxSyn + 1]uint16) (int, 
 		return 0, false
 	}
 	return l, true
+}
+
+// errorPositions finds the roots of the locator Lambda (lambda[0] = 1)
+// as codeword exponents, writing them into the caller-provided array and
+// returning how many were found. It returns ok=false unless Lambda has
+// deg(Lambda) distinct roots, all within the shortened length: a root at
+// a shortened-away position, a repeated root or a missing root means
+// more errors than the code can correct. Degrees 1 and 2 are solved in
+// closed form; higher degrees run the Chien search. The positions are
+// those chienSearch reports, though not necessarily in rising order.
+//
+//meccvet:hotpath
+func (c *Code) errorPositions(lambda []uint16, out *[MaxT]int) (int, bool) {
+	switch len(lambda) - 1 {
+	case 1:
+		return c.root1(lambda[1], out)
+	case 2:
+		return c.roots2(lambda[1], lambda[2], out)
+	}
+	return c.chienSearch(lambda, out)
+}
+
+// root1 solves Lambda(x) = 1 + l1*x. Its root 1/l1 equals alpha^-i for
+// the error at exponent i, so i = log l1.
+//
+//meccvet:hotpath
+func (c *Code) root1(l1 uint16, out *[MaxT]int) (int, bool) {
+	if l1 == 0 {
+		return 0, false
+	}
+	i := int(c.log[l1])
+	if i >= c.parityBits+line.Bits {
+		return 0, false
+	}
+	out[0] = i
+	return 1, true
+}
+
+// roots2 solves Lambda(x) = 1 + l1*x + l2*x^2. Substituting
+// x = (l1/l2)*y gives (l1^2/l2)*(y^2 + y + l2/l1^2), so the roots are
+// x = (l1/l2)*y for the two solutions y of y^2 + y = l2/l1^2, read from
+// quadRoot. A root x = alpha^-i marks the error at exponent
+// i = log(l2/l1) - log y. l1 = 0 leaves one repeated root, l2 = 0 a
+// degree-1 polynomial, and a c with no solution no root at all.
+//
+//meccvet:hotpath
+func (c *Code) roots2(l1, l2 uint16, out *[MaxT]int) (int, bool) {
+	if l1 == 0 || l2 == 0 {
+		return 0, false
+	}
+	n := c.n
+	lq := int(c.log[l2]) + n - int(c.log[l1]) // log(l2/l1), in [1, 2n)
+	y := c.quadRoot[c.field.Alpha(lq+n-int(c.log[l1]))]
+	if y == 0 {
+		return 0, false
+	}
+	length := c.parityBits + line.Bits
+	i0 := (lq + n - int(c.log[y])) % n
+	i1 := (lq + n - int(c.log[y^1])) % n
+	if i0 >= length || i1 >= length {
+		return 0, false
+	}
+	out[0], out[1] = i0, i1
+	return 2, true
 }
 
 // chienSearch finds error positions as codeword exponents, writing them

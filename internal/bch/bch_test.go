@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/gf2"
@@ -268,6 +269,118 @@ func TestAllSingleBitPositions(t *testing.T) {
 	}
 }
 
+// TestDecodeAllOneAndTwoErrorPatterns corrects every single-bit and
+// every two-bit error pattern over the 572 codeword bits of ECC-6
+// (163,306 pairs), plain and extended: the closed-form roots must cover
+// every position the Chien scan covers.
+func TestDecodeAllOneAndTwoErrorPatterns(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, extended := range []bool{false, true} {
+		c := mustCode(t, 6, extended)
+		data := randLine(rng)
+		parity := c.Encode(data)
+		length := c.parityBits + line.Bits
+		flip := func(d line.Line, p uint64, pos int) (line.Line, uint64) {
+			if pos < c.parityBits {
+				return d, p ^ uint64(1)<<pos
+			}
+			return d.FlipBit(pos - c.parityBits), p
+		}
+		for i := 0; i < length; i++ {
+			d1, p1 := flip(data, parity, i)
+			if got, res := c.Decode(d1, p1); got != data || res != (Result{CorrectedBits: 1}) {
+				t.Fatalf("ext=%v error at %d: %+v", extended, i, res)
+			}
+			for j := i + 1; j < length; j++ {
+				d2, p2 := flip(d1, p1, j)
+				if got, res := c.Decode(d2, p2); got != data || res != (Result{CorrectedBits: 2}) {
+					t.Fatalf("ext=%v errors at %d,%d: %+v", extended, i, j, res)
+				}
+			}
+		}
+	}
+}
+
+// monomialRemainder returns x^p mod g(x) as a parity word, by literal
+// polynomial division.
+func monomialRemainder(t *testing.T, c *Code, p int) uint64 {
+	t.Helper()
+	rem, err := gf2.NewPoly2(p).Mod(c.Generator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rem[0]
+}
+
+// TestShortenedTailUncorrectable: a received word whose remainder is
+// x^p mod g for a shortened-away position p in [572, 1023) looks like a
+// single error beyond the codeword, and a pair with one position inside
+// and one outside like a double error half beyond it. The code cannot
+// correct either, so both must decode as Uncorrectable with the data
+// untouched.
+func TestShortenedTailUncorrectable(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, extended := range []bool{false, true} {
+		c := mustCode(t, 6, extended)
+		length := c.parityBits + line.Bits
+		data := randLine(rng)
+		parity := c.Encode(data)
+		for p := length; p < c.N(); p++ {
+			tail := monomialRemainder(t, c, p)
+			if got, res := c.Decode(data, parity^tail); got != data || !res.Uncorrectable {
+				t.Fatalf("ext=%v lone tail position %d: %+v", extended, p, res)
+			}
+			for k := 0; k < 4; k++ {
+				q := rng.Intn(length)
+				cd, cp := data, parity^tail
+				if q < c.parityBits {
+					cp ^= uint64(1) << q
+				} else {
+					cd = cd.FlipBit(q - c.parityBits)
+				}
+				if got, res := c.Decode(cd, cp); got != cd || !res.Uncorrectable {
+					t.Fatalf("ext=%v tail position %d with error at %d: %+v", extended, p, q, res)
+				}
+			}
+		}
+	}
+}
+
+// TestClosedFormRootsMatchChien pins root1 and roots2 to the Chien scan:
+// the same ok and, when ok, the same set of positions, over every
+// degree-1 locator and random degree-2 locators, with rows for
+// lambda1 = 0 and lambda2 = 0.
+func TestClosedFormRootsMatchChien(t *testing.T) {
+	c := mustCode(t, 6, false)
+	rng := rand.New(rand.NewSource(14))
+	check := func(lambda []uint16) {
+		t.Helper()
+		var fast, slow [MaxT]int
+		nf, okf := c.errorPositions(lambda, &fast)
+		ns, oks := c.chienSearch(lambda, &slow)
+		if okf != oks {
+			t.Fatalf("lambda %v: closed form ok=%v, Chien ok=%v", lambda, okf, oks)
+		}
+		if !okf {
+			return
+		}
+		got := append([]int(nil), fast[:nf]...)
+		sort.Ints(got)
+		if fmt.Sprint(got) != fmt.Sprint(slow[:ns]) {
+			t.Fatalf("lambda %v: closed form %v, Chien %v", lambda, got, slow[:ns])
+		}
+	}
+	for l1 := 0; l1 <= c.N(); l1++ {
+		check([]uint16{1, uint16(l1)})
+	}
+	for k := 0; k < 20000; k++ {
+		l1, l2 := uint16(rng.Intn(c.N()+1)), uint16(rng.Intn(c.N()+1))
+		check([]uint16{1, l1, l2})
+		check([]uint16{1, 0, l2})
+		check([]uint16{1, l1, 0})
+	}
+}
+
 func BenchmarkEncodeECC6(b *testing.B) {
 	c, err := New(6)
 	if err != nil {
@@ -299,8 +412,9 @@ func BenchmarkDecodeECC6SixErrors(b *testing.B) {
 	}
 }
 
-// Property: the fused multi-syndrome path agrees with the bit-serial
-// reference on random received words (including corrupted ones).
+// Property: the remainder syndromes (S_j = rem(alpha^j), with rem the
+// received word mod g) agree with the bit-serial reference on random
+// received words.
 func TestSyndromeTableEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tcap := range []int{1, 3, 6} {
@@ -320,12 +434,13 @@ func TestSyndromeTableEquivalence(t *testing.T) {
 }
 
 // Differential property sweep over the whole code family: for every t in
-// 1..6, extended and non-extended, the fused single-pass syndrome
-// computation must agree with the bit-serial reference on random lines
-// carrying random error patterns (valid codewords perturbed by 0..t+3
-// flips across data and parity) and on entirely unmasked random parity
-// words — the fast path can never silently diverge.
-func TestSyndromeFusedDifferential(t *testing.T) {
+// 1..6, extended and non-extended, the syndromes decode evaluates from
+// the 10t-bit remainder must agree with the bit-serial reference over
+// the whole codeword on random lines carrying random error patterns
+// (valid codewords perturbed by 0..t+3 flips across data and parity) and
+// on entirely unmasked random parity words — the fast path can never
+// silently diverge.
+func TestSyndromeRemainderDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	check := func(c *Code, data line.Line, parity uint64, desc string) {
 		t.Helper()
@@ -333,7 +448,7 @@ func TestSyndromeFusedDifferential(t *testing.T) {
 		slow := c.syndromesBitwise(data, parity)
 		for j := range fast {
 			if fast[j] != slow[j] {
-				t.Fatalf("%s S%d: fused=%d bitwise=%d", desc, j+1, fast[j], slow[j])
+				t.Fatalf("%s S%d: remainder=%d bitwise=%d", desc, j+1, fast[j], slow[j])
 			}
 		}
 	}
@@ -356,30 +471,24 @@ func TestSyndromeFusedDifferential(t *testing.T) {
 	}
 }
 
-// The decode hot path must be allocation-free on the clean (all-zero
-// syndrome) path and on the full correction pipeline (syndromes, BM,
-// Chien, recheck), for both plain and extended codes.
+// The decode hot path must be allocation-free on the clean (zero
+// remainder) path and on every correction route (closed-form roots for
+// one and two errors, the Chien search for six), for both plain and
+// extended codes.
 func TestDecodeZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, extended := range []bool{false, true} {
 		c := mustCode(t, 6, extended)
-		data := randLine(rng)
-		parity := c.Encode(data)
-		cd, cp := corruptWord(rng, c, data, parity, 6)
-
-		if n := testing.AllocsPerRun(200, func() {
-			if _, res := c.Decode(data, parity); res.Uncorrectable {
-				t.Fatal("clean decode flagged uncorrectable")
+		for _, nErr := range []int{0, 1, 2, 6} {
+			data := randLine(rng)
+			cd, cp := corruptWord(rng, c, data, c.Encode(data), nErr)
+			if n := testing.AllocsPerRun(200, func() {
+				if _, res := c.Decode(cd, cp); res.Uncorrectable || res.CorrectedBits != nErr {
+					t.Fatalf("ext=%v %d-error decode: %+v", extended, nErr, res)
+				}
+			}); n != 0 {
+				t.Errorf("ext=%v %d-error Decode allocates %.1f times per run, want 0", extended, nErr, n)
 			}
-		}); n != 0 {
-			t.Errorf("ext=%v clean Decode allocates %.1f times per run, want 0", extended, n)
-		}
-		if n := testing.AllocsPerRun(200, func() {
-			if _, res := c.Decode(cd, cp); res.Uncorrectable {
-				t.Fatal("6-error decode flagged uncorrectable")
-			}
-		}); n != 0 {
-			t.Errorf("ext=%v corrected Decode allocates %.1f times per run, want 0", extended, n)
 		}
 	}
 	// The detected-uncorrectable path matters for sweeps over badly
@@ -387,10 +496,17 @@ func TestDecodeZeroAllocs(t *testing.T) {
 	c := mustCode(t, 2, false)
 	data := randLine(rng)
 	cd, cp := corruptWord(rng, c, data, c.Encode(data), 5)
-	if _, res := c.Decode(cd, cp); res.Uncorrectable {
-		if n := testing.AllocsPerRun(200, func() { c.Decode(cd, cp) }); n != 0 {
-			t.Errorf("uncorrectable Decode allocates %.1f times per run, want 0", n)
+	for tries := 0; ; tries++ {
+		if _, res := c.Decode(cd, cp); res.Uncorrectable {
+			break
 		}
+		if tries == 100 {
+			t.Fatal("no uncorrectable 5-error pattern in 100 draws")
+		}
+		cd, cp = corruptWord(rng, c, data, c.Encode(data), 5)
+	}
+	if n := testing.AllocsPerRun(200, func() { c.Decode(cd, cp) }); n != 0 {
+		t.Errorf("uncorrectable Decode allocates %.1f times per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { c.Encode(data) }); n != 0 {
 		t.Errorf("Encode allocates %.1f times per run, want 0", n)
@@ -479,6 +595,34 @@ func BenchmarkDecodeClean(b *testing.B) {
 		}
 	}
 }
+
+// benchDecodeErrors measures an ECC-6 decode of a line carrying nErr
+// random bit errors.
+func benchDecodeErrors(b *testing.B, nErr int, seed int64) {
+	c, err := New(6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	data := randLine(rng)
+	cd, cp := corruptWord(rng, c, data, c.Encode(data), nErr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, res := c.Decode(cd, cp)
+		if res.Uncorrectable || res.CorrectedBits != nErr {
+			b.Fatalf("%d-error decode: %+v", nErr, res)
+		}
+	}
+}
+
+// BenchmarkDecodeOneError measures a single-error decode, a degree-1
+// locator: the commonest correction at any BER low enough to matter.
+func BenchmarkDecodeOneError(b *testing.B) { benchDecodeErrors(b, 1, 33) }
+
+// BenchmarkDecodeTwoErrors measures a double-error decode, a degree-2
+// locator.
+func BenchmarkDecodeTwoErrors(b *testing.B) { benchDecodeErrors(b, 2, 34) }
 
 // BenchmarkDecodeT6 measures the worst correctable case: six errors
 // through the full syndrome/BM/Chien/recheck pipeline.
@@ -628,62 +772,4 @@ func TestEncodeScreenZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Encode+ScreenClean allocate %v per run, want 0", n)
 	}
-}
-
-// TestSyndromeScreenBatchMatchesScalar pins the batch screen to scalar
-// ScreenClean over a mixed clean/dirty population.
-func TestSyndromeScreenBatchMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	c := mustCode(t, 6, true)
-	const n = 300
-	datas := make([]line.Line, n)
-	parities := make([]uint64, n)
-	for i := range datas {
-		datas[i] = randLine(rng)
-		parities[i] = c.Encode(datas[i])
-		if rng.Intn(3) == 0 {
-			datas[i], parities[i] = corruptWord(rng, c, datas[i], parities[i], 1+rng.Intn(7))
-		}
-	}
-	clean := make([]bool, n)
-	c.SyndromeScreenBatch(datas, parities, clean)
-	for i := range datas {
-		if want := c.ScreenClean(datas[i], parities[i]); clean[i] != want {
-			t.Fatalf("line %d: batch %v, scalar %v", i, clean[i], want)
-		}
-	}
-}
-
-func TestSyndromeScreenBatchLengthMismatchPanics(t *testing.T) {
-	c := mustCode(t, 6, true)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on mismatched slice lengths")
-		}
-	}()
-	c.SyndromeScreenBatch(make([]line.Line, 2), make([]uint64, 1), make([]bool, 2))
-}
-
-// BenchmarkSyndromeScreenBatch measures the per-line screening cost on an
-// all-clean population, the common case during an upgrade sweep.
-func BenchmarkSyndromeScreenBatch(b *testing.B) {
-	c, err := NewExtended(6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(46))
-	const n = 1024
-	datas := make([]line.Line, n)
-	parities := make([]uint64, n)
-	for i := range datas {
-		datas[i] = randLine(rng)
-	}
-	c.EncodeBatch(datas, parities)
-	clean := make([]bool, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.SyndromeScreenBatch(datas, parities, clean)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/line")
 }

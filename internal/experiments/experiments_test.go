@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -299,8 +301,20 @@ func TestIntegrityUnderStress(t *testing.T) {
 	if res.ModeBitFlips == 0 || res.ModeResolved != res.ModeBitFlips {
 		t.Errorf("mode bits: %d flips, %d resolved", res.ModeBitFlips, res.ModeResolved)
 	}
-	if _, err := Integrity(0, 0, 1); err == nil {
-		t.Error("zero trials: want error")
+	for _, tc := range []struct {
+		name   string
+		trials int
+		ber    float64
+	}{
+		{"zero trials", 0, 0},
+		{"NaN BER", 100, math.NaN()},
+		{"negative BER", 100, -0.5},
+		{"BER above 1", 100, 1.5},
+		{"infinite BER", 100, math.Inf(1)},
+	} {
+		if _, err := Integrity(tc.trials, tc.ber, 1); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("%s: err = %v, want ErrBadOptions", tc.name, err)
+		}
 	}
 }
 

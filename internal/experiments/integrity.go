@@ -44,10 +44,14 @@ type IntegrityResult struct {
 // the recovered data bit-for-bit. stressBER of 0 uses the paper's
 // idle-mode BER of 10^-4.5 (where multi-error lines are rare); pass a
 // higher value (e.g. 3e-3) to exercise the 5-6-error correction paths
-// heavily.
+// heavily. A stressBER that is NaN, negative or above 1 is not a
+// probability and is rejected with ErrBadOptions.
 func Integrity(trials int, stressBER float64, seed int64) (IntegrityResult, error) {
 	if trials <= 0 {
 		return IntegrityResult{}, fmt.Errorf("%w: trials=%d", ErrBadOptions, trials)
+	}
+	if !(stressBER >= 0 && stressBER <= 1) {
+		return IntegrityResult{}, fmt.Errorf("%w: stress BER %v outside [0, 1]", ErrBadOptions, stressBER)
 	}
 	ber := stressBER
 	if ber == 0 {

@@ -160,8 +160,8 @@ func (f *Field) Pow(a uint16, e int) uint16 {
 // MulTable returns the dense multiplication table of a fixed element:
 // tbl[x] = a*x for every field element x in [0, 2^m). A constant-factor
 // multiply becomes one bounds-checked load with no zero tests or log
-// lookups — the primitive behind the fused multi-syndrome Horner pass in
-// internal/bch. The table is freshly allocated and owned by the caller.
+// lookups — the primitive behind the multi-syndrome Horner steps and
+// the Chien search in internal/bch. The table is freshly allocated and owned by the caller.
 func (f *Field) MulTable(a uint16) []uint16 {
 	tbl := make([]uint16, f.n+1)
 	if a == 0 {

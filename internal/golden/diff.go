@@ -28,15 +28,21 @@ type BCHCase struct {
 	Parity uint64
 }
 
+// baseParityBits returns deg(g), the parity width without the extension
+// bit.
+func baseParityBits(c BCHCodec) int {
+	if c.Extended() {
+		return c.ParityBits() - 1
+	}
+	return c.ParityBits()
+}
+
 // flipCodewordBit flips position pos of a received word. Positions
 // [0, deg(g)) are base parity bits, [deg(g), deg(g)+512) are data bits,
 // and for extended codes the last position is the overall parity bit,
 // which the parity word stores directly above the base parity.
 func flipCodewordBit(c BCHCodec, data *line.Line, parity *uint64, pos int) {
-	baseParity := c.ParityBits()
-	if c.Extended() {
-		baseParity--
-	}
+	baseParity := baseParityBits(c)
 	switch {
 	case pos < baseParity:
 		*parity ^= uint64(1) << pos
@@ -53,6 +59,33 @@ func codewordBits(c BCHCodec) int {
 	return c.ParityBits() + line.Bits
 }
 
+// shortenedTail returns x^p mod g(x) for every position p that the
+// shortened code leaves out, in rising order: p runs from deg(g)+512 up
+// to n-1, where n, the natural code length, is the first exponent with
+// x^n mod g(x) = 1. It needs only Encode: data bit i encodes to
+// x^(deg(g)+i) mod g(x), so bit 0's parity is x^deg(g) mod g(x), the
+// generator's low terms, and bit 511's is the monomial just below the
+// tail.
+func shortenedTail(c BCHCodec) []uint64 {
+	base := baseParityBits(c)
+	mask := uint64(1)<<base - 1
+	var low, high line.Line
+	gen := c.Encode(low.FlipBit(0))&mask | uint64(1)<<base
+	pow := c.Encode(high.FlipBit(line.Bits-1)) & mask
+	var tail []uint64
+	for len(tail) < 1<<16 { // n < 2^16 for every supported field
+		pow <<= 1
+		if pow>>base&1 == 1 {
+			pow ^= gen
+		}
+		if pow == 1 {
+			break
+		}
+		tail = append(tail, pow)
+	}
+	return tail
+}
+
 func randomLine(rng *rand.Rand) line.Line {
 	var ln line.Line
 	for w := range ln {
@@ -65,7 +98,9 @@ func randomLine(rng *rand.Rand) line.Line {
 // cases at every error weight 0..t+2, plus deterministic adversarial
 // families — burst errors of length 2..2t spanning the parity/data
 // boundary, extension-bit flips alone and stacked on 1..t+1 data errors,
-// and all-zero / all-ones extremes.
+// all-zero / all-ones extremes, and the shortened tail: a lone "error"
+// at every position the shortened code leaves out, and pairs with one
+// position inside the codeword and one outside.
 func BCHCorpus(c BCHCodec, rng *rand.Rand, nRandom int) []BCHCase {
 	var cases []BCHCase
 	bits := codewordBits(c)
@@ -90,10 +125,7 @@ func BCHCorpus(c BCHCodec, rng *rand.Rand, nRandom int) []BCHCase {
 
 	// Burst errors: contiguous runs, placed both inside the data, inside
 	// the parity, and across the parity/data boundary.
-	baseParity := c.ParityBits()
-	if c.Extended() {
-		baseParity--
-	}
+	baseParity := baseParityBits(c)
 	for blen := 2; blen <= 2*t && blen <= bits; blen++ {
 		starts := []int{0, baseParity - blen/2, baseParity, baseParity + line.Bits - blen, rng.Intn(bits - blen + 1)}
 		for _, start := range starts {
@@ -142,6 +174,32 @@ func BCHCorpus(c BCHCodec, rng *rand.Rand, nRandom int) []BCHCase {
 			BCHCase{Name: "extreme/clean", Data: ln, Parity: c.Encode(ln)},
 			BCHCase{Name: "extreme/garbage-parity", Data: ln, Parity: rng.Uint64()},
 		)
+	}
+
+	// Shortened tail: XORing x^p mod g(x) into the parity of a codeword
+	// gives the syndromes of a lone error at a position p beyond the
+	// codeword, and one more flip inside makes a pair half beyond it.
+	// Neither is correctable.
+	tail := shortenedTail(c)
+	first := baseParity + line.Bits
+	for k, rem := range tail {
+		data := randomLine(rng)
+		cases = append(cases, BCHCase{
+			Name:   fmt.Sprintf("tail@%d", first+k),
+			Data:   data,
+			Parity: c.Encode(data) ^ rem,
+		})
+	}
+	for k := 0; k < 64 && len(tail) > 0; k++ {
+		p, q := rng.Intn(len(tail)), rng.Intn(first)
+		data := randomLine(rng)
+		parity := c.Encode(data) ^ tail[p]
+		flipCodewordBit(c, &data, &parity, q)
+		cases = append(cases, BCHCase{
+			Name:   fmt.Sprintf("tail@%d+%d", first+p, q),
+			Data:   data,
+			Parity: parity,
+		})
 	}
 	return cases
 }

@@ -1,0 +1,71 @@
+package golden
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"repro/internal/bch"
+	"repro/internal/line"
+)
+
+// FuzzDecodeDifferential requires the optimized ECC-6 decoder and the
+// reference to return the same data and Result for a fuzz-chosen
+// received word, plain and extended. The word is built from a line of
+// eight fuzz-chosen words: its parity is the line's encoding XOR a
+// fuzz-chosen parity word, and up to eight flips follow at fuzz-chosen
+// codeword positions (two bytes each, little-endian, modulo the number
+// of positions, extension bit included).
+func FuzzDecodeDifferential(f *testing.F) {
+	type pair struct {
+		opt *bch.Code
+		ref *RefBCH
+	}
+	var pairs []pair
+	for _, ext := range []bool{false, true} {
+		opt, err := bch.New(6)
+		if ext {
+			opt, err = bch.NewExtended(6)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		ref, err := NewRefBCH(6, ext)
+		if err != nil {
+			f.Fatal(err)
+		}
+		pairs = append(pairs, pair{opt, ref})
+	}
+	flipBytes := func(positions ...uint16) []byte {
+		b := make([]byte, 0, 2*len(positions))
+		for _, p := range positions {
+			b = binary.LittleEndian.AppendUint16(b, p)
+		}
+		return b
+	}
+	w := [8]uint64{0x0123456789abcdef, 0xfedcba9876543210, 1 << 33, 42,
+		0xdeadbeef, 0xcafebabe00000000, ^uint64(0), 0x8000000000000001}
+	// A clean line, then six (correctable) and seven (beyond t) errors
+	// spread over parity and data.
+	f.Add(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], uint64(0), []byte(nil))
+	six := []uint16{3, 59, 60, 200, 400, 571}
+	f.Add(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], uint64(0), flipBytes(six...))
+	f.Add(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], uint64(0), flipBytes(append(six, 100)...))
+	// A zero line whose parity is x^p mod g(x) for a shortened-away p:
+	// its degree-1 locator's root lies beyond position 572.
+	tail := shortenedTail(pairs[0].opt)
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), tail[len(tail)/2], []byte(nil))
+
+	f.Fuzz(func(t *testing.T, w0, w1, w2, w3, w4, w5, w6, w7, parity uint64, flips []byte) {
+		data := line.Line{w0, w1, w2, w3, w4, w5, w6, w7}
+		for _, pr := range pairs {
+			d, p := data, pr.opt.Encode(data)^parity
+			for k := 0; k+1 < len(flips) && k < 16; k += 2 {
+				pos := int(binary.LittleEndian.Uint16(flips[k:])) % codewordBits(pr.opt)
+				flipCodewordBit(pr.opt, &d, &p, pos)
+			}
+			if bad := DiffBCH(pr.opt, pr.ref, []BCHCase{{Name: "fuzz", Data: d, Parity: p}}); len(bad) != 0 {
+				t.Fatalf("ext=%v: %s", pr.opt.Extended(), bad[0])
+			}
+		}
+	})
+}

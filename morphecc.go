@@ -146,7 +146,9 @@ func RelatedWork(seed int64) (experiments.RelatedWorkResult, error) {
 }
 
 // Integrity runs the end-to-end fault-injection Monte Carlo through the
-// real codecs (stressBER 0 = the paper's idle-mode BER).
+// real codecs (stressBER 0 = the paper's idle-mode BER). A stressBER that
+// is NaN, negative or above 1 is rejected with an error wrapping
+// experiments.ErrBadOptions.
 func Integrity(trials int, stressBER float64, seed int64) (experiments.IntegrityResult, error) {
 	return experiments.Integrity(trials, stressBER, seed)
 }
