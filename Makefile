@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test cover cover-gate bench vet lint lint-baseline speclint self-test fmt paperbench trace-demo obs-smoke obs-demo scenarios scenarios-short fuzz fuzz-short pgo clean
+.PHONY: all build test cover cover-gate vet lint lint-baseline speclint self-test fmt paperbench trace-demo obs-smoke obs-demo scenarios scenarios-short fuzz fuzz-short pgo clean
 
 # Pinned staticcheck release for CI; `make lint` uses a local install
 # when one is on PATH and skips it (with a note) otherwise.
@@ -23,10 +23,6 @@ cover:
 # scripts/cover_gate.sh for the numbers and the raising policy.
 cover-gate:
 	GO=$(GO) sh scripts/cover_gate.sh
-
-# The per-exhibit benchmark harness (reduced scale).
-bench:
-	$(GO) test -bench=. -benchmem .
 
 vet:
 	$(GO) vet ./...

@@ -24,6 +24,7 @@ import (
 	"repro/internal/bch"
 	"repro/internal/checker"
 	"repro/internal/dram"
+	"repro/internal/experiments"
 	"repro/internal/memctrl"
 	"repro/internal/obs"
 	"repro/internal/obs/httpserv"
@@ -155,8 +156,9 @@ func run() error {
 		}
 		return nil
 	}
-	if *scale < 1 {
-		return fmt.Errorf("scale must be >= 1")
+	opts := experiments.Options{Scale: *scale, Seed: *seed}
+	if err := opts.Validate(); err != nil {
+		return err
 	}
 	if *timeline && *flightN <= 0 {
 		return fmt.Errorf("-timeline draws from the flight recorder: it needs -flight > 0")
@@ -171,8 +173,7 @@ func run() error {
 			return err
 		}
 	}
-	cfg := sim.DefaultConfig(kind, 4_000_000_000/int64(*scale))
-	cfg.Seed = *seed
+	cfg := opts.SimConfig(kind)
 	cfg.StrongDecodeCycles = *decLat
 	cfg.DRAM.Ranks = *ranks
 	switch *mapping {
@@ -192,10 +193,6 @@ func run() error {
 	cfg.Ctrl.PerBankRefresh = *perBankRef
 	cfg.MECC.SMDEnabled = *smd
 	cfg.MECC.MDTEnabled = !*noMDT
-	cfg.MECC.SMDWindowCycles /= uint64(*scale)
-	if cfg.MECC.SMDWindowCycles == 0 {
-		cfg.MECC.SMDWindowCycles = 1
-	}
 	cfg.CheckpointEvery = *checkpoints
 
 	// Telemetry. The flight recorder is on by default. It keeps only

@@ -3,17 +3,17 @@
 //
 // Usage:
 //
-//	paperbench [-experiment all|table1|table2|table3|table4|fig2|fig3|
-//	            fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|
-//	            ablations|relatedwork|modes|capacity|day|integrity]
+//	paperbench [-list] [-experiment all|NAME[,NAME...]]
 //	           [-scale N] [-seed S] [-parallel P] [-chart]
-//	           [-metrics-out FILE] [-trace-out FILE] [-timeline]
-//	           [-cpuprofile FILE] [-memprofile FILE]
+//	           [-integrity-trials N] [-check] [-summary=false]
+//	           [-metrics-out FILE] [-trace-out FILE] [-trace-events KINDS]
+//	           [-timeline] [-cpuprofile FILE] [-memprofile FILE]
 //	           [-serve ADDR] [-flight N] [-flight-out FILE] [-linger DUR]
 //
-// -scale divides the paper's 4-billion-instruction slices (footprints
-// and SMD windows shrink coherently); -scale 1 is the paper's full
-// scale and takes hours.
+// -list prints the exhibit names -experiment accepts, in run order, each
+// with a one-line description. -scale divides the paper's
+// 4-billion-instruction slices (footprints and SMD windows shrink
+// coherently); -scale 1 is the paper's full scale and takes hours.
 package main
 
 import (
@@ -43,12 +43,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
 		os.Exit(1)
 	}
-}
-
-// exhibit is one runnable experiment; run prints its own section.
-type exhibit struct {
-	name string
-	run  func() error
 }
 
 // openOut opens an output sink; "-" is stdout (whose closer is a no-op).
@@ -114,29 +108,14 @@ func run() error {
 	}
 
 	if *list {
-		fmt.Println("table1   Table I: failure probability vs ECC strength (analytic)")
-		fmt.Println("table2   Table II: baseline system configuration")
-		fmt.Println("table3   Table III: benchmark characterization (simulated)")
-		fmt.Println("table4   Table IV: memory power parameters")
-		fmt.Println("fig2     retention-time distribution (analytic)")
-		fmt.Println("fig3     decode-latency performance impact by class")
-		fmt.Println("fig7     SECDED / ECC-6 / MECC normalized IPC (headline)")
-		fmt.Println("fig8     idle-mode refresh and total power (analytic)")
-		fmt.Println("fig9     active-mode power / energy / EDP")
-		fmt.Println("fig10    total energy at 95% idle")
-		fmt.Println("fig11    MDT-tracked memory per benchmark")
-		fmt.Println("fig12    ECC-6 decode-latency sensitivity sweep")
-		fmt.Println("fig13    MECC warm-up transient vs slice length")
-		fmt.Println("fig14    SMD downgrade-disabled time")
-		fmt.Println("ablations  MDT/SMD/refresh/mapping/REFpb/weak-code/scrub/scheduler/prefetch/temperature")
-		fmt.Println("relatedwork  RAIDR/Flikker/SECRET vs MECC under VRT; Hi-ECC granularity")
-		fmt.Println("modes    SR/PASR/DPD/MECC power vs capacity")
-		fmt.Println("capacity idle power and savings vs memory size")
-		fmt.Println("day      Fig 1 usage pattern through the phase simulator")
-		fmt.Println("daemon   Section VI-B idle-daemon study (SMD on/off)")
-		fmt.Println("model    simulator vs first-order CPI theory")
-		fmt.Println("integrity  end-to-end fault-injection Monte Carlo")
+		for _, e := range experiments.Exhibits() {
+			fmt.Printf("%-11s %s\n", e.Name, e.Desc)
+		}
 		return nil
+	}
+	exhibits, err := experiments.Select(*experiment, *trials)
+	if err != nil {
+		return err
 	}
 
 	if *timeline && *flightN <= 0 {
@@ -239,337 +218,49 @@ func run() error {
 			dumpFlight("invariant " + v.Invariant)
 		})
 	}
-	if err := opts.Validate(); err != nil {
-		return err
-	}
 	suite, err := experiments.NewSuite(opts)
 	if err != nil {
 		return err
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*experiment, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	selected := func(name string) bool { return all || want[name] }
-
-	section := func(title string) {
-		fmt.Printf("\n=== %s ===\n", title)
-	}
-
-	exhibits := []exhibit{
-		{"table1", func() error {
-			res, err := experiments.TableI()
-			if err != nil {
-				return err
-			}
-			section("Table I: line and system failure probability (BER 10^-4.5, 64B lines, 1GB)")
-			fmt.Print(res.Rendered)
-			fmt.Printf("Required strength incl. soft-error margin: ECC-%d\n", res.RequiredStrength)
-			return nil
-		}},
-		{"table2", func() error {
-			section("Table II: baseline system configuration")
-			fmt.Print(experiments.TableII())
-			return nil
-		}},
-		{"table3", func() error {
-			start := time.Now()
-			res, err := experiments.TableIII(suite)
-			if err != nil {
-				return err
-			}
-			section(fmt.Sprintf("Table III: benchmark characterization (measured, scale 1/%d, %v)", *scale, time.Since(start).Round(time.Millisecond)))
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-		{"table4", func() error {
-			section("Table IV: memory power parameters")
-			fmt.Print(experiments.TableIV())
-			return nil
-		}},
-		{"fig2", func() error {
-			res := experiments.Fig2()
-			section(fmt.Sprintf("Fig 2: retention-time distribution (log-log slope %.2f)", res.Slope))
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-		{"fig3", func() error {
-			res, err := experiments.Fig3(suite)
-			if err != nil {
-				return err
-			}
-			section("Fig 3: performance impact of decode latency (normalized IPC)")
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-		{"fig7", func() error {
-			res, err := experiments.Fig7(suite)
-			if err != nil {
-				return err
-			}
-			section("Fig 7: SECDED / ECC-6 / MECC normalized IPC per benchmark")
-			fmt.Print(res.Rendered)
-			if *chart {
-				bc := stats.NewBarChart(50)
-				bc.SetReference(1.0)
-				for _, bar := range res.Bars {
-					bc.Add(bar.Name, "SECDED", bar.SECDED)
-					bc.Add(bar.Name, "ECC-6", bar.ECC6)
-					bc.Add(bar.Name, "MECC", bar.MECC)
-				}
-				fmt.Println()
-				fmt.Print(bc.String())
-			}
-			return nil
-		}},
-		{"fig8", func() error {
-			res, err := experiments.Fig8()
-			if err != nil {
-				return err
-			}
-			section("Fig 8: idle-mode refresh and total power (normalized to baseline)")
-			fmt.Print(res.Rendered)
-			fmt.Printf("Idle power reduction with MECC: %.1f%%\n", res.Reduction*100)
-			return nil
-		}},
-		{"fig9", func() error {
-			res, err := experiments.Fig9(suite)
-			if err != nil {
-				return err
-			}
-			section("Fig 9: active-mode power / energy / EDP (geomean, normalized)")
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-		{"fig10", func() error {
-			res, err := experiments.Fig10(suite)
-			if err != nil {
-				return err
-			}
-			section("Fig 10: total memory energy at 95% idle (normalized to baseline total)")
-			fmt.Print(res.Rendered)
-			fmt.Printf("Total memory energy saving with MECC: %.1f%%\n", res.Saving*100)
-			return nil
-		}},
-		{"fig11", func() error {
-			res, err := experiments.Fig11(opts)
-			if err != nil {
-				return err
-			}
-			section("Fig 11: memory tracked by 1K-entry MDT (full footprints)")
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-		{"fig12", func() error {
-			res, err := experiments.Fig12(suite)
-			if err != nil {
-				return err
-			}
-			section("Fig 12: sensitivity to ECC-6 decode latency (normalized IPC)")
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-		{"fig13", func() error {
-			res, err := experiments.Fig13(suite)
-			if err != nil {
-				return err
-			}
-			section("Fig 13: MECC warm-up transient vs slice length")
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-		{"fig14", func() error {
-			res, err := experiments.Fig14(suite)
-			if err != nil {
-				return err
-			}
-			section("Fig 14: SMD downgrade-disabled execution time (MPKC threshold 2)")
-			fmt.Print(res.Rendered)
-			fmt.Printf("Benchmarks never enabling ECC-Downgrade: %d of 28\n", res.NeverEnabled)
-			return nil
-		}},
-		{"ablations", func() error {
-			mdt, err := experiments.AblationMDT(opts)
-			if err != nil {
-				return err
-			}
-			section("Ablation: MDT region-count sweep")
-			fmt.Print(mdt.Rendered)
-
-			smd, err := experiments.AblationSMDThreshold(suite)
-			if err != nil {
-				return err
-			}
-			section("Ablation: SMD threshold sweep")
-			fmt.Print(smd.Rendered)
-
-			ref, err := experiments.AblationRefreshSweep()
-			if err != nil {
-				return err
-			}
-			section("Ablation: refresh period vs required ECC strength")
-			fmt.Print(ref.Rendered)
-
-			mapping, err := experiments.AblationMapping(opts)
-			if err != nil {
-				return err
-			}
-			section("Ablation: address-interleaving policy")
-			fmt.Print(mapping.Rendered)
-
-			policy, err := experiments.AblationRefreshPolicy(opts)
-			if err != nil {
-				return err
-			}
-			section("Ablation: all-bank REF vs per-bank REFpb")
-			fmt.Print(policy.Rendered)
-
-			weak, err := experiments.AblationWeakCode(2000, *seed)
-			if err != nil {
-				return err
-			}
-			section("Ablation: weak-code choice under active-mode soft errors")
-			fmt.Print(weak.Rendered)
-
-			scrub, err := experiments.ScrubTable()
-			if err != nil {
-				return err
-			}
-			section("Ablation: scrub interval (idle periods between corrections)")
-			fmt.Print(scrub)
-
-			sched, err := experiments.AblationScheduler(opts)
-			if err != nil {
-				return err
-			}
-			section("Ablation: memory-scheduler policy")
-			fmt.Print(sched.Rendered)
-
-			pf, err := experiments.AblationPrefetch(opts)
-			if err != nil {
-				return err
-			}
-			section("Ablation: next-line prefetcher (under MECC)")
-			fmt.Print(pf.Rendered)
-
-			temp, err := experiments.AblationTemperature()
-			if err != nil {
-				return err
-			}
-			section("Ablation: junction temperature vs required ECC at 1s refresh")
-			fmt.Print(temp.Rendered)
-			return nil
-		}},
-		{"day", func() error {
-			res, err := experiments.DayInTheLife(opts)
-			if err != nil {
-				return err
-			}
-			section("Day-in-the-life: Fig 1 usage pattern through the phase simulator")
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-		{"relatedwork", func() error {
-			res, err := experiments.RelatedWork(*seed)
-			if err != nil {
-				return err
-			}
-			section("Related work (Section VII): refresh schemes under VRT")
-			fmt.Print(res.Rendered)
-
-			hi := experiments.HiECC()
-			section("Related work (Section VII-C): Hi-ECC granularity trade-off")
-			fmt.Print(hi.Rendered)
-			return nil
-		}},
-		{"modes", func() error {
-			res, err := experiments.RefreshModes()
-			if err != nil {
-				return err
-			}
-			section("Refresh modes (Section II-A): power vs usable capacity")
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-		{"daemon", func() error {
-			res, err := experiments.Daemon(opts)
-			if err != nil {
-				return err
-			}
-			section("Daemon study (Section VI-B): SMD keeps slow refresh through background activity")
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-		{"model", func() error {
-			res, err := experiments.ModelValidation(suite)
-			if err != nil {
-				return err
-			}
-			section("Model validation: simulator vs first-order CPI theory (ECC-6)")
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-		{"capacity", func() error {
-			res, err := experiments.CapacityScaling()
-			if err != nil {
-				return err
-			}
-			section("Capacity scaling: idle power and MECC savings vs memory size")
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-		{"integrity", func() error {
-			res, err := experiments.Integrity(*trials, 0, *seed)
-			if err != nil {
-				return err
-			}
-			section("Integrity: end-to-end fault injection through the real codecs")
-			fmt.Print(res.Rendered)
-			return nil
-		}},
-	}
-
 	// Run the selected exhibits in order, timing each one into the
 	// registry (exp_<name>_wall_seconds) and the summary table.
-	type timing struct {
-		name string
-		d    time.Duration
-	}
-	var timings []timing
-	for _, e := range exhibits {
-		if !selected(e.name) {
-			continue
-		}
+	walls := make([]time.Duration, len(exhibits))
+	for i, e := range exhibits {
 		// /progress reports the exhibit currently running; its
 		// simulations set done/total to their retired instructions and
 		// summed instruction budgets. Each
 		// exhibit is also a wall-clock trace span, sitting alongside the
 		// harness's per-job spans in obsdump's latency summary.
-		prog.SetPhase(e.name)
+		prog.SetPhase(e.Name)
 		start := time.Now()
-		sp := rec.StartSpan("exhibit:"+e.name, uint64(start.UnixNano()))
-		if err := e.run(); err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+		sp := rec.StartSpan("exhibit:"+e.Name, uint64(start.UnixNano()))
+		sections, err := e.Run(suite, *trials)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		for _, sec := range sections {
+			printSection(sec.Title)
+			fmt.Print(sec.Body)
+		}
+		if e.Name == "fig7" && *chart {
+			if err := printChart(suite); err != nil {
+				return fmt.Errorf("%s: %w", e.Name, err)
+			}
 		}
 		sp.End(uint64(time.Now().UnixNano()))
-		d := time.Since(start)
-		timings = append(timings, timing{e.name, d})
-		rec.Gauge("exp_" + e.name + "_wall_seconds").Set(d.Seconds())
+		walls[i] = time.Since(start)
+		rec.Gauge("exp_" + e.Name + "_wall_seconds").Set(walls[i].Seconds())
 	}
 	prog.SetPhase("done")
-	if len(timings) == 0 {
-		return fmt.Errorf("unknown experiment %q", *experiment)
-	}
 
 	if *summary {
-		section("Run summary")
+		printSection("Run summary")
 		tb := stats.NewTable("experiment", "wall")
 		var total time.Duration
-		for _, t := range timings {
-			tb.AddRow(t.name, t.d.Round(time.Millisecond).String())
-			total += t.d
+		for i, e := range exhibits {
+			tb.AddRow(e.Name, walls[i].Round(time.Millisecond).String())
+			total += walls[i]
 		}
 		tb.AddRow("total", total.Round(time.Millisecond).String())
 		fmt.Print(tb.String())
@@ -596,6 +287,30 @@ func run() error {
 		}
 		fmt.Println("\ninvariant checkers: all clean")
 	}
+	return nil
+}
+
+// printSection prints a section's "=== title ===" header.
+func printSection(title string) {
+	fmt.Printf("\n=== %s ===\n", title)
+}
+
+// printChart renders Fig 7's bars as an ASCII bar chart. The matrix is
+// already in the suite's cache, so this simulates nothing.
+func printChart(suite *experiments.Suite) error {
+	res, err := experiments.Fig7(suite)
+	if err != nil {
+		return err
+	}
+	bc := stats.NewBarChart(50)
+	bc.SetReference(1.0)
+	for _, bar := range res.Bars {
+		bc.Add(bar.Name, "SECDED", bar.SECDED)
+		bc.Add(bar.Name, "ECC-6", bar.ECC6)
+		bc.Add(bar.Name, "MECC", bar.MECC)
+	}
+	fmt.Println()
+	fmt.Print(bc.String())
 	return nil
 }
 

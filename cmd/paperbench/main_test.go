@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -76,53 +79,6 @@ func TestSnapshotScale50(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeterministic runs the same exhibits twice and requires
-// byte-identical output: the golden test above is only meaningful if
-// the simulator is deterministic under a fixed seed. The Fig 7 pair
-// fans its jobs out over two workers and also compares the -metrics-out
-// exposition, so a series that parallel jobs write last-writer-wins
-// fails it; only the exp_*_wall_seconds gauges may differ.
-func TestSnapshotDeterministic(t *testing.T) {
-	a := runMain(t, "-experiment", "day", "-scale", "50", "-seed", "1", "-summary=false")
-	b := runMain(t, "-experiment", "day", "-scale", "50", "-seed", "1", "-summary=false")
-	if a != b {
-		t.Errorf("two identical runs diverged:\n%s", firstDiff(a, b))
-	}
-
-	fig7 := func() (section, exposition string) {
-		path := filepath.Join(t.TempDir(), "fig7.prom")
-		out := runMain(t, "-experiment", "fig7", "-scale", "4000", "-seed", "2",
-			"-parallel", "2", "-metrics-out", path)
-		start := strings.Index(out, "=== Fig 7")
-		if start < 0 {
-			t.Fatalf("no Fig 7 section in:\n%s", out)
-		}
-		section = out[start:]
-		if end := strings.Index(section, "\n\n"); end >= 0 {
-			section = section[:end]
-		}
-		prom, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var kept []string
-		for _, line := range strings.Split(string(prom), "\n") {
-			if !(strings.HasPrefix(line, "exp_") && strings.Contains(line, "_wall_seconds ")) {
-				kept = append(kept, line)
-			}
-		}
-		return section, strings.Join(kept, "\n")
-	}
-	secA, expA := fig7()
-	secB, expB := fig7()
-	if secA != secB {
-		t.Errorf("two identical Fig 7 runs diverged:\n%s", firstDiff(secA, secB))
-	}
-	if expA != expB {
-		t.Errorf("two identical Fig 7 metrics expositions diverged:\n%s", firstDiff(expA, expB))
-	}
-}
-
 // firstDiff renders the first differing line of two outputs.
 func firstDiff(got, want string) string {
 	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
@@ -139,5 +95,48 @@ func firstDiff(got, want string) string {
 func TestTimelineNeedsFlight(t *testing.T) {
 	if _, err := runCLI(t, "-experiment", "table1", "-timeline", "-flight", "0"); err == nil {
 		t.Fatal("-timeline -flight 0: want an error")
+	}
+}
+
+// TestRejectsBadCommandLine: a misspelt exhibit name, or an integrity
+// trial count below 1, fails the run before any section prints.
+func TestRejectsBadCommandLine(t *testing.T) {
+	for _, args := range [][]string{
+		{"-experiment", "table2,tabel4"},
+		{"-experiment", "table2,integrity", "-integrity-trials", "0"},
+	} {
+		out, err := runCLI(t, args...)
+		if !errors.Is(err, experiments.ErrBadOptions) {
+			t.Errorf("%v: error %v, want one wrapping ErrBadOptions", args, err)
+		}
+		if strings.Contains(out, "===") {
+			t.Errorf("%v printed a section before failing:\n%s", args, out)
+		}
+	}
+}
+
+// TestListMatchesRegistry: -list names every exhibit -experiment
+// accepts, in the order -experiment all runs them.
+func TestListMatchesRegistry(t *testing.T) {
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSpace(runMain(t, "-list")), "\n") {
+		listed = append(listed, strings.Fields(line)[0])
+	}
+	var want []string
+	for _, e := range experiments.Exhibits() {
+		want = append(want, e.Name)
+	}
+	if strings.Join(listed, ",") != strings.Join(want, ",") {
+		t.Errorf("-list names %v, want %v", listed, want)
+	}
+}
+
+// TestChart: -chart draws Fig 7's bars after its table.
+func TestChart(t *testing.T) {
+	out := runMain(t, "-experiment", "fig7", "-chart", "-scale", "40000", "-summary=false")
+	table := strings.Index(out, "=== Fig 7")
+	chart := strings.Index(out, "\nALL      SECDED #")
+	if table < 0 || chart < table {
+		t.Errorf("want the Fig 7 table, then a bar chart with the ALL bars:\n%s", out)
 	}
 }

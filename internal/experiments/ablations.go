@@ -134,7 +134,7 @@ func AblationSMDThreshold(s *Suite) (SMDThresholdResult, error) {
 		var jobs []runJob
 		var names []string
 		for _, p := range workload.All() {
-			cfg := s.opts.simConfig(sim.SchemeMECC)
+			cfg := s.opts.SimConfig(sim.SchemeMECC)
 			cfg.MECC.SMDEnabled = true
 			cfg.MECC.SMDThresholdMPKC = th
 			jobs = append(jobs, runJob{prof: p.Scaled(s.opts.Scale), cfg: cfg})
@@ -293,7 +293,7 @@ func mappingJobs(opts Options) ([]runJob, []MappingRow, error) {
 			return nil, nil, err
 		}
 		for _, m := range mappings {
-			cfg := opts.simConfig(sim.SchemeBaseline)
+			cfg := opts.SimConfig(sim.SchemeBaseline)
 			cfg.DRAM.Mapping = m
 			jobs = append(jobs, runJob{prof: prof.Scaled(opts.Scale), cfg: cfg})
 			rows = append(rows, MappingRow{Benchmark: bench, Mapping: m})
@@ -335,7 +335,7 @@ func AblationRefreshPolicy(opts Options) (RefreshPolicyResult, error) {
 			return RefreshPolicyResult{}, err
 		}
 		for _, perBank := range []bool{false, true} {
-			cfg := opts.simConfig(sim.SchemeBaseline)
+			cfg := opts.SimConfig(sim.SchemeBaseline)
 			cfg.Ctrl.PerBankRefresh = perBank
 			jobs = append(jobs, runJob{prof: prof.Scaled(opts.Scale), cfg: cfg})
 			rows = append(rows, RefreshPolicyRow{Benchmark: bench, PerBank: perBank})
@@ -414,7 +414,7 @@ func AblationScheduler(opts Options) (SchedulerResult, error) {
 			return SchedulerResult{}, err
 		}
 		for _, v := range variants {
-			cfg := opts.simConfig(sim.SchemeBaseline)
+			cfg := opts.SimConfig(sim.SchemeBaseline)
 			v.mutate(&cfg)
 			jobs = append(jobs, runJob{prof: prof.Scaled(opts.Scale), cfg: cfg})
 			rows = append(rows, SchedulerRow{Benchmark: bench, Policy: v.name})
@@ -523,7 +523,7 @@ func AblationPrefetch(opts Options) (PrefetchResult, error) {
 			return PrefetchResult{}, err
 		}
 		for _, pf := range []bool{false, true} {
-			cfg := opts.simConfig(sim.SchemeMECC)
+			cfg := opts.SimConfig(sim.SchemeMECC)
 			cfg.NextLinePrefetch = pf
 			jobs = append(jobs, runJob{prof: prof.Scaled(opts.Scale), cfg: cfg})
 			rows = append(rows, PrefetchRow{Benchmark: bench, Prefetch: pf})

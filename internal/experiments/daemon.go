@@ -51,7 +51,7 @@ func Daemon(opts Options) (DaemonResult, error) {
 	var out DaemonResult
 	tb := stats.NewTable("Config", "Slow-refresh time", "Refresh energy (uJ)", "Daemon IPC")
 	for _, variant := range variants {
-		cfg := opts.simConfig(sim.SchemeMECC)
+		cfg := opts.SimConfig(sim.SchemeMECC)
 		cfg.MECC.SMDEnabled = variant.smd
 		cfg.Instructions = instrs
 		res, err := sim.RunBenchmark(prof, cfg)

@@ -61,7 +61,7 @@ func DayInTheLife(opts Options) (DayResult, error) {
 	tb := stats.NewTable("Scheme", "Energy (mJ)", "Saving", "Active IPC", "Upgraded lines")
 	var baseline float64
 	for _, k := range schemes {
-		cfg := opts.simConfig(k)
+		cfg := opts.SimConfig(k)
 		runner, err := sim.NewRunner(prof, cfg)
 		if err != nil {
 			return DayResult{}, err

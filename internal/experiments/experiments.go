@@ -2,8 +2,8 @@
 // evaluation (Section V and VI): each Table*/Fig* function runs the
 // required simulations or analytic models and returns both structured
 // data and a rendered text table whose rows mirror what the paper
-// reports. cmd/paperbench and the repository's bench_test.go are thin
-// wrappers over this package.
+// reports. Exhibits lists them in run order; cmd/paperbench is a thin
+// wrapper over that list.
 package experiments
 
 import (
@@ -87,9 +87,11 @@ func (o Options) parallel() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// simConfig builds the scheme's simulation config at this scale,
-// including the scale-adjusted SMD window.
-func (o Options) simConfig(k sim.SchemeKind) sim.Config {
+// SimConfig builds the scheme's simulation config at this scale: the
+// paper's 4-billion-instruction slice and its SMD window (at least one
+// cycle) both divided by Scale, the workload seed, and the options'
+// recorder and checkers.
+func (o Options) SimConfig(k sim.SchemeKind) sim.Config {
 	cfg := sim.DefaultConfig(k, o.Instructions())
 	cfg.Seed = o.Seed
 	cfg.MECC.SMDWindowCycles /= uint64(o.Scale)
@@ -277,7 +279,7 @@ func (s *Suite) Matrix(schemes ...sim.SchemeKind) (map[string]map[sim.SchemeKind
 			}
 			jobs = append(jobs, runJob{
 				prof: prof.Scaled(s.opts.Scale),
-				cfg:  s.opts.simConfig(k),
+				cfg:  s.opts.SimConfig(k),
 			})
 			keys = append(keys, struct {
 				bench string

@@ -157,7 +157,7 @@ func fig12Jobs(opts Options, profs []workload.Profile) ([]runJob, []fig12Key) {
 	for _, lat := range fig12Latencies {
 		for _, k := range []sim.SchemeKind{sim.SchemeECC6, sim.SchemeMECC} {
 			for _, p := range profs {
-				cfg := opts.simConfig(k)
+				cfg := opts.SimConfig(k)
 				cfg.StrongDecodeCycles = lat
 				jobs = append(jobs, runJob{prof: p.Scaled(opts.Scale), cfg: cfg})
 				keys = append(keys, fig12Key{lat, k, p.Name})
@@ -201,7 +201,7 @@ func Fig13(s *Suite) (Fig13Result, error) {
 	var keys []key
 	for _, k := range schemes {
 		for _, p := range workload.All() {
-			cfg := s.opts.simConfig(k)
+			cfg := s.opts.SimConfig(k)
 			cfg.CheckpointEvery = every
 			jobs = append(jobs, runJob{prof: p.Scaled(s.opts.Scale), cfg: cfg})
 			keys = append(keys, key{k, p.Name})
@@ -285,7 +285,7 @@ func Fig14(s *Suite) (Fig14Result, error) {
 	var jobs []runJob
 	var names []string
 	for _, p := range workload.All() {
-		cfg := s.opts.simConfig(sim.SchemeMECC)
+		cfg := s.opts.SimConfig(sim.SchemeMECC)
 		cfg.MECC.SMDEnabled = true
 		jobs = append(jobs, runJob{prof: p.Scaled(s.opts.Scale), cfg: cfg})
 		names = append(names, p.Name)

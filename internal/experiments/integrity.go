@@ -38,6 +38,14 @@ type IntegrityResult struct {
 	Rendered       string
 }
 
+// checkTrials rejects an integrity trial count below 1.
+func checkTrials(trials int) error {
+	if trials < 1 {
+		return fmt.Errorf("%w: integrity trials=%d", ErrBadOptions, trials)
+	}
+	return nil
+}
+
 // Integrity runs the Monte Carlo: encode random lines in the morphable
 // Fig. 6 layout, inject uniform retention faults across all 576 stored
 // bits (512 data + 4 mode + 60 code) at the given BER, decode, and check
@@ -47,8 +55,8 @@ type IntegrityResult struct {
 // heavily. A stressBER that is NaN, negative or above 1 is not a
 // probability and is rejected with ErrBadOptions.
 func Integrity(trials int, stressBER float64, seed int64) (IntegrityResult, error) {
-	if trials <= 0 {
-		return IntegrityResult{}, fmt.Errorf("%w: trials=%d", ErrBadOptions, trials)
+	if err := checkTrials(trials); err != nil {
+		return IntegrityResult{}, err
 	}
 	if !(stressBER >= 0 && stressBER <= 1) {
 		return IntegrityResult{}, fmt.Errorf("%w: stress BER %v outside [0, 1]", ErrBadOptions, stressBER)

@@ -31,7 +31,7 @@ func fig7Jobs(t *testing.T, opts Options, benches ...string) []runJob {
 			t.Fatal(err)
 		}
 		for _, k := range []sim.SchemeKind{sim.SchemeBaseline, sim.SchemeSECDED, sim.SchemeECC6, sim.SchemeMECC} {
-			jobs = append(jobs, runJob{prof: prof.Scaled(opts.Scale), cfg: opts.simConfig(k)})
+			jobs = append(jobs, runJob{prof: prof.Scaled(opts.Scale), cfg: opts.SimConfig(k)})
 		}
 	}
 	return jobs
@@ -86,7 +86,7 @@ func TestCountersPublishModelStats(t *testing.T) {
 	}
 	opts := Options{Scale: 4000, Seed: 1, Parallel: 2, Obs: rec}
 	jobs := fig7Jobs(t, opts, "libq", "wrf", "milc")
-	smd := opts.simConfig(sim.SchemeMECC)
+	smd := opts.SimConfig(sim.SchemeMECC)
 	smd.MECC.SMDEnabled = true
 	prof, err := workload.ByName("libq")
 	if err != nil {

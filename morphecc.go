@@ -82,7 +82,8 @@ func Benchmarks() []string { return workload.Names() }
 func ProfileByName(name string) (Profile, error) { return workload.ByName(name) }
 
 // Run simulates one benchmark under one scheme at the given scale and
-// returns its figures of merit.
+// returns its figures of merit. opts' recorder and checkers, when set,
+// are attached to the run.
 func Run(benchmark string, scheme Scheme, opts Options) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
@@ -91,23 +92,16 @@ func Run(benchmark string, scheme Scheme, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := sim.DefaultConfig(scheme, opts.Instructions())
-	cfg.Seed = opts.Seed
-	cfg.MECC.SMDWindowCycles /= uint64(opts.Scale)
-	if cfg.MECC.SMDWindowCycles == 0 {
-		cfg.MECC.SMDWindowCycles = 1
-	}
-	return sim.RunBenchmark(prof.Scaled(opts.Scale), cfg)
+	return sim.RunBenchmark(prof.Scaled(opts.Scale), opts.SimConfig(scheme))
 }
 
-// RunProfile simulates a custom workload profile.
+// RunProfile simulates a custom workload profile, as given (unscaled),
+// with opts' slice length, seed, recorder and checkers.
 func RunProfile(prof Profile, scheme Scheme, opts Options) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
-	cfg := sim.DefaultConfig(scheme, opts.Instructions())
-	cfg.Seed = opts.Seed
-	return sim.RunBenchmark(prof, cfg)
+	return sim.RunBenchmark(prof, opts.SimConfig(scheme))
 }
 
 // NewMorphableCodec builds the paper's codec pair (line SECDED weak,

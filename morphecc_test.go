@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/line"
+	"repro/internal/obs"
 )
 
 func TestBenchmarksList(t *testing.T) {
@@ -33,6 +34,18 @@ func TestRunFacade(t *testing.T) {
 	}
 	if _, err := Run("libq", MECC, Options{}); err == nil {
 		t.Error("invalid options: want error")
+	}
+}
+
+// TestRunAttachesRecorder: Run threads opts' recorder into the
+// simulation, which publishes its DRAM counters there.
+func TestRunAttachesRecorder(t *testing.T) {
+	rec := obs.New()
+	if _, err := Run("libq", MECC, Options{Scale: 8000, Seed: 1, Obs: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Registry().Counter("dram_rd_total").Value() == 0 {
+		t.Error("dram_rd_total = 0: Run dropped opts.Obs")
 	}
 }
 
