@@ -1,17 +1,18 @@
-// Command meccvet is the project's static-analysis multichecker: eight
+// Command meccvet is the project's static-analysis multichecker: seven
 // analyzers that pin the simulator's compile-time invariants —
-// deterministic replay and seed provenance, the zero-allocation hot
-// path (through the whole callee closure, with stale allow directives
-// retired), nil-safe telemetry hooks, unit-safe clock conversions
-// (typed and name-inferred), documented panics, sentinel-error
-// wrapping, batch-worker write discipline with typed atomics, and
-// unsigned cycle-arithmetic wrap guards. Run it over the module with
+// deterministic replay and seed provenance, nil-safe telemetry hooks,
+// unit-safe clock conversions (typed and name-inferred), documented
+// panics, sentinel-error wrapping, batch-worker write discipline with
+// typed atomics, and unsigned cycle-arithmetic wrap guards. Run it over
+// the module with
 //
 //	go run ./cmd/meccvet ./...
 //
 // (or `make lint`). It exits non-zero on any diagnostic; suppress an
 // individual finding with a `//meccvet:allow <analyzer> -- reason`
-// comment on or directly above the offending line.
+// comment on or directly above the offending line. A //meccvet:
+// directive with an unknown verb, or an allow naming no analyzer, is
+// itself reported (as "directive"), whatever -run selects.
 //
 // Machine-readable output and the CI baseline workflow:
 //

@@ -47,7 +47,7 @@ func TestListCoversAllAnalyzers(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "concsafety cyclewrap determinism errwrap hotpath nilhook nopanic unitflow"
+	want := "concsafety cyclewrap determinism errwrap nilhook nopanic unitflow"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("-list printed %s, want %s:\n%s", got, want, out)
 	}

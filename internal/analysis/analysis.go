@@ -6,23 +6,24 @@
 // `go list -json` metadata) so the module keeps its zero-dependency
 // property.
 //
-// The eight analyzers (concsafety, cyclewrap, determinism, errwrap,
-// hotpath, nilhook, nopanic, unitflow) encode invariants of this
-// simulator that the run-time layers (internal/golden,
-// internal/checker) cannot see until a simulation executes:
-// deterministic replay and run-config seed provenance, the
-// zero-allocation BCH decode contract (through the whole callee
-// closure), nil-safe telemetry hooks, unit-safe cycle/time conversions
-// (typed and name-inferred), unsigned cycle-arithmetic wrap guards,
-// documented panics, sentinel-error wrapping, and the batch.For
-// per-index write discipline with typed atomics. The interprocedural
-// analyzers run on a whole-program layer (program.go: call graph +
-// function index; cfg.go: per-function control-flow graphs; ssa.go: an
-// SSA form with the one dataflow solver, solveSSA, an escape oracle in
-// escape.go and CHA devirtualization in devirt.go) built once per Run.
-// The loader (load.go) type-checks the analyzed packages from source
-// and imports their dependencies from the export data in the Go build
-// cache. See DESIGN.md §9 for the rationale and the suppression syntax.
+// The seven analyzers (concsafety, cyclewrap, determinism, errwrap,
+// nilhook, nopanic, unitflow) encode invariants of this simulator that
+// the run-time layers (internal/golden, internal/checker) cannot see
+// until a simulation executes: deterministic replay and run-config
+// seed provenance, nil-safe telemetry hooks, unit-safe cycle/time
+// conversions (typed and name-inferred), unsigned cycle-arithmetic
+// wrap guards, documented panics, sentinel-error wrapping, and the
+// batch.For per-index write discipline with typed atomics. The
+// allocation-free hot paths are guarded at run time, by the
+// *ZeroAllocs tests. The interprocedural analyzers run on a
+// whole-program layer (program.go: call graph + function index;
+// cfg.go: per-function control-flow graphs; ssa.go: an SSA form with
+// the one dataflow solver, solveSSA) built once per Run. Run also
+// reports every //meccvet: directive it would otherwise ignore. The
+// loader (load.go) type-checks the analyzed packages from source and
+// imports their dependencies from the export data in the Go build
+// cache. See DESIGN.md §9 for the rationale and the suppression
+// syntax.
 package analysis
 
 import (
@@ -79,7 +80,7 @@ type Pass struct {
 	PkgPath string
 	// Prog is the whole-program view over every root package of the
 	// run — the call graph, function index, and interprocedural
-	// summaries behind hotpath, concsafety, determinism, and unitflow.
+	// summaries behind concsafety, cyclewrap, determinism, and unitflow.
 	Prog *Program
 
 	report func(Diagnostic)
@@ -99,29 +100,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// directiveAllowIndex returns the index of the allow directive covering
-// the position for the named analyzer, or -1: the directive may trail
-// the offending line or sit alone on the line directly above it.
-func directiveAllowIndex(dirs []directive, analyzer string, pos token.Position) int {
-	for i, d := range dirs {
-		if d.verb != verbAllow || d.pos.Filename != pos.Filename {
-			continue
-		}
-		if d.pos.Line != pos.Line && d.pos.Line != pos.Line-1 {
-			continue
-		}
-		if len(d.names) == 0 {
-			return i
-		}
-		for _, n := range d.names {
-			if n == analyzer {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 // TypeOf returns the static type of an expression, or nil.
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
@@ -130,17 +108,18 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 // reported as loader diagnostics rather than analyzed: analyzers may
 // assume complete type information. Before the per-package passes run,
 // the error-free packages are indexed into one Program — the call
-// graph and function index the interprocedural analyzers traverse.
-// When timings is non-nil, each analyzer's wall time across all
-// packages accumulates under its name (plus "program" for the index
-// build).
+// graph and function index the interprocedural analyzers traverse —
+// and every directive meccvet would ignore is reported under the name
+// "directive", whichever analyzers are selected. When timings is
+// non-nil, each analyzer's wall time across all packages accumulates
+// under its name (plus "program" for the index build).
 func Run(pkgs []*Package, analyzers []*Analyzer, timings map[string]time.Duration) []Diagnostic {
-	var out []Diagnostic
 	progStart := time.Now()
 	prog := buildProgram(pkgs)
 	if timings != nil {
 		timings["program"] += time.Since(progStart)
 	}
+	out := checkDirectives(prog.directives)
 	for _, pkg := range pkgs {
 		if len(pkg.Errors) > 0 {
 			for _, err := range pkg.Errors {

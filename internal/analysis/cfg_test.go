@@ -41,7 +41,7 @@ func parseFunc(t *testing.T, src, name string) (*ast.FuncDecl, *types.Info) {
 // so x gets one 3-operand phi there, and the loop's break edge reaches
 // the loop exit without adding an x phi.
 func TestCFGSwitchAndBreak(t *testing.T) {
-	f, _ := buildTestSSA(t, `package p
+	f, info := buildTestSSA(t, `package p
 func f(k, n int) int {
 	x := 0
 	switch k {
@@ -63,7 +63,7 @@ func f(k, n int) int {
 		"b1: x1 = phi(x2, x3, x4)",
 		"b5: i1 = phi(i0, i2)",
 	})
-	checkDefUse(t, f)
+	checkDefUse(t, f, info)
 }
 
 // TestCFGRecordsStatements checks stmtBlock coverage: every straight-

@@ -105,9 +105,6 @@ func checkWorkerBody(pass *Pass, body *ast.BlockStmt, lo, hi token.Pos) {
 		return true
 	})
 	for _, cs := range pass.Prog.collectCalls(pass.Info, body) {
-		if cs.Callee == nil {
-			continue
-		}
 		if q := pass.Prog.reachesQuiescent(cs.Callee.Fn); q != nil {
 			pass.Reportf(cs.Call.Pos(),
 				"call to %s from a batch.For work function reaches //meccvet:quiescent %s, which must not run concurrently with traffic",
@@ -207,9 +204,6 @@ func checkGoStmt(pass *Pass, g *ast.GoStmt) {
 	}
 	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		for _, cs := range pass.Prog.collectCalls(pass.Info, lit.Body) {
-			if cs.Callee == nil {
-				continue
-			}
 			if q := pass.Prog.reachesQuiescent(cs.Callee.Fn); q != nil {
 				report(cs.Call.Pos(), cs.Callee.Fn, q)
 			}
@@ -267,9 +261,6 @@ func (prog *Program) sharedWriteSummary(fn *types.Func) *sharedWrite {
 	})
 	if found == nil {
 		for _, cs := range prog.calls[fn] {
-			if cs.Callee == nil {
-				continue
-			}
 			if found = prog.sharedWriteSummary(cs.Callee.Fn); found != nil {
 				break
 			}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -11,8 +12,6 @@ import (
 //
 //	//meccvet:allow [name,...] [-- reason]   suppress findings on this
 //	                                         line or the next one
-//	//meccvet:hotpath                        (func doc) enforce the
-//	                                         allocation-free contract
 //	//meccvet:nilsafe                        (type doc) exported pointer
 //	                                         methods must nil-guard the
 //	                                         receiver
@@ -29,9 +28,11 @@ import (
 //	                                         results are sanctioned
 //	                                         rand-source provenance
 //	                                         (trusted by determinism)
+//
+// Any other verb, and an allow naming an analyzer All does not hold,
+// is reported by checkDirectives.
 const (
 	verbAllow     = "allow"
-	verbHotpath   = "hotpath"
 	verbNilsafe   = "nilsafe"
 	verbUnitconv  = "unitconv"
 	verbQuiescent = "quiescent"
@@ -88,6 +89,36 @@ func scanDirectives(fset *token.FileSet, files []*ast.File) []directive {
 					verb:  verb,
 					names: names,
 				})
+			}
+		}
+	}
+	return out
+}
+
+// checkDirectives reports each directive that would otherwise be
+// silently ignored: an unknown verb (a misspelt //meccvet:nilsafe
+// turns nilhook off for its type), and an allow naming an analyzer
+// outside All. Names are checked against All, not against the run's
+// selection, so a -run subset never flags a valid allow.
+func checkDirectives(dirs []directive) []Diagnostic {
+	known := map[string]bool{verbAllow: true, verbNilsafe: true, verbUnitconv: true, verbQuiescent: true, verbSeed: true}
+	registered := make(map[string]bool)
+	for _, a := range All() {
+		registered[a.Name] = true
+	}
+	var out []Diagnostic
+	report := func(d directive, format string, args ...any) {
+		out = append(out, Diagnostic{Pos: d.pos, Analyzer: "directive", Message: fmt.Sprintf(format, args...)})
+	}
+	for _, d := range dirs {
+		switch {
+		case !known[d.verb]:
+			report(d, "unknown directive %s%s is ignored", directivePrefix, d.verb)
+		case d.verb == verbAllow:
+			for _, n := range d.names {
+				if !registered[n] {
+					report(d, "%sallow names unknown analyzer %q", directivePrefix, n)
+				}
 			}
 		}
 	}

@@ -23,11 +23,6 @@ func TestDeterminismOutOfScope(t *testing.T) {
 	analysistest.MustFindings(t, diags, 0)
 }
 
-func TestHotpath(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Hotpath, "./testdata/src/hot")
-	analysistest.MustFindings(t, diags, 15)
-}
-
 func TestNilhook(t *testing.T) {
 	diags := analysistest.Run(t, analysis.Nilhook, "./testdata/src/obs")
 	analysistest.MustFindings(t, diags, 3)
@@ -76,22 +71,6 @@ func TestSeedflow(t *testing.T) {
 	analysistest.MustFindings(t, diags, 4)
 }
 
-// TestHotclosure pins hotpath's callee-closure rules: an edge reaching
-// an allocating callee and an unprovable dynamic call.
-func TestHotclosure(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Hotpath, "./testdata/src/hotcall")
-	analysistest.MustFindings(t, diags, 2)
-}
-
-// TestHotclosureCHA pins the devirtualization rule: of the four
-// interface calls in the fixture's hot root, only the two whose
-// interfaces are closed to root types (a method names a root type, or
-// is unexported) and whose root implementers are all clean are proven.
-func TestHotclosureCHA(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Hotpath, "./testdata/src/cha")
-	analysistest.MustFindings(t, diags, 2)
-}
-
 func TestUnitflow(t *testing.T) {
 	diags := analysistest.Run(t, analysis.Unitflow, "./testdata/src/power")
 	analysistest.MustFindings(t, diags, 11)
@@ -119,22 +98,27 @@ func TestCyclewrapOutOfScope(t *testing.T) {
 	analysistest.MustFindings(t, diags, 0)
 }
 
-// TestHotescape pins hotpath's stale-allow audit: an allow whose
-// finding the escape analysis discharges is reported, one that still
-// suppresses a finding is not.
-func TestHotescape(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Hotpath, "./testdata/src/esc")
-	analysistest.MustFindings(t, diags, 1)
+// TestDirective pins the directive check: an unknown verb and an allow
+// naming an analyzer outside All are reported under "directive", here
+// on a run that selects only nilhook.
+func TestDirective(t *testing.T) {
+	diags := analysistest.Run(t, analysis.Nilhook, "./testdata/src/directive")
+	analysistest.MustFindings(t, diags, 2)
+	for _, d := range diags {
+		if d.Analyzer != "directive" {
+			t.Errorf("finding reported under %q, want directive: %s", d.Analyzer, d)
+		}
+	}
 }
 
-// TestSelect pins the registry: All holds exactly the eight analyzers
+// TestSelect pins the registry: All holds exactly the seven analyzers
 // and Select rejects unknown names.
 func TestSelect(t *testing.T) {
 	var names []string
 	for _, a := range analysis.All() {
 		names = append(names, a.Name)
 	}
-	want := "concsafety cyclewrap determinism errwrap hotpath nilhook nopanic unitflow"
+	want := "concsafety cyclewrap determinism errwrap nilhook nopanic unitflow"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("All() = %s, want %s", got, want)
 	}

@@ -30,9 +30,9 @@ func (f Finding) String() string {
 
 // Findings converts diagnostics, relativizing filenames against baseDir
 // (paths outside baseDir keep their absolute form). Source locations
-// that a message names (an atomic site, a shared write, an allocation,
-// a tainted argument) are relativized against the same base, so a
-// baseline entry written in one checkout matches in any other.
+// that a message names (an atomic site, a shared write, a tainted
+// argument) are relativized against the same base, so a baseline entry
+// written in one checkout matches in any other.
 func Findings(diags []Diagnostic, baseDir string) []Finding {
 	out := make([]Finding, 0, len(diags))
 	var prefix string

@@ -18,8 +18,8 @@ func sampleDiags() []analysis.Diagnostic {
 	return []analysis.Diagnostic{
 		{
 			Pos:      token.Position{Filename: "/repo/internal/bch/bch.go", Line: 10, Column: 2},
-			Analyzer: "hotpath",
-			Message:  "make allocates",
+			Analyzer: "errwrap",
+			Message:  "comparing errors with == misses wrapped chains; use errors.Is",
 		},
 		{
 			Pos:      token.Position{Filename: "/repo/cmd/tool/main.go", Line: 3, Column: 5},
@@ -44,9 +44,9 @@ func TestFindingsRelativize(t *testing.T) {
 
 // TestFindingMessagesRelative sweeps every fixture under all analyzers
 // and checks that no message embeds the module's absolute directory:
-// a second location a message names (shared write, allocation,
-// tainted argument) is relativized like the file field, so
-// a baseline entry written in one checkout matches in any other.
+// a second location a message names (shared write, tainted argument)
+// is relativized like the file field, so a baseline entry written in
+// one checkout matches in any other.
 func TestFindingMessagesRelative(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -66,7 +66,7 @@ func TestFindingMessagesRelative(t *testing.T) {
 			naming[f.Analyzer] = true
 		}
 	}
-	for _, a := range []string{"concsafety", "determinism", "hotpath"} {
+	for _, a := range []string{"concsafety", "determinism"} {
 		if !naming[a] {
 			t.Errorf("no %s message names a module-relative location; the check is vacuous", a)
 		}
@@ -86,8 +86,8 @@ func TestWriteJSONGolden(t *testing.T) {
       "file": "internal/bch/bch.go",
       "line": 10,
       "column": 2,
-      "analyzer": "hotpath",
-      "message": "make allocates"
+      "analyzer": "errwrap",
+      "message": "comparing errors with == misses wrapped chains; use errors.Is"
     },
     {
       "file": "cmd/tool/main.go",

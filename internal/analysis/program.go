@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // A FuncInfo binds one declared function or method to its defining
@@ -18,9 +19,6 @@ type FuncInfo struct {
 	// Pkg is the package defining the function.
 	Pkg *Package
 }
-
-// Hotpath reports whether the function is annotated //meccvet:hotpath.
-func (fi *FuncInfo) Hotpath() bool { return hasDirective(fi.Decl.Doc, verbHotpath) }
 
 // A Program is the whole-program view over the root packages of one
 // analysis run: an index of every declared function and method, the
@@ -38,7 +36,6 @@ type Program struct {
 	directives []directive
 
 	// Memoized interprocedural summaries (single-threaded access).
-	allocFacts  map[*types.Func]*allocIssue
 	sharedFacts map[*types.Func]*sharedWrite
 	sharedDone  map[*types.Func]bool
 	quiescent   map[*types.Func]*types.Func
@@ -47,31 +44,16 @@ type Program struct {
 	provCtxs    map[*types.Func]*provCtx
 	provFacts   map[*types.Func]prov // return summaries
 	ssaFuncs    map[*types.Func]*ssaFunc
-	escFacts    map[*types.Func]map[ast.Expr]bool
-	chaFacts    map[*types.Func]*chaResult
-	roots       map[*types.Package]bool // the Pkgs' types, set with universe
-	universe    []types.Type            // named non-interface root types
-	// allowUsed marks (by index into directives) each allow directive
-	// that suppressed at least one would-be finding; hotpath flags its
-	// own allows that stay unmarked after the audit.
-	allowUsed map[int]bool
-	hotDiags  map[*types.Package][]Diagnostic // hotAudit's findings, once computed
 }
 
-// A CallSite is one call expression inside a declared function's body
-// (including calls inside its function literals).
+// A CallSite is one static call from a declared function's body
+// (including calls inside its function literals) to a function declared
+// in a root package.
 type CallSite struct {
 	// Call is the call expression.
 	Call *ast.CallExpr
-	// Callee is the resolved target when it is a function declared in a
-	// root package; nil otherwise.
+	// Callee is the resolved root-package target.
 	Callee *FuncInfo
-	// External is the resolved static target when it is declared outside
-	// the root set (stdlib); nil for dynamic calls and internal targets.
-	External *types.Func
-	// Dynamic marks calls through function values or interface methods —
-	// the conservative fallback edges: the target set is unknown.
-	Dynamic bool
 }
 
 // A CallerEdge is the reverse of a CallSite: one call expression that
@@ -90,7 +72,6 @@ func buildProgram(pkgs []*Package) *Program {
 		funcs:       make(map[*types.Func]*FuncInfo),
 		calls:       make(map[*types.Func][]CallSite),
 		callers:     make(map[*types.Func][]CallerEdge),
-		allocFacts:  make(map[*types.Func]*allocIssue),
 		sharedFacts: make(map[*types.Func]*sharedWrite),
 		sharedDone:  make(map[*types.Func]bool),
 		quiescent:   make(map[*types.Func]*types.Func),
@@ -99,9 +80,6 @@ func buildProgram(pkgs []*Package) *Program {
 		provCtxs:    make(map[*types.Func]*provCtx),
 		provFacts:   make(map[*types.Func]prov),
 		ssaFuncs:    make(map[*types.Func]*ssaFunc),
-		escFacts:    make(map[*types.Func]map[ast.Expr]bool),
-		chaFacts:    make(map[*types.Func]*chaResult),
-		allowUsed:   make(map[int]bool),
 	}
 	for _, pkg := range pkgs {
 		if len(pkg.Errors) > 0 || pkg.Info == nil {
@@ -130,9 +108,7 @@ func buildProgram(pkgs []*Package) *Program {
 		sites := prog.collectCalls(fi.Pkg.Info, fi.Decl.Body)
 		prog.calls[fi.Fn] = sites
 		for _, cs := range sites {
-			if cs.Callee != nil {
-				prog.callers[cs.Callee.Fn] = append(prog.callers[cs.Callee.Fn], CallerEdge{Caller: fi, Call: cs.Call})
-			}
+			prog.callers[cs.Callee.Fn] = append(prog.callers[cs.Callee.Fn], CallerEdge{Caller: fi, Call: cs.Call})
 		}
 	}
 	return prog
@@ -156,51 +132,38 @@ func (prog *Program) funcVerb(fn *types.Func, verb string) bool {
 }
 
 // allowed reports whether an //meccvet:allow directive anywhere in the
-// program covers the position for the named analyzer. Directives are
-// collected program-wide because interprocedural analyzers report at
-// positions in packages other than the current pass's (the breaking
-// call edge may live two packages away); the filename match keeps the
-// check exact. A match marks the directive as load-bearing for
-// hotpath's stale-allow audit.
+// program covers the position for the named analyzer: the directive
+// may trail the offending line or sit alone on the line directly above
+// it. Directives are collected program-wide because interprocedural
+// analyzers report at positions in packages other than the current
+// pass's (the breaking call edge may live two packages away); the
+// filename match keeps the check exact.
 func (prog *Program) allowed(analyzer string, pos token.Position) bool {
-	if i := directiveAllowIndex(prog.directives, analyzer, pos); i >= 0 {
-		prog.allowUsed[i] = true
-		return true
+	for _, d := range prog.directives {
+		if d.verb != verbAllow || d.pos.Filename != pos.Filename {
+			continue
+		}
+		if d.pos.Line != pos.Line && d.pos.Line != pos.Line-1 {
+			continue
+		}
+		if len(d.names) == 0 || slices.Contains(d.names, analyzer) {
+			return true
+		}
 	}
 	return false
 }
 
 // collectCalls walks one body (descending into nested function
-// literals) and resolves every call expression against the root-package
-// function index. info must be the fact table of the package holding
-// the body.
+// literals) and returns every call whose static target is a
+// root-package function. info must be the fact table of the package
+// holding the body.
 func (prog *Program) collectCalls(info *types.Info, body ast.Node) []CallSite {
 	var out []CallSite
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-			return true // conversion, not a call
-		}
-		obj := calleeObjectIn(info, call)
-		switch obj := obj.(type) {
-		case *types.Builtin:
-			// Builtins are handled by the local syntactic checks.
-		case *types.Func:
-			if fi := prog.funcs[obj]; fi != nil {
-				out = append(out, CallSite{Call: call, Callee: fi})
-			} else if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-				out = append(out, CallSite{Call: call, Dynamic: true})
-			} else {
-				out = append(out, CallSite{Call: call, External: obj})
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn, ok := calleeObjectIn(info, call).(*types.Func); ok && prog.funcs[fn] != nil {
+				out = append(out, CallSite{Call: call, Callee: prog.funcs[fn]})
 			}
-		case nil:
-			out = append(out, CallSite{Call: call, Dynamic: true})
-		default:
-			// A variable or parameter of function type: dynamic.
-			out = append(out, CallSite{Call: call, Dynamic: true})
 		}
 		return true
 	})
@@ -253,28 +216,6 @@ func (prog *Program) ssaOf(fn *types.Func) *ssaFunc {
 	return f
 }
 
-// nonEscaping returns the set of allocation expressions in fn's body
-// proven (by the SSA escape analysis) never to leave the frame.
-func (prog *Program) nonEscaping(fn *types.Func) map[ast.Expr]bool {
-	if m, ok := prog.escFacts[fn]; ok {
-		return m
-	}
-	var m map[ast.Expr]bool
-	if f := prog.ssaOf(fn); f != nil {
-		m = escapeAnalysis(f, prog.funcs[fn])
-	}
-	prog.escFacts[fn] = m
-	return m
-}
-
-// escapeOracle binds nonEscaping into the hotScanner's oracle shape
-// for one function: it reports true when the allocation may escape
-// (i.e. was not proven local).
-func (prog *Program) escapeOracle(fn *types.Func) func(ast.Expr) bool {
-	proven := prog.nonEscaping(fn)
-	return func(e ast.Expr) bool { return !proven[e] }
-}
-
 // reachesQuiescent returns a //meccvet:quiescent function reachable
 // from fn over static internal call edges (fn itself included), or nil.
 // Cycles terminate through the in-progress marker in quietDone.
@@ -287,9 +228,6 @@ func (prog *Program) reachesQuiescent(fn *types.Func) *types.Func {
 	}
 	prog.quietDone[fn] = true // in progress: cycles resolve to nil
 	for _, cs := range prog.calls[fn] {
-		if cs.Callee == nil {
-			continue
-		}
 		if q := prog.reachesQuiescent(cs.Callee.Fn); q != nil {
 			prog.quiescent[fn] = q
 			return q

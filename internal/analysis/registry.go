@@ -12,7 +12,6 @@ func All() []*Analyzer {
 		Cyclewrap,
 		Determinism,
 		Errwrap,
-		Hotpath,
 		Nilhook,
 		Nopanic,
 		Unitflow,

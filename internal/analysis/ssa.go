@@ -11,11 +11,9 @@ import (
 // the cfg basic blocks and the dominator tree: every SSA-eligible
 // local variable is split into versions (one per definition), phi
 // nodes merge versions at dominance-frontier join points, and each
-// identifier use resolves to exactly one reaching version, giving
-// def-use chains the value-sensitive analyzers traverse: solveSSA runs
-// unitflow's clock units, determinism's seed provenance and
-// cyclewrap's constants over them, and the escape analysis behind
-// hotpath walks them directly.
+// identifier use resolves to exactly one reaching version. solveSSA
+// runs unitflow's clock units, determinism's seed provenance and
+// cyclewrap's constants over the resulting graph.
 //
 // Eligibility is conservative: a variable is versioned only when the
 // analysis can see every definition. Address-taken variables, variables
@@ -36,12 +34,10 @@ type ssaFunc struct {
 	phis map[int][]*ssaPhi
 	// useVal resolves each identifier use to its reaching version.
 	useVal map[*ast.Ident]*ssaVal
-	// defVal maps each defining identifier occurrence to its version.
-	defVal map[*ast.Ident]*ssaVal
 	// eligible marks the versioned variables.
 	eligible map[*types.Var]bool
 	// parent maps every node in the body to its syntactic parent, for
-	// use-site classification (escape analysis, guard recognition).
+	// cyclewrap's guard recognition and enclosingSite.
 	parent map[ast.Node]ast.Node
 	// stmtUses records, per recorded statement, the SSA values its
 	// expressions consume — the dependency edges of the sparse solver.
@@ -66,15 +62,6 @@ type ssaVal struct {
 	phi *ssaPhi
 	// entry marks parameter/receiver/named-result values live on entry.
 	entry bool
-	block int
-	uses  []ssaUse
-}
-
-// ssaUse is one consumption of an SSA value: an identifier occurrence
-// or a phi operand.
-type ssaUse struct {
-	id    *ast.Ident // nil for phi operands
-	phi   *ssaPhi    // nil for identifier uses
 	block int
 }
 
@@ -103,7 +90,6 @@ func buildSSA(fi *FuncInfo, g *cfg) *ssaFunc {
 		dom:      g.dominators(),
 		phis:     make(map[int][]*ssaPhi),
 		useVal:   make(map[*ast.Ident]*ssaVal),
-		defVal:   make(map[*ast.Ident]*ssaVal),
 		parent:   make(map[ast.Node]ast.Node),
 		stmtUses: make(map[ast.Stmt][]*ssaVal),
 	}
@@ -203,7 +189,6 @@ func buildSSA(fi *FuncInfo, g *cfg) *ssaFunc {
 			}
 			top := stack[len(stack)-1]
 			f.useVal[id] = top
-			top.uses = append(top.uses, ssaUse{id: id, block: b})
 			if stmt != nil {
 				f.stmtUses[stmt] = append(f.stmtUses[stmt], top)
 			}
@@ -228,7 +213,6 @@ func buildSSA(fi *FuncInfo, g *cfg) *ssaFunc {
 				val.def = id
 				val.defStmt = s
 				val.rhs = rhs
-				f.defVal[id] = val
 			})
 		}
 		// Block-terminating expressions outside any recorded statement:
@@ -250,7 +234,6 @@ func buildSSA(fi *FuncInfo, g *cfg) *ssaFunc {
 				for i, p := range preds[succ] {
 					if p == b && phi.args[i] == nil {
 						phi.args[i] = top
-						top.uses = append(top.uses, ssaUse{phi: phi, block: succ})
 					}
 				}
 			}

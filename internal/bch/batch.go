@@ -15,14 +15,14 @@ const minLinesPerWorker = 32
 // inline). parityOut[i] corresponds to data[i]. It panics if the slice
 // lengths differ — a programming error, matching the copy-style contract
 // of the other batch APIs.
-//
-//meccvet:hotpath
 func (c *Code) EncodeBatch(data []line.Line, parityOut []uint64) {
 	if len(data) != len(parityOut) {
 		// invariant: callers pass parallel slices (documented contract).
 		panic("bch: EncodeBatch slice lengths differ")
 	}
-	//meccvet:allow hotpath -- one closure per batch call, amortized over the lines
+	// One closure per call, plus a goroutine per chunk when batch.For
+	// fans out: a fixed cost amortized over the lines (TestDecodeZeroAllocs
+	// pins the inline count).
 	batch.For(len(data), minLinesPerWorker, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			parityOut[i] = c.Encode(data[i])
@@ -35,14 +35,14 @@ func (c *Code) EncodeBatch(data []line.Line, parityOut []uint64) {
 // batches run inline). out may alias data — each element is read before
 // it is written and lines are independent. It panics if the slice
 // lengths differ.
-//
-//meccvet:hotpath
 func (c *Code) DecodeBatch(data []line.Line, parity []uint64, out []line.Line, results []Result) {
 	if len(parity) != len(data) || len(out) != len(data) || len(results) != len(data) {
 		// invariant: callers pass parallel slices (documented contract).
 		panic("bch: DecodeBatch slice lengths differ")
 	}
-	//meccvet:allow hotpath -- one closure per batch call, amortized over the lines
+	// One closure per call, plus a goroutine per chunk when batch.For
+	// fans out: a fixed cost amortized over the lines (TestDecodeZeroAllocs
+	// pins the inline count).
 	batch.For(len(data), minLinesPerWorker, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i], results[i] = c.Decode(data[i], parity[i])

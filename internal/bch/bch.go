@@ -271,8 +271,6 @@ func (c *Code) FieldM() int { return c.field.M() }
 // Encode computes the parity bits for a line. Parity occupies the low
 // ParityBits() bits of the returned word; when extended, the overall
 // parity bit is the highest of those bits.
-//
-//meccvet:hotpath
 func (c *Code) Encode(data line.Line) uint64 {
 	obsEncodes.Inc()
 	reg := c.encodeRemainder(&data)
@@ -287,8 +285,6 @@ func (c *Code) Encode(data line.Line) uint64 {
 // independent lookups per word, XORed together. Byte p of the line is
 // word p/8 shifted by 8*(p%8); codeword exponents rise with the byte
 // index, matching the encPos construction.
-//
-//meccvet:hotpath
 func (c *Code) encodeRemainder(data *line.Line) uint64 {
 	var reg uint64
 	for w, word := range data {
@@ -339,8 +335,6 @@ func (c *Code) encodeLFSR(data line.Line) uint64 {
 // reproduces the stored base parity", so it costs one table encode and
 // a compare, the same remainder test Decode starts with. Parity bits
 // above ParityBits() are ignored, as in Decode.
-//
-//meccvet:hotpath
 func (c *Code) ScreenClean(data line.Line, parity uint64) bool {
 	base := parity & (uint64(1)<<c.parityBits - 1)
 	if c.encodeRemainder(&data) != base {
@@ -353,8 +347,6 @@ func (c *Code) ScreenClean(data line.Line, parity uint64) bool {
 }
 
 // overallParity returns the XOR of all data and base-parity bits.
-//
-//meccvet:hotpath
 func (c *Code) overallParity(data line.Line, parity uint64) uint64 {
 	return uint64(data.PopCount()+bits.OnesCount64(parity)) & 1
 }
@@ -366,8 +358,6 @@ func (c *Code) overallParity(data line.Line, parity uint64) uint64 {
 // Decode performs no heap allocations: syndromes, the Berlekamp–Massey
 // locator and the error positions all live in fixed-size stack arrays
 // bounded by MaxT (guarded by TestDecodeZeroAllocs).
-//
-//meccvet:hotpath
 func (c *Code) Decode(data line.Line, parity uint64) (line.Line, Result) {
 	out, res := c.decode(data, parity)
 	noteDecode(res)
@@ -382,8 +372,6 @@ func (c *Code) Decode(data line.Line, parity uint64) (line.Line, Result) {
 // j <= 2t is a root of g, so S_j = R(alpha^j) = rem(alpha^j): all 2t
 // syndromes vanish exactly when rem is zero, and otherwise they are
 // evaluated over rem's eight bytes rather than the codeword's 72.
-//
-//meccvet:hotpath
 func (c *Code) decode(data line.Line, parity uint64) (line.Line, Result) {
 	deg := c.parityBits
 	extBit := (parity >> deg) & 1
@@ -451,8 +439,6 @@ func (c *Code) decode(data line.Line, parity uint64) (line.Line, Result) {
 // into the caller-provided scratch array, without allocating: 2t Horner
 // accumulators advance over rem's eight bytes, top byte first, each step
 // one synStep constant multiply and one synTable byte evaluation.
-//
-//meccvet:hotpath
 func (c *Code) remSyndromes(rem uint64, out *[maxSyn]uint16) {
 	nSyn := 2 * c.t
 	*out = [maxSyn]uint16{}
@@ -503,8 +489,6 @@ func (c *Code) syndromesBitwise(data line.Line, parity uint64) []uint16 {
 // returning its degree. It returns ok=false when the implied error count
 // exceeds t. All working state lives in fixed-size stack arrays bounded
 // by the maximum syndrome count, so the routine never allocates.
-//
-//meccvet:hotpath
 func (c *Code) berlekampMassey(synd []uint16, lambda *[maxSyn + 1]uint16) (int, bool) {
 	f := c.field
 	nSyn := len(synd)
@@ -554,8 +538,6 @@ func (c *Code) berlekampMassey(synd []uint16, lambda *[maxSyn + 1]uint16) (int, 
 // more errors than the code can correct. Degrees 1 and 2 are solved in
 // closed form; higher degrees run the Chien search. The positions are
 // those chienSearch reports, though not necessarily in rising order.
-//
-//meccvet:hotpath
 func (c *Code) errorPositions(lambda []uint16, out *[MaxT]int) (int, bool) {
 	switch len(lambda) - 1 {
 	case 1:
@@ -568,8 +550,6 @@ func (c *Code) errorPositions(lambda []uint16, out *[MaxT]int) (int, bool) {
 
 // root1 solves Lambda(x) = 1 + l1*x. Its root 1/l1 equals alpha^-i for
 // the error at exponent i, so i = log l1.
-//
-//meccvet:hotpath
 func (c *Code) root1(l1 uint16, out *[MaxT]int) (int, bool) {
 	if l1 == 0 {
 		return 0, false
@@ -588,8 +568,6 @@ func (c *Code) root1(l1 uint16, out *[MaxT]int) (int, bool) {
 // quadRoot. A root x = alpha^-i marks the error at exponent
 // i = log(l2/l1) - log y. l1 = 0 leaves one repeated root, l2 = 0 a
 // degree-1 polynomial, and a c with no solution no root at all.
-//
-//meccvet:hotpath
 func (c *Code) roots2(l1, l2 uint16, out *[MaxT]int) (int, bool) {
 	if l1 == 0 || l2 == 0 {
 		return 0, false
@@ -619,8 +597,6 @@ func (c *Code) roots2(l1, l2 uint16, out *[MaxT]int) (int, bool) {
 // factor alpha^-1, so term k of the sum is updated by one multiply with
 // alpha^-k instead of re-running Horner, and the scan exits as soon as
 // deg(Lambda) roots are found.
-//
-//meccvet:hotpath
 func (c *Code) chienSearch(lambda []uint16, out *[MaxT]int) (int, bool) {
 	degL := len(lambda) - 1
 	if degL == 0 {

@@ -474,7 +474,7 @@ func TestSyndromeRemainderDifferential(t *testing.T) {
 // The decode hot path must be allocation-free on the clean (zero
 // remainder) path and on every correction route (closed-form roots for
 // one and two errors, the Chien search for six), for both plain and
-// extended codes.
+// extended codes; the batch APIs allocate a fixed count per call.
 func TestDecodeZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, extended := range []bool{false, true} {
@@ -510,6 +510,26 @@ func TestDecodeZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { c.Encode(data) }); n != 0 {
 		t.Errorf("Encode allocates %.1f times per run, want 0", n)
+	}
+	// The batch APIs allocate one closure per call, whatever the batch
+	// length: AllocsPerRun measures at GOMAXPROCS 1, where batch.For
+	// runs the closure inline.
+	const batchAllocs = 1
+	c = mustCode(t, 6, false)
+	for _, lines := range []int{4096, 32768} {
+		data := make([]line.Line, lines)
+		for i := range data {
+			data[i] = randLine(rng)
+		}
+		parity := make([]uint64, lines)
+		out := make([]line.Line, lines)
+		results := make([]Result, lines)
+		if n := testing.AllocsPerRun(5, func() { c.EncodeBatch(data, parity) }); n != batchAllocs {
+			t.Errorf("%d-line EncodeBatch allocates %v per call, want %d", lines, n, batchAllocs)
+		}
+		if n := testing.AllocsPerRun(5, func() { c.DecodeBatch(data, parity, out, results) }); n != batchAllocs {
+			t.Errorf("%d-line DecodeBatch allocates %v per call, want %d", lines, n, batchAllocs)
+		}
 	}
 }
 

@@ -27,8 +27,6 @@ func SetObserver(r *obs.Recorder) {
 }
 
 // noteDecode accounts one Decode call.
-//
-//meccvet:hotpath
 func noteDecode(res Result) {
 	if obsDecodes == nil {
 		return

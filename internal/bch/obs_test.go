@@ -9,9 +9,7 @@ import (
 
 // TestObserverCountsCodecTraffic wires a recorder, runs encode/decode
 // traffic including corrected and uncorrectable words, and checks the
-// counters; it then detaches the observer and re-verifies the decode
-// hot path is back to zero allocations (the disabled-telemetry
-// guarantee TestDecodeZeroAllocs relies on).
+// counters.
 func TestObserverCountsCodecTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	c := mustCode(t, 6, false)
@@ -56,7 +54,19 @@ func TestObserverCountsCodecTraffic(t *testing.T) {
 	if got := reg.Counter("bch_uncorrectable_total").Value(); got != wantUncorrectable {
 		t.Errorf("uncorrectable = %d, want %d", got, wantUncorrectable)
 	}
+}
 
+// TestDetachedObserverZeroAllocs: once a recorder that has counted
+// traffic is detached, the decode hot path is back to zero allocations
+// (the disabled-telemetry guarantee TestDecodeZeroAllocs relies on).
+func TestDetachedObserverZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(98))
+	c := mustCode(t, 6, false)
+	data := randLine(rng)
+	parity := c.Encode(data)
+	SetObserver(obs.New())
+	defer SetObserver(nil)
+	c.Decode(data, parity)
 	SetObserver(nil)
 	if n := testing.AllocsPerRun(200, func() { c.Decode(data, parity) }); n != 0 {
 		t.Errorf("detached Decode allocates %.1f times per run, want 0", n)

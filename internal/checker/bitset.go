@@ -1,29 +1,38 @@
 package checker
 
-// bitset is a dense bit vector for the MECC shadow mode bitmap (2 MB at
-// the paper's 16M-line memory).
+// A shadow page is 4 KiB: pageBits bits in pageWords words.
+const (
+	pageBits  = 1 << 15
+	pageWords = pageBits / 64
+)
+
+// bitset is the MECC shadow mode bitmap (16M lines at the paper's
+// memory size), held in 4 KiB pages that are allocated on their first
+// set. A nil page reads as all clear, so a tracker holds only a page
+// directory plus the pages its run has downgraded lines in. It
+// deliberately shares no code with core's mode table, which it checks.
 type bitset struct {
-	words []uint64
+	pages []*[pageWords]uint64
 }
 
 func newBitset(n uint64) *bitset {
-	return &bitset{words: make([]uint64, (n+63)/64)}
+	return &bitset{pages: make([]*[pageWords]uint64, (n+pageBits-1)/pageBits)}
 }
 
 func (b *bitset) get(i uint64) bool {
-	return b.words[i>>6]>>(i&63)&1 == 1
+	p := b.pages[i/pageBits]
+	return p != nil && p[i/64%pageWords]>>(i&63)&1 == 1
 }
 
-func (b *bitset) set(i uint64, v bool) {
-	if v {
-		b.words[i>>6] |= 1 << (i & 63)
-	} else {
-		b.words[i>>6] &^= 1 << (i & 63)
+// set sets bit i, allocating its page on first use.
+func (b *bitset) set(i uint64) {
+	p := b.pages[i/pageBits]
+	if p == nil {
+		p = new([pageWords]uint64)
+		b.pages[i/pageBits] = p
 	}
+	p[i/64%pageWords] |= 1 << (i & 63)
 }
 
-func (b *bitset) clearAll() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
+// clearAll clears every bit by dropping every page.
+func (b *bitset) clearAll() { clear(b.pages) }

@@ -213,6 +213,43 @@ func TestMECCLegalLifecycle(t *testing.T) {
 	}
 }
 
+// TestMECCShadowPages pins the paged shadow bitmap: downgrades on both
+// sides of a page boundary read back weak while their neighbours read
+// strong, only the two touched pages are held, and the sweep drops both
+// so the next active phase starts all strong.
+func TestMECCShadowPages(t *testing.T) {
+	s := NewSuite()
+	view := fakeView{marked: map[uint64]bool{}}
+	m := NewMECC(s, 2*pageBits, true, 16, false, 2)
+	m.Attach(view, true, true)
+	lo, hi := uint64(pageBits-1), uint64(pageBits) // last line of page 0, first of page 1
+	for _, addr := range []uint64{lo, hi} {
+		m.OnRead(addr, 10, true, true)
+		view.marked[m.regionOf(addr)] = true
+	}
+	m.OnRead(lo-1, 20, true, false)  // strong neighbours
+	m.OnWrite(hi+1, 20, true, false) // on either page
+	m.OnRead(lo, 30, false, false)   // the downgraded lines stay weak
+	m.OnRead(hi, 30, false, false)
+	if m.WeakLines() != 2 {
+		t.Fatalf("weak lines = %d, want 2", m.WeakLines())
+	}
+	if len(m.weak.pages) != 2 || m.weak.pages[0] == nil || m.weak.pages[1] == nil {
+		t.Fatalf("shadow holds pages %v, want both of two", m.weak.pages)
+	}
+	m.OnSweepStart(40)
+	m.OnSweepEnd(40, 2)
+	if m.weak.pages[0] != nil || m.weak.pages[1] != nil {
+		t.Fatal("sweep kept a shadow page")
+	}
+	m.OnPhase(50, true, true)
+	m.OnRead(lo, 60, true, false) // strong again after the sweep
+	m.OnRead(hi, 60, true, false)
+	if err := s.Err(); err != nil {
+		t.Fatalf("legal paged lifecycle flagged: %v", err)
+	}
+}
+
 func TestMECCDowngradeWhileDisabled(t *testing.T) {
 	s := NewSuite()
 	m := newActiveMECC(s, true) // SMD on → downgrades start disabled

@@ -105,7 +105,7 @@ func (t *MECC) noteDowngrade(addr, now uint64, op string, wasStrong bool) {
 	}
 	addr %= t.totalLines
 	if !t.weak.get(addr) {
-		t.weak.set(addr, true)
+		t.weak.set(addr)
 		t.weakCount++
 	}
 	if t.mdtEnabled {

@@ -178,8 +178,6 @@ func NewChannel(cfg Config) (*Channel, error) {
 // Decode maps a line address to rank/bank/row/column using parameters
 // precomputed at construction; identical to Config.Decode but without
 // the per-call Config copies.
-//
-//meccvet:hotpath
 func (ch *Channel) Decode(lineAddr uint64) Coord { return ch.dec.decode(lineAddr) }
 
 // Config returns the channel configuration.
@@ -332,8 +330,6 @@ func (ch *Channel) OpenRow(bank int) int {
 
 // rankIndex returns the rank owning a global bank id (RankOfBank
 // without the Config copy — this runs in every timing check).
-//
-//meccvet:hotpath
 func (ch *Channel) rankIndex(bank int) int { return bank >> ch.bankShift }
 
 // rankOf returns the rank state owning a global bank id.
@@ -463,8 +459,6 @@ func (ch *Channel) WR(bank, row int) (uint64, error) {
 // commands issue.
 
 // EarliestRD mirrors CanRD's timing terms.
-//
-//meccvet:hotpath
 func (ch *Channel) EarliestRD(bank int) uint64 {
 	b := &ch.banks[bank]
 	rank := ch.rankIndex(bank)
@@ -481,8 +475,6 @@ func (ch *Channel) EarliestRD(bank int) uint64 {
 }
 
 // EarliestWR mirrors CanWR's timing terms.
-//
-//meccvet:hotpath
 func (ch *Channel) EarliestWR(bank int) uint64 {
 	b := &ch.banks[bank]
 	rank := ch.rankIndex(bank)
@@ -495,8 +487,6 @@ func (ch *Channel) EarliestWR(bank int) uint64 {
 }
 
 // EarliestACT mirrors CanACT's timing terms (tRC, tRRD, tFAW).
-//
-//meccvet:hotpath
 func (ch *Channel) EarliestACT(bank int) uint64 {
 	b := &ch.banks[bank]
 	rk := ch.rankOf(bank)
@@ -508,8 +498,6 @@ func (ch *Channel) EarliestACT(bank int) uint64 {
 }
 
 // EarliestPRE mirrors CanPRE's timing terms (tRAS, tRTP, tWR).
-//
-//meccvet:hotpath
 func (ch *Channel) EarliestPRE(bank int) uint64 {
 	return maxU64(ch.nextCmdAt, ch.banks[bank].nextPRE)
 }

@@ -277,7 +277,6 @@ func (c *Config) decodeParams() decodeParams {
 	}
 }
 
-//meccvet:hotpath
 func (p *decodeParams) decode(lineAddr uint64) Coord {
 	col := int(lineAddr & p.colMask)
 	switch p.mapping {

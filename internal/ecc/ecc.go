@@ -160,8 +160,6 @@ func (l *LineSECDED) Decode(data line.Line, check uint64) (line.Line, Result) {
 }
 
 // ScreenClean implements Screener via the word-parallel Hamming screen.
-//
-//meccvet:hotpath
 func (l *LineSECDED) ScreenClean(data line.Line, check uint64) bool {
 	buf := [8]uint64(data)
 	return l.code.ScreenClean(buf[:], check)
@@ -221,8 +219,6 @@ func (w *WordSECDED) Decode(data line.Line, check uint64) (line.Line, Result) {
 
 // ScreenClean implements Screener: each word's re-encode must reproduce
 // its stored check byte, exactly the per-word zero-Result condition.
-//
-//meccvet:hotpath
 func (w *WordSECDED) ScreenClean(data line.Line, check uint64) bool {
 	return w.Encode(data) == check
 }
@@ -279,8 +275,6 @@ func (b *BCH) Decode(data line.Line, check uint64) (line.Line, Result) {
 }
 
 // ScreenClean implements Screener via the table re-encode screen.
-//
-//meccvet:hotpath
 func (b *BCH) ScreenClean(data line.Line, check uint64) bool {
 	return b.code.ScreenClean(data, check)
 }

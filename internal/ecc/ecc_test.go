@@ -387,10 +387,59 @@ func TestScreenWeakClean(t *testing.T) {
 			t.Fatal("check flip passed screen")
 		}
 	}
+}
+
+// batchAllocs is the allocation count of one morphable batch call: the
+// closure handed to batch.For. AllocsPerRun measures at GOMAXPROCS 1,
+// where batch.For runs that closure inline.
+const batchAllocs = 1
+
+// TestCodecZeroAllocs guards the codec paths of strong reads and
+// upgrade sweeps: every Screener's ScreenClean and the morphable weak
+// screen allocate nothing, and the morphable batch APIs allocate
+// batchAllocs per call whatever the batch length.
+func TestCodecZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	data := randLine(rng)
+	for _, name := range Names() {
+		c, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ok := c.(Screener)
+		if !ok {
+			t.Fatalf("%s: no Screener implementation", name)
+		}
+		check := c.Encode(data)
+		if n := testing.AllocsPerRun(100, func() { _ = s.ScreenClean(data, check) }); n != 0 {
+			t.Errorf("%s ScreenClean allocates %v per run, want 0", name, n)
+		}
+	}
+	m, err := NewDefaultMorphable()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		data := line.Line{1, 2, 3}
 		_ = m.ScreenWeakClean(data, m.Encode(data, ModeWeak))
 	}); n != 0 {
-		t.Fatalf("ScreenWeakClean+Encode allocate %v per run, want 0", n)
+		t.Errorf("ScreenWeakClean+Encode allocate %v per run, want 0", n)
+	}
+	for _, lines := range []int{4096, 32768} {
+		data := make([]line.Line, lines)
+		for i := range data {
+			data[i] = randLine(rng)
+		}
+		spare := make([]uint64, lines)
+		out := make([]line.Line, lines)
+		evs := make([]DecodeEvent, lines)
+		for _, mode := range []Mode{ModeWeak, ModeStrong} {
+			if n := testing.AllocsPerRun(5, func() { m.EncodeBatch(data, mode, spare) }); n != batchAllocs {
+				t.Errorf("%d-line %v EncodeBatch allocates %v per call, want %d", lines, mode, n, batchAllocs)
+			}
+			if n := testing.AllocsPerRun(5, func() { m.DecodeBatch(data, spare, out, evs) }); n != batchAllocs {
+				t.Errorf("%d-line %v DecodeBatch allocates %v per call, want %d", lines, mode, n, batchAllocs)
+			}
+		}
 	}
 }

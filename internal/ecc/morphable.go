@@ -124,8 +124,6 @@ const minMorphablePerWorker = 32
 // Encode(data[i], mode). When the selected codec implements BatchCodec
 // its bulk encoder is used directly. It panics if the slice lengths
 // differ.
-//
-//meccvet:hotpath
 func (m *Morphable) EncodeBatch(data []line.Line, mode Mode, out []uint64) {
 	if len(data) != len(out) {
 		// invariant: callers pass parallel slices (documented contract).
@@ -144,7 +142,9 @@ func (m *Morphable) EncodeBatch(data []line.Line, mode Mode, out []uint64) {
 		}
 		return
 	}
-	//meccvet:allow hotpath -- one closure per batch call, amortized over the lines
+	// One closure per call, plus a goroutine per chunk when batch.For
+	// fans out: a fixed cost amortized over the lines (TestCodecZeroAllocs
+	// pins the inline count).
 	batch.For(len(data), minMorphablePerWorker, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = modeField | c.Encode(data[i])<<ModeBits
@@ -156,14 +156,14 @@ func (m *Morphable) EncodeBatch(data []line.Line, mode Mode, out []uint64) {
 // into out[i] and evs[i], fanning the work out over up to GOMAXPROCS
 // workers. Per-line results are identical to Decode; out may alias data.
 // It panics if the slice lengths differ.
-//
-//meccvet:hotpath
 func (m *Morphable) DecodeBatch(data []line.Line, spare []uint64, out []line.Line, evs []DecodeEvent) {
 	if len(spare) != len(data) || len(out) != len(data) || len(evs) != len(data) {
 		// invariant: callers pass parallel slices (documented contract).
 		panic("ecc: DecodeBatch slice lengths differ")
 	}
-	//meccvet:allow hotpath -- one closure per batch call, amortized over the lines
+	// One closure per call, plus a goroutine per chunk when batch.For
+	// fans out: a fixed cost amortized over the lines (TestCodecZeroAllocs
+	// pins the inline count).
 	batch.For(len(data), minMorphablePerWorker, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i], evs[i] = m.Decode(data[i], spare[i])
@@ -178,8 +178,6 @@ func (m *Morphable) DecodeBatch(data []line.Line, spare []uint64, out []line.Lin
 // (conservatively forcing the full Decode) when the weak codec offers
 // no Screener. The upgrade sweep runs this screen first and drops to
 // the scalar decoder only for the rare lines that fail it.
-//
-//meccvet:hotpath
 func (m *Morphable) ScreenWeakClean(data line.Line, spare uint64) bool {
 	if m.weakScreen == nil || int(spare)&((1<<ModeBits)-1) != 0 {
 		return false

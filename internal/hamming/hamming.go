@@ -122,8 +122,6 @@ func (s *SECDED) wordsNeeded() int { return (s.dataBits + 63) / 64 }
 // the data words under its bit-sliced mask. Equivalent to walking every
 // data bit through dataPos (see syndromeBitSerial, the retained
 // reference), at a fraction of the cost.
-//
-//meccvet:hotpath
 func (s *SECDED) syndromeOf(data []uint64) (uint32, int) {
 	last := len(data) - 1
 	ones := 0
@@ -179,8 +177,6 @@ func (s *SECDED) Encode(data []uint64) (uint64, error) {
 // screen the batched upgrade sweep runs before falling back to Decode;
 // check bits above the stored width are ignored, as in Decode. Inputs of
 // the wrong length screen as not-clean.
-//
-//meccvet:hotpath
 func (s *SECDED) ScreenClean(data []uint64, check uint64) bool {
 	if len(data) != s.wordsNeeded() {
 		return false

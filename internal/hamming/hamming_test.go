@@ -319,7 +319,8 @@ func TestScreenCleanMatchesDecode(t *testing.T) {
 }
 
 // The encode and screen kernels of the weak code are on the upgrade
-// sweep's zero-allocation hot path.
+// sweep's zero-allocation hot path. So is the length-mismatch guard of
+// Encode and Decode: its error is built once, at construction.
 func TestEncodeScreenZeroAllocs(t *testing.T) {
 	s, err := NewSECDED(512)
 	if err != nil {
@@ -343,12 +344,22 @@ func TestEncodeScreenZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Encode+ScreenClean allocate %v times per run", n)
 	}
+	short := data[:3]
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := s.Encode(short); err == nil {
+			t.Fatal("Encode(short) succeeded, want error")
+		}
+		if _, err := s.Decode(short, 0); err == nil {
+			t.Fatal("Decode(short) succeeded, want error")
+		}
+	}); n != 0 {
+		t.Fatalf("error path allocates %v times per run", n)
+	}
 }
 
 // TestWrongLengthError pins the prebuilt length-mismatch error: it must
-// wrap ErrBadInput for errors.Is, and — because it is built once at
-// construction — firing the guard clause must not allocate, keeping
-// Encode/Decode allocation-free on every path.
+// wrap ErrBadInput for errors.Is. TestEncodeScreenZeroAllocs checks
+// that firing the guard clause does not allocate.
 func TestWrongLengthError(t *testing.T) {
 	s, err := NewSECDED(512)
 	if err != nil {
@@ -361,16 +372,5 @@ func TestWrongLengthError(t *testing.T) {
 	}
 	if _, err := s.Decode(short, 0); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("Decode(short) error = %v, want ErrBadInput", err)
-	}
-
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := s.Encode(short); err == nil {
-			t.Fatal("Encode(short) succeeded, want error")
-		}
-		if _, err := s.Decode(short, 0); err == nil {
-			t.Fatal("Decode(short) succeeded, want error")
-		}
-	}); n != 0 {
-		t.Fatalf("error path allocates %v times per run", n)
 	}
 }

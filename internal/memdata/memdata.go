@@ -228,8 +228,6 @@ func (m *Memory) SetSweepPool(p *batch.Pool) { m.setPool(p) }
 // screen (word-sliced weak re-encode) plus a strong table encode; only
 // lines whose screen fails — retention victims — pay the scalar
 // morphable decode.
-//
-//meccvet:hotpath
 func (m *Memory) sweepShard(worker, lo, hi int) {
 	st := &m.sweepStats[worker]
 	for _, addr := range m.sweepWeak[lo:hi] {

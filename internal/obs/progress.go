@@ -65,8 +65,6 @@ func (p *Progress) AddTotal(n uint64) {
 }
 
 // SetSimTime publishes the current simulated time in CPU cycles.
-//
-//meccvet:hotpath
 func (p *Progress) SetSimTime(cycles uint64) {
 	if p == nil {
 		return

@@ -109,8 +109,6 @@ type Histogram struct {
 // even mid-Observe under concurrency, since the bucket add is the
 // single commit point of a sample's countedness (pinned by
 // TestHistogramConcurrentObserveCountMatchesBuckets under -race).
-//
-//meccvet:hotpath
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
@@ -172,8 +170,6 @@ func (h *Histogram) Local() *LocalHistogram {
 }
 
 // Observe buffers one sample (same bucket mapping as Histogram.Observe).
-//
-//meccvet:hotpath
 func (l *LocalHistogram) Observe(v uint64) {
 	if l == nil {
 		return

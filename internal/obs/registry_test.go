@@ -56,6 +56,25 @@ func TestNilHandlesZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveZeroAllocs guards the live observe paths: a
+// shared Histogram and a runner's LocalHistogram record samples across
+// every bucket without allocating.
+func TestHistogramObserveZeroAllocs(t *testing.T) {
+	h := NewRegistry().Histogram("latency_cycles")
+	l := h.Local()
+	v := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Observe(v)
+		l.Observe(v)
+		v = v*3 + 1
+	}); n != 0 {
+		t.Errorf("live Histogram/LocalHistogram Observe allocates %.1f times per run, want 0", n)
+	}
+	if h.Count() == 0 {
+		t.Fatal("Histogram.Observe recorded nothing")
+	}
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("reads")

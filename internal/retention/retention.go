@@ -169,8 +169,6 @@ func (in *Injector) FlipPositions(nbits int) []int {
 // loops pass a reused buffer (sliced to length 0) so that injection
 // performs no allocations in the common no-failure case; the random
 // sequence drawn is identical to FlipPositions.
-//
-//meccvet:hotpath
 func (in *Injector) FlipPositionsAppend(nbits int, buf []int) []int {
 	if in.ber <= 0 {
 		return buf

@@ -158,6 +158,29 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 }
 
+// TestFlipPositionsAppendZeroAllocs guards the injection path of the
+// integrity Monte Carlo and the retention-fault sweep: appending into a
+// warmed-up buffer allocates nothing, on draws with and without
+// failures.
+func TestFlipPositionsAppendZeroAllocs(t *testing.T) {
+	const nbits = 4096
+	in := NewInjector(5, 1e-3) // about 4 failures per draw
+	var buf []int
+	for i := 0; i < 1000; i++ {
+		buf = in.FlipPositionsAppend(nbits, buf[:0])
+	}
+	failures := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		buf = in.FlipPositionsAppend(nbits, buf[:0])
+		failures += len(buf)
+	}); n != 0 {
+		t.Errorf("FlipPositionsAppend into a warm buffer allocates %v/op", n)
+	}
+	if failures == 0 {
+		t.Fatal("no draw failed a bit; the append path went unmeasured")
+	}
+}
+
 func TestVRTPopulation(t *testing.T) {
 	v := NewVRTPopulation(3, 1000, 1<<24, 576, 0.25)
 	if len(v.Cells()) != 1000 {
