@@ -101,7 +101,8 @@ scenarios:
 scenarios-short:
 	$(GO) run ./cmd/meccscn run -short
 
-# Short fuzz session over the parsers and the BCH decoder.
+# Short fuzz session over the parsers, the BCH decoder, the controller
+# against per-cycle stepping, and the simulation and harness options.
 fuzz:
 	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzDecodeDifferential -fuzztime 10s ./internal/golden/
@@ -112,6 +113,9 @@ fuzz:
 	$(GO) test -run=XXX -fuzz FuzzParseProm -fuzztime 10s ./internal/obs/
 	$(GO) test -run=XXX -fuzz FuzzParseKindMask -fuzztime 10s ./internal/obs/
 	$(GO) test -run=XXX -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/scenario/
+	$(GO) test -run=XXX -fuzz FuzzStepOrJumpMatchesLegacy -fuzztime 10s ./internal/memctrl/
+	$(GO) test -run=XXX -fuzz FuzzConfigValidate -fuzztime 10s ./internal/sim/
+	$(GO) test -run=XXX -fuzz FuzzOptions -fuzztime 10s ./internal/experiments/
 
 # 10-second BCH fuzz passes seeded with the extension-bit-guard and
 # t+1-error corpus (testdata/fuzz) — a quick regression check for the
@@ -120,8 +124,10 @@ fuzz:
 # baseline file, seeded with lint.baseline.json, one over the binary
 # trace reader, one each over obsdump's JSONL event reader and the
 # Prometheus parser obsscrape feeds live HTTP input, one over the
-# -trace-events kind list, and one over scenario-spec JSON seeded with
-# the built-in specs.
+# -trace-events kind list, one over scenario-spec JSON seeded with the
+# built-in specs, one that holds the memory controller's fast paths to
+# per-cycle stepping on fuzz-chosen configs and arrival scripts, and one
+# each over sim.Config.Validate and the experiment harness options.
 fuzz-short:
 	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 10s ./internal/bch/
@@ -132,6 +138,9 @@ fuzz-short:
 	$(GO) test -run=XXX -fuzz FuzzParseProm -fuzztime 10s ./internal/obs/
 	$(GO) test -run=XXX -fuzz FuzzParseKindMask -fuzztime 10s ./internal/obs/
 	$(GO) test -run=XXX -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/scenario/
+	$(GO) test -run=XXX -fuzz FuzzStepOrJumpMatchesLegacy -fuzztime 10s ./internal/memctrl/
+	$(GO) test -run=XXX -fuzz FuzzConfigValidate -fuzztime 10s ./internal/sim/
+	$(GO) test -run=XXX -fuzz FuzzOptions -fuzztime 10s ./internal/experiments/
 
 # Recapture paperbench's profile-guided-optimization profile from the
 # current code; commit it only if paired fig7 rounds are no slower.

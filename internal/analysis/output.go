@@ -130,13 +130,34 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
+// builtinRules describes the rule ids Run reports outside any analyzer.
+var builtinRules = map[string]string{
+	"load":      "a package failed to load or type-check, so no analyzer ran on it",
+	"directive": "a //meccvet: directive meccvet would ignore: an unknown verb, or an allow naming no analyzer",
+}
+
 // WriteSARIF emits the findings as a SARIF 2.1.0 log with one run, one
-// rule per analyzer, and one result per finding — the shape GitHub
-// code-scanning upload consumes.
+// rule per analyzer plus one per other rule id among the findings
+// ("load", "directive"), and one result per finding — the shape GitHub
+// code-scanning upload consumes, which needs every result's ruleId
+// declared.
 func WriteSARIF(w io.Writer, findings []Finding, analyzers []*Analyzer) error {
 	rules := make([]sarifRule, 0, len(analyzers))
+	declared := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
+		declared[a.Name] = true
+	}
+	for _, f := range findings {
+		if declared[f.Analyzer] {
+			continue
+		}
+		declared[f.Analyzer] = true
+		doc, ok := builtinRules[f.Analyzer]
+		if !ok {
+			doc = f.Analyzer
+		}
+		rules = append(rules, sarifRule{ID: f.Analyzer, ShortDescription: sarifText{Text: doc}})
 	}
 	results := make([]sarifResult, 0, len(findings))
 	for _, f := range findings {

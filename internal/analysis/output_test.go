@@ -178,6 +178,74 @@ func TestWriteSARIFShape(t *testing.T) {
 	}
 }
 
+// TestWriteSARIFDeclaresEveryRule pins that every result's ruleId is a
+// declared rule, including the "directive" and "load" findings Run
+// reports outside the selected analyzers, each declared once.
+func TestWriteSARIFDeclaresEveryRule(t *testing.T) {
+	diags := append(sampleDiags(),
+		analysis.Diagnostic{
+			Pos:      token.Position{Filename: "/repo/internal/x/x.go", Line: 4, Column: 1},
+			Analyzer: "directive",
+			Message:  `unknown meccvet directive "//meccvet:nilsaf"`,
+		},
+		analysis.Diagnostic{
+			Pos:      token.Position{Filename: "/repo/internal/y/y.go", Line: 7, Column: 1},
+			Analyzer: "directive",
+			Message:  `allow names unknown analyzer "nosuch"`,
+		},
+		analysis.Diagnostic{
+			Pos:      token.Position{Filename: "/repo/internal/broken"},
+			Analyzer: "load",
+			Message:  "undefined: foo",
+		},
+	)
+	var buf bytes.Buffer
+	if err := analysis.WriteSARIF(&buf, analysis.Findings(diags, "/repo"), analysis.All()); err != nil {
+		t.Fatal(err)
+	}
+	var log struct {
+		Runs []struct {
+			Tool struct {
+				Driver struct {
+					Rules []struct {
+						ID               string `json:"id"`
+						ShortDescription struct {
+							Text string `json:"text"`
+						} `json:"shortDescription"`
+					} `json:"rules"`
+				} `json:"driver"`
+			} `json:"tool"`
+			Results []struct {
+				RuleID string `json:"ruleId"`
+			} `json:"results"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
+		t.Fatalf("SARIF output is not valid JSON: %v", err)
+	}
+	run := log.Runs[0]
+	declared := make(map[string]string)
+	for _, r := range run.Tool.Driver.Rules {
+		if _, dup := declared[r.ID]; dup {
+			t.Errorf("rule %q declared twice", r.ID)
+		}
+		declared[r.ID] = r.ShortDescription.Text
+	}
+	if len(run.Results) != len(diags) {
+		t.Fatalf("results = %d, want %d", len(run.Results), len(diags))
+	}
+	for _, res := range run.Results {
+		if _, ok := declared[res.RuleID]; !ok {
+			t.Errorf("result ruleId %q not among declared rules %v", res.RuleID, declared)
+		}
+	}
+	for _, id := range []string{"directive", "load"} {
+		if d := declared[id]; d == "" || d == id {
+			t.Errorf("rule %q description = %q, want a fixed description", id, d)
+		}
+	}
+}
+
 // TestBaselineRoundtrip pins the baseline workflow: accept the current
 // findings, survive a write/load cycle, match on (file, analyzer,
 // message) while ignoring line drift, and still catch genuinely new

@@ -25,8 +25,9 @@ func (c *Code) EncodeBatch(data []line.Line, parityOut []uint64) {
 	// pins the inline count).
 	batch.For(len(data), minLinesPerWorker, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			parityOut[i] = c.Encode(data[i])
+			parityOut[i] = c.encode(&data[i])
 		}
+		obsEncodes.Add(uint64(hi - lo))
 	})
 }
 

@@ -273,9 +273,15 @@ func (c *Code) FieldM() int { return c.field.M() }
 // parity bit is the highest of those bits.
 func (c *Code) Encode(data line.Line) uint64 {
 	obsEncodes.Inc()
-	reg := c.encodeRemainder(&data)
+	return c.encode(&data)
+}
+
+// encode is Encode without the telemetry count: EncodeBatch counts its
+// lines once per chunk rather than bumping the shared atomic per line.
+func (c *Code) encode(data *line.Line) uint64 {
+	reg := c.encodeRemainder(data)
 	if c.extended {
-		reg |= c.overallParity(data, reg) << c.parityBits
+		reg |= c.overallParity(*data, reg) << c.parityBits
 	}
 	return reg
 }

@@ -2,8 +2,10 @@ package bch
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/line"
 	"repro/internal/obs"
 )
 
@@ -53,6 +55,36 @@ func TestObserverCountsCodecTraffic(t *testing.T) {
 	}
 	if got := reg.Counter("bch_uncorrectable_total").Value(); got != wantUncorrectable {
 		t.Errorf("uncorrectable = %d, want %d", got, wantUncorrectable)
+	}
+}
+
+// TestEncodeBatchCountsLines: EncodeBatch counts its lines once per
+// chunk, so with a recorder attached and a batch that fans out over two
+// workers bch_encodes_total still equals scalar encodes plus batch
+// lines, and the batch parity matches scalar Encode.
+func TestEncodeBatchCountsLines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rng := rand.New(rand.NewSource(97))
+	c := mustCode(t, 6, true)
+	rec := obs.New()
+	SetObserver(rec)
+	defer SetObserver(nil)
+
+	const lines = 4*minLinesPerWorker + 5 // two chunks of unequal size
+	data := make([]line.Line, lines)
+	for i := range data {
+		data[i] = randLine(rng)
+	}
+	parity := make([]uint64, lines)
+	c.EncodeBatch(data, parity)
+	const scalar = 3
+	for i := 0; i < scalar; i++ {
+		if got := c.Encode(data[i]); got != parity[i] {
+			t.Fatalf("line %d: batch parity %#x, scalar %#x", i, parity[i], got)
+		}
+	}
+	if got := rec.Registry().Counter("bch_encodes_total").Value(); got != scalar+lines {
+		t.Errorf("encodes = %d, want %d scalar + %d batch lines", got, scalar, lines)
 	}
 }
 

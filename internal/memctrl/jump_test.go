@@ -21,9 +21,9 @@ type traceHarness struct {
 	arrived bool
 }
 
-func newTraceHarness(t *testing.T, cfg Config) *traceHarness {
+func newTraceHarness(t *testing.T, dcfg dram.Config, cfg Config) *traceHarness {
 	t.Helper()
-	ch, err := dram.NewChannel(dram.DefaultConfig())
+	ch, err := dram.NewChannel(dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,19 @@ func randomSchedule(rng *rand.Rand, n int) []scheduleOp {
 	return ops
 }
 
+// diffConfig is one setup the differentials run: a controller policy
+// over a channel.
+type diffConfig struct {
+	dram dram.Config
+	ctl  Config
+}
+
 // diffConfigs is the config matrix the jump-vs-legacy differentials
 // run over: default, per-bank refresh, closed-page, no power-down,
-// refresh off, FCFS.
-func diffConfigs() map[string]Config {
+// power-down after one and after two idle cycles (entry on the idle
+// jump's first cycles), refresh off, FCFS, all on the default channel,
+// and the default policy on a channel with zero tRCD and tRP.
+func diffConfigs() map[string]diffConfig {
 	base := DefaultConfig()
 	perBank := base
 	perBank.PerBankRefresh = true
@@ -161,58 +170,77 @@ func diffConfigs() map[string]Config {
 	closed.PagePolicy = ClosedPage
 	noPD := base
 	noPD.PowerDownIdle = 0
+	pd1 := base
+	pd1.PowerDownIdle = 1
+	pd2 := base
+	pd2.PowerDownIdle = 2
 	noRef := base
 	noRef.RefreshEnabled = false
 	fcfs := base
 	fcfs.FCFS = true
-	return map[string]Config{
+	// With zero tRCD and tRP a command could follow the previous one on
+	// the same cycle; one command per cycle is what holds it back.
+	tight := dram.DefaultConfig()
+	tight.Timing.TRCD, tight.Timing.TRP = 0, 0
+	configs := map[string]diffConfig{"tight": {tight, base}}
+	for name, ctl := range map[string]Config{
 		"default": base, "perbank": perBank, "closedpage": closed,
-		"nopd": noPD, "norefresh": noRef, "fcfs": fcfs,
+		"nopd": noPD, "pd1": pd1, "pd2": pd2, "norefresh": noRef, "fcfs": fcfs,
+	} {
+		configs[name] = diffConfig{dram.DefaultConfig(), ctl}
 	}
+	return configs
 }
 
 // diffAgainstLegacy runs drive on a LegacyStepping harness and on a
 // jumping one, for every config of diffConfigs and six seeds, and
-// requires the two to agree bit-exactly: same completion trace, same
-// power-state transition trace (with timestamps), same channel
-// command/residency statistics, same controller statistics.
+// requires the two to agree bit-exactly (see requireSameRun).
 func diffAgainstLegacy(t *testing.T, drive func(t *testing.T, h *traceHarness, seed int64)) {
-	for name, cfg := range diffConfigs() {
+	for name, dc := range diffConfigs() {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 6; seed++ {
-				legacyCfg := cfg
+				legacyCfg := dc.ctl
 				legacyCfg.LegacyStepping = true
-				ref := newTraceHarness(t, legacyCfg)
+				ref := newTraceHarness(t, dc.dram, legacyCfg)
 				drive(t, ref, seed)
 
-				fast := newTraceHarness(t, cfg)
+				fast := newTraceHarness(t, dc.dram, dc.ctl)
 				drive(t, fast, seed)
 
-				if len(fast.trace) != len(ref.trace) {
-					t.Fatalf("seed %d: trace lengths differ: %d vs %d\nfast tail: %v\nref tail: %v",
-						seed, len(fast.trace), len(ref.trace), tail(fast.trace), tail(ref.trace))
-				}
-				for i := range ref.trace {
-					if fast.trace[i] != ref.trace[i] {
-						t.Fatalf("seed %d: trace[%d] = %q, want %q", seed, i, fast.trace[i], ref.trace[i])
-					}
-				}
-				if fast.ch.Now() != ref.ch.Now() {
-					t.Fatalf("seed %d: now %d vs %d", seed, fast.ch.Now(), ref.ch.Now())
-				}
-				if fast.ch.State() != ref.ch.State() {
-					t.Fatalf("seed %d: state %v vs %v", seed, fast.ch.State(), ref.ch.State())
-				}
-				if fast.ch.Stats() != ref.ch.Stats() {
-					t.Fatalf("seed %d: channel stats diverged:\nfast: %+v\nref:  %+v",
-						seed, fast.ch.Stats(), ref.ch.Stats())
-				}
-				if fast.ctl.Stats() != ref.ctl.Stats() {
-					t.Fatalf("seed %d: controller stats diverged:\nfast: %+v\nref:  %+v",
-						seed, fast.ctl.Stats(), ref.ctl.Stats())
-				}
+				requireSameRun(t, fmt.Sprintf("seed %d", seed), fast, ref)
 			}
 		})
+	}
+}
+
+// requireSameRun fails unless a jumping harness and its legacy twin
+// agree bit-exactly: same completion trace, same power-state transition
+// trace (with timestamps), same clock and final state, same channel
+// command/residency statistics, same controller statistics.
+func requireSameRun(t *testing.T, label string, fast, ref *traceHarness) {
+	t.Helper()
+	if len(fast.trace) != len(ref.trace) {
+		t.Fatalf("%s: trace lengths differ: %d vs %d\nfast tail: %v\nref tail: %v",
+			label, len(fast.trace), len(ref.trace), tail(fast.trace), tail(ref.trace))
+	}
+	for i := range ref.trace {
+		if fast.trace[i] != ref.trace[i] {
+			t.Fatalf("%s: trace[%d] = %q, want %q", label, i, fast.trace[i], ref.trace[i])
+		}
+	}
+	if fast.ch.Now() != ref.ch.Now() {
+		t.Fatalf("%s: now %d vs %d", label, fast.ch.Now(), ref.ch.Now())
+	}
+	if fast.ch.State() != ref.ch.State() {
+		t.Fatalf("%s: state %v vs %v", label, fast.ch.State(), ref.ch.State())
+	}
+	if fast.ch.Stats() != ref.ch.Stats() {
+		t.Fatalf("%s: channel stats diverged:\nfast: %+v\nref:  %+v",
+			label, fast.ch.Stats(), ref.ch.Stats())
+	}
+	if fast.ctl.Stats() != ref.ctl.Stats() {
+		t.Fatalf("%s: controller stats diverged:\nfast: %+v\nref:  %+v",
+			label, fast.ctl.Stats(), ref.ctl.Stats())
 	}
 }
 
@@ -270,7 +298,54 @@ func TestJumpSkipsCycles(t *testing.T) {
 	t.Logf("%d StepOrJump calls covered %d idle cycles", calls, target)
 }
 
-// TestStepOrJumpZeroAllocs: both jump paths must stay off the heap.
+// TestOneRequestServiceCalls pins the one-request service's call
+// counts. From active standby with empty queues, a lone read reaches
+// its data return in one StepOrJump call, and the next call fires its
+// callback; a lone write that conflicts with the open row issues its
+// PRE, ACT and WR in one call. Per-cycle issue takes a call for every
+// command and another for every wait between them.
+func TestOneRequestServiceCalls(t *testing.T) {
+	ch, err := dram.NewChannel(dram.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done []uint64
+	ctl, err := New(ch, DefaultConfig(), func(r *Request) { done = append(done, r.DoneAt) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Row 0 of bank 0, then row 1 of bank 0 (row:bank:col mapping).
+	row1 := uint64(ch.Config().Banks * ch.Config().LinesPerRow())
+
+	if err := ctl.EnqueueRead(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	ctl.StepOrJump(^uint64(0))
+	if s := ch.Stats(); s.NACT != 1 || s.NRD != 1 || len(done) != 0 {
+		t.Fatalf("first call: ACT %d, RD %d, callbacks %d; want 1, 1, 0", s.NACT, s.NRD, len(done))
+	}
+	dataAt := ch.Now()
+	ctl.StepOrJump(^uint64(0))
+	if len(done) != 1 || done[0] != dataAt {
+		t.Fatalf("second call fired completions at %v, want one at the first call's end %d", done, dataAt)
+	}
+
+	if ch.State() != dram.StateActiveStandby {
+		t.Fatalf("state %v after the completion, want active standby", ch.State())
+	}
+	if err := ctl.EnqueueWrite(row1, 2); err != nil {
+		t.Fatal(err)
+	}
+	before := ch.Stats()
+	ctl.StepOrJump(^uint64(0))
+	s := ch.Stats()
+	if s.NPRE-before.NPRE != 1 || s.NACT-before.NACT != 1 || s.NWR-before.NWR != 1 || ctl.Pending() != 0 {
+		t.Fatalf("one call issued PRE %d, ACT %d, WR %d with %d pending; want 1, 1, 1 and 0",
+			s.NPRE-before.NPRE, s.NACT-before.NACT, s.NWR-before.NWR, ctl.Pending())
+	}
+}
+
+// TestStepOrJumpZeroAllocs: every fast path must stay off the heap.
 func TestStepOrJumpZeroAllocs(t *testing.T) {
 	newCtl := func(t *testing.T) (*dram.Channel, *Controller) {
 		ch, err := dram.NewChannel(dram.DefaultConfig())
@@ -319,6 +394,35 @@ func TestStepOrJumpZeroAllocs(t *testing.T) {
 		burst() // warm up: fills the request freelist
 		if n := testing.AllocsPerRun(50, burst); n != 0 {
 			t.Fatalf("a busy burst allocates %v, want 0", n)
+		}
+	})
+	t.Run("one-request", func(t *testing.T) {
+		ch, ctl := newCtl(t)
+		// A lone read, then a lone write to the next row of bank 0, each
+		// stepped to completion: the service's ACT/RD and PRE/ACT/WR
+		// chains (and PRE/ACT/RD from the second round on).
+		rowLines := uint64(ch.Config().Banks * ch.Config().LinesPerRow())
+		row := uint64(0)
+		lone := func() {
+			for _, write := range []bool{false, true} {
+				row++
+				var err error
+				if write {
+					err = ctl.EnqueueWrite(row*rowLines, row)
+				} else {
+					err = ctl.EnqueueRead(row*rowLines, row)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ctl.Pending() > 0 {
+					ctl.StepOrJump(^uint64(0))
+				}
+			}
+		}
+		lone() // warm up: fills the request freelist
+		if n := testing.AllocsPerRun(200, lone); n != 0 {
+			t.Fatalf("a lone read and write allocate %v, want 0", n)
 		}
 	})
 }

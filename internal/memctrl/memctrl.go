@@ -541,34 +541,109 @@ const maxJumpSpan = uint64(1) << 20
 
 // StepOrJump advances the controller by one cycle, skipping ahead to the
 // next timing edge (never past limit) when the cycles in between provably
-// hold nothing to do. Two jumps exist:
+// hold nothing to do. Three fast paths exist:
 //   - an idle jump (tryJump) taken instead of the Step when the queues
-//     are empty;
+//     are empty; when it reaches the power-down entry cycle it takes that
+//     cycle's Step itself and returns on the transition;
+//   - the one-request service (serveOne), taken instead of the Step when
+//     the scheduler can pick exactly one request: it issues that
+//     request's PRE/ACT/column chain at the timing edges in one call;
 //   - a busy jump taken directly after a Step that issued no command and
 //     fired no completion callback, to the edge issueBest returned.
 //
 // Every skipped cycle is one whose Step would have issued nothing and
-// changed no state but the clock and the idle counter, so queues, the
-// refresh schedule, power-state residency and statistics evolve exactly
-// as under per-cycle stepping (the jump-vs-legacy differential tests pin
-// this). No jump crosses an enqueue, a completion callback or limit: the
-// caller regains control at the first cycle where any of them could
-// happen. With Config.LegacyStepping set it always takes the per-cycle
-// path.
+// changed no state but the clock and the idle counter, and every command
+// issues on the cycle a Step would issue it, so queues, the refresh
+// schedule, power-state residency and statistics evolve exactly as under
+// per-cycle stepping (the jump-vs-legacy differential tests pin this). A
+// call that changes the power state returns right after the transition.
+// No call crosses an enqueue, a completion callback or limit: the caller
+// regains control at the first cycle where any of them could happen.
+// Only the service issues more than one command in a call, and only its
+// last command, the RD or WR, frees queue room: it returns on the WR's
+// cycle, and it refuses a read that fills the read queue, so a caller
+// waiting for room regains control on the cycle per-cycle stepping
+// would give it. With Config.LegacyStepping set StepOrJump always takes
+// the per-cycle path.
 func (c *Controller) StepOrJump(limit uint64) {
 	if c.cfg.LegacyStepping {
 		c.Step()
 		return
 	}
-	if c.tryJump(limit) {
+	if c.tryJump(limit) || c.serveOne(limit) {
 		return
 	}
 	edge := min(c.step(), limit)
 	if now := c.ch.Now(); edge > now {
-		if err := c.ch.SkipTo(min(edge, now+maxJumpSpan)); err != nil {
-			// invariant: issueBest returns a nonzero edge only in
-			// active standby, and issuing nothing keeps the state.
-			panic(err)
+		c.skipTo(min(edge, now+maxJumpSpan))
+	}
+}
+
+// skipTo fast-forwards the channel through cycles the caller has proven
+// quiescent.
+func (c *Controller) skipTo(cycle uint64) {
+	if err := c.ch.SkipTo(cycle); err != nil {
+		// invariant: every fast path runs in active standby or
+		// power-down, and issuing nothing keeps the state.
+		panic(err)
+	}
+}
+
+// serveOne is the one-request service: it reports false unless the
+// scheduler can pick exactly one request, with nothing in flight, in
+// active standby under open page and with no refresh-fault plan. Then it
+// issues the request's remaining chain — PRE on a row conflict, ACT on a
+// closed bank, then its RD or WR — each command at max(previous command
+// + 1, its Earliest* cycle), which is the cycle per-cycle Steps would
+// issue it on, since with one candidate issueBest tries exactly the
+// command nextCommand names. It stops at min(limit, now+maxJumpSpan,
+// next refresh slot): before that slot no refresh is due, so the Steps
+// it replaces issue nothing else and only zero idleCycles. After a RD it
+// jumps to the data return under the same horizon, leaving the
+// completion callback to the next call's Step; after a WR it returns at
+// once. It refuses a read that fills the read queue, since its RD frees
+// the room a caller may be waiting for.
+//
+// activeQueue's side effects (drain entry and exit) happen in the first
+// Step it replaces; repeating the call with unchanged queue lengths
+// changes nothing, so the Steps after it need no replay.
+func (c *Controller) serveOne(limit uint64) bool {
+	if len(c.inflight) > 0 || c.faults != nil || c.cfg.PagePolicy != OpenPage ||
+		c.ch.State() != dram.StateActiveStandby || c.refreshDue() {
+		return false
+	}
+	now := c.ch.Now()
+	horizon := min(limit, now+maxJumpSpan)
+	if c.cfg.RefreshEnabled {
+		horizon = min(horizon, c.nextRefreshAt)
+	}
+	if horizon <= now+1 {
+		return false
+	}
+	if len(c.readQ) != 1 && len(c.writeQ) != 1 {
+		return false // no queue selection can hold exactly one request
+	}
+	q := c.activeQueue()
+	if len(q) != 1 || !q[0].IsWrite && !c.CanEnqueueRead() {
+		return false
+	}
+	r := q[0]
+	c.idleCycles = 0
+	for {
+		cmd, at := c.nextCommand(r)
+		if at = max(at, c.ch.Now()); at >= horizon {
+			c.skipTo(horizon)
+			return true
+		}
+		c.skipTo(at)
+		c.issue(r, cmd)
+		c.ch.Tick()
+		switch cmd {
+		case dram.CmdRD:
+			c.skipTo(min(r.DoneAt, horizon))
+			return true
+		case dram.CmdWR:
+			return true
 		}
 	}
 }
@@ -599,9 +674,10 @@ func (c *Controller) busyBound() uint64 {
 }
 
 // tryJump fast-forwards to the next timing edge when the current cycle
-// provably cannot issue a command or change state. It returns false —
-// punting back to the cycle-exact Step — whenever anything is due now
-// or within one cycle.
+// provably cannot issue a command or change state, or to the power-down
+// entry cycle, whose Step it takes. It returns false — punting back to
+// the cycle-exact Step — whenever anything else is due now or within
+// one cycle.
 //
 // The quiescence argument, case by case:
 //   - queues must be empty: queued work is the busy jump's case;
@@ -610,9 +686,11 @@ func (c *Controller) busyBound() uint64 {
 //     earliestDone;
 //   - active standby, idle: per-cycle Steps increment idleCycles and
 //     Tick; the next edges are the refresh slot and the power-down
-//     entry cycle now+(PowerDownIdle-idleCycles)-1 (that Step both
-//     enters and accrues power-down, so the jump stops one short and
-//     replays it cycle-exactly);
+//     entry cycle now+(PowerDownIdle-idleCycles)-1. When the entry comes
+//     first, tryJump jumps to it and takes its Step (the idle counter
+//     reaches PowerDownIdle, the rank enters power-down, and the Tick
+//     accrues the cycle in power-down), then returns on the transition,
+//     the cycle at which a caller stepping per cycle sees it;
 //   - power-down states: Steps only Tick until work appears, and with
 //     empty queues the only work source is the refresh slot;
 //   - closed-page requires all banks precharged, since otherwise idle
@@ -647,20 +725,22 @@ func (c *Controller) tryJump(limit uint64) bool {
 		// cycle; the edge check below then refuses and Step fires it.
 		edge = min(edge, c.earliestDone)
 	} else if state == dram.StateActiveStandby && c.cfg.PowerDownIdle > 0 {
-		need := c.cfg.PowerDownIdle - c.idleCycles
-		if need <= 2 {
-			// Power-down entry within a cycle or two: replay per-cycle.
-			return false
+		// The Step that raises idleCycles to PowerDownIdle enters.
+		need := max(c.cfg.PowerDownIdle-c.idleCycles, 1)
+		if entry := now + uint64(need-1); entry < edge {
+			c.skipTo(entry)
+			c.idleCycles += need
+			if err := c.ch.EnterPowerDown(); err == nil {
+				c.stats.PowerDownEntries++
+			}
+			c.ch.Tick()
+			return true
 		}
-		edge = min(edge, now+uint64(need-1))
 	}
 	if edge <= now+1 {
 		return false
 	}
-	if err := c.ch.SkipTo(edge); err != nil {
-		// invariant: the state was checked above.
-		panic(err)
-	}
+	c.skipTo(edge)
 	// Replay the skipped Steps' side effects on the idle counter: each
 	// would have reset it (in-flight traffic) or incremented it (true
 	// idle); power-down states leave it alone.
@@ -936,40 +1016,15 @@ func (c *Controller) issueBest() uint64 {
 
 	// Pass 1: oldest ready row-hit column command.
 	for _, r := range q {
-		b := r.coord.Bank
-		if !c.ch.RowOpen(b, r.coord.Row) {
+		if !c.ch.RowOpen(r.coord.Bank, r.coord.Row) {
 			continue
 		}
-		if r.IsWrite {
-			if at := c.ch.EarliestWR(b); at > now {
-				edge = min(edge, at)
-				continue
-			}
-			if _, err := c.ch.WR(b, r.coord.Row); err != nil {
-				// invariant: EarliestWR was checked.
-				panic(err)
-			}
-			c.ch.NoteRowHit(!r.missed)
-			c.removeWrite(r)
-			c.freeRequest(r)
-			return 0
-		}
-		if at := c.ch.EarliestRD(b); at > now {
+		cmd, at := c.nextCommand(r)
+		if at > now {
 			edge = min(edge, at)
 			continue
 		}
-		done, err := c.ch.RD(b, r.coord.Row)
-		if err != nil {
-			// invariant: EarliestRD was checked.
-			panic(err)
-		}
-		c.ch.NoteRowHit(!r.missed)
-		r.DoneAt = done
-		c.removeRead(r)
-		c.inflight = append(c.inflight, r)
-		if done < c.earliestDone {
-			c.earliestDone = done
-		}
+		c.issue(r, cmd)
 		return 0
 	}
 
@@ -986,32 +1041,18 @@ func (c *Controller) issueBest() uint64 {
 			continue
 		}
 		seen[b] = true
+		cmd, at := c.nextCommand(r)
 		switch {
-		case !c.ch.AnyRowOpen(b):
-			if at := c.ch.EarliestACT(b); at > now {
-				edge = min(edge, at)
-				continue
-			}
-			if err := c.ch.ACT(b, r.coord.Row); err != nil {
-				// invariant: EarliestACT was checked.
-				panic(err)
-			}
-			r.missed = true
-			return 0
-		case c.ch.OpenRow(b) != r.coord.Row:
-			if hitsOpenRow(q, c.ch.OpenRow(b), b) {
-				continue // a younger same-queue request still wants this row
-			}
-			if at := c.ch.EarliestPRE(b); at > now {
-				edge = min(edge, at)
-				continue
-			}
-			if err := c.ch.PRE(b); err != nil {
-				// invariant: EarliestPRE was checked.
-				panic(err)
-			}
-			return 0
+		case cmd == dram.CmdRD || cmd == dram.CmdWR:
+			continue // a row hit: pass 1 took its edge
+		case cmd == dram.CmdPRE && hitsOpenRow(q, c.ch.OpenRow(b), b):
+			continue // a younger same-queue request still wants this row
+		case at > now:
+			edge = min(edge, at)
+			continue
 		}
+		c.issue(r, cmd)
+		return 0
 	}
 	// Nothing issued this cycle: closed-page policy uses the slot to
 	// retire open rows that no longer have takers.
@@ -1019,6 +1060,54 @@ func (c *Controller) issueBest() uint64 {
 		c.closeIdleRow()
 	}
 	return min(edge, c.busyBound())
+}
+
+// nextCommand returns the command r needs next on its bank — its RD or
+// WR on a row hit, ACT on a closed bank, PRE on a row conflict — and the
+// first cycle it can issue, assuming no command issues before then.
+func (c *Controller) nextCommand(r *Request) (dram.CommandKind, uint64) {
+	b := r.coord.Bank
+	switch {
+	case !c.ch.AnyRowOpen(b):
+		return dram.CmdACT, c.ch.EarliestACT(b)
+	case c.ch.OpenRow(b) != r.coord.Row:
+		return dram.CmdPRE, c.ch.EarliestPRE(b)
+	case r.IsWrite:
+		return dram.CmdWR, c.ch.EarliestWR(b)
+	default:
+		return dram.CmdRD, c.ch.EarliestRD(b)
+	}
+}
+
+// issue issues cmd, nextCommand's choice for r, at the current cycle and
+// keeps the request's accounting: an ACT marks r as having missed the
+// row buffer; a column command notes the row hit or miss and takes r off
+// its queue, a write to the freelist and a read into the in-flight set.
+func (c *Controller) issue(r *Request, cmd dram.CommandKind) {
+	b, row := r.coord.Bank, r.coord.Row
+	var err error
+	switch cmd {
+	case dram.CmdPRE:
+		err = c.ch.PRE(b)
+	case dram.CmdACT:
+		err = c.ch.ACT(b, row)
+		r.missed = true
+	case dram.CmdWR:
+		_, err = c.ch.WR(b, row)
+		c.ch.NoteRowHit(!r.missed)
+		c.removeWrite(r)
+		c.freeRequest(r)
+	case dram.CmdRD:
+		r.DoneAt, err = c.ch.RD(b, row)
+		c.ch.NoteRowHit(!r.missed)
+		c.removeRead(r)
+		c.inflight = append(c.inflight, r)
+		c.earliestDone = min(c.earliestDone, r.DoneAt)
+	}
+	if err != nil {
+		// invariant: the caller checked cmd's Earliest* cycle.
+		panic(err)
+	}
 }
 
 // hitsOpenRow reports whether any request in q hits the bank's open row.

@@ -40,13 +40,25 @@ func TestJumpSteppingMatchesLegacyEndToEnd(t *testing.T) {
 		{"libq-ecc6", "libq", SchemeECC6, nil},
 		// Compute-bound: long inter-miss gaps are the jump-heavy case.
 		{"povray-mecc", "povray", SchemeMECC, nil},
+		// Power-down entry on the idle jump's first cycle, behind nearly
+		// every lone request.
+		{"povray-mecc-pd1", "povray", SchemeMECC, func(c *Config) { c.Ctrl.PowerDownIdle = 1 }},
 		{"gcc-prefetch", "gcc", SchemeBaseline, func(c *Config) { c.NextLinePrefetch = true }},
+		// A one-entry read queue: a queued prefetch fills it, and the
+		// demand read waits for the prefetch's RD to free the slot.
+		{"gcc-prefetch-readq1", "gcc", SchemeBaseline, func(c *Config) {
+			c.NextLinePrefetch = true
+			c.Ctrl.ReadQueueCap = 1
+		}},
 		{"gcc-closedpage", "gcc", SchemeSECDED, func(c *Config) { c.Ctrl.PagePolicy = memctrl.ClosedPage }},
 		// The busy edge's branches: the per-bank refresh slot, the FCFS
 		// queue and the write-drain queue selection.
 		{"gcc-mecc-perbank", "gcc", SchemeMECC, func(c *Config) { c.Ctrl.PerBankRefresh = true }},
 		{"libq-baseline-fcfs", "libq", SchemeBaseline, func(c *Config) { c.Ctrl.FCFS = true }},
 		{"lbm-mecc", "lbm", SchemeMECC, nil},
+		// Write-heavy: lone writes and reads queued behind writes, with
+		// power-down entry two idle cycles out.
+		{"lbm-baseline-pd2", "lbm", SchemeBaseline, func(c *Config) { c.Ctrl.PowerDownIdle = 2 }},
 		{"lbm-secded-perbank-prefetch", "lbm", SchemeSECDED, func(c *Config) {
 			c.Ctrl.PerBankRefresh = true
 			c.NextLinePrefetch = true

@@ -36,9 +36,13 @@ func (r *Runner) doRead(lineAddr uint64, decodeCycles int) error {
 		r.maybePrefetch(lineAddr)
 		return nil
 	}
-	// A full read queue frees a slot only on a Step that issues a read,
-	// and the controller never jumps after such a Step, so drifting
-	// stops on the cycle per-cycle stepping would enqueue on.
+	// A full read queue frees a slot only when a RD issues. No jump
+	// follows a Step that issued one, and the one-request service, which
+	// runs on from its RD to the data return, never issues that RD from
+	// a full read queue: it refuses a lone read that fills the queue
+	// (ReadQueueCap 1), and a larger full queue holds more than one read
+	// for the scheduler to pick from. So drifting stops on the cycle
+	// per-cycle stepping would enqueue on.
 	for !r.ctl.CanEnqueueRead() {
 		r.driftDRAM()
 	}

@@ -414,13 +414,17 @@ func (r *Runner) maybePrefetch(demandAddr uint64) {
 func (r *Runner) ratio() uint64 { return r.cpuRatio }
 
 // stepDRAMTo advances the memory system one DRAM cycle — or through one
-// controller jump toward limit (never past it) — and flushes pending
-// downgrade writebacks, one per cycle. No jump crosses an enqueue, a
-// completion callback or limit, and a jump never frees a write-queue
-// slot (it follows only a Step that issued nothing). So a jump can skip
-// a flush only when a writeback is left pending with room in the queue,
-// which prefetch-buffer hits cause by queueing several without stepping
-// DRAM; then this call steps a single cycle.
+// controller jump or one-request service toward limit (never past it) —
+// and flushes pending downgrade writebacks, one per cycle. No controller
+// call crosses an enqueue, a completion callback or limit. A jump never
+// frees a write-queue slot (it follows only a Step that issued nothing),
+// and the one-request service frees one only with its WR, on whose cycle
+// it returns. It never serves a read while the write queue is full: a
+// full queue is at or above the high watermark, so the drain has
+// priority. So a call can skip a flush only when a writeback is left
+// pending with room in the queue, which prefetch-buffer hits cause by
+// queueing several without stepping DRAM; then this call steps a single
+// cycle.
 func (r *Runner) stepDRAMTo(limit uint64) {
 	if len(r.pendingWB) > 0 && r.ctl.CanEnqueueWrite() {
 		addr := r.pendingWB[len(r.pendingWB)-1]
