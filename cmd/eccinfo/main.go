@@ -32,6 +32,9 @@ func run() error {
 		seed = flag.Int64("seed", 1, "demo RNG seed")
 	)
 	flag.Parse()
+	if *nerr < 0 {
+		return fmt.Errorf("-errors %d, want 0 or more", *nerr)
+	}
 
 	fmt.Println("Codec registry (per 64-byte line):")
 	fmt.Printf("  %-12s %8s %8s %8s %10s %8s %10s\n",

@@ -9,8 +9,19 @@ import (
 )
 
 // runMain invokes run() with a fresh flag set and the given arguments,
-// capturing stdout.
+// capturing stdout; a run error fails the test.
 func runMain(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := runCLI(t, args...)
+	if err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	return out
+}
+
+// runCLI invokes run() with a fresh flag set and the given arguments,
+// returning its stdout and error.
+func runCLI(t *testing.T, args ...string) (string, error) {
 	t.Helper()
 	oldArgs, oldFlags := os.Args, flag.CommandLine
 	os.Args = append([]string{"eccinfo"}, args...)
@@ -30,11 +41,7 @@ func runMain(t *testing.T, args ...string) string {
 	w.Close()
 	os.Stdout = old
 	os.Args, flag.CommandLine = oldArgs, oldFlags
-	out := <-outc
-	if runErr != nil {
-		t.Fatalf("run(%v): %v", args, runErr)
-	}
-	return out
+	return <-outc, runErr
 }
 
 func TestSmoke(t *testing.T) {
@@ -50,5 +57,18 @@ func TestSmokeSECDED(t *testing.T) {
 	out := runMain(t, "-demo", "secded-line", "-errors", "1")
 	if !strings.Contains(out, "Demo: secded-line with 1 injected errors") {
 		t.Errorf("unexpected output:\n%s", out)
+	}
+}
+
+// TestRejectsNegativeErrors: a negative error count fails with an error
+// naming the flag instead of injecting nothing and reporting a clean
+// correction.
+func TestRejectsNegativeErrors(t *testing.T) {
+	out, err := runCLI(t, "-errors", "-1")
+	if err == nil || !strings.Contains(err.Error(), "-errors") {
+		t.Fatalf("-errors -1: error %v, want one naming -errors", err)
+	}
+	if out != "" {
+		t.Errorf("-errors -1 printed before failing:\n%s", out)
 	}
 }

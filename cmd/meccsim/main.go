@@ -160,6 +160,12 @@ func run() error {
 	if err := opts.Validate(); err != nil {
 		return err
 	}
+	if *decLat < 0 {
+		return fmt.Errorf("%w: -declat %d, want 0 or more cycles", sim.ErrBadDuration, *decLat)
+	}
+	if *flightN < 0 {
+		return fmt.Errorf("%w: -flight %d, want 0 (off) or a window of events", experiments.ErrBadOptions, *flightN)
+	}
 	if *timeline && *flightN <= 0 {
 		return fmt.Errorf("-timeline draws from the flight recorder: it needs -flight > 0")
 	}

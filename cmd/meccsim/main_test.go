@@ -80,6 +80,25 @@ func TestSmokeList(t *testing.T) {
 	}
 }
 
+// TestRejectsNegativeFlags: a negative decode latency or flight window
+// fails the run with an error naming the flag, before any report
+// prints; at -declat -5 ECC-6 would out-run a run with no decode
+// latency at all.
+func TestRejectsNegativeFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scheme", "ecc6", "-declat", "-5"},
+		{"-flight", "-5"},
+	} {
+		out, err := runCLI(t, append([]string{"-bench", "libq", "-scale", "20000"}, args...)...)
+		if err == nil || !strings.Contains(err.Error(), args[len(args)-2]) {
+			t.Errorf("%v: error %v, want one naming %s", args, err, args[len(args)-2])
+		}
+		if out != "" {
+			t.Errorf("%v printed a report before failing:\n%s", args, out)
+		}
+	}
+}
+
 // TestTimelineNeedsFlight: the timeline draws its SMD intervals from
 // the flight recorder, so -timeline with -flight 0 is an error.
 func TestTimelineNeedsFlight(t *testing.T) {

@@ -118,6 +118,9 @@ func run() error {
 		return err
 	}
 
+	if *flightN < 0 {
+		return fmt.Errorf("%w: -flight %d, want 0 (off) or a window of events", experiments.ErrBadOptions, *flightN)
+	}
 	if *timeline && *flightN <= 0 {
 		return fmt.Errorf("-timeline draws from the flight recorder: it needs -flight > 0")
 	}

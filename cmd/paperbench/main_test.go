@@ -98,16 +98,22 @@ func TestTimelineNeedsFlight(t *testing.T) {
 	}
 }
 
-// TestRejectsBadCommandLine: a misspelt exhibit name, or an integrity
-// trial count below 1, fails the run before any section prints.
+// TestRejectsBadCommandLine: a misspelt exhibit name, an integrity
+// trial count below 1 or a negative flight window fails the run, naming
+// the bad value, before any section prints.
 func TestRejectsBadCommandLine(t *testing.T) {
-	for _, args := range [][]string{
-		{"-experiment", "table2,tabel4"},
-		{"-experiment", "table2,integrity", "-integrity-trials", "0"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-experiment", "table2,tabel4"}, "tabel4"},
+		{[]string{"-experiment", "table2,integrity", "-integrity-trials", "0"}, "trials=0"},
+		{[]string{"-experiment", "table2", "-flight", "-1"}, "-flight -1"},
 	} {
+		args := tc.args
 		out, err := runCLI(t, args...)
-		if !errors.Is(err, experiments.ErrBadOptions) {
-			t.Errorf("%v: error %v, want one wrapping ErrBadOptions", args, err)
+		if !errors.Is(err, experiments.ErrBadOptions) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one wrapping ErrBadOptions and naming %q", args, err, tc.want)
 		}
 		if strings.Contains(out, "===") {
 			t.Errorf("%v printed a section before failing:\n%s", args, out)

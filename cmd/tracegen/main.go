@@ -41,6 +41,14 @@ func run() error {
 		gz       = flag.Bool("gz", false, "gzip-compress the output")
 	)
 	flag.Parse()
+	switch {
+	case *instrs < 1:
+		return fmt.Errorf("-instructions %d, want at least 1", *instrs)
+	case *scale < 1:
+		return fmt.Errorf("-scale %d, want at least 1", *scale)
+	case *llcBytes < 0:
+		return fmt.Errorf("-cache %d, want 0 (off) or a size in bytes", *llcBytes)
+	}
 
 	prof, err := workload.ByName(*bench)
 	if err != nil {

@@ -12,8 +12,19 @@ import (
 )
 
 // runMain invokes run() with a fresh flag set and the given arguments,
-// capturing stdout.
+// capturing stdout; a run error fails the test.
 func runMain(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := runCLI(t, args...)
+	if err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	return out
+}
+
+// runCLI invokes run() with a fresh flag set and the given arguments,
+// returning its stdout and error.
+func runCLI(t *testing.T, args ...string) (string, error) {
 	t.Helper()
 	oldArgs, oldFlags := os.Args, flag.CommandLine
 	os.Args = append([]string{"tracegen"}, args...)
@@ -33,11 +44,7 @@ func runMain(t *testing.T, args ...string) string {
 	w.Close()
 	os.Stdout = old
 	os.Args, flag.CommandLine = oldArgs, oldFlags
-	out := <-outc
-	if runErr != nil {
-		t.Fatalf("run(%v): %v", args, runErr)
-	}
-	return out
+	return <-outc, runErr
 }
 
 func TestSmokeTextToStdout(t *testing.T) {
@@ -72,5 +79,26 @@ func TestSmokeBinaryFile(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("empty binary trace")
+	}
+}
+
+// TestRejectsBadFlags: an instruction budget or scale below 1, or a
+// negative cache size, fails with an error naming the flag instead of
+// writing an empty trace or running as if the flag were unset.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-instructions", "-5"},
+		{"-instructions", "0"},
+		{"-scale", "0"},
+		{"-scale", "-1"},
+		{"-cache", "-1"},
+	} {
+		out, err := runCLI(t, args...)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%v: error %v, want one naming %s", args, err, args[0])
+		}
+		if out != "" {
+			t.Errorf("%v wrote %d bytes of trace before failing", args, len(out))
+		}
 	}
 }

@@ -13,7 +13,7 @@
 // seed provenance, nil-safe telemetry hooks, unit-safe cycle/time
 // conversions (typed and name-inferred), unsigned cycle-arithmetic
 // wrap guards, documented panics, sentinel-error wrapping, and the
-// batch.For per-index write discipline with typed atomics. The
+// batch.Pool.Run per-index write discipline with typed atomics. The
 // allocation-free hot paths are guarded at run time, by the
 // *ZeroAllocs tests. The interprocedural analyzers run on a
 // whole-program layer (program.go: call graph + function index;

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// Concsafety enforces the batch.For work-function contract
+// Concsafety enforces the batch.Pool.Run work-function contract
 // interprocedurally: a work function receives a disjoint [lo,hi) chunk
 // and may write only per-index output slots or atomic state. Writes to
 // captured or package-level variables that are not indexed by a
@@ -14,7 +14,7 @@ import (
 // through the call graph — in everything it reaches. It also turns the
 // "not concurrently with traffic" doc contract of setup entry points
 // into a checked annotation: a //meccvet:quiescent function reachable
-// from a batch.For work function or a go statement is reported, because
+// from a pool work function or a go statement is reported, because
 // those are exactly the contexts that run concurrently with traffic.
 // Finally, shared words must be typed atomics (atomic.Uint64,
 // atomic.Pointer[T]): a typed atomic allows no plain access at all,
@@ -23,7 +23,7 @@ import (
 // reported.
 var Concsafety = &Analyzer{
 	Name: "concsafety",
-	Doc: "batch.For work functions may write only per-index or atomic " +
+	Doc: "batch.Pool.Run work functions may write only per-index or atomic " +
 		"state (checked through the callee closure), " +
 		"//meccvet:quiescent functions must not be reachable from work " +
 		"functions or goroutines, and atomic words must be typed atomics, " +
@@ -42,7 +42,7 @@ func runConcsafety(pass *Pass) error {
 	pass.WithStack(func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if isBatchFor(pass, n) && len(n.Args) > 0 {
+			if isPoolRun(pass, n) && len(n.Args) > 0 {
 				checkWorker(pass, n.Args[len(n.Args)-1])
 			}
 			if obj := pass.calleeObject(n); isPkgLevelFunc(obj, "sync/atomic") {
@@ -58,16 +58,20 @@ func runConcsafety(pass *Pass) error {
 	return nil
 }
 
-// isBatchFor recognizes the fork-join primitive: a function named For
-// declared in a package with a "batch" path segment, taking a work
-// function as final parameter.
-func isBatchFor(pass *Pass, call *ast.CallExpr) bool {
-	obj := pass.calleeObject(call)
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Name() != "For" || fn.Pkg() == nil {
+// isPoolRun recognizes the fork-join primitive: the Run method of a
+// type named Pool declared in a package with a "batch" path segment,
+// taking a work function as final parameter.
+func isPoolRun(pass *Pass, call *ast.CallExpr) bool {
+	fn, ok := pass.calleeObject(call).(*types.Func)
+	if !ok || fn.Name() != "Run" || fn.Pkg() == nil || !pathSegment(fn.Pkg().Path(), "batch") {
 		return false
 	}
-	return pathSegment(fn.Pkg().Path(), "batch")
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	ptr, ok := sig.Recv().Type().(*types.Pointer)
+	return ok && namedType(ptr.Elem(), fn.Pkg().Path(), "Pool")
 }
 
 // checkWorker analyzes one work-function argument: a function literal
@@ -107,13 +111,13 @@ func checkWorkerBody(pass *Pass, body *ast.BlockStmt, lo, hi token.Pos) {
 	for _, cs := range pass.Prog.collectCalls(pass.Info, body) {
 		if q := pass.Prog.reachesQuiescent(cs.Callee.Fn); q != nil {
 			pass.Reportf(cs.Call.Pos(),
-				"call to %s from a batch.For work function reaches //meccvet:quiescent %s, which must not run concurrently with traffic",
+				"call to %s from a pool work function reaches //meccvet:quiescent %s, which must not run concurrently with traffic",
 				cs.Callee.Fn.Name(), q.Name())
 			continue
 		}
 		if sw := pass.Prog.sharedWriteSummary(cs.Callee.Fn); sw != nil {
 			pass.Reportf(cs.Call.Pos(),
-				"call to %s from a batch.For work function writes shared %s non-atomically (%s:%d)",
+				"call to %s from a pool work function writes shared %s non-atomically (%s:%d)",
 				cs.Callee.Fn.Name(), sw.obj.Name(), sw.pos.Filename, sw.pos.Line)
 		}
 	}
@@ -132,11 +136,11 @@ func checkWorkerWrite(pass *Pass, lhs ast.Expr, workerLocal func(types.Object) b
 	}
 	if isPkgLevelVar(root) {
 		pass.Reportf(lhs.Pos(),
-			"write to package-level %s from a batch.For work function must be per-index or atomic", root.Name())
+			"write to package-level %s from a pool work function must be per-index or atomic", root.Name())
 		return
 	}
 	pass.Reportf(lhs.Pos(),
-		"write to captured %s from a batch.For work function is racy; make it per-index or atomic", root.Name())
+		"write to captured %s from a pool work function is racy; make it per-index or atomic", root.Name())
 }
 
 // writeRoot peels an assignment target down to its base variable,

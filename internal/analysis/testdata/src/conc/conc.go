@@ -1,4 +1,4 @@
-// Package conc is the concsafety golden fixture: batch.For work
+// Package conc is the concsafety golden fixture: pool work
 // functions violating and honoring the per-index-or-atomic write
 // discipline, interprocedural shared writes, //meccvet:quiescent
 // reachability, and the pre-fix SetObserver race shape.
@@ -17,10 +17,10 @@ var atomicTotal atomic.Int64
 // are both written from every worker.
 func BadSum(items []int) int {
 	sum := 0
-	batch.For(len(items), 1, func(lo, hi int) {
+	batch.Default().Run(len(items), 1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			sum += items[i] // want `write to captured sum from a batch.For work function is racy`
-			total++         // want `write to package-level total from a batch.For work function must be per-index or atomic`
+			sum += items[i] // want `write to captured sum from a pool work function is racy`
+			total++         // want `write to package-level total from a pool work function must be per-index or atomic`
 		}
 	})
 	return sum
@@ -28,7 +28,7 @@ func BadSum(items []int) int {
 
 // GoodSum follows the contract: per-index output slots and atomics.
 func GoodSum(items []int, out []int) {
-	batch.For(len(items), 1, func(lo, hi int) {
+	batch.Default().Run(len(items), 1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = items[i] * 2
 			atomicTotal.Add(1)
@@ -39,7 +39,7 @@ func GoodSum(items []int, out []int) {
 // SuppressedSum carries a justified allow on the racy line.
 func SuppressedSum(items []int) int {
 	sum := 0
-	batch.For(len(items), 1, func(lo, hi int) {
+	batch.Default().Run(len(items), 1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sum += items[i] //meccvet:allow concsafety -- fixture: single-worker configuration documented at the call site
 		}
@@ -53,23 +53,23 @@ func bump() { total++ }
 // IndirectBad hides the shared write one call deep: the work function
 // itself only calls a helper.
 func IndirectBad(items []int) {
-	batch.For(len(items), 1, func(lo, hi int) {
+	batch.Default().Run(len(items), 1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			bump() // want `call to bump from a batch.For work function writes shared total non-atomically`
+			bump() // want `call to bump from a pool work function writes shared total non-atomically`
 		}
 	})
 }
 
 // sharedWorker is a declared work function passed by name.
-func sharedWorker(lo, hi int) {
+func sharedWorker(_, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		total += i // want `write to package-level total from a batch.For work function must be per-index or atomic`
+		total += i // want `write to package-level total from a pool work function must be per-index or atomic`
 	}
 }
 
 // BadDecl passes the declared worker; the finding lands in its body.
 func BadDecl(items []int) {
-	batch.For(len(items), 1, sharedWorker)
+	batch.Default().Run(len(items), 1, sharedWorker)
 }
 
 // counter and SetObserver reproduce the pre-fix batch.SetObserver race
@@ -85,10 +85,10 @@ var obsCalls *counter
 func SetObserver(c *counter) { obsCalls = c }
 
 // Race is the seeded pre-fix interleaving: an observer swap launched
-// concurrently with For traffic.
+// concurrently with Run traffic.
 func Race(items []int, out []int) {
 	go SetObserver(&counter{}) // want `goroutine calls //meccvet:quiescent SetObserver`
-	batch.For(len(items), 1, func(lo, hi int) {
+	batch.Default().Run(len(items), 1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = items[i]
 		}
@@ -101,7 +101,7 @@ func reconfigure() { SetObserver(&counter{}) }
 // WorkerSwap calls the quiescent entry point from inside a work
 // function, through the intermediate helper.
 func WorkerSwap(items []int) {
-	batch.For(len(items), 1, func(lo, hi int) {
-		reconfigure() // want `call to reconfigure from a batch.For work function reaches //meccvet:quiescent SetObserver`
+	batch.Default().Run(len(items), 1, func(_, lo, hi int) {
+		reconfigure() // want `call to reconfigure from a pool work function reaches //meccvet:quiescent SetObserver`
 	})
 }

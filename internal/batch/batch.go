@@ -1,22 +1,20 @@
-// Package batch provides the shared fork-join primitive behind the
-// batched encode/decode sweep APIs (internal/bch, internal/ecc): split n
-// independent items into contiguous chunks and run the chunks on a pool
-// of up to GOMAXPROCS goroutines. Work functions receive disjoint [lo,hi)
-// ranges, so they may write to per-index output slices without
-// synchronization.
+// Package batch provides the one fork-join primitive behind the batched
+// codec APIs (internal/bch, internal/ecc) and the ECC-Upgrade sweep
+// (internal/memdata): a Pool of persistent workers that splits n
+// independent items into contiguous [lo, hi) shards. Work functions
+// receive disjoint ranges, so they may write to per-index output slices
+// without synchronization.
 package batch
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
 // counters is one consistent set of fork-join telemetry counters:
-// total For calls, calls that ran inline, worker chunks spawned, and
-// items processed. The whole set is swapped atomically so a For call
+// total Run calls, calls that ran inline, shards shipped to workers, and
+// items processed. The whole set is swapped atomically so a Run call
 // racing a SetObserver sees either the old recorder's counters or the
 // new one's, never a mix — and never a torn pointer.
 type counters struct {
@@ -43,12 +41,10 @@ func loadCounters() *counters {
 	return &zeroCounters
 }
 
-// SetObserver wires the fork-join counters to a recorder (nil
-// detaches), and the default pool's per-worker metrics along with them.
-// Safe to call concurrently with For traffic: the counter set is
-// published atomically as a unit.
+// SetObserver wires the fork-join counters of every pool to a recorder
+// (nil detaches). Safe to call concurrently with Run traffic: the
+// counter set is published atomically as a unit.
 func SetObserver(r *obs.Recorder) {
-	Default().SetObserver(r)
 	if r == nil {
 		obsState.Store(nil)
 		return
@@ -59,45 +55,4 @@ func SetObserver(r *obs.Recorder) {
 		chunks: r.Counter("batch_chunks_total"),
 		items:  r.Counter("batch_items_total"),
 	})
-}
-
-// For runs fn over [0, n) split into contiguous [lo, hi) chunks, one per
-// worker goroutine. The worker count is capped by GOMAXPROCS and by
-// n/minPerWorker (rounded up), so small batches run inline on the calling
-// goroutine with zero scheduling overhead. For returns once every chunk
-// has completed. minPerWorker < 1 is treated as 1.
-func For(n, minPerWorker int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	c := loadCounters()
-	c.calls.Inc()
-	c.items.Add(uint64(n))
-	if minPerWorker < 1 {
-		minPerWorker = 1
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if limit := (n + minPerWorker - 1) / minPerWorker; workers > limit {
-		workers = limit
-	}
-	if workers <= 1 {
-		c.inline.Inc()
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		c.chunks.Inc()
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

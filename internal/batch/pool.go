@@ -2,12 +2,7 @@ package batch
 
 import (
 	"runtime"
-	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // span is one contiguous shard of work shipped to a pool worker.
@@ -16,12 +11,11 @@ type span struct {
 }
 
 // Pool is a set of persistent worker goroutines for repeated fork-join
-// sweeps. Unlike For, which spawns one goroutine and one closure per
-// chunk per call, a Pool starts its workers once at construction and
-// ships [lo, hi) spans to them over per-worker channels, so a steady
-// caller (the per-quantum upgrade sweep) runs with zero allocations —
-// provided the work function itself is a persistent closure reused
-// across calls rather than rebuilt per call.
+// sweeps. The workers start once at construction and receive [lo, hi)
+// spans over per-worker channels, so a Run allocates nothing of its own:
+// a caller that reuses one work function across calls (the per-quantum
+// upgrade sweep) runs with zero allocations, and one that builds a
+// closure per call (the codec batch APIs) pays that one allocation.
 //
 // The work function receives the shard index alongside the span, so
 // callers can keep per-worker scratch and accumulators and combine them
@@ -41,55 +35,10 @@ type Pool struct {
 	// the span sends and read by workers after the receive, so the
 	// channel send/receive pair orders the accesses.
 	fn func(worker, lo, hi int)
-	// pobs is the per-worker telemetry set, swapped atomically as a unit
-	// (same discipline as the package-level counters): nil reads as
-	// detached and costs one branch per shard.
-	pobs atomic.Pointer[poolCounters]
 	// closed (under mu) makes Close idempotent: the span channels have
 	// exactly one closing owner, and a second Close (a deferred one
 	// after an explicit shutdown) must not double-close them.
 	closed bool
-}
-
-// poolCounters is one consistent set of per-pool/per-worker metrics.
-type poolCounters struct {
-	rec    *obs.Recorder
-	runs   *obs.Counter
-	inline *obs.Counter
-	// Per-worker shard/item/busy-time counters, indexed by worker. Busy
-	// time is wall nanoseconds inside the shard body; comparing a
-	// worker's share against the total exposes shard imbalance (the
-	// pool's analogue of a steal/idle ratio).
-	chunksW []*obs.Counter
-	itemsW  []*obs.Counter
-	busyW   []*obs.Counter
-}
-
-// SetObserver attaches per-pool and per-worker metrics to the pool
-// (nil detaches). The per-worker series are labeled
-// batch_pool_worker_*_total{worker="N"}. Safe to call while Run
-// traffic is in flight.
-func (p *Pool) SetObserver(r *obs.Recorder) {
-	if r == nil {
-		p.pobs.Store(nil)
-		return
-	}
-	reg := r.Registry()
-	reg.SetHelp("batch_pool_worker_busy_ns_total",
-		"Wall nanoseconds each pool worker spent inside shard bodies.")
-	pc := &poolCounters{
-		rec:    r,
-		runs:   r.Counter("batch_pool_runs_total"),
-		inline: r.Counter("batch_pool_inline_runs_total"),
-	}
-	for w := 0; w < p.workers; w++ {
-		lbl := strconv.Itoa(w)
-		pc.chunksW = append(pc.chunksW, r.Counter(obs.SeriesName("batch_pool_worker_chunks_total", "worker", lbl)))
-		pc.itemsW = append(pc.itemsW, r.Counter(obs.SeriesName("batch_pool_worker_items_total", "worker", lbl)))
-		pc.busyW = append(pc.busyW, r.Counter(obs.SeriesName("batch_pool_worker_busy_ns_total", "worker", lbl)))
-	}
-	r.Gauge("batch_pool_workers").Set(float64(p.workers))
-	p.pobs.Store(pc)
 }
 
 // NewPool starts a pool of the given number of worker goroutines.
@@ -107,17 +56,7 @@ func NewPool(workers int) *Pool {
 		p.spans[w] = ch
 		go func(w int) {
 			for sp := range ch {
-				// The clock reads bracket the shard only when telemetry is
-				// attached, so untelemetered sweeps never touch wall time.
-				if pc := p.pobs.Load(); pc != nil {
-					start := time.Now()
-					p.fn(w, sp.lo, sp.hi)
-					pc.busyW[w].Add(uint64(time.Since(start)))
-					pc.chunksW[w].Inc()
-					pc.itemsW[w].Add(uint64(sp.hi - sp.lo))
-				} else {
-					p.fn(w, sp.lo, sp.hi)
-				}
+				p.fn(w, sp.lo, sp.hi)
 				p.wg.Done()
 			}
 		}(w)
@@ -146,9 +85,14 @@ func (p *Pool) Close() {
 // Run executes fn over [0, n) split into contiguous shards, one per
 // worker, and returns once all shards complete. The shard count is
 // capped by the pool size and by n/minPerWorker (rounded up); a single
-// shard runs inline on the calling goroutine. fn receives the shard
-// index (0-based, dense) and its [lo, hi) range; disjoint ranges mean
-// fn may write per-index outputs without synchronization.
+// shard runs inline on the calling goroutine. minPerWorker < 1 is
+// treated as 1. fn receives the shard index (0-based, dense) and its
+// [lo, hi) range; disjoint ranges mean fn may write per-index outputs
+// without synchronization.
+//
+// A fanned-out Run holds the pool's lock for the whole sweep, so fn
+// must never call Run on the same pool: the inner call would wait for
+// the outer one to finish, which waits for fn.
 func (p *Pool) Run(n, minPerWorker int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -156,10 +100,6 @@ func (p *Pool) Run(n, minPerWorker int, fn func(worker, lo, hi int)) {
 	c := loadCounters()
 	c.calls.Inc()
 	c.items.Add(uint64(n))
-	pc := p.pobs.Load()
-	if pc != nil {
-		pc.runs.Inc()
-	}
 	if minPerWorker < 1 {
 		minPerWorker = 1
 	}
@@ -169,17 +109,8 @@ func (p *Pool) Run(n, minPerWorker int, fn func(worker, lo, hi int)) {
 	}
 	if shards <= 1 {
 		c.inline.Inc()
-		if pc != nil {
-			pc.inline.Inc()
-			pc.itemsW[0].Add(uint64(n))
-		}
 		fn(0, 0, n)
 		return
-	}
-	var sweepSpan *obs.Span
-	if pc != nil && pc.rec.Tracing(obs.KindSpanStart) {
-		// Span bookkeeping allocates; untraced sweeps take the nil path.
-		sweepSpan = pc.rec.StartSpan("batch_run", uint64(time.Now().UnixNano()))
 	}
 	p.mu.Lock()
 	p.fn = fn
@@ -200,9 +131,6 @@ func (p *Pool) Run(n, minPerWorker int, fn func(worker, lo, hi int)) {
 	p.wg.Wait()
 	p.fn = nil
 	p.mu.Unlock()
-	if sweepSpan != nil {
-		sweepSpan.End(uint64(time.Now().UnixNano()))
-	}
 }
 
 // defaultPool is the shared process-wide pool, sized to GOMAXPROCS at
@@ -214,7 +142,7 @@ var (
 
 // Default returns the shared process-wide pool, creating it (with
 // GOMAXPROCS workers) on first use. Callers share its serialization:
-// concurrent Run calls queue behind one another.
+// concurrent fanned-out Run calls queue behind one another.
 func Default() *Pool {
 	defaultPoolOnce.Do(func() {
 		defaultPool = NewPool(runtime.GOMAXPROCS(0))

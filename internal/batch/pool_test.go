@@ -9,14 +9,19 @@ import (
 )
 
 // TestPoolCoversRange: every index in [0, n) is visited exactly once,
-// across pool sizes and batch shapes, including the inline path.
+// across pool sizes and batch shapes, including the inline path and a
+// negative minPerWorker (treated as 1). The shard count never exceeds
+// the pool's worker count, and a batch no larger than minPerWorker runs
+// as one shard.
 func TestPoolCoversRange(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 16} {
 		p := NewPool(workers)
 		for _, n := range []int{0, 1, 5, 64, 1000, 4096} {
-			for _, minPer := range []int{1, 32, 5000} {
+			for _, minPer := range []int{-3, 1, 32, 5000} {
 				visits := make([]int32, n)
+				var shards atomic.Int32
 				p.Run(n, minPer, func(_, lo, hi int) {
+					shards.Add(1)
 					for i := lo; i < hi; i++ {
 						atomic.AddInt32(&visits[i], 1)
 					}
@@ -26,9 +31,78 @@ func TestPoolCoversRange(t *testing.T) {
 						t.Fatalf("workers=%d n=%d minPer=%d: index %d visited %d times", workers, n, minPer, i, v)
 					}
 				}
+				got := int(shards.Load())
+				if got > p.Workers() {
+					t.Fatalf("workers=%d n=%d minPer=%d: %d shards > Workers() = %d", workers, n, minPer, got, p.Workers())
+				}
+				if n > 0 && n <= minPer && got != 1 {
+					t.Fatalf("workers=%d n=%d minPer=%d: %d shards, want 1 (inline)", workers, n, minPer, got)
+				}
 			}
 		}
 		p.Close()
+	}
+}
+
+// The TestFor* tests pin the fork-join contract the codec batch APIs
+// rely on, on the pool they run on: Default(), GOMAXPROCS workers.
+
+// TestForCoversRangeExactlyOnce: a Default().Run sweep visits every
+// index in [0, n) exactly once.
+func TestForCoversRangeExactlyOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 64, 1000, 4097} {
+		hits := make([]int32, n)
+		Default().Run(n, 8, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+		})
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
+			}
+		}
+	}
+}
+
+// TestForSmallBatchRunsInline: with n below minPerWorker the work runs
+// on the calling goroutine as one shard covering the full range.
+func TestForSmallBatchRunsInline(t *testing.T) {
+	calls := 0
+	Default().Run(5, 100, func(w, lo, hi int) {
+		calls++
+		if w != 0 || lo != 0 || hi != 5 {
+			t.Fatalf("inline shard %d = [%d,%d), want shard 0 = [0,5)", w, lo, hi)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("calls = %d, want 1", calls)
+	}
+}
+
+// TestForWorkerCap: a sweep splits into at most GOMAXPROCS shards, the
+// default pool's size.
+func TestForWorkerCap(t *testing.T) {
+	var calls atomic.Int32
+	Default().Run(1000, 1, func(_, lo, hi int) { calls.Add(1) })
+	if got, max := int(calls.Load()), runtime.GOMAXPROCS(0); got > max {
+		t.Fatalf("chunks = %d > GOMAXPROCS = %d", got, max)
+	}
+}
+
+// TestForNegativeMinPerWorker: a negative minPerWorker reads as 1 and
+// still covers every index exactly once.
+func TestForNegativeMinPerWorker(t *testing.T) {
+	covered := make([]int32, 10)
+	Default().Run(10, -3, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&covered[i], 1)
+		}
+	})
+	for i, h := range covered {
+		if h != 1 {
+			t.Fatalf("index %d visited %d times", i, h)
+		}
 	}
 }
 

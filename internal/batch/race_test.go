@@ -8,13 +8,13 @@ import (
 	"repro/internal/obs"
 )
 
-// TestSetObserverConcurrentWithFor is the race-detector regression test
+// TestSetObserverConcurrentWithRun is the race-detector regression test
 // for the counter-set publication: SetObserver swaps recorders (and
-// detaches) while For traffic and telemetry emission run full tilt on
-// other goroutines. Before the atomic counter-set fix, the four
+// detaches) while Default().Run traffic and telemetry emission run full
+// tilt on other goroutines. Before the atomic counter-set fix, the four
 // package-level counter pointers were plain words and `go test -race`
 // flagged this exact interleaving.
-func TestSetObserverConcurrentWithFor(t *testing.T) {
+func TestSetObserverConcurrentWithRun(t *testing.T) {
 	defer SetObserver(nil)
 	recA, recB := obs.New(), obs.New()
 
@@ -35,8 +35,9 @@ func TestSetObserverConcurrentWithFor(t *testing.T) {
 		}
 	}()
 
-	// Traffic: For calls large enough to spawn workers, with per-index
-	// writes and telemetry emission from the work function.
+	// Traffic: Run calls large enough to fan out to the default pool's
+	// workers, with per-index writes and telemetry emission from the
+	// work function.
 	const items = 256
 	outs := make([][]int, 4)
 	var traffic sync.WaitGroup
@@ -47,7 +48,7 @@ func TestSetObserverConcurrentWithFor(t *testing.T) {
 		go func() {
 			defer traffic.Done()
 			for r := 0; r < 50; r++ {
-				For(items, 1, func(lo, hi int) {
+				Default().Run(items, 1, func(_, lo, hi int) {
 					for i := lo; i < hi; i++ {
 						out[i] = i
 					}

@@ -6,13 +6,13 @@ import (
 )
 
 // minLinesPerWorker is the smallest slice of lines worth shipping to a
-// worker goroutine; smaller batches run inline. 32 lines are about 2.5 µs
+// pool worker; smaller batches run inline. 32 lines are about 2.5 µs
 // of clean ECC-6 decodes and 13-22 µs of one- or two-error ones.
 const minLinesPerWorker = 32
 
 // EncodeBatch computes parity for each line of data into parityOut,
-// fanning the work out over up to GOMAXPROCS workers (small batches run
-// inline). parityOut[i] corresponds to data[i]. It panics if the slice
+// fanning the work out over the workers of batch.Default() (small
+// batches run inline). parityOut[i] corresponds to data[i]. It panics if the slice
 // lengths differ — a programming error, matching the copy-style contract
 // of the other batch APIs.
 func (c *Code) EncodeBatch(data []line.Line, parityOut []uint64) {
@@ -20,10 +20,9 @@ func (c *Code) EncodeBatch(data []line.Line, parityOut []uint64) {
 		// invariant: callers pass parallel slices (documented contract).
 		panic("bch: EncodeBatch slice lengths differ")
 	}
-	// One closure per call, plus a goroutine per chunk when batch.For
-	// fans out: a fixed cost amortized over the lines (TestDecodeZeroAllocs
-	// pins the inline count).
-	batch.For(len(data), minLinesPerWorker, func(lo, hi int) {
+	// One closure per call, inline or fanned out: a fixed cost amortized
+	// over the lines (TestDecodeZeroAllocs pins it).
+	batch.Default().Run(len(data), minLinesPerWorker, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			parityOut[i] = c.encode(&data[i])
 		}
@@ -32,8 +31,8 @@ func (c *Code) EncodeBatch(data []line.Line, parityOut []uint64) {
 }
 
 // DecodeBatch decodes each (data[i], parity[i]) pair into out[i] and
-// results[i], fanning the work out over up to GOMAXPROCS workers (small
-// batches run inline). out may alias data — each element is read before
+// results[i], fanning the work out over the workers of batch.Default()
+// (small batches run inline). out may alias data — each element is read before
 // it is written and lines are independent. It panics if the slice
 // lengths differ.
 func (c *Code) DecodeBatch(data []line.Line, parity []uint64, out []line.Line, results []Result) {
@@ -41,10 +40,9 @@ func (c *Code) DecodeBatch(data []line.Line, parity []uint64, out []line.Line, r
 		// invariant: callers pass parallel slices (documented contract).
 		panic("bch: DecodeBatch slice lengths differ")
 	}
-	// One closure per call, plus a goroutine per chunk when batch.For
-	// fans out: a fixed cost amortized over the lines (TestDecodeZeroAllocs
-	// pins the inline count).
-	batch.For(len(data), minLinesPerWorker, func(lo, hi int) {
+	// One closure per call, inline or fanned out: a fixed cost amortized
+	// over the lines (TestDecodeZeroAllocs pins it).
+	batch.Default().Run(len(data), minLinesPerWorker, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i], results[i] = c.Decode(data[i], parity[i])
 		}

@@ -7,9 +7,17 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/gf2"
 	"repro/internal/line"
+	"repro/internal/obs"
 )
+
+// The default pool takes its worker count from GOMAXPROCS when first
+// used, and testing.AllocsPerRun runs at GOMAXPROCS 1. Creating it here,
+// before any test runs, gives the batch tests and allocation guards the
+// machine's full fan-out whatever order the tests run in.
+var _ = batch.Default()
 
 func mustCode(t *testing.T, tcap int, extended bool) *Code {
 	t.Helper()
@@ -512,8 +520,10 @@ func TestDecodeZeroAllocs(t *testing.T) {
 		t.Errorf("Encode allocates %.1f times per run, want 0", n)
 	}
 	// The batch APIs allocate one closure per call, whatever the batch
-	// length: AllocsPerRun measures at GOMAXPROCS 1, where batch.For
-	// runs the closure inline.
+	// length; the pool's workers are persistent, so fanning the lines out
+	// to them costs nothing more. On two or more CPUs these batches do
+	// fan out, so the guard measures that path and not only the inline
+	// one.
 	const batchAllocs = 1
 	c = mustCode(t, 6, false)
 	for _, lines := range []int{4096, 32768} {
@@ -524,6 +534,13 @@ func TestDecodeZeroAllocs(t *testing.T) {
 		parity := make([]uint64, lines)
 		out := make([]line.Line, lines)
 		results := make([]Result, lines)
+		rec := obs.New()
+		batch.SetObserver(rec)
+		c.EncodeBatch(data, parity)
+		batch.SetObserver(nil)
+		if chunks := rec.Registry().Counter("batch_chunks_total").Value(); runtime.NumCPU() >= 2 && chunks < 2 {
+			t.Errorf("%d-line EncodeBatch ran in %d chunks on %d CPUs, want at least 2", lines, chunks, runtime.NumCPU())
+		}
 		if n := testing.AllocsPerRun(5, func() { c.EncodeBatch(data, parity) }); n != batchAllocs {
 			t.Errorf("%d-line EncodeBatch allocates %v per call, want %d", lines, n, batchAllocs)
 		}
@@ -534,10 +551,9 @@ func TestDecodeZeroAllocs(t *testing.T) {
 }
 
 // Batch encode/decode must agree element-for-element with the sequential
-// API; run with GOMAXPROCS raised so the worker pool actually forks (and
-// the race detector sees the fan-out).
+// API; on two or more CPUs the default pool fans the lines out, so the
+// race detector sees the workers.
 func TestBatchMatchesSequential(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(26))
 	c := mustCode(t, 6, false)
 	const n = 300
@@ -666,7 +682,7 @@ func BenchmarkDecodeT6(b *testing.B) {
 }
 
 // BenchmarkDecodeBatchClean measures per-line cost through the batch API
-// (inline on one core; fans out under higher GOMAXPROCS).
+// (fanned out over the default pool's workers, one per CPU).
 func BenchmarkDecodeBatchClean(b *testing.B) {
 	c, err := New(6)
 	if err != nil {

@@ -2,7 +2,6 @@ package bch
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/line"
@@ -59,18 +58,17 @@ func TestObserverCountsCodecTraffic(t *testing.T) {
 }
 
 // TestEncodeBatchCountsLines: EncodeBatch counts its lines once per
-// chunk, so with a recorder attached and a batch that fans out over two
-// workers bch_encodes_total still equals scalar encodes plus batch
-// lines, and the batch parity matches scalar Encode.
+// chunk, so with a recorder attached and a batch that fans out over the
+// default pool's workers bch_encodes_total still equals scalar encodes
+// plus batch lines, and the batch parity matches scalar Encode.
 func TestEncodeBatchCountsLines(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	rng := rand.New(rand.NewSource(97))
 	c := mustCode(t, 6, true)
 	rec := obs.New()
 	SetObserver(rec)
 	defer SetObserver(nil)
 
-	const lines = 4*minLinesPerWorker + 5 // two chunks of unequal size
+	const lines = 4*minLinesPerWorker + 5 // chunks of unequal size
 	data := make([]line.Line, lines)
 	for i := range data {
 		data[i] = randLine(rng)

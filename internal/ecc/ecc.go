@@ -47,7 +47,7 @@ type Codec interface {
 
 // BatchCodec is the optional bulk interface a Codec may implement to
 // encode or decode many independent lines at once (internally fanned out
-// over a worker pool). The sweep layers (ECC-Upgrade, scrub, integrity
+// over batch.Default()). The sweep layers (ECC-Upgrade, scrub, integrity
 // Monte Carlo) probe for it and fall back to per-line calls otherwise.
 type BatchCodec interface {
 	Codec

@@ -120,7 +120,7 @@ func (m *Morphable) Encode(data line.Line, mode Mode) uint64 {
 const minMorphablePerWorker = 32
 
 // EncodeBatch produces the spare field for each line in the given mode,
-// fanning the work out over up to GOMAXPROCS workers: out[i] =
+// fanning the work out over the workers of batch.Default(): out[i] =
 // Encode(data[i], mode). When the selected codec implements BatchCodec
 // its bulk encoder is used directly. It panics if the slice lengths
 // differ.
@@ -142,10 +142,9 @@ func (m *Morphable) EncodeBatch(data []line.Line, mode Mode, out []uint64) {
 		}
 		return
 	}
-	// One closure per call, plus a goroutine per chunk when batch.For
-	// fans out: a fixed cost amortized over the lines (TestCodecZeroAllocs
-	// pins the inline count).
-	batch.For(len(data), minMorphablePerWorker, func(lo, hi int) {
+	// One closure per call, inline or fanned out: a fixed cost amortized
+	// over the lines (TestCodecZeroAllocs pins it).
+	batch.Default().Run(len(data), minMorphablePerWorker, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = modeField | c.Encode(data[i])<<ModeBits
 		}
@@ -153,18 +152,17 @@ func (m *Morphable) EncodeBatch(data []line.Line, mode Mode, out []uint64) {
 }
 
 // DecodeBatch resolves and decodes each stored (data[i], spare[i]) line
-// into out[i] and evs[i], fanning the work out over up to GOMAXPROCS
-// workers. Per-line results are identical to Decode; out may alias data.
-// It panics if the slice lengths differ.
+// into out[i] and evs[i], fanning the work out over the workers of
+// batch.Default(). Per-line results are identical to Decode; out may
+// alias data. It panics if the slice lengths differ.
 func (m *Morphable) DecodeBatch(data []line.Line, spare []uint64, out []line.Line, evs []DecodeEvent) {
 	if len(spare) != len(data) || len(out) != len(data) || len(evs) != len(data) {
 		// invariant: callers pass parallel slices (documented contract).
 		panic("ecc: DecodeBatch slice lengths differ")
 	}
-	// One closure per call, plus a goroutine per chunk when batch.For
-	// fans out: a fixed cost amortized over the lines (TestCodecZeroAllocs
-	// pins the inline count).
-	batch.For(len(data), minMorphablePerWorker, func(lo, hi int) {
+	// One closure per call, inline or fanned out: a fixed cost amortized
+	// over the lines (TestCodecZeroAllocs pins it).
+	batch.Default().Run(len(data), minMorphablePerWorker, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i], evs[i] = m.Decode(data[i], spare[i])
 		}

@@ -198,7 +198,7 @@ func (m *Memory) Read(addr uint64, nowCPU uint64) (line.Line, error) {
 }
 
 // sweepChunk is the number of lines a batched sweep gathers per round:
-// large enough to keep every worker of the codec pool busy, small enough
+// large enough to keep every worker of the batch pool busy, small enough
 // to bound the scratch buffers at a few hundred KB.
 const sweepChunk = 4096
 
@@ -336,10 +336,11 @@ func (m *Memory) InjectBitFlip(addr uint64, bit int) {
 // Scrub decodes and re-encodes every initialized line in place (idle
 // mode), clearing accumulated correctable errors — the maintenance
 // operation a real controller would fold into the upgrade sweep. Decoding
-// runs in batched chunks through the codec worker pool; corrected lines
-// (rare) are re-encoded individually. It returns the number of corrected
-// bits, or an error naming the first uncorrectable line — lines past the
-// failure are left untouched, exactly as the sequential scrub did.
+// runs in batched chunks on batch.Default(), the pool the codec batch
+// APIs share; corrected lines (rare) are re-encoded individually. It
+// returns the number of corrected bits, or an error naming the first
+// uncorrectable line — lines past the failure are left untouched,
+// exactly as the sequential scrub did.
 func (m *Memory) Scrub() (int, error) {
 	addrs := make([]uint64, 0, sweepChunk)
 	var (

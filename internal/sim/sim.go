@@ -95,7 +95,8 @@ func DefaultConfig(k SchemeKind, instructions int64) Config {
 // handed and quietly clamp or misinterpret; out-of-domain inputs now
 // fail construction (and phase calls) with typed errors instead.
 var (
-	// ErrBadDuration reports a negative slice length or phase duration.
+	// ErrBadDuration reports a negative slice length, checkpoint
+	// interval, decode latency or phase duration.
 	ErrBadDuration = errors.New("sim: negative duration")
 	// ErrBadTemperature reports a junction temperature outside the LPDDR
 	// operating range (wraps the retention-layer check).
@@ -103,16 +104,23 @@ var (
 )
 
 // Validate rejects out-of-domain run parameters with sentinel errors:
-// a negative instruction budget (ErrBadDuration) and a nonzero junction
-// temperature outside [retention.MinTempC, retention.MaxTempC]
-// (ErrBadTemperature). NewRunner calls it; scenario specs surface its
-// errors at validation time.
+// a negative instruction budget, checkpoint interval or weak or strong
+// decode latency (ErrBadDuration) and a nonzero junction temperature
+// outside [retention.MinTempC, retention.MaxTempC] (ErrBadTemperature).
+// NewRunner calls it; scenario specs surface its errors at validation
+// time.
 func (c Config) Validate() error {
 	if c.Instructions < 0 {
 		return fmt.Errorf("%w: instructions = %d", ErrBadDuration, c.Instructions)
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("%w: checkpointEvery = %d", ErrBadDuration, c.CheckpointEvery)
+	}
+	if c.WeakDecodeCycles < 0 {
+		return fmt.Errorf("%w: weakDecodeCycles = %d", ErrBadDuration, c.WeakDecodeCycles)
+	}
+	if c.StrongDecodeCycles < 0 {
+		return fmt.Errorf("%w: strongDecodeCycles = %d", ErrBadDuration, c.StrongDecodeCycles)
 	}
 	if c.TempC != 0 {
 		if err := retention.CheckTemp(c.TempC); err != nil {

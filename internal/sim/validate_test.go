@@ -31,6 +31,24 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("CheckpointEvery=-5: err = %v, want ErrBadDuration", err)
 	}
 
+	// A negative decode latency is rejected, not simulated: at -5
+	// cycles ECC-6 would out-run a scheme with no decode at all.
+	weak := base
+	weak.WeakDecodeCycles = -1
+	if err := weak.Validate(); !errors.Is(err, ErrBadDuration) {
+		t.Errorf("WeakDecodeCycles=-1: err = %v, want ErrBadDuration", err)
+	}
+	strong := base
+	strong.StrongDecodeCycles = -5
+	if err := strong.Validate(); !errors.Is(err, ErrBadDuration) {
+		t.Errorf("StrongDecodeCycles=-5: err = %v, want ErrBadDuration", err)
+	}
+	free := base
+	free.WeakDecodeCycles, free.StrongDecodeCycles = 0, 0
+	if err := free.Validate(); err != nil {
+		t.Errorf("zero decode latencies: err = %v, want nil", err)
+	}
+
 	for _, tc := range []float64{200, -80} {
 		hot := base
 		hot.TempC = tc

@@ -94,7 +94,7 @@ if [ "$MODE" = demo ]; then
     echo "--- $BASE/progress"
     echo "$prog"
     echo "--- $BASE/metrics (excerpt)"
-    curl -fsS "$BASE/metrics" | grep -E '^(# |memctrl_tier|memctrl_.*_queue_depth|mecc_.*reads|batch_pool)' | head -40
+    curl -fsS "$BASE/metrics" | grep -E '^(# |memctrl_tier|memctrl_.*_queue_depth|mecc_.*reads|batch_)' | head -40
 fi
 
 echo "obs_smoke: ok"
