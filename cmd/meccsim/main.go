@@ -166,6 +166,9 @@ func run() error {
 	if *flightN < 0 {
 		return fmt.Errorf("%w: -flight %d, want 0 (off) or a window of events", experiments.ErrBadOptions, *flightN)
 	}
+	if *ranks < 1 {
+		return fmt.Errorf("%w: -ranks %d, want 1 or more", dram.ErrBadConfig, *ranks)
+	}
 	if *timeline && *flightN <= 0 {
 		return fmt.Errorf("-timeline draws from the flight recorder: it needs -flight > 0")
 	}

@@ -80,14 +80,17 @@ func TestSmokeList(t *testing.T) {
 	}
 }
 
-// TestRejectsNegativeFlags: a negative decode latency or flight window
-// fails the run with an error naming the flag, before any report
-// prints; at -declat -5 ECC-6 would out-run a run with no decode
-// latency at all.
+// TestRejectsNegativeFlags: a negative decode latency or flight window,
+// or a rank count below 1, fails the run with an error naming the flag,
+// before any report prints; at -declat -5 ECC-6 would out-run a run
+// with no decode latency at all, and -ranks 0 would silently run the
+// one-rank default.
 func TestRejectsNegativeFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scheme", "ecc6", "-declat", "-5"},
 		{"-flight", "-5"},
+		{"-ranks", "0"},
+		{"-ranks", "-1"},
 	} {
 		out, err := runCLI(t, append([]string{"-bench", "libq", "-scale", "20000"}, args...)...)
 		if err == nil || !strings.Contains(err.Error(), args[len(args)-2]) {

@@ -76,11 +76,6 @@ type ssaPhi struct {
 	out  *ssaVal
 }
 
-// String renders a value as name.version for goldens and diagnostics.
-func (v *ssaVal) name() string {
-	return v.v.Name()
-}
-
 // buildSSA lifts fi's body into SSA over the prebuilt cfg.
 func buildSSA(fi *FuncInfo, g *cfg) *ssaFunc {
 	info := fi.Pkg.Info

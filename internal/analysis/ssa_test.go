@@ -290,3 +290,8 @@ func consts(n uint64) uint64 {
 		t.Errorf("loop-carried acc never reached top: %+v", byName("acc"))
 	}
 }
+
+// name returns the value's variable name, for goldens and diagnostics.
+func (v *ssaVal) name() string {
+	return v.v.Name()
+}

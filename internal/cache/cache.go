@@ -2,16 +2,13 @@
 // (Table II: 1 MB, 64 B lines): a set-associative, write-back,
 // write-allocate cache with true-LRU replacement. The simulator's
 // synthetic workloads are calibrated at the miss stream, so the cache is
-// used for trace filtering (cmd/tracegen), the flush-on-idle transition
-// (the OS flushes caches before self refresh, paper Section III-B), and
-// examples.
+// used for trace filtering (cmd/tracegen) and examples.
 package cache
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // ErrBadGeometry reports an invalid cache shape.
@@ -133,31 +130,4 @@ func (c *Cache) Access(lineAddr uint64, isWrite bool) AccessResult {
 	}
 	set[victim] = way{tag: tag, valid: true, dirty: isWrite, lastUse: c.useClock}
 	return res
-}
-
-// FlushDirty returns the line addresses of all dirty lines and marks them
-// clean — the cache flush the OS performs before switching the memory to
-// self refresh. The result is sorted for deterministic replay.
-func (c *Cache) FlushDirty() []uint64 {
-	var out []uint64
-	for setIdx, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].dirty {
-				out = append(out, set[i].tag<<c.setBits|uint64(setIdx))
-				set[i].dirty = false
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Invalidate drops every line (used when modelling deep power down,
-// where memory contents are lost and caches restart cold).
-func (c *Cache) Invalidate() {
-	for setIdx := range c.sets {
-		for i := range c.sets[setIdx] {
-			c.sets[setIdx][i] = way{}
-		}
-	}
 }

@@ -100,37 +100,6 @@ func TestWriteHitMarksDirty(t *testing.T) {
 	}
 }
 
-func TestFlushDirty(t *testing.T) {
-	c := mustCache(t, 1<<12, 64, 4)
-	c.Access(10, true)
-	c.Access(20, true)
-	c.Access(30, false)
-	dirty := c.FlushDirty()
-	if len(dirty) != 2 || dirty[0] != 10 || dirty[1] != 20 {
-		t.Fatalf("FlushDirty = %v", dirty)
-	}
-	// Second flush: nothing dirty.
-	if got := c.FlushDirty(); len(got) != 0 {
-		t.Errorf("second flush = %v", got)
-	}
-	// Lines are still cached after flush.
-	if !c.Access(10, false).Hit {
-		t.Error("flushed line evicted")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := mustCache(t, 1<<12, 64, 4)
-	c.Access(10, true)
-	c.Invalidate()
-	if c.Access(10, false).Hit {
-		t.Error("line survived invalidate")
-	}
-	if got := c.FlushDirty(); len(got) != 0 {
-		t.Errorf("dirty lines after invalidate: %v", got)
-	}
-}
-
 // Property: cache never holds more distinct lines than its capacity, and
 // a working set that fits is fully retained after a warm-up pass.
 func TestWorkingSetRetention(t *testing.T) {

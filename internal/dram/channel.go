@@ -33,12 +33,6 @@ const (
 	// StateSelfRefresh: self refresh (IDD8-class); the device refreshes
 	// itself, optionally at a divided rate.
 	StateSelfRefresh
-	// StatePASR: partial array self refresh — only a fraction of the
-	// array is refreshed; the rest loses its contents (Section II-A).
-	StatePASR
-	// StateDeepPowerDown: no refresh at all; the full array loses its
-	// contents and must be re-initialized on exit.
-	StateDeepPowerDown
 )
 
 // String renders the power state.
@@ -52,10 +46,6 @@ func (s PowerState) String() string {
 		return "active-powerdown"
 	case StateSelfRefresh:
 		return "self-refresh"
-	case StatePASR:
-		return "partial-array-self-refresh"
-	case StateDeepPowerDown:
-		return "deep-power-down"
 	default:
 		return fmt.Sprintf("PowerState(%d)", int(s))
 	}
@@ -80,9 +70,11 @@ type Stats struct {
 	CyclesPrechargePD   uint64 `json:"cycles_precharge_pd"`
 	CyclesActivePD      uint64 `json:"cycles_active_pd"`
 	CyclesSelfRefresh   uint64 `json:"cycles_self_refresh"`
-	// CyclesPASR and CyclesDPD are residency in the partial-array and
-	// deep-power-down states; PASRRetained is the retained fraction of
-	// the most recent PASR episode (for the power model).
+	// CyclesPASR, CyclesDPD and PASRRetained are always 0: the channel
+	// has no partial-array or deep-power-down state (the modes exhibit
+	// computes both analytically from power). They stay only because
+	// sim.Result's JSON carries them, and the benchmark digests and the
+	// scenario JSONL golden pin that JSON.
 	CyclesPASR   uint64  `json:"cycles_pasr"`
 	CyclesDPD    uint64  `json:"cycles_dpd"`
 	PASRRetained float64 `json:"pasr_retained"`
@@ -97,7 +89,7 @@ type Stats struct {
 // TotalCycles returns the cycles accounted across all states.
 func (s Stats) TotalCycles() uint64 {
 	return s.CyclesActiveStandby + s.CyclesPrechargePD + s.CyclesActivePD +
-		s.CyclesSelfRefresh + s.CyclesPASR + s.CyclesDPD
+		s.CyclesSelfRefresh
 }
 
 type bankState struct {
@@ -141,9 +133,6 @@ type Channel struct {
 	// pulse rate by 2^dividerBits (paper III-B: a 4-bit counter turns
 	// 64 ms into 1 s).
 	dividerBits int
-	srEnteredAt uint64
-	// pasrRetained is the fraction of the array refreshed in PASR.
-	pasrRetained float64
 	// auditor, when set, records every issued command for independent
 	// post-hoc constraint validation.
 	auditor *Auditor
@@ -152,11 +141,8 @@ type Channel struct {
 	obs *obs.Recorder
 	// chk, when set, is told about fast-forwards so the refresh-ratio
 	// invariant can exclude them; nil (the default) costs one nil check.
-	chk *checker.RefreshTracker
-	// contentsLost latches after PASR (partially) or DPD (fully) until
-	// acknowledged via ContentsLost.
-	contentsLost float64
-	stats        Stats
+	chk   *checker.RefreshTracker
+	stats Stats
 }
 
 // NewChannel builds a channel in active-standby with all banks precharged.
@@ -232,10 +218,6 @@ func (ch *Channel) Tick() {
 		ch.stats.CyclesActivePD++
 	case StateSelfRefresh:
 		ch.stats.CyclesSelfRefresh++
-	case StatePASR:
-		ch.stats.CyclesPASR++
-	case StateDeepPowerDown:
-		ch.stats.CyclesDPD++
 	}
 	ch.now++
 }
@@ -262,15 +244,6 @@ func (ch *Channel) AdvanceTo(cycle uint64) {
 		ch.chk.OnAdvance(ch.now, delta, true, delta/eff)
 		ch.now = cycle
 		return
-	case StatePASR:
-		ch.stats.CyclesPASR += delta
-		eff := uint64(ch.cfg.Timing.TREFI) << ch.dividerBits
-		ch.stats.NSelfRefreshPulses += delta / eff
-		ch.chk.OnAdvance(ch.now, delta, true, delta/eff)
-		ch.now = cycle
-		return
-	case StateDeepPowerDown:
-		ch.stats.CyclesDPD += delta
 	}
 	ch.chk.OnAdvance(ch.now, delta, false, 0)
 	ch.now = cycle
@@ -285,8 +258,8 @@ func (ch *Channel) AdvanceTo(cycle uint64) {
 // auto-refresh accounting window, because REF commands continue to be
 // issued for them on schedule. Correspondingly no self-refresh pulses
 // are credited, so SkipTo is legal only in the externally-refreshed
-// states (active standby and the two power-down states); anything else
-// returns ErrBadState.
+// states (active standby and the two power-down states); in self
+// refresh it returns ErrBadState.
 func (ch *Channel) SkipTo(cycle uint64) error {
 	if cycle <= ch.now {
 		return nil
@@ -627,7 +600,6 @@ func (ch *Channel) EnterSelfRefresh(dividerBits int) error {
 	ch.state = StateSelfRefresh
 	ch.dividerBits = dividerBits
 	ch.stats.SRDividerBits = dividerBits
-	ch.srEnteredAt = ch.now
 	if ch.obs.Tracing(obs.KindRefreshRate) {
 		ch.obs.Emit(obs.Event{T: ch.now, Kind: obs.KindRefreshRate, Shift: dividerBits})
 	}
@@ -643,78 +615,6 @@ func (ch *Channel) ExitSelfRefresh() error {
 	ch.nextCmdAt = maxU64(ch.nextCmdAt, ch.now+uint64(ch.cfg.Timing.TXSR))
 	return nil
 }
-
-// EnterPASR enters partial-array self refresh: only `retained` of the
-// array (one of 1/2, 1/4, 1/8, 1/16) keeps being refreshed; the rest
-// loses its contents (Section II-A). All banks must be precharged.
-func (ch *Channel) EnterPASR(retained float64) error {
-	if ch.state != StateActiveStandby {
-		return fmt.Errorf("%w: PASR from %v", ErrBadState, ch.state)
-	}
-	if !ch.AllPrecharged() {
-		return fmt.Errorf("%w: PASR with open rows", ErrBadState)
-	}
-	switch retained {
-	case 0.5, 0.25, 0.125, 0.0625:
-	default:
-		return fmt.Errorf("%w: PASR retained fraction %v", ErrBadConfig, retained)
-	}
-	ch.state = StatePASR
-	ch.pasrRetained = retained
-	ch.dividerBits = 0
-	ch.stats.PASRRetained = retained
-	ch.contentsLost = maxF64(ch.contentsLost, 1-retained)
-	return nil
-}
-
-// ExitPASR wakes the device from PASR; commands stall for tXSR. The
-// non-retained portion of the array has lost its contents (see
-// ContentsLost).
-func (ch *Channel) ExitPASR() error {
-	if ch.state != StatePASR {
-		return fmt.Errorf("%w: PASR exit from %v", ErrBadState, ch.state)
-	}
-	ch.state = StateActiveStandby
-	ch.nextCmdAt = maxU64(ch.nextCmdAt, ch.now+uint64(ch.cfg.Timing.TXSR))
-	return nil
-}
-
-// PASRRetained returns the retained fraction while in PASR.
-func (ch *Channel) PASRRetained() float64 { return ch.pasrRetained }
-
-// EnterDeepPowerDown cuts power entirely: nothing is refreshed and the
-// whole array's contents are lost.
-func (ch *Channel) EnterDeepPowerDown() error {
-	if ch.state != StateActiveStandby {
-		return fmt.Errorf("%w: DPD from %v", ErrBadState, ch.state)
-	}
-	if !ch.AllPrecharged() {
-		return fmt.Errorf("%w: DPD with open rows", ErrBadState)
-	}
-	ch.state = StateDeepPowerDown
-	ch.contentsLost = 1
-	return nil
-}
-
-// ExitDeepPowerDown re-powers the device; the array must be
-// re-initialized by the system before use (ContentsLost reports 1).
-func (ch *Channel) ExitDeepPowerDown() error {
-	if ch.state != StateDeepPowerDown {
-		return fmt.Errorf("%w: DPD exit from %v", ErrBadState, ch.state)
-	}
-	ch.state = StateActiveStandby
-	// DPD exit requires full re-initialization; model the stall as tXSR.
-	ch.nextCmdAt = maxU64(ch.nextCmdAt, ch.now+uint64(ch.cfg.Timing.TXSR))
-	return nil
-}
-
-// ContentsLost returns the fraction of the array whose contents were
-// lost by PASR/DPD residency since the last AcknowledgeLoss.
-func (ch *Channel) ContentsLost() float64 { return ch.contentsLost }
-
-// AcknowledgeLoss clears the contents-lost latch after the system has
-// re-initialized the affected region.
-func (ch *Channel) AcknowledgeLoss() { ch.contentsLost = 0 }
 
 // NoteRowHit records row-buffer hit/miss classification (kept by the
 // controller at request grain, stored here so power and locality stats
@@ -737,13 +637,6 @@ func errFor(ch *Channel, bank int) error {
 }
 
 func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxF64(a, b float64) float64 {
 	if a > b {
 		return a
 	}

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -90,20 +91,6 @@ func TestDecodeMapping(t *testing.T) {
 			co.Col < 0 || co.Col >= cfg.LinesPerRow() {
 			t.Errorf("Decode(%d) out of range: %+v", addr, co)
 		}
-	}
-}
-
-func TestRegionOf(t *testing.T) {
-	cfg := DefaultConfig()
-	if got := cfg.RegionOf(0, 1024); got != 0 {
-		t.Errorf("region of line 0 = %d", got)
-	}
-	if got := cfg.RegionOf(cfg.TotalLines()-1, 1024); got != 1023 {
-		t.Errorf("region of last line = %d", got)
-	}
-	// 1 GB / 1024 regions = 1 MB per region = 16384 lines.
-	if got := cfg.RegionOf(16384, 1024); got != 1 {
-		t.Errorf("region of line 16384 = %d, want 1", got)
 	}
 }
 
@@ -387,19 +374,69 @@ func TestSelfRefreshLifecycle(t *testing.T) {
 	}
 }
 
+// TestStateResidencyAccounting drives each power state through each of
+// the three ways time advances: the span must land in that state's
+// residency counter, and residency must sum to the channel's clock.
+// SkipTo is legal only in the externally-refreshed states.
 func TestStateResidencyAccounting(t *testing.T) {
-	ch := newTestChannel(t)
-	tickTo(ch, 100)
-	if err := ch.EnterPowerDown(); err != nil {
-		t.Fatal(err)
+	const lead, span = 50, 1000
+	states := []struct {
+		state  PowerState
+		enter  func(*Channel) error
+		cycles func(Stats) uint64
+	}{
+		{StateActiveStandby, func(*Channel) error { return nil },
+			func(s Stats) uint64 { return s.CyclesActiveStandby }},
+		{StatePrechargePD, (*Channel).EnterPowerDown,
+			func(s Stats) uint64 { return s.CyclesPrechargePD }},
+		{StateActivePD, func(ch *Channel) error {
+			if err := ch.ACT(0, 1); err != nil {
+				return err
+			}
+			return ch.EnterPowerDown()
+		}, func(s Stats) uint64 { return s.CyclesActivePD }},
+		{StateSelfRefresh, func(ch *Channel) error { return ch.EnterSelfRefresh(4) },
+			func(s Stats) uint64 { return s.CyclesSelfRefresh }},
 	}
-	tickTo(ch, 250)
-	s := ch.Stats()
-	if s.CyclesActiveStandby != 100 || s.CyclesPrechargePD != 150 {
-		t.Errorf("residency: %+v", s)
+	advances := []struct {
+		name string
+		to   func(ch *Channel, cycle uint64) error
+	}{
+		{"Tick", func(ch *Channel, cycle uint64) error { tickTo(ch, cycle); return nil }},
+		{"AdvanceTo", func(ch *Channel, cycle uint64) error { ch.AdvanceTo(cycle); return nil }},
+		{"SkipTo", (*Channel).SkipTo},
 	}
-	if got := s.TotalCycles(); got != 250 {
-		t.Errorf("TotalCycles = %d", got)
+	for _, st := range states {
+		for _, adv := range advances {
+			t.Run(st.state.String()+"/"+adv.name, func(t *testing.T) {
+				ch := newTestChannel(t)
+				tickTo(ch, lead)
+				if err := st.enter(ch); err != nil {
+					t.Fatal(err)
+				}
+				if ch.State() != st.state {
+					t.Fatalf("state = %v, want %v", ch.State(), st.state)
+				}
+				before := st.cycles(ch.Stats())
+				err := adv.to(ch, lead+span)
+				want := uint64(span)
+				if st.state == StateSelfRefresh && adv.name == "SkipTo" {
+					if !errors.Is(err, ErrBadState) {
+						t.Fatalf("SkipTo in self refresh: err = %v, want ErrBadState", err)
+					}
+					want = 0
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				s := ch.Stats()
+				if got := st.cycles(s) - before; got != want {
+					t.Errorf("residency grew by %d, want %d", got, want)
+				}
+				if got := s.TotalCycles(); got != ch.Now() {
+					t.Errorf("TotalCycles = %d, Now = %d", got, ch.Now())
+				}
+			})
+		}
 	}
 }
 
@@ -444,100 +481,6 @@ func TestPowerStateString(t *testing.T) {
 	}
 	if PowerState(42).String() != "PowerState(42)" {
 		t.Error("unknown state string")
-	}
-}
-
-func TestPASRLifecycle(t *testing.T) {
-	ch := newTestChannel(t)
-	if err := ch.EnterPASR(0.3); err == nil {
-		t.Fatal("non-standard PASR fraction should be rejected")
-	}
-	if err := ch.EnterPASR(0.25); err != nil {
-		t.Fatal(err)
-	}
-	if ch.State() != StatePASR || ch.PASRRetained() != 0.25 {
-		t.Fatalf("state %v retained %v", ch.State(), ch.PASRRetained())
-	}
-	// Three quarters of the array is lost.
-	if got := ch.ContentsLost(); got != 0.75 {
-		t.Errorf("contents lost = %v", got)
-	}
-	tickTo(ch, 100)
-	if ch.Stats().CyclesPASR != 100 {
-		t.Errorf("PASR residency = %d", ch.Stats().CyclesPASR)
-	}
-	if err := ch.ExitPASR(); err != nil {
-		t.Fatal(err)
-	}
-	if ch.CanACT(0) {
-		t.Error("ACT legal during tXSR after PASR")
-	}
-	tickTo(ch, ch.Now()+uint64(ch.Config().Timing.TXSR))
-	if !ch.CanACT(0) {
-		t.Error("ACT should be legal after tXSR")
-	}
-	ch.AcknowledgeLoss()
-	if ch.ContentsLost() != 0 {
-		t.Error("loss latch not cleared")
-	}
-	if err := ch.ExitPASR(); err == nil {
-		t.Error("double PASR exit should error")
-	}
-}
-
-func TestPASRRequiresPrecharged(t *testing.T) {
-	ch := newTestChannel(t)
-	if err := ch.ACT(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.EnterPASR(0.5); err == nil {
-		t.Error("PASR with open row should error")
-	}
-	if err := ch.EnterDeepPowerDown(); err == nil {
-		t.Error("DPD with open row should error")
-	}
-}
-
-func TestDeepPowerDownLifecycle(t *testing.T) {
-	ch := newTestChannel(t)
-	if err := ch.EnterDeepPowerDown(); err != nil {
-		t.Fatal(err)
-	}
-	if ch.State() != StateDeepPowerDown {
-		t.Fatalf("state %v", ch.State())
-	}
-	if got := ch.ContentsLost(); got != 1 {
-		t.Errorf("contents lost = %v, want 1", got)
-	}
-	ch.AdvanceTo(1000)
-	s := ch.Stats()
-	if s.CyclesDPD != 1000 {
-		t.Errorf("DPD residency = %d", s.CyclesDPD)
-	}
-	// No refresh pulses happen in DPD.
-	if s.NSelfRefreshPulses != 0 {
-		t.Error("refresh pulses during DPD")
-	}
-	if err := ch.ExitDeepPowerDown(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.ExitDeepPowerDown(); err == nil {
-		t.Error("double DPD exit should error")
-	}
-	if got := ch.Stats().TotalCycles(); got != 1000 {
-		t.Errorf("TotalCycles = %d", got)
-	}
-}
-
-func TestPASRPulsesAccounted(t *testing.T) {
-	ch := newTestChannel(t)
-	if err := ch.EnterPASR(0.5); err != nil {
-		t.Fatal(err)
-	}
-	treifi := uint64(ch.Config().Timing.TREFI)
-	ch.AdvanceTo(treifi * 10)
-	if got := ch.Stats().NSelfRefreshPulses; got != 10 {
-		t.Errorf("PASR pulses = %d, want 10", got)
 	}
 }
 

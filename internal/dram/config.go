@@ -307,20 +307,3 @@ func (c Config) Decode(lineAddr uint64) Coord {
 	p := c.decodeParams()
 	return p.decode(lineAddr)
 }
-
-// RegionOf returns the index of the lineAddr's region when memory is
-// split into nRegions equal regions (the MDT granularity).
-func (c Config) RegionOf(lineAddr uint64, nRegions int) int {
-	if nRegions <= 0 {
-		return 0
-	}
-	linesPerRegion := c.TotalLines() / uint64(nRegions)
-	if linesPerRegion == 0 {
-		linesPerRegion = 1
-	}
-	r := lineAddr / linesPerRegion
-	if r >= uint64(nRegions) {
-		r = uint64(nRegions - 1)
-	}
-	return int(r)
-}

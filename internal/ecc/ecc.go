@@ -47,8 +47,8 @@ type Codec interface {
 
 // BatchCodec is the optional bulk interface a Codec may implement to
 // encode or decode many independent lines at once (internally fanned out
-// over batch.Default()). The sweep layers (ECC-Upgrade, scrub, integrity
-// Monte Carlo) probe for it and fall back to per-line calls otherwise.
+// over batch.Default()). Morphable.EncodeBatch probes for it and falls
+// back to per-line calls otherwise.
 type BatchCodec interface {
 	Codec
 	// EncodeBatch computes check words for each line: out[i] = Encode(data[i]).

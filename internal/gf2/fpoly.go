@@ -28,19 +28,6 @@ func (p FPoly) Degree() int {
 	return -1
 }
 
-// Coeff returns the coefficient of x^i (zero beyond the stored length).
-func (p FPoly) Coeff(i int) uint16 {
-	if i < 0 || i >= len(p) {
-		return 0
-	}
-	return p[i]
-}
-
-// Trim drops high zero coefficients.
-func (p FPoly) Trim() FPoly {
-	return p[:p.Degree()+1]
-}
-
 // Equal reports whether two polynomials are identical (ignoring trailing
 // zeros).
 func (p FPoly) Equal(q FPoly) bool {
@@ -70,25 +57,6 @@ func (p FPoly) Add(q FPoly) FPoly {
 	return out
 }
 
-// Scale returns c * p.
-func (p FPoly) Scale(f *Field, c uint16) FPoly {
-	out := make(FPoly, len(p))
-	for i, pc := range p {
-		out[i] = f.Mul(pc, c)
-	}
-	return out
-}
-
-// MulX returns p * x^k.
-func (p FPoly) MulX(k int) FPoly {
-	if p.Degree() < 0 {
-		return nil
-	}
-	out := make(FPoly, len(p)+k)
-	copy(out[k:], p)
-	return out
-}
-
 // Mul returns p * q over the field.
 func (p FPoly) Mul(f *Field, q FPoly) FPoly {
 	dp, dq := p.Degree(), q.Degree()
@@ -110,35 +78,6 @@ func (p FPoly) Mul(f *Field, q FPoly) FPoly {
 // Eval evaluates p at x by Horner's rule.
 func (p FPoly) Eval(f *Field, x uint16) uint16 {
 	return f.Eval(p, x)
-}
-
-// Derivative returns the formal derivative: in characteristic 2, even-
-// power terms vanish and odd powers keep their coefficient one degree
-// down.
-func (p FPoly) Derivative() FPoly {
-	if len(p) <= 1 {
-		return nil
-	}
-	out := make(FPoly, len(p)-1)
-	for i := 1; i < len(p); i += 2 {
-		out[i-1] = p[i]
-	}
-	return out
-}
-
-// MonicRoots finds all roots of p among the nonzero field elements by
-// exhaustive Chien-style search, returned as exponents of alpha.
-func (p FPoly) MonicRoots(f *Field) []int {
-	var roots []int
-	if p.Degree() < 1 {
-		return nil
-	}
-	for e := 0; e < f.Order(); e++ {
-		if p.Eval(f, f.Alpha(e)) == 0 {
-			roots = append(roots, e)
-		}
-	}
-	return roots
 }
 
 // String renders the polynomial for diagnostics.

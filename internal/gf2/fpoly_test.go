@@ -15,14 +15,11 @@ func randFPoly(rng *rand.Rand, f *Field, maxDeg int) FPoly {
 
 func TestFPolyBasics(t *testing.T) {
 	p := NewFPoly(3, 0, 1) // x^2 + 3
-	if p.Degree() != 2 || p.Coeff(0) != 3 || p.Coeff(1) != 0 || p.Coeff(5) != 0 {
+	if p.Degree() != 2 || p[0] != 3 || p[1] != 0 {
 		t.Errorf("basics: %v", p)
 	}
 	if (FPoly{}).Degree() != -1 || (FPoly{0, 0}).Degree() != -1 {
 		t.Error("zero degree")
-	}
-	if got := NewFPoly(1, 2, 0, 0).Trim(); len(got) != 2 {
-		t.Errorf("Trim = %v", got)
 	}
 	if !NewFPoly(1, 2).Equal(NewFPoly(1, 2, 0)) {
 		t.Error("Equal should ignore trailing zeros")
@@ -59,63 +56,6 @@ func TestFPolyArithmetic(t *testing.T) {
 		if a.Add(b).Eval(f, x) != a.Eval(f, x)^b.Eval(f, x) {
 			t.Fatal("Eval not additive")
 		}
-	}
-}
-
-func TestFPolyScaleAndMulX(t *testing.T) {
-	f := mustField(t, 4)
-	p := NewFPoly(1, 2, 3)
-	s := p.Scale(f, 5)
-	for i := range p {
-		if s[i] != f.Mul(p[i], 5) {
-			t.Fatal("Scale wrong")
-		}
-	}
-	mx := p.MulX(2)
-	if mx.Degree() != 4 || mx.Coeff(2) != 1 || mx.Coeff(0) != 0 {
-		t.Errorf("MulX = %v", mx)
-	}
-	if (FPoly{}).MulX(3) != nil {
-		t.Error("zero MulX")
-	}
-}
-
-func TestFPolyDerivative(t *testing.T) {
-	// d/dx (a + bx + cx^2 + dx^3) = b + dx^2 in characteristic 2.
-	p := NewFPoly(7, 5, 9, 3)
-	d := p.Derivative()
-	if !d.Equal(NewFPoly(5, 0, 3)) {
-		t.Errorf("Derivative = %v", d)
-	}
-	if NewFPoly(4).Derivative() != nil {
-		t.Error("constant derivative should be zero")
-	}
-}
-
-func TestFPolyRoots(t *testing.T) {
-	f := mustField(t, 6)
-	// Construct (x - alpha^3)(x - alpha^17)(x - alpha^40) and recover
-	// the roots.
-	want := []int{3, 17, 40}
-	p := NewFPoly(1)
-	for _, e := range want {
-		p = p.Mul(f, NewFPoly(f.Alpha(e), 1))
-	}
-	got := p.MonicRoots(f)
-	if len(got) != 3 {
-		t.Fatalf("roots = %v", got)
-	}
-	seen := map[int]bool{}
-	for _, r := range got {
-		seen[r] = true
-	}
-	for _, e := range want {
-		if !seen[e] {
-			t.Errorf("missing root alpha^%d", e)
-		}
-	}
-	if NewFPoly(5).MonicRoots(f) != nil {
-		t.Error("constant has no roots")
 	}
 }
 

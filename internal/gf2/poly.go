@@ -21,14 +21,6 @@ func NewPoly2(exponents ...int) Poly2 {
 	return p
 }
 
-// Poly2FromMask converts a small bit-mask polynomial (bit i = coeff of x^i).
-func Poly2FromMask(mask uint32) Poly2 {
-	if mask == 0 {
-		return nil
-	}
-	return Poly2{uint64(mask)}
-}
-
 // Degree returns the degree of p, or -1 for the zero polynomial.
 func (p Poly2) Degree() int {
 	for w := len(p) - 1; w >= 0; w-- {
@@ -172,15 +164,6 @@ func (p Poly2) Equal(q Poly2) bool {
 		}
 	}
 	return true
-}
-
-// Weight returns the number of nonzero coefficients.
-func (p Poly2) Weight() int {
-	n := 0
-	for _, w := range p {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // String renders the polynomial as a sum of monomials, highest degree first.

@@ -192,18 +192,3 @@ func TestMinimalPolyRootAndDivides(t *testing.T) {
 		}
 	}
 }
-
-func TestWeight(t *testing.T) {
-	if got := NewPoly2(10, 3, 0).Weight(); got != 3 {
-		t.Errorf("Weight = %d, want 3", got)
-	}
-}
-
-func TestPoly2FromMask(t *testing.T) {
-	if !Poly2FromMask(0x409).Equal(NewPoly2(10, 3, 0)) {
-		t.Error("Poly2FromMask(0x409) mismatch")
-	}
-	if Poly2FromMask(0) != nil {
-		t.Error("Poly2FromMask(0) should be nil")
-	}
-}

@@ -102,15 +102,9 @@ func (s *SECDED) buildMasks() {
 	}
 }
 
-// DataBits returns the number of protected data bits.
-func (s *SECDED) DataBits() int { return s.dataBits }
-
 // CheckBits returns the total stored check width, including the overall
 // parity bit.
 func (s *SECDED) CheckBits() int { return s.checkBits + 1 }
-
-// getBit reads bit i from a little-endian word vector.
-func getBit(v []uint64, i int) uint64 { return (v[i>>6] >> (uint(i) & 63)) & 1 }
 
 // flipBit inverts bit i of a little-endian word vector in place.
 func flipBit(v []uint64, i int) { v[i>>6] ^= 1 << (uint(i) & 63) }
@@ -120,8 +114,8 @@ func (s *SECDED) wordsNeeded() int { return (s.dataBits + 63) / 64 }
 // syndromeOf evaluates the Hamming syndrome and the data popcount in one
 // word-parallel pass: each syndrome bit is the parity of the fold-XOR of
 // the data words under its bit-sliced mask. Equivalent to walking every
-// data bit through dataPos (see syndromeBitSerial, the retained
-// reference), at a fraction of the cost.
+// data bit through dataPos (syndromeBitSerial, the reference in the
+// tests), at a fraction of the cost.
 func (s *SECDED) syndromeOf(data []uint64) (uint32, int) {
 	last := len(data) - 1
 	ones := 0
@@ -138,20 +132,6 @@ func (s *SECDED) syndromeOf(data []uint64) (uint32, int) {
 			acc ^= data[w] & row[w]
 		}
 		synd |= uint32(bits.OnesCount64(acc)&1) << uint(j)
-	}
-	return synd, ones
-}
-
-// syndromeBitSerial is the reference bit-serial syndrome walk, kept for
-// the equivalence property test.
-func (s *SECDED) syndromeBitSerial(data []uint64) (uint32, int) {
-	var synd uint32
-	ones := 0
-	for i := 0; i < s.dataBits; i++ {
-		if getBit(data, i) == 1 {
-			synd ^= s.dataPos[i]
-			ones++
-		}
 	}
 	return synd, ones
 }

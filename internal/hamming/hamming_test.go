@@ -374,3 +374,20 @@ func TestWrongLengthError(t *testing.T) {
 		t.Fatalf("Decode(short) error = %v, want ErrBadInput", err)
 	}
 }
+
+// syndromeBitSerial is the reference bit-serial syndrome walk, kept for
+// the equivalence property test.
+func (s *SECDED) syndromeBitSerial(data []uint64) (uint32, int) {
+	var synd uint32
+	ones := 0
+	for i := 0; i < s.dataBits; i++ {
+		if getBit(data, i) == 1 {
+			synd ^= s.dataPos[i]
+			ones++
+		}
+	}
+	return synd, ones
+}
+
+// getBit reads bit i from a little-endian word vector.
+func getBit(v []uint64, i int) uint64 { return (v[i>>6] >> (uint(i) & 63)) & 1 }

@@ -5,8 +5,6 @@ package line
 
 import (
 	"encoding/hex"
-	"errors"
-	"fmt"
 	"math/bits"
 )
 
@@ -16,27 +14,10 @@ const Bits = 512
 // Bytes is the number of data bytes in a cache line.
 const Bytes = Bits / 8
 
-// ErrBadLength reports a byte slice whose length does not match a line.
-var ErrBadLength = errors.New("line: input is not 64 bytes")
-
 // Line is a 512-bit cache line, stored as eight little-endian words.
 // Bit i of the line is bit (i%64) of word i/64. The zero value is the
 // all-zero line and is ready to use.
 type Line [8]uint64
-
-// FromBytes builds a line from exactly 64 bytes (little-endian words).
-func FromBytes(b []byte) (Line, error) {
-	var ln Line
-	if len(b) != Bytes {
-		return ln, fmt.Errorf("%w: got %d bytes", ErrBadLength, len(b))
-	}
-	for w := range ln {
-		for i := 0; i < 8; i++ {
-			ln[w] |= uint64(b[w*8+i]) << (8 * i)
-		}
-	}
-	return ln, nil
-}
 
 // Bytes returns the line as a fresh 64-byte slice (little-endian words).
 func (l Line) Bytes() []byte {
@@ -52,17 +33,6 @@ func (l Line) Bytes() []byte {
 // Bit returns bit i (0 <= i < 512) of the line.
 func (l Line) Bit(i int) uint {
 	return uint(l[i>>6]>>(uint(i)&63)) & 1
-}
-
-// SetBit sets bit i to v (0 or 1) and returns the updated line.
-func (l Line) SetBit(i int, v uint) Line {
-	mask := uint64(1) << (uint(i) & 63)
-	if v&1 == 1 {
-		l[i>>6] |= mask
-	} else {
-		l[i>>6] &^= mask
-	}
-	return l
 }
 
 // FlipBit inverts bit i and returns the updated line.
@@ -110,13 +80,4 @@ func (l Line) Diff(o Line) []int {
 // String renders the line as 128 hex digits, word 0 first.
 func (l Line) String() string {
 	return hex.EncodeToString(l.Bytes())
-}
-
-// ParseHex decodes a 128-hex-digit string produced by String.
-func ParseHex(s string) (Line, error) {
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return Line{}, fmt.Errorf("line: parse hex: %w", err)
-	}
-	return FromBytes(b)
 }

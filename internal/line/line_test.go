@@ -1,40 +1,17 @@
 package line
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestFromBytesRoundTrip(t *testing.T) {
-	b := make([]byte, Bytes)
-	for i := range b {
-		b[i] = byte(i * 7)
-	}
-	ln, err := FromBytes(b)
-	if err != nil {
-		t.Fatalf("FromBytes: %v", err)
-	}
-	got := ln.Bytes()
-	for i := range b {
-		if got[i] != b[i] {
-			t.Fatalf("byte %d: got %#x want %#x", i, got[i], b[i])
-		}
-	}
-}
-
-func TestFromBytesBadLength(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 65, 128} {
-		if _, err := FromBytes(make([]byte, n)); err == nil {
-			t.Errorf("FromBytes(%d bytes): want error, got nil", n)
-		}
-	}
-}
-
 func TestBitSetGet(t *testing.T) {
 	var ln Line
 	for _, i := range []int{0, 1, 63, 64, 100, 511} {
-		ln = ln.SetBit(i, 1)
+		ln = ln.FlipBit(i)
 		if ln.Bit(i) != 1 {
 			t.Fatalf("bit %d: want 1", i)
 		}
@@ -42,7 +19,7 @@ func TestBitSetGet(t *testing.T) {
 	if got := ln.PopCount(); got != 6 {
 		t.Fatalf("PopCount = %d, want 6", got)
 	}
-	ln = ln.SetBit(63, 0)
+	ln = ln.FlipBit(63)
 	if ln.Bit(63) != 0 {
 		t.Fatal("bit 63: want 0 after clear")
 	}
@@ -85,22 +62,18 @@ func TestHexRoundTrip(t *testing.T) {
 		for w := range ln {
 			ln[w] = rng.Uint64()
 		}
-		got, err := ParseHex(ln.String())
-		if err != nil {
-			t.Fatalf("ParseHex: %v", err)
+		b, err := hex.DecodeString(ln.String())
+		if err != nil || len(b) != Bytes {
+			t.Fatalf("String() = %q: %d bytes, %v", ln.String(), len(b), err)
+		}
+		// Bytes and String lay the words out little-endian, word 0 first.
+		var got Line
+		for w := range got {
+			got[w] = binary.LittleEndian.Uint64(b[w*8:])
 		}
 		if got != ln {
 			t.Fatalf("round trip mismatch: %v != %v", got, ln)
 		}
-	}
-}
-
-func TestParseHexErrors(t *testing.T) {
-	if _, err := ParseHex("zz"); err == nil {
-		t.Error("ParseHex(invalid hex): want error")
-	}
-	if _, err := ParseHex("ab"); err == nil {
-		t.Error("ParseHex(short): want error")
 	}
 }
 

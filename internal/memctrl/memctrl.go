@@ -127,9 +127,6 @@ type Request struct {
 	missed bool
 }
 
-// Coord returns the request's decoded bank/row/column.
-func (r *Request) Coord() dram.Coord { return r.coord }
-
 // latencyBounds are the upper edges (DRAM cycles) of the read-latency
 // histogram buckets; the last bucket is unbounded.
 var latencyBounds = [...]uint64{10, 15, 20, 30, 50, 100, 200}
@@ -270,9 +267,6 @@ func New(ch *dram.Channel, cfg Config, onReadDone func(*Request)) (*Controller, 
 	c.nextRefreshAt = c.refreshInterval()
 	return c, nil
 }
-
-// Channel returns the underlying DRAM channel.
-func (c *Controller) Channel() *dram.Channel { return c.ch }
 
 // SetObserver attaches a telemetry recorder (nil detaches): per-tier
 // refresh counters, the read-latency histogram, queue depth gauges, and

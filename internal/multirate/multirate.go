@@ -154,12 +154,6 @@ func (f *Flikker) RefreshRateNorm() float64 {
 	return f.CriticalFraction + (1-f.CriticalFraction)*ratio
 }
 
-// ExposedErrorRate returns the bit error rate the application must
-// tolerate in the non-critical region.
-func (f *Flikker) ExposedErrorRate(model *retention.Model) float64 {
-	return model.BER(f.Relaxed)
-}
-
 // SECRET models Shen et al.'s ICCD'12 scheme: cells profiled as failing
 // at the relaxed period get dedicated correction resources; everything
 // refreshes slowly. Like RAIDR it trusts the profile, so VRT cells that

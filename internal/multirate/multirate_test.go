@@ -131,11 +131,6 @@ func TestFlikkerEffectiveRate(t *testing.T) {
 	if got < 0.0625*3 {
 		t.Error("Flikker should be far worse than MECC's 1/16")
 	}
-	// Exposed non-critical error rate equals BER(1s).
-	model := retention.DefaultModel()
-	if rate := f.ExposedErrorRate(model); math.Abs(rate-retention.SlowBitErrorRate)/retention.SlowBitErrorRate > 1e-9 {
-		t.Errorf("exposed BER = %g", rate)
-	}
 	if _, err := NewFlikker(1.5, ms(64), time.Second); err == nil {
 		t.Error("bad fraction: want error")
 	}

@@ -80,9 +80,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the endpoint mux (for embedding in another server).
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // Start listens on addr (":0" picks a free port) and serves in a
 // background goroutine. It returns the bound address.
 func (s *Server) Start(addr string) (string, error) {

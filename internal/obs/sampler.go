@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"strconv"
-)
+import "fmt"
 
 // defaultMaxRows bounds sampler memory; one row per quantum means a
 // 64 ms quantum covers over an hour of simulated time at this cap.
@@ -109,32 +105,3 @@ func (s *Sampler) Rows() []SampleRow { return s.rows }
 
 // Dropped returns how many boundary rows exceeded the retention bound.
 func (s *Sampler) Dropped() uint64 { return s.dropped }
-
-// WriteCSV renders the series as quantum,t,<probe...> rows.
-func (s *Sampler) WriteCSV(w io.Writer) error {
-	buf := make([]byte, 0, 256)
-	buf = append(buf, "quantum,t"...)
-	for _, n := range s.names {
-		buf = append(buf, ',')
-		buf = append(buf, n...)
-	}
-	buf = append(buf, '\n')
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	for i, row := range s.rows {
-		buf = buf[:0]
-		buf = strconv.AppendInt(buf, int64(i), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendUint(buf, row.T, 10)
-		for _, v := range row.V {
-			buf = append(buf, ',')
-			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
-		}
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}

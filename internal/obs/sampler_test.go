@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestNewSamplerRejectsZeroQuantum(t *testing.T) {
 	if _, err := NewSampler(0); err == nil {
@@ -52,28 +49,6 @@ func TestSamplerCounterDeltasAndGauges(t *testing.T) {
 	names := s.Names()
 	if len(names) != 2 || names[0] != "reads" || names[1] != "level" {
 		t.Errorf("names = %v", names)
-	}
-}
-
-func TestSamplerWriteCSV(t *testing.T) {
-	s, err := NewSampler(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewRegistry().Counter("n")
-	s.AddCounterProbe("n", c.Value)
-	c.Add(3)
-	s.Tick(10)
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "quantum,t,n\n") {
-		t.Errorf("csv header:\n%s", out)
-	}
-	if !strings.Contains(out, "0,10,3\n") {
-		t.Errorf("csv row:\n%s", out)
 	}
 }
 

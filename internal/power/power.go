@@ -136,9 +136,6 @@ func NewCalculator(p Params, cfg dram.Config) (*Calculator, error) {
 	return &Calculator{p: p, cfg: cfg}, nil
 }
 
-// Params returns the calculator's power parameters.
-func (c *Calculator) Params() Params { return c.p }
-
 // tckSec returns the DRAM clock period in seconds.
 func (c *Calculator) tckSec() float64 { return 1 / float64(c.cfg.ClockHz) }
 
@@ -162,9 +159,7 @@ func (c *Calculator) Energy(s dram.Stats) Breakdown {
 	// current for tRFCpb per pulse.
 	b.RefreshJ = p.mw(p.IDD5-p.IDD3N)*float64(tm.TRFC)*tck*float64(s.NREF) +
 		p.mw(p.IDD5-p.IDD3N)/float64(c.cfg.Banks)*float64(tm.TRFCpb)*tck*float64(s.NREFpb)
-	b.SelfRefreshJ = ranks * (c.IdlePower(s.SRDividerBits).Total()*float64(s.CyclesSelfRefresh)*tck +
-		c.IdlePowerPASR(s.PASRRetained).Total()*float64(s.CyclesPASR)*tck +
-		c.DeepPowerDownPower()*float64(s.CyclesDPD)*tck)
+	b.SelfRefreshJ = ranks * (c.IdlePower(s.SRDividerBits).Total() * float64(s.CyclesSelfRefresh) * tck)
 	return b
 }
 
@@ -210,14 +205,6 @@ func (c *Calculator) IdlePowerPASR(retained float64) IdleBreakdown {
 // DeepPowerDownPower returns the deep-power-down power (contents lost).
 func (c *Calculator) DeepPowerDownPower() float64 {
 	return c.p.mw(c.p.IDDDPD)
-}
-
-// AutoRefreshPower returns the average power of distributed auto-refresh
-// at the JEDEC rate — the refresh tax during active mode.
-func (c *Calculator) AutoRefreshPower() float64 {
-	p := c.p
-	tm := c.cfg.Timing
-	return p.mw(p.IDD5-p.IDD3N) * float64(tm.TRFC) / float64(tm.TREFI)
 }
 
 // EnergyOver splits a usage period between active and idle and returns

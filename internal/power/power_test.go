@@ -123,16 +123,6 @@ func TestEnergyBreakdown(t *testing.T) {
 	}
 }
 
-func TestAutoRefreshPower(t *testing.T) {
-	c := newCalc(t)
-	got := c.AutoRefreshPower()
-	// (100-20) mA * 1.7 V * 14/1560 ≈ 1.22 mW.
-	want := (100 - 20.0) * 1.7 / 1000 * 14 / 1560
-	if math.Abs(got-want)/want > 1e-9 {
-		t.Errorf("auto refresh power = %g, want %g", got, want)
-	}
-}
-
 func TestEnergyOver(t *testing.T) {
 	c := newCalc(t)
 	idle := c.IdlePower(0)

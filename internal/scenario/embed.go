@@ -1,9 +1,6 @@
 package scenario
 
-import (
-	"embed"
-	"fmt"
-)
+import "embed"
 
 // specFS embeds the seed scenario library so the test binary, the CI
 // matrix, and cmd/meccscn all run the exact committed specs without a
@@ -16,18 +13,4 @@ var specFS embed.FS
 // sorted by file name.
 func Builtin() ([]Spec, error) {
 	return loadFS(specFS, "specs")
-}
-
-// BuiltinByName returns one embedded scenario.
-func BuiltinByName(name string) (Spec, error) {
-	specs, err := Builtin()
-	if err != nil {
-		return Spec{}, err
-	}
-	for _, s := range specs {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("%w: unknown scenario %q", ErrBadSpec, name)
 }

@@ -84,9 +84,6 @@ func NewGenerator(prof Profile, totalLines uint64, seed int64) (*Generator, erro
 	return g, nil
 }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
-
 // randomLine picks a uniform line within the footprint.
 func (g *Generator) randomLine() uint64 {
 	region := g.rng.Intn(len(g.regionBases))
