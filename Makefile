@@ -101,11 +101,13 @@ scenarios:
 scenarios-short:
 	$(GO) run ./cmd/meccscn run -short
 
-# Short fuzz session over the parsers, the BCH decoder, the controller
-# against per-cycle stepping, and the simulation and harness options.
+# Short fuzz session over the parsers, the BCH and line SECDED decoders,
+# the controller against per-cycle stepping, and the simulation and
+# harness options.
 fuzz:
 	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzDecodeDifferential -fuzztime 10s ./internal/golden/
+	$(GO) test -run=XXX -fuzz FuzzSECDEDDifferential -fuzztime 10s ./internal/golden/
 	$(GO) test -run=XXX -fuzz FuzzReadText -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzBinaryReader -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
@@ -119,10 +121,10 @@ fuzz:
 
 # 10-second BCH fuzz passes seeded with the extension-bit-guard and
 # t+1-error corpus (testdata/fuzz) — a quick regression check for the
-# decoder's miscorrection defences — plus one that holds the ECC-6
-# decoder to the golden reference bit for bit, one over the meccvet
-# baseline file, seeded with lint.baseline.json, one over the binary
-# trace reader, one each over obsdump's JSONL event reader and the
+# decoder's miscorrection defences — plus two that hold the ECC-6 and
+# line SECDED codecs to the golden references bit for bit, one over the
+# meccvet baseline file, seeded with lint.baseline.json, one over the
+# binary trace reader, one each over obsdump's JSONL event reader and the
 # Prometheus parser obsscrape feeds live HTTP input, one over the
 # -trace-events kind list, one over scenario-spec JSON seeded with the
 # built-in specs, one that holds the memory controller's fast paths to
@@ -132,6 +134,7 @@ fuzz-short:
 	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzDecodeDifferential -fuzztime 10s ./internal/golden/
+	$(GO) test -run=XXX -fuzz FuzzSECDEDDifferential -fuzztime 10s ./internal/golden/
 	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
 	$(GO) test -run=XXX -fuzz FuzzBinaryReader -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/

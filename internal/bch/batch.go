@@ -29,22 +29,3 @@ func (c *Code) EncodeBatch(data []line.Line, parityOut []uint64) {
 		obsEncodes.Add(uint64(hi - lo))
 	})
 }
-
-// DecodeBatch decodes each (data[i], parity[i]) pair into out[i] and
-// results[i], fanning the work out over the workers of batch.Default()
-// (small batches run inline). out may alias data — each element is read before
-// it is written and lines are independent. It panics if the slice
-// lengths differ.
-func (c *Code) DecodeBatch(data []line.Line, parity []uint64, out []line.Line, results []Result) {
-	if len(parity) != len(data) || len(out) != len(data) || len(results) != len(data) {
-		// invariant: callers pass parallel slices (documented contract).
-		panic("bch: DecodeBatch slice lengths differ")
-	}
-	// One closure per call, inline or fanned out: a fixed cost amortized
-	// over the lines (TestDecodeZeroAllocs pins it).
-	batch.Default().Run(len(data), minLinesPerWorker, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i], results[i] = c.Decode(data[i], parity[i])
-		}
-	})
-}

@@ -61,11 +61,8 @@ type Code struct {
 	parityBits int // deg(g), excluding the extension bit
 	extended   bool
 	gen        gf2.Poly2
-	// encTable[b] is the generator-polynomial remainder contribution of
-	// data byte value b, enabling byte-at-a-time encoding when parity
-	// fits in 64 bits (encodeLFSR, the serial reference in the tests).
-	encTable *[256]uint64
-	genMask  uint64
+	// genMask holds g(x)'s coefficients below x^parityBits.
+	genMask uint64
 	// encPos[p][v] is the remainder contribution of data byte p (bits
 	// 8p..8p+7 of the line, codeword exponents parityBits+8p..+8p+7)
 	// holding value v. Remainders are GF(2)-linear in the data, so the
@@ -73,13 +70,13 @@ type Code struct {
 	// LFSR register walk, the lookups carry no loop-to-loop dependency,
 	// so the encoder runs at memory-port speed.
 	encPos *[64][256]uint64
-	// Byte-at-a-time syndrome tables: for syndrome j (1-based),
-	// synTable[j-1][v] evaluates the byte polynomial v at alpha^j, and
-	// synStep[j-1] is the dense constant-multiplication table of
-	// alpha^(8j) (synStep[j-1][x] = x * alpha^(8j)), which advances the
-	// Horner accumulator by one byte in a single lookup.
-	synTable [][256]uint16
-	synStep  [][]uint16
+	// synNib[i][k][v] is the value at alpha^(2i+1) of nibble k of the
+	// remainder (bits 4k..4k+3) holding v: an odd syndrome is the XOR of
+	// sixteen independent lookups.
+	synNib [][16][16]uint16
+	// square[x] is x^2. For a binary word S_2j = S_j^2, so the even
+	// syndromes cost one lookup each.
+	square []uint16
 	// chienStep[k-1] is the dense constant-multiplication table of
 	// alpha^-k, the per-position update factor of locator term k in the
 	// incremental Chien search.
@@ -145,36 +142,36 @@ func newCode(t int, extended bool) (*Code, error) {
 		return nil, fmt.Errorf("%w: %d parity bits", ErrParityWidth, c.parityBits)
 	}
 	c.buildEncTable()
+	c.buildEncPosTables()
 	c.buildSynTables()
 	return c, nil
 }
 
-// buildSynTables precomputes the byte-wise syndrome evaluation tables
-// and the root-finding tables.
+// buildSynTables precomputes the syndrome evaluation tables and the
+// root-finding tables. Each nibble table is filled by the
+// lowest-set-bit subset trick, as in buildEncPosTables.
 func (c *Code) buildSynTables() {
 	f := c.field
-	c.synTable = make([][256]uint16, 2*c.t)
-	c.synStep = make([][]uint16, 2*c.t)
 	c.chienStep = make([][]uint16, c.t)
 	for k := 1; k <= c.t; k++ {
 		c.chienStep[k-1] = f.MulTable(f.Alpha(f.Order() - k))
 	}
-	for j := 1; j <= 2*c.t; j++ {
-		c.synStep[j-1] = f.MulTable(f.Alpha(8 * j))
-		// powers[k] = alpha^(j*k) for bit k of a byte.
-		var powers [8]uint16
-		for k := 0; k < 8; k++ {
-			powers[k] = f.Alpha(j * k)
-		}
-		for v := 0; v < 256; v++ {
-			var acc uint16
-			for k := 0; k < 8; k++ {
-				if v>>k&1 == 1 {
-					acc ^= powers[k]
+	c.synNib = make([][16][16]uint16, c.t)
+	for i := range c.synNib {
+		j := 2*i + 1
+		for k := range c.synNib[i] {
+			tbl := &c.synNib[i][k]
+			for b := 0; b < 4; b++ {
+				pw := f.Alpha(j * (4*k + b))
+				for v := 1 << b; v < 1<<(b+1); v++ {
+					tbl[v] = tbl[v-1<<b] ^ pw
 				}
 			}
-			c.synTable[j-1][v] = acc
 		}
+	}
+	c.square = make([]uint16, c.n+1)
+	for x := range c.square {
+		c.square[x] = f.Mul(uint16(x), uint16(x))
 	}
 	c.log = make([]uint16, c.n+1)
 	for i := 0; i < c.n; i++ {
@@ -188,33 +185,11 @@ func (c *Code) buildSynTables() {
 	}
 }
 
-// buildEncTable precomputes the LFSR remainder table for byte-at-a-time
-// systematic encoding. The remainder register holds deg(g) bits in the low
-// bits of a uint64.
+// buildEncTable derives genMask from the generator polynomial.
 func (c *Code) buildEncTable() {
-	deg := c.parityBits
-	var gmask uint64
-	for i := 0; i < deg; i++ {
-		gmask |= uint64(c.gen.Coeff(i)) << i
+	for i := 0; i < c.parityBits; i++ {
+		c.genMask |= uint64(c.gen.Coeff(i)) << i
 	}
-	c.genMask = gmask
-	var tbl [256]uint64
-	top := uint64(1) << (deg - 1)
-	for b := 0; b < 256; b++ {
-		// Feed the byte MSB-first into the LFSR.
-		var reg uint64
-		for bit := 7; bit >= 0; bit-- {
-			in := uint64(b>>bit) & 1
-			fb := (reg & top) >> (deg - 1)
-			reg = (reg << 1) & ((top << 1) - 1)
-			if fb^in == 1 {
-				reg ^= gmask
-			}
-		}
-		tbl[b] = reg
-	}
-	c.encTable = &tbl
-	c.buildEncPosTables()
 }
 
 // buildEncPosTables precomputes the position-indexed remainder tables:
@@ -352,7 +327,8 @@ func (c *Code) Decode(data line.Line, parity uint64) (line.Line, Result) {
 // stored parity, 64 independent table lookups. Every alpha^j with
 // j <= 2t is a root of g, so S_j = R(alpha^j) = rem(alpha^j): all 2t
 // syndromes vanish exactly when rem is zero, and otherwise they are
-// evaluated over rem's eight bytes rather than the codeword's 72.
+// evaluated from rem's sixteen nibbles rather than the codeword's 72
+// bytes.
 func (c *Code) decode(data line.Line, parity uint64) (line.Line, Result) {
 	deg := c.parityBits
 	extBit := (parity >> deg) & 1
@@ -417,17 +393,25 @@ func (c *Code) decode(data line.Line, parity uint64) (line.Line, Result) {
 }
 
 // remSyndromes computes S_1..S_2t from the remainder rem = R(x) mod g(x)
-// into the caller-provided scratch array, without allocating: 2t Horner
-// accumulators advance over rem's eight bytes, top byte first, each step
-// one synStep constant multiply and one synTable byte evaluation.
+// into the caller-provided scratch array, without allocating. Each of
+// the t odd syndromes is the XOR of sixteen independent synNib lookups,
+// one per nibble of rem. rem is a binary polynomial, so
+// S_2j = rem(alpha^j)^2 = S_j^2 and each even syndrome is one square
+// lookup, taken in rising j so that S_j is already known.
 func (c *Code) remSyndromes(rem uint64, out *[maxSyn]uint16) {
-	nSyn := 2 * c.t
-	*out = [maxSyn]uint16{}
-	for s := 56; s >= 0; s -= 8 {
-		b := rem >> uint(s) & 0xff
-		for j := 0; j < nSyn; j++ {
-			out[j] = c.synStep[j][out[j]] ^ c.synTable[j][b]
-		}
+	for i := range c.synNib {
+		t := &c.synNib[i]
+		out[2*i] = t[0][rem&0xf] ^ t[1][rem>>4&0xf] ^
+			t[2][rem>>8&0xf] ^ t[3][rem>>12&0xf] ^
+			t[4][rem>>16&0xf] ^ t[5][rem>>20&0xf] ^
+			t[6][rem>>24&0xf] ^ t[7][rem>>28&0xf] ^
+			t[8][rem>>32&0xf] ^ t[9][rem>>36&0xf] ^
+			t[10][rem>>40&0xf] ^ t[11][rem>>44&0xf] ^
+			t[12][rem>>48&0xf] ^ t[13][rem>>52&0xf] ^
+			t[14][rem>>56&0xf] ^ t[15][rem>>60]
+	}
+	for j := 1; j <= c.t; j++ {
+		out[2*j-1] = c.square[out[j-1]]
 	}
 }
 
@@ -436,6 +420,11 @@ func (c *Code) remSyndromes(rem uint64, out *[maxSyn]uint16) {
 // returning its degree. It returns ok=false when the implied error count
 // exceeds t. All working state lives in fixed-size stack arrays bounded
 // by the maximum syndrome count, so the routine never allocates.
+//
+// The syndromes are those of a binary word (S_2j = S_j^2), for which
+// the discrepancy at every odd step r, the one that meets the even
+// syndrome S_(r+1), is zero (Berlekamp's simplification for binary BCH
+// codes). Those steps only advance m.
 func (c *Code) berlekampMassey(synd []uint16, lambda *[maxSyn + 1]uint16) (int, bool) {
 	f := c.field
 	nSyn := len(synd)
@@ -447,6 +436,10 @@ func (c *Code) berlekampMassey(synd []uint16, lambda *[maxSyn + 1]uint16) (int, 
 	m := 1
 	b := uint16(1)
 	for r := 0; r < nSyn; r++ {
+		if r&1 == 1 {
+			m++
+			continue
+		}
 		// Discrepancy d = S_r + sum lambda_i * S_{r-i}.
 		d := synd[r]
 		for i := 1; i <= l; i++ {

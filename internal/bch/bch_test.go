@@ -482,7 +482,7 @@ func TestSyndromeRemainderDifferential(t *testing.T) {
 // The decode hot path must be allocation-free on the clean (zero
 // remainder) path and on every correction route (closed-form roots for
 // one and two errors, the Chien search for six), for both plain and
-// extended codes; the batch APIs allocate a fixed count per call.
+// extended codes; EncodeBatch allocates a fixed count per call.
 func TestDecodeZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, extended := range []bool{false, true} {
@@ -519,7 +519,7 @@ func TestDecodeZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { c.Encode(data) }); n != 0 {
 		t.Errorf("Encode allocates %.1f times per run, want 0", n)
 	}
-	// The batch APIs allocate one closure per call, whatever the batch
+	// EncodeBatch allocates one closure per call, whatever the batch
 	// length; the pool's workers are persistent, so fanning the lines out
 	// to them costs nothing more. On two or more CPUs these batches do
 	// fan out, so the guard measures that path and not only the inline
@@ -532,8 +532,6 @@ func TestDecodeZeroAllocs(t *testing.T) {
 			data[i] = randLine(rng)
 		}
 		parity := make([]uint64, lines)
-		out := make([]line.Line, lines)
-		results := make([]Result, lines)
 		rec := obs.New()
 		batch.SetObserver(rec)
 		c.EncodeBatch(data, parity)
@@ -544,15 +542,12 @@ func TestDecodeZeroAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(5, func() { c.EncodeBatch(data, parity) }); n != batchAllocs {
 			t.Errorf("%d-line EncodeBatch allocates %v per call, want %d", lines, n, batchAllocs)
 		}
-		if n := testing.AllocsPerRun(5, func() { c.DecodeBatch(data, parity, out, results) }); n != batchAllocs {
-			t.Errorf("%d-line DecodeBatch allocates %v per call, want %d", lines, n, batchAllocs)
-		}
 	}
 }
 
-// Batch encode/decode must agree element-for-element with the sequential
-// API; on two or more CPUs the default pool fans the lines out, so the
-// race detector sees the workers.
+// EncodeBatch must agree element-for-element with the sequential API; on
+// two or more CPUs the default pool fans the lines out, so the race
+// detector sees the workers.
 func TestBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	c := mustCode(t, 6, false)
@@ -568,48 +563,16 @@ func TestBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("EncodeBatch[%d] = %#x, want %#x", i, parities[i], want)
 		}
 	}
-	// Corrupt a spread of error weights, including uncorrectable ones.
-	bads := make([]line.Line, n)
-	badPar := make([]uint64, n)
-	for i := range datas {
-		bads[i], badPar[i] = corruptWord(rng, c, datas[i], parities[i], i%9)
-	}
-	out := make([]line.Line, n)
-	results := make([]Result, n)
-	c.DecodeBatch(bads, badPar, out, results)
-	for i := range datas {
-		wantLine, wantRes := c.Decode(bads[i], badPar[i])
-		if out[i] != wantLine || results[i] != wantRes {
-			t.Fatalf("DecodeBatch[%d] diverges from Decode: got (%v,%+v) want (%v,%+v)",
-				i, out[i], results[i], wantLine, wantRes)
-		}
-	}
-	// In-place decode: out aliasing data must give the same results.
-	c.DecodeBatch(bads, badPar, bads, results)
-	for i := range datas {
-		if bads[i] != out[i] {
-			t.Fatalf("aliased DecodeBatch[%d] diverges", i)
-		}
-	}
 }
 
 func TestBatchLengthMismatchPanics(t *testing.T) {
 	c := mustCode(t, 6, false)
-	for name, fn := range map[string]func(){
-		"encode": func() { c.EncodeBatch(make([]line.Line, 3), make([]uint64, 2)) },
-		"decode": func() {
-			c.DecodeBatch(make([]line.Line, 3), make([]uint64, 3), make([]line.Line, 3), make([]Result, 1))
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: length mismatch did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("EncodeBatch length mismatch did not panic")
+		}
+	}()
+	c.EncodeBatch(make([]line.Line, 3), make([]uint64, 2))
 }
 
 // BenchmarkDecodeClean measures the dominant sweep case: a codeword with
@@ -679,31 +642,6 @@ func BenchmarkDecodeT6(b *testing.B) {
 			b.Fatal("uncorrectable")
 		}
 	}
-}
-
-// BenchmarkDecodeBatchClean measures per-line cost through the batch API
-// (fanned out over the default pool's workers, one per CPU).
-func BenchmarkDecodeBatchClean(b *testing.B) {
-	c, err := New(6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(32))
-	const n = 1024
-	datas := make([]line.Line, n)
-	parities := make([]uint64, n)
-	for i := range datas {
-		datas[i] = randLine(rng)
-	}
-	c.EncodeBatch(datas, parities)
-	out := make([]line.Line, n)
-	results := make([]Result, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.DecodeBatch(datas, parities, out, results)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/line")
 }
 
 func BenchmarkSyndromesFast(b *testing.B) {

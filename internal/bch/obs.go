@@ -5,8 +5,9 @@ import "repro/internal/obs"
 // Package-level telemetry counters. They are nil by default — a nil
 // *obs.Counter's Add is a no-op behind one branch — so the encode and
 // decode hot paths keep their zero-allocation guarantee with telemetry
-// disabled (guarded by TestDecodeZeroAllocsTelemetryDisabled). Counters
-// are atomic, so DecodeBatch's parallel workers may share them.
+// disabled (guarded by TestDecodeZeroAllocs and
+// TestDetachedObserverZeroAllocs). Counters are atomic, so the parallel
+// workers of EncodeBatch and ecc.Morphable.DecodeBatch may share them.
 var (
 	obsEncodes       *obs.Counter
 	obsDecodes       *obs.Counter

@@ -2,9 +2,33 @@ package bch
 
 import "repro/internal/line"
 
+// lfsrTable returns the LFSR remainder table for byte-at-a-time
+// systematic encoding: entry b is the register after feeding byte b,
+// MSB first, into a zero register. The register holds deg(g) bits in
+// the low bits of a uint64.
+func (c *Code) lfsrTable() *[256]uint64 {
+	deg := c.parityBits
+	top := uint64(1) << (deg - 1)
+	var tbl [256]uint64
+	for b := 0; b < 256; b++ {
+		var reg uint64
+		for bit := 7; bit >= 0; bit-- {
+			in := uint64(b>>bit) & 1
+			fb := (reg & top) >> (deg - 1)
+			reg = (reg << 1) & ((top << 1) - 1)
+			if fb^in == 1 {
+				reg ^= c.genMask
+			}
+		}
+		tbl[b] = reg
+	}
+	return &tbl
+}
+
 // encodeLFSR is the serial byte-at-a-time LFSR encoder, kept as the
 // reference for the positional-table equivalence test.
 func (c *Code) encodeLFSR(data line.Line) uint64 {
+	encTable := c.lfsrTable()
 	deg := c.parityBits
 	top := uint64(1) << (deg - 1)
 	regMask := (top << 1) - 1
@@ -18,7 +42,7 @@ func (c *Code) encodeLFSR(data line.Line) uint64 {
 		word := data[w]
 		for s := 56; s >= 0; s -= 8 {
 			idx := byte(reg>>(deg-8)) ^ byte(word>>uint(s))
-			reg = ((reg << 8) & regMask) ^ c.encTable[idx]
+			reg = ((reg << 8) & regMask) ^ encTable[idx]
 		}
 	}
 	if c.extended {

@@ -46,16 +46,13 @@ type Codec interface {
 }
 
 // BatchCodec is the optional bulk interface a Codec may implement to
-// encode or decode many independent lines at once (internally fanned out
-// over batch.Default()). Morphable.EncodeBatch probes for it and falls
-// back to per-line calls otherwise.
+// encode many independent lines at once (internally fanned out over
+// batch.Default()). Morphable.EncodeBatch probes for it and falls back
+// to per-line calls otherwise.
 type BatchCodec interface {
 	Codec
 	// EncodeBatch computes check words for each line: out[i] = Encode(data[i]).
 	EncodeBatch(data []line.Line, out []uint64)
-	// DecodeBatch decodes each (data[i], check[i]) pair into out[i],
-	// results[i]. out may alias data.
-	DecodeBatch(data []line.Line, check []uint64, out []line.Line, results []Result)
 }
 
 // Screener is the optional fast-screen interface a Codec may implement:
@@ -283,12 +280,6 @@ func (b *BCH) ScreenClean(data line.Line, check uint64) bool {
 // encoder.
 func (b *BCH) EncodeBatch(data []line.Line, out []uint64) {
 	b.code.EncodeBatch(data, out)
-}
-
-// DecodeBatch implements BatchCodec by delegating to the BCH worker-pool
-// decoder (Result is an alias of bch.Result, so no conversion copy).
-func (b *BCH) DecodeBatch(data []line.Line, check []uint64, out []line.Line, results []Result) {
-	b.code.DecodeBatch(data, check, out, results)
 }
 
 // ByName constructs a codec from its registry name: "none", "secded-word",

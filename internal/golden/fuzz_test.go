@@ -5,8 +5,23 @@ import (
 	"testing"
 
 	"repro/internal/bch"
+	"repro/internal/hamming"
 	"repro/internal/line"
 )
+
+// fuzzLine is the line the fuzz targets' seeds are built on.
+var fuzzLine = [8]uint64{0x0123456789abcdef, 0xfedcba9876543210, 1 << 33, 42,
+	0xdeadbeef, 0xcafebabe00000000, ^uint64(0), 0x8000000000000001}
+
+// flipBytes encodes codeword positions as a fuzz target's flip list:
+// two bytes each, little-endian.
+func flipBytes(positions ...uint16) []byte {
+	b := make([]byte, 0, 2*len(positions))
+	for _, p := range positions {
+		b = binary.LittleEndian.AppendUint16(b, p)
+	}
+	return b
+}
 
 // FuzzDecodeDifferential requires the optimized ECC-6 decoder and the
 // reference to return the same data and Result for a fuzz-chosen
@@ -35,15 +50,7 @@ func FuzzDecodeDifferential(f *testing.F) {
 		}
 		pairs = append(pairs, pair{opt, ref})
 	}
-	flipBytes := func(positions ...uint16) []byte {
-		b := make([]byte, 0, 2*len(positions))
-		for _, p := range positions {
-			b = binary.LittleEndian.AppendUint16(b, p)
-		}
-		return b
-	}
-	w := [8]uint64{0x0123456789abcdef, 0xfedcba9876543210, 1 << 33, 42,
-		0xdeadbeef, 0xcafebabe00000000, ^uint64(0), 0x8000000000000001}
+	w := fuzzLine
 	// A clean line, then six (correctable) and seven (beyond t) errors
 	// spread over parity and data.
 	f.Add(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], uint64(0), []byte(nil))
@@ -66,6 +73,71 @@ func FuzzDecodeDifferential(f *testing.F) {
 			if bad := DiffBCH(pr.opt, pr.ref, []BCHCase{{Name: "fuzz", Data: d, Parity: p}}); len(bad) != 0 {
 				t.Fatalf("ext=%v: %s", pr.opt.Extended(), bad[0])
 			}
+		}
+	})
+}
+
+// FuzzSECDEDDifferential requires the 512-bit line SECDED and the
+// reference to agree on a fuzz-chosen line and received word: the check
+// word Encode returns for the line, the data and Result Decode returns
+// for the word, and ScreenClean's verdict, which must be true exactly
+// when Decode returns a zero Result. The word is the line with its
+// encoding XOR a fuzz-chosen check word, followed by up to three flips
+// at fuzz-chosen positions (two bytes each, little-endian, modulo the
+// 523 data, check and overall parity bits; data bits first).
+func FuzzSECDEDDifferential(f *testing.F) {
+	opt, err := hamming.NewSECDED(line.Bits)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ref, err := NewRefSECDED(line.Bits)
+	if err != nil {
+		f.Fatal(err)
+	}
+	total := line.Bits + ref.CheckBits()
+	w := fuzzLine
+	for _, flips := range [][]byte{
+		nil,                            // clean
+		flipBytes(300),                 // one data bit
+		flipBytes(line.Bits + 3),       // one Hamming check bit
+		flipBytes(uint16(total - 1)),   // the overall parity bit
+		flipBytes(5, 400),              // two flips: detected
+		flipBytes(5, 400, line.Bits+7), // three flips
+	} {
+		f.Add(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], uint64(0), flips)
+	}
+
+	f.Fuzz(func(t *testing.T, w0, w1, w2, w3, w4, w5, w6, w7, check uint64, flips []byte) {
+		data := []uint64{w0, w1, w2, w3, w4, w5, w6, w7}
+		got, err := opt.Encode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Encode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("Encode = %#x, reference %#x", got, want)
+		}
+		check ^= got
+		for k := 0; k+1 < len(flips) && k < 6; k += 2 {
+			pos := int(binary.LittleEndian.Uint16(flips[k:])) % total
+			if pos < line.Bits {
+				flipBit(data, pos)
+			} else {
+				check ^= uint64(1) << (pos - line.Bits)
+			}
+		}
+		if bad := DiffSECDED(opt, ref, []SECDEDCase{{Name: "fuzz", Data: data, Check: check}}); len(bad) != 0 {
+			t.Fatal(bad[0])
+		}
+		res, err := opt.Decode(append([]uint64(nil), data...), check)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clean := res == (hamming.Result{}); opt.ScreenClean(data, check) != clean {
+			t.Fatalf("ScreenClean = %v, Decode result %+v", !clean, res)
 		}
 	})
 }

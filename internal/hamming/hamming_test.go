@@ -250,8 +250,10 @@ func BenchmarkEncode512(b *testing.B) {
 	}
 }
 
-// Property: the word-parallel mask syndrome matches the bit-serial
-// reference walk for every code size and random data.
+// Property: the byte-table syndrome matches the bit-serial reference
+// walk for every code size and random data. Up to 1000 data bits, every
+// table entry is checked too: each byte position holding each value,
+// with the rest of the line zero, slack bits included.
 func TestSyndromeWordParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dataBits := range []int{1, 7, 63, 64, 65, 100, 256, 511, 512, 1000, 4096} {
@@ -260,6 +262,18 @@ func TestSyndromeWordParallelEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := make([]uint64, s.wordsNeeded())
+		for i := 0; dataBits <= 1000 && i < 8*len(data); i++ {
+			for v := uint64(1); v < 256; v++ {
+				clear(data)
+				data[i/8] = v << (8 * (i % 8))
+				fastSynd, fastOnes := s.syndromeOf(data)
+				refSynd, refOnes := s.syndromeBitSerial(data)
+				if fastSynd != refSynd || fastOnes != refOnes {
+					t.Fatalf("dataBits=%d byte %d = %#x: table (synd=%#x ones=%d) != bit-serial (synd=%#x ones=%d)",
+						dataBits, i, v, fastSynd, fastOnes, refSynd, refOnes)
+				}
+			}
+		}
 		for trial := 0; trial < 50; trial++ {
 			for i := range data {
 				data[i] = rng.Uint64()
@@ -267,7 +281,7 @@ func TestSyndromeWordParallelEquivalence(t *testing.T) {
 			fastSynd, fastOnes := s.syndromeOf(data)
 			refSynd, refOnes := s.syndromeBitSerial(data)
 			if fastSynd != refSynd || fastOnes != refOnes {
-				t.Fatalf("dataBits=%d: word-parallel (synd=%#x ones=%d) != bit-serial (synd=%#x ones=%d)",
+				t.Fatalf("dataBits=%d: table (synd=%#x ones=%d) != bit-serial (synd=%#x ones=%d)",
 					dataBits, fastSynd, fastOnes, refSynd, refOnes)
 			}
 		}
