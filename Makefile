@@ -27,16 +27,16 @@ cover-gate:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis (cmd/meccvet: the seven-analyzer
-# suite — concsafety, cyclewrap, determinism, errwrap, nilhook,
-# nopanic, unitflow — plus its unknown-directive check; see DESIGN.md
-# §9) plus vet, plus scenario-spec validation, plus staticcheck when
-# available. Allocation-freedom is guarded at run time by the
-# *ZeroAllocs tests, not by meccvet. meccvet compares against the
-# committed lint.baseline.json, so only NEW findings fail. `go vet`
-# runs first: it compiles the export data in the Go build cache that
-# meccvet imports every dependency from. CI runs the same set with
-# staticcheck pinned at STATICCHECK_VERSION.
+# Project-specific static analysis (cmd/meccvet: the four-analyzer
+# suite — concsafety, cyclewrap, determinism, errwrap — plus its
+# unknown-directive check; see DESIGN.md §9) plus vet, plus
+# scenario-spec validation, plus staticcheck when available.
+# Allocation-freedom and nil-safe hooks are guarded at run time by the
+# *ZeroAllocs and TestNilReceivers tests, not by meccvet. meccvet
+# compares against the committed lint.baseline.json, so only NEW
+# findings fail. `go vet` runs first: it compiles the export data in
+# the Go build cache that meccvet imports every dependency from. CI
+# runs the same set with staticcheck pinned at STATICCHECK_VERSION.
 lint: speclint
 	$(GO) vet ./...
 	$(GO) run ./cmd/meccvet -baseline lint.baseline.json ./...
@@ -59,8 +59,9 @@ lint-baseline:
 	$(GO) run ./cmd/meccvet -baseline lint.baseline.json -write-baseline ./...
 
 # The analysis framework's own test suite: SSA builder goldens and
-# def-use invariants, every analyzer fixture and the directive fixture,
-# and the meccvet CLI flag tests. CI runs this under -race.
+# def-use invariants, the fixtures of the four analyzers (concsafety,
+# cyclewrap, determinism, errwrap) and the directive fixture, and the
+# meccvet CLI flag tests. CI runs this under -race.
 self-test:
 	$(GO) test ./internal/analysis/... ./cmd/meccvet/...
 

@@ -1,10 +1,8 @@
-// Command meccvet is the project's static-analysis multichecker: seven
+// Command meccvet is the project's static-analysis multichecker: four
 // analyzers that pin the simulator's compile-time invariants —
-// deterministic replay and seed provenance, nil-safe telemetry hooks,
-// unit-safe clock conversions (typed and name-inferred), documented
-// panics, sentinel-error wrapping, batch-worker write discipline with
-// typed atomics, and unsigned cycle-arithmetic wrap guards. Run it over
-// the module with
+// deterministic replay and seed provenance, sentinel-error wrapping,
+// batch-worker write discipline with typed atomics, and unsigned
+// cycle-arithmetic wrap guards. Run it over the module with
 //
 //	go run ./cmd/meccvet ./...
 //

@@ -47,34 +47,40 @@ func TestListCoversAllAnalyzers(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "concsafety cyclewrap determinism errwrap nilhook nopanic unitflow"
+	want := "concsafety cyclewrap determinism errwrap"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("-list printed %s, want %s:\n%s", got, want, out)
 	}
 }
 
+// TestJSONFormat pins the JSON report: exactly the seed fixture's four
+// findings, also when -run repeats the analyzer's name.
 func TestJSONFormat(t *testing.T) {
-	code, out, _ := capture(t, "-run", "determinism", "-format", "json", seedFixture)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 (fixture has findings)", code)
-	}
-	var rep struct {
-		Version  int `json:"version"`
-		Findings []struct {
-			File     string `json:"file"`
-			Analyzer string `json:"analyzer"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("-format json output is not valid JSON: %v\n%s", err, out)
-	}
-	if rep.Version != 1 || len(rep.Findings) != 4 {
-		t.Fatalf("report = %+v, want version 1 with the fixture's 4 findings", rep)
-	}
-	for _, f := range rep.Findings {
-		if f.Analyzer != "determinism" {
-			t.Errorf("finding from %s leaked through -run determinism", f.Analyzer)
-		}
+	for _, only := range []string{"determinism", "determinism,determinism"} {
+		t.Run(only, func(t *testing.T) {
+			code, out, _ := capture(t, "-run", only, "-format", "json", seedFixture)
+			if code != 1 {
+				t.Fatalf("exit = %d, want 1 (fixture has findings)", code)
+			}
+			var rep struct {
+				Version  int `json:"version"`
+				Findings []struct {
+					File     string `json:"file"`
+					Analyzer string `json:"analyzer"`
+				} `json:"findings"`
+			}
+			if err := json.Unmarshal([]byte(out), &rep); err != nil {
+				t.Fatalf("-format json output is not valid JSON: %v\n%s", err, out)
+			}
+			if rep.Version != 1 || len(rep.Findings) != 4 {
+				t.Fatalf("report = %+v, want version 1 with the fixture's 4 findings", rep)
+			}
+			for _, f := range rep.Findings {
+				if f.Analyzer != "determinism" {
+					t.Errorf("finding from %s leaked through -run %s", f.Analyzer, only)
+				}
+			}
+		})
 	}
 }
 

@@ -6,24 +6,22 @@
 // `go list -json` metadata) so the module keeps its zero-dependency
 // property.
 //
-// The seven analyzers (concsafety, cyclewrap, determinism, errwrap,
-// nilhook, nopanic, unitflow) encode invariants of this simulator that
-// the run-time layers (internal/golden, internal/checker) cannot see
-// until a simulation executes: deterministic replay and run-config
-// seed provenance, nil-safe telemetry hooks, unit-safe cycle/time
-// conversions (typed and name-inferred), unsigned cycle-arithmetic
-// wrap guards, documented panics, sentinel-error wrapping, and the
-// batch.Pool.Run per-index write discipline with typed atomics. The
-// allocation-free hot paths are guarded at run time, by the
-// *ZeroAllocs tests. The interprocedural analyzers run on a
-// whole-program layer (program.go: call graph + function index;
-// cfg.go: per-function control-flow graphs; ssa.go: an SSA form with
-// the one dataflow solver, solveSSA) built once per Run. Run also
-// reports every //meccvet: directive it would otherwise ignore. The
-// loader (load.go) type-checks the analyzed packages from source and
-// imports their dependencies from the export data in the Go build
-// cache. See DESIGN.md §9 for the rationale and the suppression
-// syntax.
+// The four analyzers (concsafety, cyclewrap, determinism, errwrap)
+// encode invariants of this simulator that the run-time layers
+// (internal/golden, internal/checker) cannot see until a simulation
+// executes: deterministic replay and run-config seed provenance,
+// unsigned cycle-arithmetic wrap guards, sentinel-error wrapping, and
+// the batch.Pool.Run per-index write discipline with typed atomics.
+// The allocation-free hot paths and the nil-safe telemetry and checker
+// hooks are guarded at run time, by the *ZeroAllocs and nil-receiver
+// tests. The interprocedural analyzers run on a whole-program layer
+// (program.go: call graph + function index; cfg.go: per-function
+// control-flow graphs; ssa.go: an SSA form with the one dataflow
+// solver, solveSSA) built once per Run. Run also reports every
+// //meccvet: directive it would otherwise ignore. The loader (load.go)
+// type-checks the analyzed packages from source and imports their
+// dependencies from the export data in the Go build cache. See
+// DESIGN.md §9 for the rationale and the suppression syntax.
 package analysis
 
 import (
@@ -80,7 +78,7 @@ type Pass struct {
 	PkgPath string
 	// Prog is the whole-program view over every root package of the
 	// run — the call graph, function index, and interprocedural
-	// summaries behind concsafety, cyclewrap, determinism, and unitflow.
+	// summaries behind concsafety, cyclewrap and determinism.
 	Prog *Program
 
 	report func(Diagnostic)

@@ -12,12 +12,6 @@ import (
 //
 //	//meccvet:allow [name,...] [-- reason]   suppress findings on this
 //	                                         line or the next one
-//	//meccvet:nilsafe                        (type doc) exported pointer
-//	                                         methods must nil-guard the
-//	                                         receiver
-//	//meccvet:unitconv                       (func doc) function is a
-//	                                         sanctioned unit-conversion
-//	                                         helper
 //	//meccvet:quiescent                      (func doc) function mutates
 //	                                         shared state and must not
 //	                                         run concurrently with
@@ -33,8 +27,6 @@ import (
 // is reported by checkDirectives.
 const (
 	verbAllow     = "allow"
-	verbNilsafe   = "nilsafe"
-	verbUnitconv  = "unitconv"
 	verbQuiescent = "quiescent"
 	verbSeed      = "seed"
 )
@@ -96,12 +88,12 @@ func scanDirectives(fset *token.FileSet, files []*ast.File) []directive {
 }
 
 // checkDirectives reports each directive that would otherwise be
-// silently ignored: an unknown verb (a misspelt //meccvet:nilsafe
-// turns nilhook off for its type), and an allow naming an analyzer
-// outside All. Names are checked against All, not against the run's
-// selection, so a -run subset never flags a valid allow.
+// silently ignored: an unknown verb (a misspelt //meccvet:quiescent
+// turns concsafety's check off for its function), and an allow naming
+// an analyzer outside All. Names are checked against All, not against
+// the run's selection, so a -run subset never flags a valid allow.
 func checkDirectives(dirs []directive) []Diagnostic {
-	known := map[string]bool{verbAllow: true, verbNilsafe: true, verbUnitconv: true, verbQuiescent: true, verbSeed: true}
+	known := map[string]bool{verbAllow: true, verbQuiescent: true, verbSeed: true}
 	registered := make(map[string]bool)
 	for _, a := range All() {
 		registered[a.Name] = true
@@ -134,30 +126,6 @@ func hasDirective(doc *ast.CommentGroup, verb string) bool {
 	for _, c := range doc.List {
 		if v, _, ok := parseDirective(c.Text); ok && v == verb {
 			return true
-		}
-	}
-	return false
-}
-
-// typeHasDirective reports whether the type declaration of the named
-// type carries the marker, checking both the TypeSpec doc and the
-// enclosing GenDecl doc (gofmt moves single-spec docs to the GenDecl).
-func typeHasDirective(files []*ast.File, name, verb string) bool {
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != name {
-					continue
-				}
-				if hasDirective(ts.Doc, verb) || hasDirective(gd.Doc, verb) {
-					return true
-				}
-			}
 		}
 	}
 	return false

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -23,36 +24,6 @@ func TestDeterminismOutOfScope(t *testing.T) {
 	analysistest.MustFindings(t, diags, 0)
 }
 
-func TestNilhook(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Nilhook, "./testdata/src/obs")
-	analysistest.MustFindings(t, diags, 3)
-}
-
-// TestCycleunits pins unitflow's typed boundary: conversions between
-// time.Duration and raw numbers outside //meccvet:unitconv helpers.
-func TestCycleunits(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Unitflow, "./testdata/src/dram")
-	analysistest.MustFindings(t, diags, 3)
-}
-
-// TestCycleunitsOutOfScope pins that the typed boundary shares
-// unitflow's package scope: scopefree's bare time.Duration(x) is not
-// reported.
-func TestCycleunitsOutOfScope(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Unitflow, "./testdata/src/scopefree")
-	analysistest.MustFindings(t, diags, 0)
-}
-
-func TestNopanic(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Nopanic, "./testdata/src/lib")
-	analysistest.MustFindings(t, diags, 1)
-}
-
-func TestNopanicCmdExempt(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Nopanic, "./testdata/src/cmd/tool")
-	analysistest.MustFindings(t, diags, 0)
-}
-
 func TestErrwrap(t *testing.T) {
 	diags := analysistest.Run(t, analysis.Errwrap, "./testdata/src/wrap")
 	analysistest.MustFindings(t, diags, 5)
@@ -69,16 +40,6 @@ func TestConcsafety(t *testing.T) {
 func TestSeedflow(t *testing.T) {
 	diags := analysistest.Run(t, analysis.Determinism, "./testdata/src/seed")
 	analysistest.MustFindings(t, diags, 4)
-}
-
-func TestUnitflow(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Unitflow, "./testdata/src/power")
-	analysistest.MustFindings(t, diags, 11)
-}
-
-func TestUnitflowOutOfScope(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Unitflow, "./testdata/src/scopefree")
-	analysistest.MustFindings(t, diags, 0)
 }
 
 // TestAtomicfield pins concsafety's typed-atomics rule: every call to
@@ -100,9 +61,9 @@ func TestCyclewrapOutOfScope(t *testing.T) {
 
 // TestDirective pins the directive check: an unknown verb and an allow
 // naming an analyzer outside All are reported under "directive", here
-// on a run that selects only nilhook.
+// on a run that selects only errwrap.
 func TestDirective(t *testing.T) {
-	diags := analysistest.Run(t, analysis.Nilhook, "./testdata/src/directive")
+	diags := analysistest.Run(t, analysis.Errwrap, "./testdata/src/directive")
 	analysistest.MustFindings(t, diags, 2)
 	for _, d := range diags {
 		if d.Analyzer != "directive" {
@@ -111,37 +72,57 @@ func TestDirective(t *testing.T) {
 	}
 }
 
-// TestSelect pins the registry: All holds exactly the seven analyzers
-// and Select rejects unknown names.
+// TestSelect pins the registry: All holds exactly the four analyzers,
+// Select keeps one analyzer per name, at the name's first position,
+// and rejects unknown names, deleted analyzers included.
 func TestSelect(t *testing.T) {
 	var names []string
 	for _, a := range analysis.All() {
 		names = append(names, a.Name)
 	}
-	want := "concsafety cyclewrap determinism errwrap nilhook nopanic unitflow"
-	if got := strings.Join(names, " "); got != want {
-		t.Fatalf("All() = %s, want %s", got, want)
+	all := "concsafety cyclewrap determinism errwrap"
+	if got := strings.Join(names, " "); got != all {
+		t.Fatalf("All() = %s, want %s", got, all)
 	}
-	got, err := analysis.Select([]string{"determinism", "nopanic"})
-	if err != nil || len(got) != 2 {
-		t.Fatalf("Select(determinism,nopanic) = %v, %v", got, err)
-	}
-	if _, err := analysis.Select([]string{"nope"}); err == nil {
-		t.Fatal("Select(nope) succeeded, want error")
+	for _, tc := range []struct {
+		names []string
+		want  string // the selected names, or "" for an error
+	}{
+		{nil, all},
+		{[]string{"errwrap", "determinism"}, "errwrap determinism"},
+		{[]string{"determinism", "determinism"}, "determinism"},
+		{[]string{"errwrap", "cyclewrap", "errwrap"}, "errwrap cyclewrap"},
+		{[]string{"nope"}, ""},
+		{[]string{"determinism", "nilhook"}, ""},
+	} {
+		got, err := analysis.Select(tc.names)
+		if tc.want == "" {
+			if !errors.Is(err, analysis.ErrUnknownAnalyzer) {
+				t.Errorf("Select(%v) = %v, %v; want ErrUnknownAnalyzer", tc.names, got, err)
+			}
+			continue
+		}
+		var sel []string
+		for _, a := range got {
+			sel = append(sel, a.Name)
+		}
+		if err != nil || strings.Join(sel, " ") != tc.want {
+			t.Errorf("Select(%v) = %v, %v; want %s", tc.names, sel, err, tc.want)
+		}
 	}
 }
 
 // TestLoadRoots checks Load returns exactly the pattern packages, not
 // their dependencies.
 func TestLoadRoots(t *testing.T) {
-	pkgs, err := analysis.Load(".", "./testdata/src/lib")
+	pkgs, err := analysis.Load(".", "./testdata/src/wrap")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) != 1 {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
-	if got := pkgs[0].Name; got != "lib" {
-		t.Fatalf("root package = %q, want lib", got)
+	if got := pkgs[0].Name; got != "wrap" {
+		t.Fatalf("root package = %q, want wrap", got)
 	}
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // All returns every meccvet analyzer in reporting order.
@@ -12,9 +13,6 @@ func All() []*Analyzer {
 		Cyclewrap,
 		Determinism,
 		Errwrap,
-		Nilhook,
-		Nopanic,
-		Unitflow,
 	}
 }
 
@@ -22,7 +20,8 @@ func All() []*Analyzer {
 var ErrUnknownAnalyzer = errors.New("analysis: unknown analyzer")
 
 // Select resolves analyzer names to analyzers; an empty list selects
-// all of them.
+// all of them. A repeated name selects its analyzer once, at its first
+// position, so no finding or SARIF rule is reported twice.
 func Select(names []string) ([]*Analyzer, error) {
 	if len(names) == 0 {
 		return All(), nil
@@ -37,7 +36,9 @@ func Select(names []string) ([]*Analyzer, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownAnalyzer, n)
 		}
-		out = append(out, a)
+		if !slices.Contains(out, a) {
+			out = append(out, a)
+		}
 	}
 	return out, nil
 }

@@ -12,8 +12,8 @@ import (
 // local variable is split into versions (one per definition), phi
 // nodes merge versions at dominance-frontier join points, and each
 // identifier use resolves to exactly one reaching version. solveSSA
-// runs unitflow's clock units, determinism's seed provenance and
-// cyclewrap's constants over the resulting graph.
+// runs determinism's seed provenance and cyclewrap's constants over the
+// resulting graph.
 //
 // Eligibility is conservative: a variable is versioned only when the
 // analysis can see every definition. Address-taken variables, variables

@@ -3,8 +3,8 @@
 // analyzers run.
 package directive
 
-// Hook's doc misspells nilsafe, which would silently exempt the type
-// from nilhook.
+// Hook's doc carries a verb meccvet does not know, which would
+// otherwise be ignored without a word.
 //
 /* want `unknown directive //meccvet:nilsaf is ignored` */ //meccvet:nilsaf
 type Hook struct{ n int }
@@ -16,5 +16,5 @@ func (h *Hook) N() int {
 
 // Reset is exempt from a registered analyzer, which is not a finding.
 func (h *Hook) Reset() {
-	h.n = 0 //meccvet:allow nilhook -- fixture: a valid allow
+	h.n = 0 //meccvet:allow errwrap -- fixture: a valid allow
 }

@@ -1,6 +1,7 @@
-// Package scopefree is a negative fixture: it commits every
-// determinism and unitflow sin, but its import path carries none of
-// the scoped segments, so those analyzers must stay silent.
+// Package scopefree is a negative fixture: it reads the wall clock and
+// the global math/rand and subtracts unsigned cycle counts unguarded,
+// but its import path carries none of the scoped segments, so
+// determinism and cyclewrap must stay silent.
 package scopefree
 
 import (
@@ -9,7 +10,12 @@ import (
 )
 
 // Stamp may read the wall clock: this package is not simulation code.
-func Stamp() (int64, int, time.Duration) {
-	d := time.Duration(rand.Int63())
-	return time.Now().UnixNano(), rand.Intn(10), d
+func Stamp() (int64, int) {
+	return time.Now().UnixNano(), rand.Intn(10)
+}
+
+// Elapsed subtracts without a guard: cyclewrap's scope is memctrl and
+// dram only.
+func Elapsed(nowCycle, startCycle uint64) uint64 {
+	return nowCycle - startCycle
 }

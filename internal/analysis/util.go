@@ -74,45 +74,3 @@ func isErrorType(t types.Type) bool {
 	}
 	return types.Implements(t, errorInterface)
 }
-
-// receiverName returns the name of a method's receiver identifier, or
-// "" when absent or blank.
-func receiverName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return ""
-	}
-	name := fd.Recv.List[0].Names[0].Name
-	if name == "_" {
-		return ""
-	}
-	return name
-}
-
-// mentionsNilCheck reports whether the expression contains a binary
-// comparison of the named identifier against nil (either direction,
-// either operator, anywhere in a boolean combination).
-func mentionsNilCheck(e ast.Expr, name string) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		if isIdentNilPair(be.X, be.Y, name) || isIdentNilPair(be.Y, be.X, name) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// isIdentNilPair reports whether a is the named identifier and b is nil.
-func isIdentNilPair(a, b ast.Expr, name string) bool {
-	id, ok := ast.Unparen(a).(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	nb, ok := ast.Unparen(b).(*ast.Ident)
-	return ok && nb.Name == "nil"
-}

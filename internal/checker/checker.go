@@ -70,8 +70,6 @@ func (v Violation) String() string {
 // Suite collects violations from every attached tracker. All methods are
 // nil-safe and safe for concurrent use, so one suite can watch a whole
 // parallel exhibit run.
-//
-//meccvet:nilsafe
 type Suite struct {
 	mu          sync.Mutex
 	violations  []Violation

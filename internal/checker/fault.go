@@ -140,8 +140,6 @@ func (p *FaultPlan) RefreshFaults() *RefreshFaults {
 // RefreshFaults hands refresh faults to the memory controller by issue
 // sequence number. Each fault fires at most once. All methods are
 // nil-safe.
-//
-//meccvet:nilsafe
 type RefreshFaults struct {
 	bySeq    map[uint64][]Fault
 	consumed uint64

@@ -23,8 +23,6 @@ type MECCView interface {
 //     active.
 //
 // All methods are nil-safe: a nil tracker is a no-op.
-//
-//meccvet:nilsafe
 type MECC struct {
 	suite *Suite
 

@@ -18,8 +18,6 @@ package checker
 // 1/16th the pulses of JEDEC-rate refresh.
 //
 // All methods are nil-safe: a nil tracker is a no-op.
-//
-//meccvet:nilsafe
 type RefreshTracker struct {
 	suite *Suite
 

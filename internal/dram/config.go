@@ -221,8 +221,6 @@ func (c Config) CPURatio() int {
 }
 
 // TCK returns the DRAM clock period.
-//
-//meccvet:unitconv
 func (c Config) TCK() time.Duration {
 	return time.Duration(float64(time.Second) / float64(c.ClockHz))
 }

@@ -333,8 +333,6 @@ const FlightKinds = MaskAll &^ (1<<KindDRAMCmd | 1<<KindDecode | 1<<KindRefresh)
 // The mask is fixed at construction, so Recorder.Tracing reads it
 // without the lock. Everything else sits under one mutex, so parallel
 // experiment sweeps can share a log. A nil *EventLog is a no-op.
-//
-//meccvet:nilsafe
 type EventLog struct {
 	mask   KindMask
 	window int

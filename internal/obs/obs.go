@@ -13,8 +13,6 @@ package obs
 // producers whether any attached log keeps kind k, so a kind nobody
 // keeps — per-command and per-read events under the default
 // flight-only configuration — costs its producer one branch.
-//
-//meccvet:nilsafe
 type Recorder struct {
 	reg     *Registry
 	logs    []*EventLog

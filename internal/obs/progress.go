@@ -14,8 +14,6 @@ import "sync/atomic"
 // pass long-lived labels). A nil *Progress is a no-op. Throughput and
 // ETA are deliberately not computed here: the scraper derives them from
 // successive snapshots, keeping rate math off the hot path.
-//
-//meccvet:nilsafe
 type Progress struct {
 	phase   atomic.Pointer[string]
 	done    atomic.Uint64

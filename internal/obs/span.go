@@ -19,8 +19,6 @@ var spanIDs atomic.Uint64
 // the emitter's clock domain (CPU cycles inside the simulator,
 // wall-clock nanoseconds in the experiment harness); obsdump stitches
 // the pairs into a per-phase latency summary.
-//
-//meccvet:nilsafe
 type Span struct {
 	r      *Recorder
 	id     uint64

@@ -70,8 +70,6 @@ func (m *Model) BER(period time.Duration) float64 {
 
 // PeriodFor returns the largest refresh period whose BER does not exceed
 // the target.
-//
-//meccvet:unitconv
 func (m *Model) PeriodFor(targetBER float64) time.Duration {
 	if targetBER <= 0 {
 		return 0
@@ -97,8 +95,6 @@ const (
 // BERAtTemp returns the bit failure probability at a refresh period and
 // junction temperature: retention halving per RetentionHalvingC is
 // equivalent to the period looking 2^((temp-nominal)/10) times longer.
-//
-//meccvet:unitconv
 func (m *Model) BERAtTemp(period time.Duration, tempC float64) float64 {
 	factor := math.Pow(2, (tempC-NominalTempC)/RetentionHalvingC)
 	return m.BER(time.Duration(float64(period) * factor))
@@ -106,8 +102,6 @@ func (m *Model) BERAtTemp(period time.Duration, tempC float64) float64 {
 
 // Curve samples the model at logarithmically spaced periods in [lo, hi],
 // for rendering Fig. 2. It returns parallel period and BER slices.
-//
-//meccvet:unitconv
 func (m *Model) Curve(lo, hi time.Duration, points int) ([]time.Duration, []float64) {
 	if points < 2 || hi <= lo {
 		return nil, nil
