@@ -45,7 +45,7 @@ func runConcsafety(pass *Pass) error {
 			if isPoolRun(pass, n) && len(n.Args) > 0 {
 				checkWorker(pass, n.Args[len(n.Args)-1])
 			}
-			if obj := pass.calleeObject(n); isPkgLevelFunc(obj, "sync/atomic") {
+			if obj := funcObject(pass.Info, n.Fun); isPkgLevelFunc(obj, "sync/atomic") {
 				pass.Reportf(n.Pos(),
 					"atomic.%s leaves its word open to plain access elsewhere; declare the word as a typed atomic (atomic.Uint64, atomic.Pointer[T])",
 					obj.Name())
@@ -62,7 +62,7 @@ func runConcsafety(pass *Pass) error {
 // type named Pool declared in a package with a "batch" path segment,
 // taking a work function as final parameter.
 func isPoolRun(pass *Pass, call *ast.CallExpr) bool {
-	fn, ok := pass.calleeObject(call).(*types.Func)
+	fn, ok := funcObject(pass.Info, call.Fun).(*types.Func)
 	if !ok || fn.Name() != "Run" || fn.Pkg() == nil || !pathSegment(fn.Pkg().Path(), "batch") {
 		return false
 	}
@@ -75,18 +75,58 @@ func isPoolRun(pass *Pass, call *ast.CallExpr) bool {
 }
 
 // checkWorker analyzes one work-function argument: a function literal
-// in place, or a reference to a declared function.
+// in place, a local variable bound once to a function literal (how a
+// caller builds one closure for many Runs), or a reference to a
+// declared function.
 func checkWorker(pass *Pass, arg ast.Expr) {
-	switch arg := ast.Unparen(arg).(type) {
-	case *ast.FuncLit:
-		checkWorkerBody(pass, arg.Body, arg.Pos(), arg.End())
-	default:
-		if fn, ok := pass.calleeObjectExpr(arg).(*types.Func); ok {
-			if fi := pass.Prog.FuncOf(fn); fi != nil && fi.Decl.Body != nil {
-				checkWorkerBody(pass, fi.Decl.Body, fi.Decl.Pos(), fi.Decl.End())
-			}
+	if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+		checkWorkerBody(pass, lit.Body, lit.Pos(), lit.End())
+		return
+	}
+	switch obj := funcObject(pass.Info, arg).(type) {
+	case *types.Var:
+		if lit := boundFuncLit(pass, obj); lit != nil {
+			checkWorkerBody(pass, lit.Body, lit.Pos(), lit.End())
+		}
+	case *types.Func:
+		if fi := pass.Prog.FuncOf(obj); fi != nil && fi.Decl.Body != nil {
+			checkWorkerBody(pass, fi.Decl.Body, fi.Decl.Pos(), fi.Decl.End())
 		}
 	}
+}
+
+// boundFuncLit returns the function literal v is bound to when v is
+// assigned exactly once in its file and that assignment is the
+// literal, or nil.
+func boundFuncLit(pass *Pass, v *types.Var) *ast.FuncLit {
+	var lit *ast.FuncLit
+	assigns := 0
+	for _, f := range pass.Files {
+		if v.Pos() < f.Pos() || v.Pos() >= f.End() {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok {
+				return true
+			}
+			for i, lhs := range as.Lhs {
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
+				if !ok || (pass.Info.Defs[id] != v && pass.Info.Uses[id] != v) {
+					continue
+				}
+				assigns++
+				if len(as.Rhs) == len(as.Lhs) {
+					lit, _ = ast.Unparen(as.Rhs[i]).(*ast.FuncLit)
+				}
+			}
+			return true
+		})
+	}
+	if assigns != 1 {
+		return nil
+	}
+	return lit
 }
 
 // checkWorkerBody applies the per-index-or-atomic write discipline to a
@@ -214,7 +254,7 @@ func checkGoStmt(pass *Pass, g *ast.GoStmt) {
 		}
 		return
 	}
-	if fn, ok := pass.calleeObject(g.Call).(*types.Func); ok {
+	if fn, ok := funcObject(pass.Info, g.Call.Fun).(*types.Func); ok {
 		if fi := pass.Prog.FuncOf(fn); fi != nil {
 			if q := pass.Prog.reachesQuiescent(fi.Fn); q != nil {
 				report(g.Call.Pos(), fi.Fn, q)

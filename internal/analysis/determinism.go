@@ -46,7 +46,7 @@ func runDeterminism(pass *Pass) error {
 			if inScope {
 				checkDeterministicCall(pass, n)
 			}
-			if isRandSink(pass.calleeObject(n)) {
+			if isRandSink(funcObject(pass.Info, n.Fun)) {
 				checkSink(pass, n, enclosingFuncDecl(stack))
 			}
 		case *ast.RangeStmt:
@@ -60,7 +60,7 @@ func runDeterminism(pass *Pass) error {
 }
 
 func checkDeterministicCall(pass *Pass, call *ast.CallExpr) {
-	obj := pass.calleeObject(call)
+	obj := funcObject(pass.Info, call.Fun)
 	if obj == nil {
 		return
 	}

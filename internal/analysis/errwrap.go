@@ -38,7 +38,7 @@ func runErrwrap(pass *Pass) error {
 // checkErrorf verifies that every error-typed argument of a fmt.Errorf
 // call is consumed by a %w verb.
 func checkErrorf(pass *Pass, call *ast.CallExpr) {
-	obj := pass.calleeObject(call)
+	obj := funcObject(pass.Info, call.Fun)
 	if !isPkgLevelFunc(obj, "fmt") || obj.Name() != "Errorf" || len(call.Args) < 2 {
 		return
 	}
@@ -99,7 +99,7 @@ func formatVerbs(format string) (verbs []rune, ok bool) {
 // checkErrorStringified flags err.Error() results flowing into fmt
 // formatting calls, where the error value itself should be passed.
 func checkErrorStringified(pass *Pass, call *ast.CallExpr) {
-	obj := pass.calleeObject(call)
+	obj := funcObject(pass.Info, call.Fun)
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" {
 		return

@@ -31,7 +31,7 @@ func TestErrwrap(t *testing.T) {
 
 func TestConcsafety(t *testing.T) {
 	diags := analysistest.Run(t, analysis.Concsafety, "./testdata/src/conc")
-	analysistest.MustFindings(t, diags, 6)
+	analysistest.MustFindings(t, diags, 7)
 }
 
 // TestSeedflow pins determinism's program-wide seed-provenance check.

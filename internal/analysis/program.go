@@ -161,27 +161,13 @@ func (prog *Program) collectCalls(info *types.Info, body ast.Node) []CallSite {
 	var out []CallSite
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if fn, ok := calleeObjectIn(info, call).(*types.Func); ok && prog.funcs[fn] != nil {
+			if fn, ok := funcObject(info, call.Fun).(*types.Func); ok && prog.funcs[fn] != nil {
 				out = append(out, CallSite{Call: call, Callee: prog.funcs[fn]})
 			}
 		}
 		return true
 	})
 	return out
-}
-
-// calleeObjectIn is calleeObject generalized over any package's facts.
-func calleeObjectIn(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return info.Uses[fun]
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			return sel.Obj()
-		}
-		return info.Uses[fun.Sel]
-	}
-	return nil
 }
 
 // cfgOf returns (building and memoizing) the control-flow graph of a

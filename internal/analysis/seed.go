@@ -295,7 +295,7 @@ func (c *provCtx) evalCall(call *ast.CallExpr, get func(*ssaVal) prov) prov {
 		}
 		return prov{kind: provOpaque}
 	}
-	obj := calleeObjectIn(c.info, call)
+	obj := funcObject(c.info, call.Fun)
 	switch obj := obj.(type) {
 	case *types.Builtin:
 		// len/cap/min/max over deterministic data are deterministic.

@@ -105,3 +105,19 @@ func WorkerSwap(items []int) {
 		reconfigure() // want `call to reconfigure from a pool work function reaches //meccvet:quiescent SetObserver`
 	})
 }
+
+// BoundWorker binds its work function to a local once, as a caller
+// running one sweep per chunk does to build one closure; the finding
+// lands in the literal.
+func BoundWorker(items []int) int {
+	sum := 0
+	work := func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sum += items[i] // want `write to captured sum from a pool work function is racy`
+		}
+	}
+	for range 3 {
+		batch.Default().Run(len(items), 1, work)
+	}
+	return sum
+}

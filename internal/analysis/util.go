@@ -5,35 +5,21 @@ import (
 	"go/types"
 )
 
-// calleeObject resolves the object a call expression invokes: a
-// package-level function, a method, or a builtin. Returns nil for
-// indirect calls through function values and for type conversions.
-func (p *Pass) calleeObject(call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return p.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		if sel, ok := p.Info.Selections[fun]; ok {
-			return sel.Obj()
-		}
-		// Package-qualified call: pkg.Fn.
-		return p.Info.Uses[fun.Sel]
-	}
-	return nil
-}
-
-// calleeObjectExpr resolves a bare function reference (an identifier or
-// a selector, as when a declared function is passed as an argument) to
-// its object, or nil.
-func (p *Pass) calleeObjectExpr(e ast.Expr) types.Object {
+// funcObject resolves a function reference, an identifier or a
+// selector, to the object it names: a package-level function, a method
+// or a builtin for a static callee. Pass call.Fun for a call, or the
+// expression itself for a function passed as a value. It returns nil
+// for any other expression.
+func funcObject(info *types.Info, e ast.Expr) types.Object {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		return p.Info.Uses[e]
+		return info.Uses[e]
 	case *ast.SelectorExpr:
-		if sel, ok := p.Info.Selections[e]; ok {
+		if sel, ok := info.Selections[e]; ok {
 			return sel.Obj()
 		}
-		return p.Info.Uses[e.Sel]
+		// Package-qualified reference: pkg.Fn.
+		return info.Uses[e.Sel]
 	}
 	return nil
 }

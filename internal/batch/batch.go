@@ -1,6 +1,6 @@
-// Package batch provides the one fork-join primitive behind the batched
-// codec APIs (internal/bch, internal/ecc) and the ECC-Upgrade sweep
-// (internal/memdata): a Pool of persistent workers that splits n
+// Package batch provides the one fork-join primitive behind the
+// integrity Monte Carlo (internal/experiments) and the ECC-Upgrade
+// sweep (internal/memdata): a Pool of persistent workers that splits n
 // independent items into contiguous [lo, hi) shards. Work functions
 // receive disjoint ranges, so they may write to per-index output slices
 // without synchronization.

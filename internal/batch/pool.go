@@ -14,8 +14,9 @@ type span struct {
 // sweeps. The workers start once at construction and receive [lo, hi)
 // spans over per-worker channels, so a Run allocates nothing of its own:
 // a caller that reuses one work function across calls (the per-quantum
-// upgrade sweep) runs with zero allocations, and one that builds a
-// closure per call (the codec batch APIs) pays that one allocation.
+// upgrade sweep, the per-chunk integrity sweep) runs with zero
+// allocations, and one that builds a closure per call pays that one
+// allocation.
 //
 // The work function receives the shard index alongside the span, so
 // callers can keep per-worker scratch and accumulators and combine them

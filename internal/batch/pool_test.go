@@ -44,8 +44,9 @@ func TestPoolCoversRange(t *testing.T) {
 	}
 }
 
-// The TestFor* tests pin the fork-join contract the codec batch APIs
-// rely on, on the pool they run on: Default(), GOMAXPROCS workers.
+// The TestFor* tests pin the fork-join contract the integrity and
+// upgrade sweeps rely on, on the pool they run on: Default(),
+// GOMAXPROCS workers.
 
 // TestForCoversRangeExactlyOnce: a Default().Run sweep visits every
 // index in [0, n) exactly once.

@@ -248,15 +248,9 @@ func (c *Code) FieldM() int { return c.field.M() }
 // parity bit is the highest of those bits.
 func (c *Code) Encode(data line.Line) uint64 {
 	obsEncodes.Inc()
-	return c.encode(&data)
-}
-
-// encode is Encode without the telemetry count: EncodeBatch counts its
-// lines once per chunk rather than bumping the shared atomic per line.
-func (c *Code) encode(data *line.Line) uint64 {
-	reg := c.encodeRemainder(data)
+	reg := c.encodeRemainder(&data)
 	if c.extended {
-		reg |= c.overallParity(*data, reg) << c.parityBits
+		reg |= c.overallParity(data, reg) << c.parityBits
 	}
 	return reg
 }
@@ -425,17 +419,21 @@ func (c *Code) remSyndromes(rem uint64, out *[maxSyn]uint16) {
 // the discrepancy at every odd step r, the one that meets the even
 // syndrome S_(r+1), is zero (Berlekamp's simplification for binary BCH
 // codes). Those steps only advance m.
+//
+// Lambda has degree at most l and prev at most lPrev, the length when
+// prev was saved, with m + lPrev = r + 1 - l <= 2t: so each update
+// moves only the lPrev+1 terms of prev, all inside the array. Lambda is
+// saved as the next prev only when the length grows; a whole-array copy
+// measured faster than copying its l+1 terms.
 func (c *Code) berlekampMassey(synd []uint16, lambda *[maxSyn + 1]uint16) (int, bool) {
 	f := c.field
-	nSyn := len(synd)
-	nLam := nSyn + 1 // logical length; array entries beyond it stay zero
 	var prev [maxSyn + 1]uint16
 	*lambda = [maxSyn + 1]uint16{}
 	lambda[0], prev[0] = 1, 1
-	l := 0
+	l, lPrev := 0, 0
 	m := 1
 	b := uint16(1)
-	for r := 0; r < nSyn; r++ {
+	for r := range synd {
 		if r&1 == 1 {
 			m++
 			continue
@@ -451,18 +449,22 @@ func (c *Code) berlekampMassey(synd []uint16, lambda *[maxSyn + 1]uint16) (int, 
 		}
 		// coef = d/b; b is 1 or an earlier nonzero discrepancy.
 		coef := f.Alpha(int(c.log[d]) + c.n - int(c.log[b]))
-		tmp := *lambda
-		for i := 0; i+m < nLam; i++ {
+		if 2*l > r {
+			for i := 0; i <= lPrev; i++ {
+				lambda[i+m] ^= f.Mul(coef, prev[i])
+			}
+			m++
+			continue
+		}
+		// The length grows: the old Lambda becomes prev.
+		old := *lambda
+		for i := 0; i <= lPrev; i++ {
 			lambda[i+m] ^= f.Mul(coef, prev[i])
 		}
-		if 2*l <= r {
-			l = r + 1 - l
-			prev = tmp
-			b = d
-			m = 1
-		} else {
-			m++
-		}
+		prev = old
+		l, lPrev = r+1-l, l
+		b = d
+		m = 1
 	}
 	if l > c.t {
 		return 0, false

@@ -3,21 +3,12 @@ package bch
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/gf2"
 	"repro/internal/line"
-	"repro/internal/obs"
 )
-
-// The default pool takes its worker count from GOMAXPROCS when first
-// used, and testing.AllocsPerRun runs at GOMAXPROCS 1. Creating it here,
-// before any test runs, gives the batch tests and allocation guards the
-// machine's full fan-out whatever order the tests run in.
-var _ = batch.Default()
 
 func mustCode(t *testing.T, tcap int, extended bool) *Code {
 	t.Helper()
@@ -482,7 +473,7 @@ func TestSyndromeRemainderDifferential(t *testing.T) {
 // The decode hot path must be allocation-free on the clean (zero
 // remainder) path and on every correction route (closed-form roots for
 // one and two errors, the Chien search for six), for both plain and
-// extended codes; EncodeBatch allocates a fixed count per call.
+// extended codes, and so must Encode.
 func TestDecodeZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, extended := range []bool{false, true} {
@@ -519,60 +510,6 @@ func TestDecodeZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { c.Encode(data) }); n != 0 {
 		t.Errorf("Encode allocates %.1f times per run, want 0", n)
 	}
-	// EncodeBatch allocates one closure per call, whatever the batch
-	// length; the pool's workers are persistent, so fanning the lines out
-	// to them costs nothing more. On two or more CPUs these batches do
-	// fan out, so the guard measures that path and not only the inline
-	// one.
-	const batchAllocs = 1
-	c = mustCode(t, 6, false)
-	for _, lines := range []int{4096, 32768} {
-		data := make([]line.Line, lines)
-		for i := range data {
-			data[i] = randLine(rng)
-		}
-		parity := make([]uint64, lines)
-		rec := obs.New()
-		batch.SetObserver(rec)
-		c.EncodeBatch(data, parity)
-		batch.SetObserver(nil)
-		if chunks := rec.Registry().Counter("batch_chunks_total").Value(); runtime.NumCPU() >= 2 && chunks < 2 {
-			t.Errorf("%d-line EncodeBatch ran in %d chunks on %d CPUs, want at least 2", lines, chunks, runtime.NumCPU())
-		}
-		if n := testing.AllocsPerRun(5, func() { c.EncodeBatch(data, parity) }); n != batchAllocs {
-			t.Errorf("%d-line EncodeBatch allocates %v per call, want %d", lines, n, batchAllocs)
-		}
-	}
-}
-
-// EncodeBatch must agree element-for-element with the sequential API; on
-// two or more CPUs the default pool fans the lines out, so the race
-// detector sees the workers.
-func TestBatchMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	c := mustCode(t, 6, false)
-	const n = 300
-	datas := make([]line.Line, n)
-	parities := make([]uint64, n)
-	for i := range datas {
-		datas[i] = randLine(rng)
-	}
-	c.EncodeBatch(datas, parities)
-	for i := range datas {
-		if want := c.Encode(datas[i]); parities[i] != want {
-			t.Fatalf("EncodeBatch[%d] = %#x, want %#x", i, parities[i], want)
-		}
-	}
-}
-
-func TestBatchLengthMismatchPanics(t *testing.T) {
-	c := mustCode(t, 6, false)
-	defer func() {
-		if recover() == nil {
-			t.Error("EncodeBatch length mismatch did not panic")
-		}
-	}()
-	c.EncodeBatch(make([]line.Line, 3), make([]uint64, 2))
 }
 
 // BenchmarkDecodeClean measures the dominant sweep case: a codeword with

@@ -6,8 +6,9 @@ import "repro/internal/obs"
 // *obs.Counter's Add is a no-op behind one branch — so the encode and
 // decode hot paths keep their zero-allocation guarantee with telemetry
 // disabled (guarded by TestDecodeZeroAllocs and
-// TestDetachedObserverZeroAllocs). Counters are atomic, so the parallel
-// workers of EncodeBatch and ecc.Morphable.DecodeBatch may share them.
+// TestDetachedObserverZeroAllocs). Counters are atomic, so codecs used
+// from several goroutines at once, as the integrity sweep's pool
+// workers use them, may share them.
 var (
 	obsEncodes       *obs.Counter
 	obsDecodes       *obs.Counter

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/line"
 	"repro/internal/obs"
 )
 
@@ -54,35 +53,6 @@ func TestObserverCountsCodecTraffic(t *testing.T) {
 	}
 	if got := reg.Counter("bch_uncorrectable_total").Value(); got != wantUncorrectable {
 		t.Errorf("uncorrectable = %d, want %d", got, wantUncorrectable)
-	}
-}
-
-// TestEncodeBatchCountsLines: EncodeBatch counts its lines once per
-// chunk, so with a recorder attached and a batch that fans out over the
-// default pool's workers bch_encodes_total still equals scalar encodes
-// plus batch lines, and the batch parity matches scalar Encode.
-func TestEncodeBatchCountsLines(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	c := mustCode(t, 6, true)
-	rec := obs.New()
-	SetObserver(rec)
-	defer SetObserver(nil)
-
-	const lines = 4*minLinesPerWorker + 5 // chunks of unequal size
-	data := make([]line.Line, lines)
-	for i := range data {
-		data[i] = randLine(rng)
-	}
-	parity := make([]uint64, lines)
-	c.EncodeBatch(data, parity)
-	const scalar = 3
-	for i := 0; i < scalar; i++ {
-		if got := c.Encode(data[i]); got != parity[i] {
-			t.Fatalf("line %d: batch parity %#x, scalar %#x", i, parity[i], got)
-		}
-	}
-	if got := rec.Registry().Counter("bch_encodes_total").Value(); got != scalar+lines {
-		t.Errorf("encodes = %d, want %d scalar + %d batch lines", got, scalar, lines)
 	}
 }
 

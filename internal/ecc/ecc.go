@@ -22,9 +22,8 @@ var (
 )
 
 // Result describes the outcome of a decode, shared across codecs. It is
-// an alias of bch.Result so the zero-copy batch decode paths can hand
-// bch result slices straight through; the hamming result type has the
-// same shape and converts.
+// an alias of bch.Result; the hamming result type has the same shape
+// and converts.
 type Result = bch.Result
 
 // Codec is a line-granularity error-correcting code: it protects one
@@ -45,16 +44,6 @@ type Codec interface {
 	Decode(data line.Line, check uint64) (line.Line, Result)
 }
 
-// BatchCodec is the optional bulk interface a Codec may implement to
-// encode many independent lines at once (internally fanned out over
-// batch.Default()). Morphable.EncodeBatch probes for it and falls back
-// to per-line calls otherwise.
-type BatchCodec interface {
-	Codec
-	// EncodeBatch computes check words for each line: out[i] = Encode(data[i]).
-	EncodeBatch(data []line.Line, out []uint64)
-}
-
 // Screener is the optional fast-screen interface a Codec may implement:
 // a cheap, allocation-free check that (data, check) is a clean stored
 // codeword — true exactly when Decode would return a zero Result. Sweep
@@ -69,14 +58,13 @@ type Screener interface {
 
 // Compile-time interface compliance checks.
 var (
-	_ Codec      = None{}
-	_ Codec      = (*LineSECDED)(nil)
-	_ Codec      = (*WordSECDED)(nil)
-	_ BatchCodec = (*BCH)(nil)
-	_ Screener   = None{}
-	_ Screener   = (*LineSECDED)(nil)
-	_ Screener   = (*WordSECDED)(nil)
-	_ Screener   = (*BCH)(nil)
+	_ Codec    = None{}
+	_ Codec    = (*LineSECDED)(nil)
+	_ Codec    = (*WordSECDED)(nil)
+	_ Screener = None{}
+	_ Screener = (*LineSECDED)(nil)
+	_ Screener = (*WordSECDED)(nil)
+	_ Screener = (*BCH)(nil)
 )
 
 // None is the no-protection codec: zero storage, zero correction. It
@@ -274,12 +262,6 @@ func (b *BCH) Decode(data line.Line, check uint64) (line.Line, Result) {
 // ScreenClean implements Screener via the table re-encode screen.
 func (b *BCH) ScreenClean(data line.Line, check uint64) bool {
 	return b.code.ScreenClean(data, check)
-}
-
-// EncodeBatch implements BatchCodec by delegating to the BCH worker-pool
-// encoder.
-func (b *BCH) EncodeBatch(data []line.Line, out []uint64) {
-	b.code.EncodeBatch(data, out)
 }
 
 // ByName constructs a codec from its registry name: "none", "secded-word",

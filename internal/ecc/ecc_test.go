@@ -2,19 +2,10 @@ package ecc
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/line"
-	"repro/internal/obs"
 )
-
-// The default pool takes its worker count from GOMAXPROCS when first
-// used, and testing.AllocsPerRun runs at GOMAXPROCS 1. Creating it here,
-// before any test runs, gives the batch allocation guards the machine's
-// full fan-out whatever order the tests run in.
-var _ = batch.Default()
 
 func randLine(rng *rand.Rand) line.Line {
 	var ln line.Line
@@ -398,17 +389,9 @@ func TestScreenWeakClean(t *testing.T) {
 	}
 }
 
-// batchAllocs is the allocation count of one morphable batch call: the
-// closure handed to the default pool's Run. The pool's workers are
-// persistent, so fanning the lines out to them costs nothing more.
-const batchAllocs = 1
-
 // TestCodecZeroAllocs guards the codec paths of strong reads and
 // upgrade sweeps: every Screener's ScreenClean and the morphable weak
-// screen allocate nothing, and the morphable batch APIs allocate
-// batchAllocs per call whatever the batch length. On two or more CPUs
-// the batches fan out, so the guard measures that path and not only the
-// inline one.
+// screen allocate nothing.
 func TestCodecZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	data := randLine(rng)
@@ -435,29 +418,5 @@ func TestCodecZeroAllocs(t *testing.T) {
 		_ = m.ScreenWeakClean(data, m.Encode(data, ModeWeak))
 	}); n != 0 {
 		t.Errorf("ScreenWeakClean+Encode allocate %v per run, want 0", n)
-	}
-	for _, lines := range []int{4096, 32768} {
-		data := make([]line.Line, lines)
-		for i := range data {
-			data[i] = randLine(rng)
-		}
-		spare := make([]uint64, lines)
-		out := make([]line.Line, lines)
-		evs := make([]DecodeEvent, lines)
-		for _, mode := range []Mode{ModeWeak, ModeStrong} {
-			rec := obs.New()
-			batch.SetObserver(rec)
-			m.EncodeBatch(data, mode, spare)
-			batch.SetObserver(nil)
-			if chunks := rec.Registry().Counter("batch_chunks_total").Value(); runtime.NumCPU() >= 2 && chunks < 2 {
-				t.Errorf("%d-line %v EncodeBatch ran in %d chunks on %d CPUs, want at least 2", lines, mode, chunks, runtime.NumCPU())
-			}
-			if n := testing.AllocsPerRun(5, func() { m.EncodeBatch(data, mode, spare) }); n != batchAllocs {
-				t.Errorf("%d-line %v EncodeBatch allocates %v per call, want %d", lines, mode, n, batchAllocs)
-			}
-			if n := testing.AllocsPerRun(5, func() { m.DecodeBatch(data, spare, out, evs) }); n != batchAllocs {
-				t.Errorf("%d-line %v DecodeBatch allocates %v per call, want %d", lines, mode, n, batchAllocs)
-			}
-		}
 	}
 }

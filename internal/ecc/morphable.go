@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/batch"
 	"repro/internal/line"
 )
 
@@ -112,61 +111,6 @@ func (m *Morphable) Encode(data line.Line, mode Mode) uint64 {
 		modeField = (1 << ModeBits) - 1
 	}
 	return modeField | c.Encode(data)<<ModeBits
-}
-
-// minMorphablePerWorker is the batch size below which the morphable
-// batch paths stay on the calling goroutine (a strong decode is a few
-// microseconds, so 32 lines amortize the fork-join well).
-const minMorphablePerWorker = 32
-
-// EncodeBatch produces the spare field for each line in the given mode,
-// fanning the work out over the workers of batch.Default(): out[i] =
-// Encode(data[i], mode). When the selected codec implements BatchCodec
-// its bulk encoder is used directly. It panics if the slice lengths
-// differ.
-func (m *Morphable) EncodeBatch(data []line.Line, mode Mode, out []uint64) {
-	if len(data) != len(out) {
-		// invariant: callers pass parallel slices (documented contract).
-		panic("ecc: EncodeBatch slice lengths differ")
-	}
-	c := m.weak
-	var modeField uint64
-	if mode == ModeStrong {
-		c = m.strong
-		modeField = (1 << ModeBits) - 1
-	}
-	if bc, ok := c.(BatchCodec); ok {
-		bc.EncodeBatch(data, out)
-		for i := range out {
-			out[i] = modeField | out[i]<<ModeBits
-		}
-		return
-	}
-	// One closure per call, inline or fanned out: a fixed cost amortized
-	// over the lines (TestCodecZeroAllocs pins it).
-	batch.Default().Run(len(data), minMorphablePerWorker, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = modeField | c.Encode(data[i])<<ModeBits
-		}
-	})
-}
-
-// DecodeBatch resolves and decodes each stored (data[i], spare[i]) line
-// into out[i] and evs[i], fanning the work out over the workers of
-// batch.Default(). Per-line results are identical to Decode; out may
-// alias data. It panics if the slice lengths differ.
-func (m *Morphable) DecodeBatch(data []line.Line, spare []uint64, out []line.Line, evs []DecodeEvent) {
-	if len(spare) != len(data) || len(out) != len(data) || len(evs) != len(data) {
-		// invariant: callers pass parallel slices (documented contract).
-		panic("ecc: DecodeBatch slice lengths differ")
-	}
-	// One closure per call, inline or fanned out: a fixed cost amortized
-	// over the lines (TestCodecZeroAllocs pins it).
-	batch.Default().Run(len(data), minMorphablePerWorker, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i], evs[i] = m.Decode(data[i], spare[i])
-		}
-	})
 }
 
 // ScreenWeakClean reports whether a stored line is a pristine weak-mode

@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
+	"repro/internal/batch"
 	"repro/internal/ecc"
 	"repro/internal/line"
 	"repro/internal/retention"
@@ -55,6 +57,134 @@ func checkTrials(trials int) error {
 // heavily. A stressBER that is NaN, negative or above 1 is not a
 // probability and is rejected with ErrBadOptions.
 func Integrity(trials int, stressBER float64, seed int64) (IntegrityResult, error) {
+	return integrity(batch.Default(), trials, stressBER, seed)
+}
+
+// integrityChunk is the trial count of each of the sweep's two trial
+// buffers, 295 KB each: small enough that drawing a chunk ahead does
+// not raise peak memory, large enough that a fork-join per chunk is
+// noise beside its ~2,048 × 4 codec calls.
+const integrityChunk = 2048
+
+// integrityBlock is the number of trials a shard claims from the sweep
+// cursor at a time: ~64 codec round trips per atomic add, and small
+// enough that shard 0 still finds work when it finishes drawing.
+const integrityBlock = 64
+
+// integrityTrial is one drawn trial: the data line, the strong-mode
+// stored data with its injected errors, the injected spare-bit mask,
+// and the weak-mode flip position (-1 for none).
+type integrityTrial struct {
+	data, bad line.Line
+	spareMask uint64
+	weakFlip  int
+}
+
+// integrityDraws holds the Monte Carlo's three random streams: rng for
+// the data and trial 0's forced weak flip, inj for idle-mode faults and
+// weakInj for active-mode ones.
+type integrityDraws struct {
+	rng          *rand.Rand
+	inj, weakInj *retention.Injector
+}
+
+// draw fills trials, the chunk that starts at trial index base. Each
+// trial takes its data, then its strong flips, then its weak flips,
+// then (trial 0 only) the forced weak flip, so every stream is consumed
+// in trial order whatever the chunking. flips is scratch; draw returns
+// the strong-mode errors injected and the scratch for reuse.
+func (d integrityDraws) draw(base int, trials []integrityTrial, flips []int) (int, []int) {
+	injected := 0
+	for i := range trials {
+		tr := &trials[i]
+		for w := range tr.data {
+			tr.data[w] = d.rng.Uint64()
+		}
+
+		// Idle mode: strong encoding, slow-refresh BER over all stored
+		// bits. Spare layout: bits 0..3 mode, 4..63 code.
+		tr.bad, tr.spareMask = tr.data, 0
+		flips = d.inj.FlipPositionsAppend(line.Bits+ecc.SpareBits, flips[:0])
+		injected += len(flips)
+		for _, pos := range flips {
+			if pos < line.Bits {
+				tr.bad = tr.bad.FlipBit(pos)
+			} else {
+				tr.spareMask ^= uint64(1) << (pos - line.Bits)
+			}
+		}
+
+		// Active mode: weak encoding at the JEDEC-rate BER (1e-9): the
+		// occasional single error must be corrected by SECDED. Trial 0
+		// always takes one, so the weak path is exercised at least once.
+		flips = d.weakInj.FlipPositionsAppend(line.Bits+ecc.SpareBits, flips[:0])
+		tr.weakFlip = -1
+		switch {
+		case len(flips) > 0:
+			tr.weakFlip = flips[0]
+		case base+i == 0:
+			tr.weakFlip = d.rng.Intn(line.Bits)
+		}
+	}
+	return injected, flips
+}
+
+// sweep encodes, corrupts and decodes each trial in both modes and adds
+// the outcomes to r's counts.
+func (r *IntegrityResult) sweep(m *ecc.Morphable, trials []integrityTrial) {
+	for i := range trials {
+		tr := &trials[i]
+		fixed, ev := m.Decode(tr.bad, m.Encode(tr.data, ecc.ModeStrong)^tr.spareMask)
+		// Flip positions are distinct, so a set mode bit in the mask is
+		// a hit replica.
+		if tr.spareMask&(1<<ecc.ModeBits-1) != 0 {
+			r.ModeBitFlips++
+			if ev.Mode == ecc.ModeStrong {
+				r.ModeResolved++
+			}
+		}
+		switch {
+		case ev.Result.Uncorrectable:
+			r.StrongDetected++
+		case fixed == tr.data:
+			r.StrongCorrected++
+		default:
+			r.SilentCorruptions++
+		}
+
+		wBad, wSpare := tr.data, m.Encode(tr.data, ecc.ModeWeak)
+		switch p := tr.weakFlip; {
+		case p >= line.Bits:
+			wSpare ^= uint64(1) << (p - line.Bits)
+		case p >= 0:
+			wBad = wBad.FlipBit(p)
+		}
+		if fixed, ev := m.Decode(wBad, wSpare); !ev.Result.Uncorrectable && fixed == tr.data {
+			r.WeakCorrected++
+		} else {
+			r.SilentCorruptions++
+		}
+	}
+}
+
+// integrityShard is one pool worker's state: its running counts and, on
+// shard 0, the drawer's flip scratch. The padding keeps neighbouring
+// shards' counters off one cache line.
+type integrityShard struct {
+	tally IntegrityResult
+	flips []int
+	_     [64]byte
+}
+
+// integrity is Integrity on a given pool. It runs one fork-join per
+// chunk of integrityChunk trials over two trial buffers: shard 0 first
+// draws the next chunk into the idle buffer, then every shard claims
+// blocks of the current chunk from an atomic cursor and sweeps them
+// into its own counts, which are summed after the last chunk. The draws
+// overlap the codec work. Only shard 0 draws, in trial order, and the
+// counts are sums, so the result is bit-identical to a plain per-trial
+// loop for any pool width.
+func integrity(pool *batch.Pool, trials int, stressBER float64, seed int64) (IntegrityResult, error) {
 	if err := checkTrials(trials); err != nil {
 		return IntegrityResult{}, err
 	}
@@ -69,128 +199,65 @@ func Integrity(trials int, stressBER float64, seed int64) (IntegrityResult, erro
 	if err != nil {
 		return IntegrityResult{}, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	inj := retention.NewInjector(seed+1, ber)
-	weakInj := retention.NewInjector(seed+2, retention.JEDECBitErrorRate)
+	d := integrityDraws{
+		rng:     rand.New(rand.NewSource(seed)),
+		inj:     retention.NewInjector(seed+1, ber),
+		weakInj: retention.NewInjector(seed+2, retention.JEDECBitErrorRate),
+	}
+
+	// One allocation holds both buffers; the second is empty when one
+	// chunk covers every trial.
+	size := min(trials, integrityChunk)
+	buf := make([]integrityTrial, min(trials, 2*integrityChunk))
+	bufs := [2][]integrityTrial{buf[:size], buf[size:]}
+	shards := make([]integrityShard, pool.Workers())
+	// The flip scratch holds a whole line's worth, so it never grows.
+	shards[0].flips = make([]int, 0, line.Bits+ecc.SpareBits)
+	var (
+		cur, next []integrityTrial // the chunk swept; the chunk shard 0 draws
+		nextBase  int              // the trial index of next[0]
+		cursor    atomic.Int64     // the first trial of cur not yet claimed
+	)
+	// Run's spans only decide how many shards start: every shard claims
+	// its trials from the cursor, so shard 0's draw does not hold the
+	// others up.
+	work := func(worker, _, _ int) {
+		if worker == 0 && len(next) > 0 {
+			var injected int
+			injected, shards[worker].flips = d.draw(nextBase, next, shards[worker].flips)
+			shards[worker].tally.InjectedErrors += injected
+		}
+		for {
+			lo := int(cursor.Add(integrityBlock)) - integrityBlock
+			if lo >= len(cur) {
+				return
+			}
+			shards[worker].tally.sweep(m, cur[lo:min(lo+integrityBlock, len(cur))])
+		}
+	}
+
+	// The first chunk has nothing to overlap with: draw it here.
+	next = bufs[0]
+	work(0, 0, 0)
+	for base := 0; base < trials; base += integrityChunk {
+		k := base / integrityChunk
+		cur = bufs[k%2][:min(integrityChunk, trials-base)]
+		nextBase = base + integrityChunk
+		next = bufs[(k+1)%2][:max(min(integrityChunk, trials-nextBase), 0)]
+		cursor.Store(0)
+		pool.Run(len(cur), integrityBlock, work)
+	}
 
 	out := IntegrityResult{Trials: trials}
-
-	// The Monte Carlo runs in three phases per chunk so the decode work —
-	// by far the dominant cost — can go through the batched worker-pool
-	// codec paths: (A) draw all random state sequentially, preserving the
-	// exact per-stream draw order of the original trial loop (data, then
-	// strong flips, then weak flips, then the forced first-trial flip);
-	// (B) batch-encode and batch-decode both modes; (C) tally in trial
-	// order. Results are bit-identical to the sequential loop.
-	const chunkTrials = 4096
-	size := trials
-	if size > chunkTrials {
-		size = chunkTrials
-	}
-	var (
-		datas   = make([]line.Line, size)
-		bads    = make([]line.Line, size)
-		spares  = make([]uint64, size)
-		evs     = make([]ecc.DecodeEvent, size)
-		wBads   = make([]line.Line, size)
-		wSpares = make([]uint64, size)
-		wEvs    = make([]ecc.DecodeEvent, size)
-		// Per-trial injected masks: the spare mask is XORed onto the
-		// encoded spare once it exists.
-		spareMasks  = make([]uint64, size)
-		wSpareMasks = make([]uint64, size)
-		modeHits    = make([]bool, size)
-		flipBuf     []int
-	)
-	for base := 0; base < trials; base += chunkTrials {
-		n := min(chunkTrials, trials-base)
-
-		// Phase A: sequential random draws, original order.
-		for i := 0; i < n; i++ {
-			var data line.Line
-			for w := range data {
-				data[w] = rng.Uint64()
-			}
-			datas[i] = data
-
-			// Idle mode: strong encoding, slow-refresh BER over all
-			// stored bits. Spare layout: bits 0..3 mode, 4..63 code.
-			bad, spareMask := data, uint64(0)
-			nErr := 0
-			modeHit := false
-			flipBuf = inj.FlipPositionsAppend(line.Bits+ecc.SpareBits, flipBuf[:0])
-			for _, pos := range flipBuf {
-				nErr++
-				if pos < line.Bits {
-					bad = bad.FlipBit(pos)
-				} else {
-					sp := pos - line.Bits
-					if sp < ecc.ModeBits {
-						modeHit = true
-					}
-					spareMask ^= uint64(1) << sp
-				}
-			}
-			out.InjectedErrors += nErr
-			bads[i], spareMasks[i], modeHits[i] = bad, spareMask, modeHit
-
-			// Active mode: weak encoding at the JEDEC-rate BER (1e-9):
-			// the occasional single error must be corrected by SECDED.
-			wBad, wSpareMask := data, uint64(0)
-			flipBuf = weakInj.FlipPositionsAppend(line.Bits+ecc.SpareBits, flipBuf[:0])
-			flips := flipBuf
-			if len(flips) == 0 && base+i == 0 {
-				// Force one single-bit event so the weak path is always
-				// exercised at least once.
-				flips = append(flips, rng.Intn(line.Bits))
-			}
-			if len(flips) > 1 {
-				flips = flips[:1]
-			}
-			for _, pos := range flips {
-				if pos < line.Bits {
-					wBad = wBad.FlipBit(pos)
-				} else {
-					wSpareMask ^= uint64(1) << (pos - line.Bits)
-				}
-			}
-			wBads[i], wSpareMasks[i] = wBad, wSpareMask
-		}
-
-		// Phase B: batched encode and decode, both modes.
-		m.EncodeBatch(datas[:n], ecc.ModeStrong, spares[:n])
-		for i := 0; i < n; i++ {
-			spares[i] ^= spareMasks[i]
-		}
-		m.DecodeBatch(bads[:n], spares[:n], bads[:n], evs[:n])
-		m.EncodeBatch(datas[:n], ecc.ModeWeak, wSpares[:n])
-		for i := 0; i < n; i++ {
-			wSpares[i] ^= wSpareMasks[i]
-		}
-		m.DecodeBatch(wBads[:n], wSpares[:n], wBads[:n], wEvs[:n])
-
-		// Phase C: tally in trial order.
-		for i := 0; i < n; i++ {
-			if modeHits[i] {
-				out.ModeBitFlips++
-				if evs[i].Mode == ecc.ModeStrong {
-					out.ModeResolved++
-				}
-			}
-			switch {
-			case evs[i].Result.Uncorrectable:
-				out.StrongDetected++
-			case bads[i] == datas[i]:
-				out.StrongCorrected++
-			default:
-				out.SilentCorruptions++
-			}
-			if !wEvs[i].Result.Uncorrectable && wBads[i] == datas[i] {
-				out.WeakCorrected++
-			} else {
-				out.SilentCorruptions++
-			}
-		}
+	for _, sh := range shards {
+		t := sh.tally
+		out.InjectedErrors += t.InjectedErrors
+		out.StrongCorrected += t.StrongCorrected
+		out.StrongDetected += t.StrongDetected
+		out.SilentCorruptions += t.SilentCorruptions
+		out.WeakCorrected += t.WeakCorrected
+		out.ModeBitFlips += t.ModeBitFlips
+		out.ModeResolved += t.ModeResolved
 	}
 
 	tb := stats.NewTable("Metric", "Count")

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bch"
-	"repro/internal/ecc"
 	"repro/internal/hamming"
-	"repro/internal/line"
 )
 
 // newPair builds the optimized and reference codecs for one geometry.
@@ -154,94 +152,5 @@ func TestSECDEDEncodeAgrees(t *testing.T) {
 				t.Fatalf("dataBits=%d case %d: Encode = %#x, reference %#x", dataBits, k, got, want)
 			}
 		}
-	}
-}
-
-// TestBatchMatchesScalar pins the worker-pool batch APIs — bch.Code
-// EncodeBatch and ecc.Morphable EncodeBatch/DecodeBatch — to their
-// scalar counterparts, so the fork-join sharding can never change
-// results. The morphable lines are corrupted after encoding, so the
-// batch decoder sees clean, corrected and uncorrectable lines in both
-// modes.
-func TestBatchMatchesScalar(t *testing.T) {
-	opt, err := bch.NewExtended(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	cases := BCHCorpus(opt, rng, 30)
-
-	data := make([]line.Line, len(cases))
-	for i, tc := range cases {
-		data[i] = tc.Data
-	}
-
-	// EncodeBatch vs scalar Encode on the (corrupted) data lines.
-	encOut := make([]uint64, len(data))
-	opt.EncodeBatch(data, encOut)
-	for i := range data {
-		if want := opt.Encode(data[i]); encOut[i] != want {
-			t.Fatalf("EncodeBatch[%d] = %#x, scalar %#x", i, encOut[i], want)
-		}
-	}
-
-	m, err := ecc.NewDefaultMorphable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []ecc.Mode{ecc.ModeWeak, ecc.ModeStrong} {
-		spare := make([]uint64, len(data))
-		m.EncodeBatch(data, mode, spare)
-		for i := range data {
-			if want := m.Encode(data[i], mode); spare[i] != want {
-				t.Fatalf("Morphable.EncodeBatch(%s)[%d] = %#x, scalar %#x", mode, i, spare[i], want)
-			}
-		}
-	}
-
-	// Stored lines, a quarter of them weak: line i takes i%9 flips over
-	// its data and 60 code bits, and i%7 (when below 4) flips over its
-	// four mode replicas, so replica votes of 3-1, 2-2 and 1-3 occur.
-	const n = 1024
-	stored := make([]line.Line, n)
-	spare := make([]uint64, n)
-	for i := range stored {
-		mode := ecc.ModeStrong
-		if i%4 == 0 {
-			mode = ecc.ModeWeak
-		}
-		stored[i] = randomLine(rng)
-		spare[i] = m.Encode(stored[i], mode)
-		for _, pos := range rng.Perm(line.Bits + ecc.CodeBits)[:i%9] {
-			if pos < line.Bits {
-				stored[i] = stored[i].FlipBit(pos)
-			} else {
-				spare[i] ^= 1 << (ecc.ModeBits + pos - line.Bits)
-			}
-		}
-		if k := i % 7; k < ecc.ModeBits {
-			for _, b := range rng.Perm(ecc.ModeBits)[:k] {
-				spare[i] ^= 1 << b
-			}
-		}
-	}
-	mOut := make([]line.Line, n)
-	evs := make([]ecc.DecodeEvent, n)
-	m.DecodeBatch(stored, spare, mOut, evs)
-	corrected, uncorrectable := 0, 0
-	for i := range stored {
-		wantLine, wantEv := m.Decode(stored[i], spare[i])
-		if mOut[i] != wantLine || evs[i] != wantEv {
-			t.Fatalf("Morphable.DecodeBatch[%d] = (%s, %+v), scalar (%s, %+v)",
-				i, mOut[i], evs[i], wantLine, wantEv)
-		}
-		if evs[i].Result.Uncorrectable {
-			uncorrectable++
-		} else if evs[i].Result.CorrectedBits > 0 {
-			corrected++
-		}
-	}
-	if corrected == 0 || uncorrectable == 0 {
-		t.Fatalf("batch decoded %d corrected and %d uncorrectable lines, want at least one of each", corrected, uncorrectable)
 	}
 }

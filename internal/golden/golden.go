@@ -2,10 +2,10 @@
 // of the repository's error-correcting codes, plus differential drivers
 // that cross-check the optimized codecs against them.
 //
-// The optimized packages (internal/bch, internal/hamming, internal/ecc,
-// internal/batch) earn their speed with remainder-based syndromes,
-// closed-form locator roots, position-indexed encode tables, dense
-// constant-multiplication tables and stack-resident scratch arrays.
+// The optimized packages (internal/bch, internal/hamming, internal/ecc)
+// earn their speed with remainder-based syndromes, closed-form locator
+// roots, position-indexed encode tables, dense constant-multiplication
+// tables and stack-resident scratch arrays.
 // None of that appears here: RefBCH encodes by literal polynomial
 // division over GF(2) (gf2.Poly2.Mod), evaluates syndromes bit by bit
 // with textbook field arithmetic, and runs an exhaustive Chien scan;
