@@ -103,12 +103,13 @@ scenarios-short:
 	$(GO) run ./cmd/meccscn run -short
 
 # Short fuzz session over the parsers, the BCH and line SECDED decoders,
-# the controller against per-cycle stepping, and the simulation and
-# harness options.
+# the retention fault sampler, the controller against per-cycle
+# stepping, and the simulation and harness options.
 fuzz:
 	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzDecodeDifferential -fuzztime 10s ./internal/golden/
 	$(GO) test -run=XXX -fuzz FuzzSECDEDDifferential -fuzztime 10s ./internal/golden/
+	$(GO) test -run=XXX -fuzz FuzzFlipPositions -fuzztime 10s ./internal/retention/
 	$(GO) test -run=XXX -fuzz FuzzReadText -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzBinaryReader -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
@@ -123,10 +124,12 @@ fuzz:
 # 10-second BCH fuzz passes seeded with the extension-bit-guard and
 # t+1-error corpus (testdata/fuzz) — a quick regression check for the
 # decoder's miscorrection defences — plus two that hold the ECC-6 and
-# line SECDED codecs to the golden references bit for bit, one over the
-# meccvet baseline file, seeded with lint.baseline.json, one over the
-# binary trace reader, one each over obsdump's JSONL event reader and the
-# Prometheus parser obsscrape feeds live HTTP input, one over the
+# line SECDED codecs to the golden references bit for bit, one that
+# holds the retention fault sampler to taking the logarithm of every
+# draw, one over the meccvet baseline file, seeded with
+# lint.baseline.json, one over the binary trace reader, one each over
+# obsdump's JSONL event reader and the Prometheus parser obsscrape
+# feeds live HTTP input, one over the
 # -trace-events kind list, one over scenario-spec JSON seeded with the
 # built-in specs, one that holds the memory controller's fast paths to
 # per-cycle stepping on fuzz-chosen configs and arrival scripts, and one
@@ -136,6 +139,7 @@ fuzz-short:
 	$(GO) test -run=XXX -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzDecodeDifferential -fuzztime 10s ./internal/golden/
 	$(GO) test -run=XXX -fuzz FuzzSECDEDDifferential -fuzztime 10s ./internal/golden/
+	$(GO) test -run=XXX -fuzz FuzzFlipPositions -fuzztime 10s ./internal/retention/
 	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
 	$(GO) test -run=XXX -fuzz FuzzBinaryReader -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/

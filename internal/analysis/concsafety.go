@@ -39,11 +39,17 @@ type sharedWrite struct {
 }
 
 func runConcsafety(pass *Pass) error {
+	// A work function passed to several Run calls is checked once, so
+	// each of its findings is reported once.
+	checked := make(map[*ast.BlockStmt]bool)
 	pass.WithStack(func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if isPoolRun(pass, n) && len(n.Args) > 0 {
-				checkWorker(pass, n.Args[len(n.Args)-1])
+				if body, span := workerFunc(pass, n.Args[len(n.Args)-1]); body != nil && !checked[body] {
+					checked[body] = true
+					checkWorkerBody(pass, body, span.Pos(), span.End())
+				}
 			}
 			if obj := funcObject(pass.Info, n.Fun); isPkgLevelFunc(obj, "sync/atomic") {
 				pass.Reportf(n.Pos(),
@@ -74,25 +80,26 @@ func isPoolRun(pass *Pass, call *ast.CallExpr) bool {
 	return ok && namedType(ptr.Elem(), fn.Pkg().Path(), "Pool")
 }
 
-// checkWorker analyzes one work-function argument: a function literal
+// workerFunc resolves one work-function argument to its body and the
+// node whose span holds its parameters and locals: a function literal
 // in place, a local variable bound once to a function literal (how a
 // caller builds one closure for many Runs), or a reference to a
-// declared function.
-func checkWorker(pass *Pass, arg ast.Expr) {
+// declared function. The body is nil for anything else.
+func workerFunc(pass *Pass, arg ast.Expr) (*ast.BlockStmt, ast.Node) {
 	if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-		checkWorkerBody(pass, lit.Body, lit.Pos(), lit.End())
-		return
+		return lit.Body, lit
 	}
 	switch obj := funcObject(pass.Info, arg).(type) {
 	case *types.Var:
 		if lit := boundFuncLit(pass, obj); lit != nil {
-			checkWorkerBody(pass, lit.Body, lit.Pos(), lit.End())
+			return lit.Body, lit
 		}
 	case *types.Func:
 		if fi := pass.Prog.FuncOf(obj); fi != nil && fi.Decl.Body != nil {
-			checkWorkerBody(pass, fi.Decl.Body, fi.Decl.Pos(), fi.Decl.End())
+			return fi.Decl.Body, fi.Decl
 		}
 	}
+	return nil, nil
 }
 
 // boundFuncLit returns the function literal v is bound to when v is

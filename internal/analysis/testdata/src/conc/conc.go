@@ -72,6 +72,12 @@ func BadDecl(items []int) {
 	batch.Default().Run(len(items), 1, sharedWorker)
 }
 
+// TwiceDecl passes the same declared worker to a second Run call; its
+// finding is still reported once.
+func TwiceDecl(items []int) {
+	batch.Default().Run(len(items), 1, sharedWorker)
+}
+
 // counter and SetObserver reproduce the pre-fix batch.SetObserver race
 // shape: a package-level pointer swapped by a setup entry point.
 type counter struct{ n int64 }

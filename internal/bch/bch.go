@@ -8,10 +8,12 @@
 // bits of a (72,64)-equipped memory. The decoder works from the remainder
 // of the received word modulo the generator: a zero remainder is a clean
 // word, otherwise the syndromes come from the remainder, Berlekamp–Massey
-// gives the error locator, its roots (closed form for one or two errors,
+// gives the error locator, its roots (closed form for up to three errors,
 // a Chien search beyond) give the positions, and a post-correction
 // remainder check makes miscorrections surface as detected-uncorrectable
-// instead of silent corruption.
+// instead of silent corruption. One- and two-error patterns are tried
+// from S1 and S3 alone, and confirmed by that check, before
+// Berlekamp–Massey runs.
 package bch
 
 import (
@@ -89,6 +91,10 @@ type Code struct {
 	// none; the other solution is y^1. It solves degree-2 locators in
 	// closed form.
 	quadRoot []uint16
+	// cubicLog[w] holds the logs of the three roots of z^3 + z + w when
+	// it has three, or a zero third entry when it has fewer. It solves
+	// degree-3 locators in closed form.
+	cubicLog [][3]uint16
 }
 
 // New constructs a t-error-correcting BCH code for 512 data bits.
@@ -182,6 +188,19 @@ func (c *Code) buildSynTables() {
 	c.quadRoot = make([]uint16, c.n+1)
 	for y := 2; y <= c.n; y++ {
 		c.quadRoot[f.Mul(uint16(y), uint16(y))^uint16(y)] = uint16(y)
+	}
+	// z = 0 and z = 1 give w = 0, the one w with a repeated root; every
+	// other root has a nonzero log, so a zero entry is free. A cubic has
+	// at most three roots, and two distinct ones force a third (the
+	// roots sum to zero), so a w with a root has one or three.
+	c.cubicLog = make([][3]uint16, c.n+1)
+	for z := 2; z <= c.n; z++ {
+		roots := &c.cubicLog[f.Mul(c.square[z], uint16(z))^uint16(z)]
+		k := 0
+		for roots[k] != 0 {
+			k++
+		}
+		roots[k] = c.log[z]
 	}
 }
 
@@ -323,6 +342,20 @@ func (c *Code) Decode(data line.Line, parity uint64) (line.Line, Result) {
 // syndromes vanish exactly when rem is zero, and otherwise they are
 // evaluated from rem's sixteen nibbles rather than the codeword's 72
 // bytes.
+//
+// Most erroneous lines hold one or two errors, so decode first tries
+// those hypotheses from S1 and S3 alone: one error at the root of
+// 1 + S1*x, then two errors at the roots of 1 + S1*x + s2*x^2 with
+// s2 = (S3 + S1^3)/S1 (Peterson's formula). A hypothesis stands only
+// when settle confirms it: the remainders of its positions XOR to rem.
+// That is exact. Which positions decode corrects, if any, depends only
+// on rem and the extension bit, and a confirmed pattern of weight
+// w <= 2 <= t is the unique pattern within t errors of the received
+// word, so the full pipeline would locate the same positions and
+// settle them the same way. A hypothesis that is not confirmed falls
+// through, keeping S1 and S3, to the remaining syndromes and
+// Berlekamp–Massey. For t = 1, S3 is not a syndrome of the code, so
+// only the one-error hypothesis runs.
 func (c *Code) decode(data line.Line, parity uint64) (line.Line, Result) {
 	deg := c.parityBits
 	extBit := (parity >> deg) & 1
@@ -341,69 +374,94 @@ func (c *Code) decode(data line.Line, parity uint64) (line.Line, Result) {
 	}
 
 	var synd [maxSyn]uint16
-	c.remSyndromes(rem, &synd)
+	var positions [MaxT]int
+	s1 := c.oddSyndrome(0, rem)
+	synd[0] = s1
+	if nPos, ok := c.root1(s1, &positions); ok {
+		if out, res, ok := c.settle(data, rem, extOK, positions[:nPos]); ok {
+			return out, res
+		}
+	}
+	if c.t >= 2 {
+		s3 := c.oddSyndrome(1, rem)
+		synd[2] = s3
+		if num := s3 ^ c.field.Mul(c.square[s1], s1); s1 != 0 && num != 0 {
+			s2 := c.field.Alpha(int(c.log[num]) + c.n - int(c.log[s1]))
+			if nPos, ok := c.roots2(s1, s2, &positions); ok {
+				if out, res, ok := c.settle(data, rem, extOK, positions[:nPos]); ok {
+					return out, res
+				}
+			}
+		}
+	}
+
+	for i := 2; i < c.t; i++ {
+		synd[2*i] = c.oddSyndrome(i, rem)
+	}
+	c.evenSyndromes(&synd)
 	var lambda [maxSyn + 1]uint16
 	degL, ok := c.berlekampMassey(synd[:2*c.t], &lambda)
 	if !ok {
 		return data, Result{Uncorrectable: true}
 	}
-	var positions [MaxT]int
 	nPos, ok := c.errorPositions(lambda[:degL+1], &positions)
 	if !ok {
 		return data, Result{Uncorrectable: true}
 	}
-	if c.extended {
-		// Parity of the error count must match the extension-bit
-		// discrepancy; a mismatch means >t errors (e.g. t+1) slipped
-		// into a correctable-looking pattern.
-		errParity := uint64(nPos) & 1
-		wantParity := uint64(0)
-		if !extOK {
-			wantParity = 1
-		}
-		if errParity != wantParity {
-			return data, Result{Uncorrectable: true}
-		}
-	}
+	out, res, _ := c.settle(data, rem, extOK, positions[:nPos])
+	return out, res
+}
 
-	// Correct, and XOR each corrected position's own remainder into rem:
-	// x^pos for a parity bit, the encPos entry for a data bit. The
-	// corrected word is a codeword (all 2t syndromes vanish) exactly when
-	// rem ends at zero; otherwise the decoder was about to miscorrect.
+// settle applies a located error pattern to the received word: it flips
+// the pattern's data bits and XORs each position's own remainder into
+// rem, x^pos for a parity bit and the encPos entry for a data bit. The
+// corrected word is a codeword (all 2t syndromes vanish) exactly when
+// rem ends at zero, and confirmed reports that; otherwise the decoder
+// was about to miscorrect. A confirmed pattern must also match the
+// extension bit: the parity of its weight must equal the extension-bit
+// discrepancy, or more than t errors (e.g. t+1) slipped into a
+// correctable-looking pattern. Both failures return the received data
+// as Uncorrectable.
+func (c *Code) settle(data line.Line, rem uint64, extOK bool, positions []int) (out line.Line, res Result, confirmed bool) {
 	corrected := data
-	for _, pos := range positions[:nPos] {
-		if pos < deg {
+	for _, pos := range positions {
+		if pos < c.parityBits {
 			rem ^= uint64(1) << pos
 			continue
 		}
-		i := pos - deg
+		i := pos - c.parityBits
 		corrected = corrected.FlipBit(i)
 		rem ^= c.encPos[i/8][1<<(i%8)]
 	}
 	if rem != 0 {
-		return data, Result{Uncorrectable: true}
+		return data, Result{Uncorrectable: true}, false
 	}
-	return corrected, Result{CorrectedBits: nPos}
+	if c.extended && (len(positions)&1 == 1) == extOK {
+		return data, Result{Uncorrectable: true}, true
+	}
+	return corrected, Result{CorrectedBits: len(positions)}, true
 }
 
-// remSyndromes computes S_1..S_2t from the remainder rem = R(x) mod g(x)
-// into the caller-provided scratch array, without allocating. Each of
-// the t odd syndromes is the XOR of sixteen independent synNib lookups,
-// one per nibble of rem. rem is a binary polynomial, so
+// oddSyndrome returns S_(2i+1) = rem(alpha^(2i+1)), where rem = R(x) mod
+// g(x): the XOR of sixteen independent synNib lookups, one per nibble of
+// rem.
+func (c *Code) oddSyndrome(i int, rem uint64) uint16 {
+	t := &c.synNib[i]
+	return t[0][rem&0xf] ^ t[1][rem>>4&0xf] ^
+		t[2][rem>>8&0xf] ^ t[3][rem>>12&0xf] ^
+		t[4][rem>>16&0xf] ^ t[5][rem>>20&0xf] ^
+		t[6][rem>>24&0xf] ^ t[7][rem>>28&0xf] ^
+		t[8][rem>>32&0xf] ^ t[9][rem>>36&0xf] ^
+		t[10][rem>>40&0xf] ^ t[11][rem>>44&0xf] ^
+		t[12][rem>>48&0xf] ^ t[13][rem>>52&0xf] ^
+		t[14][rem>>56&0xf] ^ t[15][rem>>60]
+}
+
+// evenSyndromes fills S_2, S_4, ..., S_2t into out from the odd
+// syndromes already there. rem is a binary polynomial, so
 // S_2j = rem(alpha^j)^2 = S_j^2 and each even syndrome is one square
 // lookup, taken in rising j so that S_j is already known.
-func (c *Code) remSyndromes(rem uint64, out *[maxSyn]uint16) {
-	for i := range c.synNib {
-		t := &c.synNib[i]
-		out[2*i] = t[0][rem&0xf] ^ t[1][rem>>4&0xf] ^
-			t[2][rem>>8&0xf] ^ t[3][rem>>12&0xf] ^
-			t[4][rem>>16&0xf] ^ t[5][rem>>20&0xf] ^
-			t[6][rem>>24&0xf] ^ t[7][rem>>28&0xf] ^
-			t[8][rem>>32&0xf] ^ t[9][rem>>36&0xf] ^
-			t[10][rem>>40&0xf] ^ t[11][rem>>44&0xf] ^
-			t[12][rem>>48&0xf] ^ t[13][rem>>52&0xf] ^
-			t[14][rem>>56&0xf] ^ t[15][rem>>60]
-	}
+func (c *Code) evenSyndromes(out *[maxSyn]uint16) {
 	for j := 1; j <= c.t; j++ {
 		out[2*j-1] = c.square[out[j-1]]
 	}
@@ -477,7 +535,7 @@ func (c *Code) berlekampMassey(synd []uint16, lambda *[maxSyn + 1]uint16) (int, 
 // returning how many were found. It returns ok=false unless Lambda has
 // deg(Lambda) distinct roots, all within the shortened length: a root at
 // a shortened-away position, a repeated root or a missing root means
-// more errors than the code can correct. Degrees 1 and 2 are solved in
+// more errors than the code can correct. Degrees 1 to 3 are solved in
 // closed form; higher degrees run the Chien search. The positions are
 // those chienSearch reports, though not necessarily in rising order.
 func (c *Code) errorPositions(lambda []uint16, out *[MaxT]int) (int, bool) {
@@ -486,6 +544,8 @@ func (c *Code) errorPositions(lambda []uint16, out *[MaxT]int) (int, bool) {
 		return c.root1(lambda[1], out)
 	case 2:
 		return c.roots2(lambda[1], lambda[2], out)
+	case 3:
+		return c.roots3(lambda, out)
 	}
 	return c.chienSearch(lambda, out)
 }
@@ -528,6 +588,48 @@ func (c *Code) roots2(l1, l2 uint16, out *[MaxT]int) (int, bool) {
 	}
 	out[0], out[1] = i0, i1
 	return 2, true
+}
+
+// roots3 solves Lambda(x) = 1 + l1*x + l2*x^2 + l3*x^3 through its
+// reciprocal X^3 + l1*X^2 + l2*X + l3, whose roots are the error
+// locators X = alpha^i themselves. X = Y + l1 turns it into
+// Y^3 + p*Y + q with p = l1^2 + l2 and q = l1*l2 + l3, and Y = sqrt(p)*Z
+// into Z^3 + Z + w with w = q/p^(3/2), whose roots cubicLog holds. Square
+// roots are unique in GF(2^m), and log sqrt(p) = log(p)/2 mod n with n
+// odd. q = 0 leaves a repeated root, a root X = 0 means l3 = 0, and a w
+// with fewer than three roots no split at all. The rare p = 0 leaves
+// Y^3 = q, which the Chien search solves.
+func (c *Code) roots3(lambda []uint16, out *[MaxT]int) (int, bool) {
+	f := c.field
+	l1, l2, l3 := lambda[1], lambda[2], lambda[3]
+	p := c.square[l1] ^ l2
+	if p == 0 {
+		return c.chienSearch(lambda, out)
+	}
+	q := f.Mul(l1, l2) ^ l3
+	if q == 0 {
+		return 0, false
+	}
+	n := c.n
+	lp := int(c.log[p])
+	ls := (lp + (lp&1)*n) / 2 // log sqrt(p)
+	zs := &c.cubicLog[f.Alpha(int(c.log[q])+3*(n-ls))]
+	if zs[2] == 0 {
+		return 0, false
+	}
+	length := c.parityBits + line.Bits
+	for k, lz := range zs {
+		x := f.Alpha(ls+int(lz)) ^ l1
+		if x == 0 {
+			return 0, false
+		}
+		i := int(c.log[x])
+		if i >= length {
+			return 0, false
+		}
+		out[k] = i
+	}
+	return 3, true
 }
 
 // chienSearch finds error positions as codeword exponents, writing them

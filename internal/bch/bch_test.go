@@ -345,38 +345,72 @@ func TestShortenedTailUncorrectable(t *testing.T) {
 	}
 }
 
-// TestClosedFormRootsMatchChien pins root1 and roots2 to the Chien scan:
-// the same ok and, when ok, the same set of positions, over every
-// degree-1 locator and random degree-2 locators, with rows for
-// lambda1 = 0 and lambda2 = 0.
+// TestClosedFormRootsMatchChien pins root1, roots2 and roots3 to the
+// Chien scan: the same ok and, when ok, the same set of positions, over
+// every degree-1 locator, random degree-2 locators with rows for
+// lambda1 = 0 and lambda2 = 0, and, for every t that reaches degree 3,
+// random degree-3 locators, split cubics from three distinct exponents
+// (shortened-away ones included), and rows with lambda3 = 0 (a root
+// X = 0), lambda1^2 = lambda2 (p = 0, left to the Chien scan) and
+// lambda1*lambda2 = lambda3 (q = 0, a repeated root).
 func TestClosedFormRootsMatchChien(t *testing.T) {
-	c := mustCode(t, 6, false)
 	rng := rand.New(rand.NewSource(14))
-	check := func(lambda []uint16) {
+	check := func(c *Code, lambda []uint16) bool {
 		t.Helper()
 		var fast, slow [MaxT]int
 		nf, okf := c.errorPositions(lambda, &fast)
 		ns, oks := c.chienSearch(lambda, &slow)
 		if okf != oks {
-			t.Fatalf("lambda %v: closed form ok=%v, Chien ok=%v", lambda, okf, oks)
+			t.Fatalf("t=%d lambda %v: closed form ok=%v, Chien ok=%v", c.t, lambda, okf, oks)
 		}
 		if !okf {
-			return
+			return false
 		}
 		got := append([]int(nil), fast[:nf]...)
 		sort.Ints(got)
 		if fmt.Sprint(got) != fmt.Sprint(slow[:ns]) {
-			t.Fatalf("lambda %v: closed form %v, Chien %v", lambda, got, slow[:ns])
+			t.Fatalf("t=%d lambda %v: closed form %v, Chien %v", c.t, lambda, got, slow[:ns])
 		}
+		return true
 	}
+	c := mustCode(t, 6, false)
 	for l1 := 0; l1 <= c.N(); l1++ {
-		check([]uint16{1, uint16(l1)})
+		check(c, []uint16{1, uint16(l1)})
 	}
 	for k := 0; k < 20000; k++ {
 		l1, l2 := uint16(rng.Intn(c.N()+1)), uint16(rng.Intn(c.N()+1))
-		check([]uint16{1, l1, l2})
-		check([]uint16{1, 0, l2})
-		check([]uint16{1, l1, 0})
+		check(c, []uint16{1, l1, l2})
+		check(c, []uint16{1, 0, l2})
+		check(c, []uint16{1, l1, 0})
+	}
+	for tcap := 3; tcap <= MaxT; tcap++ {
+		c := mustCode(t, tcap, false)
+		f := c.field
+		length := c.parityBits + line.Bits
+		elem := func() uint16 { return uint16(rng.Intn(c.N() + 1)) }
+		for k := 0; k < 5000; k++ {
+			l1, l2, l3 := elem(), elem(), elem()
+			check(c, []uint16{1, l1, l2, l3})
+			check(c, []uint16{1, l1, l2, 0})
+			check(c, []uint16{1, l1, f.Mul(l1, l1), l3})
+			check(c, []uint16{1, l1, l2, f.Mul(l1, l2)})
+			// A split cubic: the locator of three distinct exponents,
+			// every other one inside the shortened length.
+			span := c.N()
+			if k%2 == 0 {
+				span = length
+			}
+			e0, e1, e2 := rng.Intn(span), rng.Intn(span), rng.Intn(span)
+			if e0 == e1 || e1 == e2 || e0 == e2 {
+				continue
+			}
+			a, b, d := f.Alpha(e0), f.Alpha(e1), f.Alpha(e2)
+			ab := f.Mul(a, b)
+			lambda := []uint16{1, a ^ b ^ d, ab ^ f.Mul(a^b, d), f.Mul(ab, d)}
+			if inside := max(e0, e1, e2) < length; check(c, lambda) != inside {
+				t.Fatalf("t=%d exponents %d,%d,%d: ok=%v, want %v", tcap, e0, e1, e2, !inside, inside)
+			}
+		}
 	}
 }
 
@@ -471,14 +505,14 @@ func TestSyndromeRemainderDifferential(t *testing.T) {
 }
 
 // The decode hot path must be allocation-free on the clean (zero
-// remainder) path and on every correction route (closed-form roots for
-// one and two errors, the Chien search for six), for both plain and
-// extended codes, and so must Encode.
+// remainder) path and on every correction route (the one- and two-error
+// hypotheses, the closed-form cubic for three errors, the Chien search
+// for six), for both plain and extended codes, and so must Encode.
 func TestDecodeZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, extended := range []bool{false, true} {
 		c := mustCode(t, 6, extended)
-		for _, nErr := range []int{0, 1, 2, 6} {
+		for _, nErr := range []int{0, 1, 2, 3, 6} {
 			data := randLine(rng)
 			cd, cp := corruptWord(rng, c, data, c.Encode(data), nErr)
 			if n := testing.AllocsPerRun(200, func() {
@@ -559,6 +593,10 @@ func BenchmarkDecodeOneError(b *testing.B) { benchDecodeErrors(b, 1, 33) }
 // BenchmarkDecodeTwoErrors measures a double-error decode, a degree-2
 // locator.
 func BenchmarkDecodeTwoErrors(b *testing.B) { benchDecodeErrors(b, 2, 34) }
+
+// BenchmarkDecodeThreeErrors measures a triple-error decode, a degree-3
+// locator.
+func BenchmarkDecodeThreeErrors(b *testing.B) { benchDecodeErrors(b, 3, 35) }
 
 // BenchmarkDecodeT6 measures the worst correctable case: six errors
 // through the full syndrome/BM/Chien/recheck pipeline.

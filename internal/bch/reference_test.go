@@ -57,7 +57,11 @@ func (c *Code) encodeLFSR(data line.Line) uint64 {
 func (c *Code) syndromes(data line.Line, parity uint64) []uint16 {
 	var scratch [maxSyn]uint16
 	parity &= (uint64(1) << c.parityBits) - 1
-	c.remSyndromes(c.encodeRemainder(&data)^parity, &scratch)
+	rem := c.encodeRemainder(&data) ^ parity
+	for i := 0; i < c.t; i++ {
+		scratch[2*i] = c.oddSyndrome(i, rem)
+	}
+	c.evenSyndromes(&scratch)
 	synd := make([]uint16, 2*c.t)
 	copy(synd, scratch[:])
 	return synd

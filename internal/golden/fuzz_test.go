@@ -2,6 +2,7 @@ package golden
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"testing"
 
 	"repro/internal/bch"
@@ -61,6 +62,21 @@ func FuzzDecodeDifferential(f *testing.F) {
 	// its degree-1 locator's root lies beyond position 572.
 	tail := shortenedTail(pairs[0].opt)
 	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), tail[len(tail)/2], []byte(nil))
+	// One error in a parity bit, then two and three errors: the one- and
+	// two-error hypotheses and the closed-form cubic.
+	f.Add(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], uint64(0), flipBytes(7))
+	f.Add(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], uint64(0), flipBytes(17, 300))
+	f.Add(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], uint64(0), flipBytes(2, 150, 500))
+	// Every bit of the codeword g(x) but its data bit, x^60, on a zero
+	// line: weight(g) - 1 errors whose remainder is x^60 mod g, the
+	// remainder of one error at position 60. The one-error hypothesis
+	// confirms that miscorrection (the extended code's parity check then
+	// rejects it), and it must be the reference's.
+	gLow := pairs[0].opt.Encode(line.Line{1})
+	if bits.OnesCount64(gLow) < 7 {
+		f.Fatalf("g(x) has %d parity terms, want 7 or more", bits.OnesCount64(gLow))
+	}
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), gLow, []byte(nil))
 
 	f.Fuzz(func(t *testing.T, w0, w1, w2, w3, w4, w5, w6, w7, parity uint64, flips []byte) {
 		data := line.Line{w0, w1, w2, w3, w4, w5, w6, w7}

@@ -126,7 +126,14 @@ type Injector struct {
 	ber float64
 	// lnq is ln(1-ber), cached for gap sampling.
 	lnq float64
+	// end[k] is (1-ber)^k * (1-endMargin): a draw below it ends a line
+	// with k bits left (see FlipPositionsAppend). It grows on demand to
+	// the largest bit count requested, one float64 per bit.
+	end []float64
 }
+
+// endMargin is the factor δ = 2^-16 that end[k] sits below (1-ber)^k.
+const endMargin = 1.0 / (1 << 16)
 
 // NewInjector builds a deterministic fault injector.
 func NewInjector(seed int64, ber float64) *Injector {
@@ -148,6 +155,18 @@ func (in *Injector) FlipPositions(nbits int) []int {
 // loops pass a reused buffer (sliced to length 0) so that injection
 // performs no allocations in the common no-failure case; the random
 // sequence drawn is identical to FlipPositions.
+//
+// Each draw u gives the gap floor(log(u)/lnq) to the next failure, so
+// with k bits left it ends the line when log(u)/lnq >= k: in exact
+// arithmetic, when u <= (1-ber)^k = e^(k*lnq). Every line ends with such
+// a draw, and at the JEDEC rate nearly every draw is one; a draw below
+// end[k] ends the line without the logarithm. That is exact. A draw
+// below end[k] needs end[k] > 2^-63, the smallest nonzero draw, so
+// k*|lnq| < 44; there the rounding in k*lnq, Exp, Log and the quotient,
+// a few ulps each, moves the comparison by under 2^-44 relative, far
+// inside δ, so the log path would end the line too. Every other draw
+// takes that path, so the positions and the draws consumed are those
+// of taking the logarithm of every draw. A NaN BER plants nothing.
 func (in *Injector) FlipPositionsAppend(nbits int, buf []int) []int {
 	if in.ber <= 0 {
 		return buf
@@ -158,6 +177,12 @@ func (in *Injector) FlipPositionsAppend(nbits int, buf []int) []int {
 		}
 		return buf
 	}
+	// A negative nbits ends on the first draw, as 0 does.
+	nbits = max(nbits, 0)
+	if nbits >= len(in.end) {
+		in.growEnd(nbits)
+	}
+	end := in.end
 	pos := -1
 	for {
 		// Geometric gap: number of surviving bits before the next failure.
@@ -165,13 +190,29 @@ func (in *Injector) FlipPositionsAppend(nbits int, buf []int) []int {
 		for u == 0 {
 			u = in.rng.Float64()
 		}
-		gap := int(math.Floor(math.Log(u) / in.lnq))
-		pos += gap + 1
-		if pos >= nbits {
+		left := nbits - 1 - pos
+		if u < end[left] {
 			return buf
 		}
+		// Compared before it becomes an int, a gap too large for one (a
+		// BER below about 5e-18) or NaN (a NaN BER) ends the line too.
+		gap := math.Floor(math.Log(u) / in.lnq)
+		if !(gap < float64(left)) {
+			return buf
+		}
+		pos += int(gap) + 1
 		buf = append(buf, pos)
 	}
+}
+
+// growEnd extends end to cover k = 0..nbits.
+func (in *Injector) growEnd(nbits int) {
+	end := make([]float64, nbits+1)
+	k := copy(end, in.end)
+	for ; k <= nbits; k++ {
+		end[k] = math.Exp(float64(k)*in.lnq) * (1 - endMargin)
+	}
+	in.end = end
 }
 
 // Operating-range bounds for junction-temperature inputs. LPDDR parts

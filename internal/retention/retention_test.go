@@ -2,7 +2,10 @@ package retention
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -129,6 +132,16 @@ func TestInjectorEdgeCases(t *testing.T) {
 	if got := NewInjector(1, 1).FlipPositions(5); len(got) != 5 {
 		t.Error("ber=1 should flip everything")
 	}
+	// Below about 5e-18 a gap can exceed an int, and a NaN BER makes
+	// every gap NaN; neither may turn into a position.
+	for _, ber := range []float64{1e-18, 1e-25, math.SmallestNonzeroFloat64, math.NaN()} {
+		in := NewInjector(1, ber)
+		for i := 0; i < 1000; i++ {
+			if got := in.FlipPositions(lineBits); got != nil {
+				t.Fatalf("ber=%g flipped %v", ber, got)
+			}
+		}
+	}
 }
 
 func TestInjectorDeterminism(t *testing.T) {
@@ -164,6 +177,139 @@ func TestFlipPositionsAppendZeroAllocs(t *testing.T) {
 	}
 	if failures == 0 {
 		t.Fatal("no draw failed a bit; the append path went unmeasured")
+	}
+}
+
+// lineBits is a stored line: 512 data bits and 64 spare bits.
+const lineBits = 576
+
+// logSampling is the reference gap sampler for 0 < ber < 1: it takes
+// the logarithm of every draw, including the draw that ends the line.
+// FlipPositionsAppend must match it position for position and draw for
+// draw.
+func logSampling(rng *rand.Rand, ber float64, nbits int, buf []int) []int {
+	lnq := math.Log1p(-ber)
+	pos := -1
+	for {
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
+		}
+		gap := int(math.Floor(math.Log(u) / lnq))
+		pos += gap + 1
+		if pos >= nbits {
+			return buf
+		}
+		buf = append(buf, pos)
+	}
+}
+
+// matchLogSampling runs an injector and logSampling from the same seed
+// through the bit counts in nbits, in order. It fails on the first call
+// whose positions differ, and when the two have consumed different
+// numbers of draws by the end.
+func matchLogSampling(t testing.TB, seed int64, ber float64, nbits []int) {
+	t.Helper()
+	in := NewInjector(seed, ber)
+	ref := rand.New(rand.NewSource(seed))
+	var got, want []int
+	for i, n := range nbits {
+		got = in.FlipPositionsAppend(n, got[:0])
+		want = logSampling(ref, ber, n, want[:0])
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d ber %g call %d (%d bits): positions %v, log sampling %v", seed, ber, i, n, got, want)
+		}
+	}
+	if in.rng.Int63() != ref.Int63() {
+		t.Fatalf("seed %d ber %g: the injector and log sampling consumed different draws", seed, ber)
+	}
+}
+
+// script is a rand.Source that replays a fixed Int63 value, so that a
+// draw u = v/2^63 can be placed exactly, and then continues a seeded
+// source.
+type script struct {
+	first int64
+	rest  rand.Source
+	calls int
+}
+
+func (s *script) Int63() int64 {
+	s.calls++
+	if s.calls == 1 {
+		return s.first
+	}
+	return s.rest.Int63()
+}
+
+func (s *script) Seed(int64) {}
+
+// TestFlipPositionsMatchesLogSampling holds the log-free line end to
+// the sampler that takes the logarithm of every draw. One injector per
+// BER alternates bit counts, so its threshold table grows mid-stream.
+// Then single draws are placed at each threshold itself, one step
+// below and above it, and at (1-ber)^k, where rounding decides the log
+// path's verdict.
+func TestFlipPositionsMatchesLogSampling(t *testing.T) {
+	cycle := []int{64, 1, lineBits, 64, 4096, lineBits}
+	var nbits []int
+	for i := 0; i < 1800; i++ {
+		nbits = append(nbits, cycle[i%len(cycle)])
+	}
+	bers := []float64{1e-12, JEDECBitErrorRate, 1e-6, SlowBitErrorRate, 1e-4, 1e-3,
+		1e-2, 0.1, 0.5, 0.9, 0.999, 0.999999}
+	for i, ber := range bers {
+		matchLogSampling(t, int64(i+1), ber, nbits)
+	}
+
+	placed := 0
+	// At 0.504 and 3 bits left, and at 0.5005 and 7, the log path keeps
+	// the line going on the draw just below (1-ber)^k: rounding alone
+	// decides there, which is what the margin is for.
+	for _, ber := range append(bers, 0.504, 0.5005) {
+		for _, k := range []int{0, 1, 2, 3, 5, 7, 64, lineBits, 4096} {
+			in := NewInjector(0, ber)
+			in.growEnd(k)
+			end := in.end[k]
+			for _, u := range []float64{
+				math.Nextafter(end, 0), end, math.Nextafter(end, 1),
+				math.Exp(float64(k) * in.lnq),
+				math.Nextafter(math.Exp(float64(k)*in.lnq), 0),
+			} {
+				v := int64(u * (1 << 63))
+				if u >= 1 || float64(v)/(1<<63) != u {
+					continue // not a draw Float64 can return
+				}
+				src := &script{first: v, rest: rand.NewSource(int64(k))}
+				ref := &script{first: v, rest: rand.NewSource(int64(k))}
+				in.rng = rand.New(src)
+				got := in.FlipPositionsAppend(k, nil)
+				want := logSampling(rand.New(ref), ber, k, nil)
+				if !slices.Equal(got, want) || src.calls != ref.calls {
+					t.Fatalf("ber %g, %d bits, first draw %v: positions %v after %d draws, log sampling %v after %d",
+						ber, k, u, got, src.calls, want, ref.calls)
+				}
+				placed++
+			}
+		}
+	}
+	if placed < 100 {
+		t.Fatalf("only %d draws were placed at thresholds", placed)
+	}
+}
+
+// BenchmarkFlipPositions measures one line's draw into a reused buffer,
+// at the integrity sweep's BER and at the JEDEC rate.
+func BenchmarkFlipPositions(b *testing.B) {
+	for _, ber := range []float64{1e-3, JEDECBitErrorRate} {
+		b.Run(fmt.Sprintf("ber=%g", ber), func(b *testing.B) {
+			in := NewInjector(1, ber)
+			var buf []int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = in.FlipPositionsAppend(lineBits, buf[:0])
+			}
+		})
 	}
 }
 
