@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test cover cover-gate vet lint lint-baseline speclint self-test fmt paperbench trace-demo obs-smoke obs-demo scenarios scenarios-short fuzz fuzz-short pgo clean
+.PHONY: all build test cover cover-gate vet lint lint-baseline speclint self-test fmt paperbench trace-demo obs-smoke obs-demo scenarios scenarios-short fuzz examples pgo clean
 
 # Pinned staticcheck release for CI; `make lint` uses a local install
 # when one is on PATH and skips it (with a note) otherwise.
@@ -102,17 +102,27 @@ scenarios:
 scenarios-short:
 	$(GO) run ./cmd/meccscn run -short
 
-# Short fuzz session over the parsers, the BCH and line SECDED decoders,
-# the retention fault sampler, the controller against per-cycle
-# stepping, and the simulation and harness options.
+# Ten seconds on each of the tree's fifteen fuzz targets: the BCH
+# decoder, seeded with the extension-bit-guard and t+1-error corpus
+# (testdata/fuzz), and its encode/decode round trip; the ECC-6 and line
+# SECDED codecs held to the golden references bit for bit; the
+# retention fault sampler held to taking the logarithm of every draw;
+# the meccvet baseline file, seeded with lint.baseline.json; the text
+# and binary trace readers; obsdump's JSONL event reader, the
+# Prometheus parser obsscrape feeds live HTTP input, and the
+# -trace-events kind list; scenario-spec JSON, seeded with the built-in
+# specs; the memory controller's fast paths held to per-cycle stepping
+# on fuzz-chosen configs and arrival scripts; and sim.Config.Validate
+# and the experiment harness options. CI runs this target.
 fuzz:
 	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
+	$(GO) test -run=XXX -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 10s ./internal/bch/
 	$(GO) test -run=XXX -fuzz FuzzDecodeDifferential -fuzztime 10s ./internal/golden/
 	$(GO) test -run=XXX -fuzz FuzzSECDEDDifferential -fuzztime 10s ./internal/golden/
 	$(GO) test -run=XXX -fuzz FuzzFlipPositions -fuzztime 10s ./internal/retention/
+	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
 	$(GO) test -run=XXX -fuzz FuzzReadText -fuzztime 10s ./internal/trace/
 	$(GO) test -run=XXX -fuzz FuzzBinaryReader -fuzztime 10s ./internal/trace/
-	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
 	$(GO) test -run=XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/
 	$(GO) test -run=XXX -fuzz FuzzParseProm -fuzztime 10s ./internal/obs/
 	$(GO) test -run=XXX -fuzz FuzzParseKindMask -fuzztime 10s ./internal/obs/
@@ -121,34 +131,15 @@ fuzz:
 	$(GO) test -run=XXX -fuzz FuzzConfigValidate -fuzztime 10s ./internal/sim/
 	$(GO) test -run=XXX -fuzz FuzzOptions -fuzztime 10s ./internal/experiments/
 
-# 10-second BCH fuzz passes seeded with the extension-bit-guard and
-# t+1-error corpus (testdata/fuzz) — a quick regression check for the
-# decoder's miscorrection defences — plus two that hold the ECC-6 and
-# line SECDED codecs to the golden references bit for bit, one that
-# holds the retention fault sampler to taking the logarithm of every
-# draw, one over the meccvet baseline file, seeded with
-# lint.baseline.json, one over the binary trace reader, one each over
-# obsdump's JSONL event reader and the Prometheus parser obsscrape
-# feeds live HTTP input, one over the
-# -trace-events kind list, one over scenario-spec JSON seeded with the
-# built-in specs, one that holds the memory controller's fast paths to
-# per-cycle stepping on fuzz-chosen configs and arrival scripts, and one
-# each over sim.Config.Validate and the experiment harness options.
-fuzz-short:
-	$(GO) test -run=XXX -fuzz FuzzDecodeNeverPanics -fuzztime 10s ./internal/bch/
-	$(GO) test -run=XXX -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 10s ./internal/bch/
-	$(GO) test -run=XXX -fuzz FuzzDecodeDifferential -fuzztime 10s ./internal/golden/
-	$(GO) test -run=XXX -fuzz FuzzSECDEDDifferential -fuzztime 10s ./internal/golden/
-	$(GO) test -run=XXX -fuzz FuzzFlipPositions -fuzztime 10s ./internal/retention/
-	$(GO) test -run=XXX -fuzz FuzzLoadBaseline -fuzztime 10s ./internal/analysis/
-	$(GO) test -run=XXX -fuzz FuzzBinaryReader -fuzztime 10s ./internal/trace/
-	$(GO) test -run=XXX -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/
-	$(GO) test -run=XXX -fuzz FuzzParseProm -fuzztime 10s ./internal/obs/
-	$(GO) test -run=XXX -fuzz FuzzParseKindMask -fuzztime 10s ./internal/obs/
-	$(GO) test -run=XXX -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/scenario/
-	$(GO) test -run=XXX -fuzz FuzzStepOrJumpMatchesLegacy -fuzztime 10s ./internal/memctrl/
-	$(GO) test -run=XXX -fuzz FuzzConfigValidate -fuzztime 10s ./internal/sim/
-	$(GO) test -run=XXX -fuzz FuzzOptions -fuzztime 10s ./internal/experiments/
+# Run each program under examples/ once at a small size (each takes
+# well under a second), so an API change that breaks one fails here
+# rather than only compiling. CI runs this target.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/ecclab -trials 200
+	$(GO) run ./examples/faultlab -lines 256 -epochs 2
+	$(GO) run ./examples/idlephone -sessions 2
+	$(GO) run ./examples/tracereplay -accesses 20000
 
 # Recapture paperbench's profile-guided-optimization profile from the
 # current code; commit it only if paired fig7 rounds are no slower.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/retention"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -39,10 +38,7 @@ type MDTAblationResult struct {
 // AblationMDT sweeps the MDT region count and measures the idle-entry
 // upgrade sweep latency averaged over the 28 benchmarks' access streams
 // (full footprints, no timing model — as Fig11).
-func AblationMDT(opts Options) (MDTAblationResult, error) {
-	if err := opts.Validate(); err != nil {
-		return MDTAblationResult{}, err
-	}
+func AblationMDT(s *Suite) (MDTAblationResult, error) {
 	cfg := dram.DefaultConfig()
 	entriesSweep := []int{0, 256, 1024, 4096}
 	var out MDTAblationResult
@@ -55,32 +51,9 @@ func AblationMDT(opts Options) (MDTAblationResult, error) {
 			if entries > 0 {
 				mc.MDTEntries = entries
 			}
-			ctl, err := core.New(mc)
+			ctl, now, err := replayMDT(p, mc, s.opts)
 			if err != nil {
 				return MDTAblationResult{}, err
-			}
-			if err := ctl.ExitIdle(0); err != nil {
-				return MDTAblationResult{}, err
-			}
-			gen, err := workload.NewGenerator(p, cfg.TotalLines(), opts.Seed)
-			if err != nil {
-				return MDTAblationResult{}, err
-			}
-			src := workload.NewBounded(gen, opts.Instructions())
-			now := uint64(0)
-			for {
-				rec, ok := src.Next()
-				if !ok {
-					break
-				}
-				now += uint64(rec.Gap) + 1
-				if rec.Op == trace.OpWrite {
-					if err := ctl.OnWrite(rec.LineAddr, now); err != nil {
-						return MDTAblationResult{}, err
-					}
-				} else if _, err := ctl.OnRead(rec.LineAddr, now); err != nil {
-					return MDTAblationResult{}, err
-				}
 			}
 			tr, err := ctl.EnterIdle(now)
 			if err != nil {
@@ -128,30 +101,32 @@ func AblationSMDThreshold(s *Suite) (SMDThresholdResult, error) {
 		return SMDThresholdResult{}, err
 	}
 	thresholds := []float64{0.5, 1, 2, 4, 8}
-	var out SMDThresholdResult
-	tb := stats.NewTable("MPKC threshold", "Never enabled", "Geomean IPC")
+	profs := workload.All()
+	jobs := make([]runJob, 0, len(thresholds)*len(profs))
 	for _, th := range thresholds {
-		var jobs []runJob
-		var names []string
-		for _, p := range workload.All() {
+		for _, p := range profs {
 			cfg := s.opts.SimConfig(sim.SchemeMECC)
 			cfg.MECC.SMDEnabled = true
 			cfg.MECC.SMDThresholdMPKC = th
 			jobs = append(jobs, runJob{prof: p.Scaled(s.opts.Scale), cfg: cfg})
-			names = append(names, p.Name)
 		}
-		res, err := runMany(jobs, s.opts.parallel())
-		if err != nil {
-			return SMDThresholdResult{}, err
-		}
+	}
+	res, err := s.run(jobs)
+	if err != nil {
+		return SMDThresholdResult{}, err
+	}
+	var out SMDThresholdResult
+	tb := stats.NewTable("MPKC threshold", "Never enabled", "Geomean IPC")
+	for t, th := range thresholds {
 		row := SMDThresholdRow{ThresholdMPKC: th}
 		var norm []float64
-		for i, r := range res {
+		for i, p := range profs {
+			r := res[t*len(profs)+i]
 			if r.MECC != nil && r.MECC.ActiveCycles > 0 &&
 				float64(r.MECC.DowngradeDisabledCycles)/float64(r.MECC.ActiveCycles) > 0.995 {
 				row.NeverEnabled++
 			}
-			norm = append(norm, r.IPC/base[names[i]][sim.SchemeBaseline].IPC)
+			norm = append(norm, r.IPC/base[p.Name][sim.SchemeBaseline].IPC)
 		}
 		gm, err := stats.Geomean(norm)
 		if err != nil {
@@ -256,15 +231,12 @@ type MappingResult struct {
 // streaming (libq) and a pointer-chasing (omnetpp) workload: open-page
 // row:bank:col wins for streams, and the XOR permutation never loses —
 // the reasoning behind the default mapping.
-func AblationMapping(opts Options) (MappingResult, error) {
-	if err := opts.Validate(); err != nil {
-		return MappingResult{}, err
-	}
-	jobs, rows, err := mappingJobs(opts)
+func AblationMapping(s *Suite) (MappingResult, error) {
+	jobs, rows, err := mappingJobs(s.opts)
 	if err != nil {
 		return MappingResult{}, err
 	}
-	res, err := runMany(jobs, opts.parallel())
+	res, err := s.run(jobs)
 	if err != nil {
 		return MappingResult{}, err
 	}
@@ -322,10 +294,7 @@ type RefreshPolicyResult struct {
 // AblationRefreshPolicy compares all-bank REF against LPDDR per-bank
 // REFpb on memory-bound workloads: per-bank refresh trims the refresh-
 // induced tail of the read-latency distribution.
-func AblationRefreshPolicy(opts Options) (RefreshPolicyResult, error) {
-	if err := opts.Validate(); err != nil {
-		return RefreshPolicyResult{}, err
-	}
+func AblationRefreshPolicy(s *Suite) (RefreshPolicyResult, error) {
 	benchmarks := []string{"libq", "Gems"}
 	var jobs []runJob
 	var rows []RefreshPolicyRow
@@ -335,13 +304,13 @@ func AblationRefreshPolicy(opts Options) (RefreshPolicyResult, error) {
 			return RefreshPolicyResult{}, err
 		}
 		for _, perBank := range []bool{false, true} {
-			cfg := opts.SimConfig(sim.SchemeBaseline)
+			cfg := s.opts.SimConfig(sim.SchemeBaseline)
 			cfg.Ctrl.PerBankRefresh = perBank
-			jobs = append(jobs, runJob{prof: prof.Scaled(opts.Scale), cfg: cfg})
+			jobs = append(jobs, runJob{prof: prof.Scaled(s.opts.Scale), cfg: cfg})
 			rows = append(rows, RefreshPolicyRow{Benchmark: bench, PerBank: perBank})
 		}
 	}
-	res, err := runMany(jobs, opts.parallel())
+	res, err := s.run(jobs)
 	if err != nil {
 		return RefreshPolicyResult{}, err
 	}
@@ -393,10 +362,7 @@ type SchedulerResult struct {
 // closed-page, and strict FCFS on a streaming and a pointer-chasing
 // workload — the design space of the Memory Scheduling Championship that
 // USIMM (the paper's simulator) was built for.
-func AblationScheduler(opts Options) (SchedulerResult, error) {
-	if err := opts.Validate(); err != nil {
-		return SchedulerResult{}, err
-	}
+func AblationScheduler(s *Suite) (SchedulerResult, error) {
 	type variant struct {
 		name   string
 		mutate func(*sim.Config)
@@ -414,13 +380,13 @@ func AblationScheduler(opts Options) (SchedulerResult, error) {
 			return SchedulerResult{}, err
 		}
 		for _, v := range variants {
-			cfg := opts.SimConfig(sim.SchemeBaseline)
+			cfg := s.opts.SimConfig(sim.SchemeBaseline)
 			v.mutate(&cfg)
-			jobs = append(jobs, runJob{prof: prof.Scaled(opts.Scale), cfg: cfg})
+			jobs = append(jobs, runJob{prof: prof.Scaled(s.opts.Scale), cfg: cfg})
 			rows = append(rows, SchedulerRow{Benchmark: bench, Policy: v.name})
 		}
 	}
-	res, err := runMany(jobs, opts.parallel())
+	res, err := s.run(jobs)
 	if err != nil {
 		return SchedulerResult{}, err
 	}
@@ -511,10 +477,7 @@ type PrefetchResult struct {
 // confirms that prefetching composes with MECC (the prefetch buffer
 // stores raw data + ECC; decode happens at consumption, so the morphable
 // policy is unchanged).
-func AblationPrefetch(opts Options) (PrefetchResult, error) {
-	if err := opts.Validate(); err != nil {
-		return PrefetchResult{}, err
-	}
+func AblationPrefetch(s *Suite) (PrefetchResult, error) {
 	var jobs []runJob
 	var rows []PrefetchRow
 	for _, bench := range []string{"libq", "omnetpp"} {
@@ -523,13 +486,13 @@ func AblationPrefetch(opts Options) (PrefetchResult, error) {
 			return PrefetchResult{}, err
 		}
 		for _, pf := range []bool{false, true} {
-			cfg := opts.SimConfig(sim.SchemeMECC)
+			cfg := s.opts.SimConfig(sim.SchemeMECC)
 			cfg.NextLinePrefetch = pf
-			jobs = append(jobs, runJob{prof: prof.Scaled(opts.Scale), cfg: cfg})
+			jobs = append(jobs, runJob{prof: prof.Scaled(s.opts.Scale), cfg: cfg})
 			rows = append(rows, PrefetchRow{Benchmark: bench, Prefetch: pf})
 		}
 	}
-	res, err := runMany(jobs, opts.parallel())
+	res, err := s.run(jobs)
 	if err != nil {
 		return PrefetchResult{}, err
 	}

@@ -33,12 +33,9 @@ type DaemonResult struct {
 // rate; with SMD the daemon's traffic stays under the MPKC threshold,
 // ECC-Downgrade never engages, and memory keeps its power-optimized
 // 1 s refresh throughout.
-func Daemon(opts Options) (DaemonResult, error) {
-	if err := opts.Validate(); err != nil {
-		return DaemonResult{}, err
-	}
+func Daemon(s *Suite) (DaemonResult, error) {
 	prof := workload.Daemon()
-	instrs := opts.Instructions() / 10 // daemon episodes are short
+	instrs := s.opts.Instructions() / 10 // daemon episodes are short
 
 	variants := []struct {
 		name string
@@ -47,25 +44,28 @@ func Daemon(opts Options) (DaemonResult, error) {
 		{"MECC without SMD", false},
 		{"MECC with SMD (MPKC=2)", true},
 	}
-	opts.Obs.Progress().SetWork(0, uint64(len(variants))*uint64(instrs))
+	jobs := make([]runJob, len(variants))
+	for i, v := range variants {
+		cfg := s.opts.SimConfig(sim.SchemeMECC)
+		cfg.MECC.SMDEnabled = v.smd
+		cfg.Instructions = instrs
+		jobs[i] = runJob{prof: prof, cfg: cfg}
+	}
+	res, err := s.run(jobs)
+	if err != nil {
+		return DaemonResult{}, err
+	}
 	var out DaemonResult
 	tb := stats.NewTable("Config", "Slow-refresh time", "Refresh energy (uJ)", "Daemon IPC")
-	for _, variant := range variants {
-		cfg := opts.SimConfig(sim.SchemeMECC)
-		cfg.MECC.SMDEnabled = variant.smd
-		cfg.Instructions = instrs
-		res, err := sim.RunBenchmark(prof, cfg)
-		if err != nil {
-			return DaemonResult{}, err
-		}
-		row := DaemonRow{Config: variant.name, IPC: res.IPC}
-		if res.MECC != nil && res.MECC.ActiveCycles > 0 {
+	for i, r := range res {
+		row := DaemonRow{Config: variants[i].name, IPC: r.IPC}
+		if r.MECC != nil && r.MECC.ActiveCycles > 0 {
 			// Downgrade-disabled time is exactly the time the refresh
 			// divider stayed at 16x (core.RefreshDividerBits).
-			row.SlowRefreshPct = float64(res.MECC.DowngradeDisabledCycles) /
-				float64(res.MECC.ActiveCycles) * 100
+			row.SlowRefreshPct = float64(r.MECC.DowngradeDisabledCycles) /
+				float64(r.MECC.ActiveCycles) * 100
 		}
-		row.RefreshEnergyJ = res.Energy.RefreshJ
+		row.RefreshEnergyJ = r.Energy.RefreshJ
 		out.Rows = append(out.Rows, row)
 		tb.AddRow(row.Config, row.SlowRefreshPct, row.RefreshEnergyJ*1e6, row.IPC)
 	}

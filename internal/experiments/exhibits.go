@@ -20,9 +20,9 @@ type Exhibit struct {
 	// Desc is the one-line description paperbench -list prints.
 	Desc string
 	// Run regenerates the exhibit. Every simulation it runs uses s's
-	// options, and the exhibits that share the benchmark × scheme matrix
-	// read it from s's cache. trials is the integrity Monte Carlo's line
-	// count; the other exhibits ignore it.
+	// options and goes through s, so a job an earlier exhibit ran on s
+	// is read back, not run again. trials is the integrity Monte Carlo's
+	// line count; the other exhibits ignore it.
 	Run func(s *Suite, trials int) ([]Section, error)
 }
 
@@ -80,7 +80,7 @@ func Exhibits() []Exhibit {
 				res.Rendered+fmt.Sprintf("Total memory energy saving with MECC: %.1f%%\n", res.Saving*100), err)
 		}},
 		{"fig11", "MDT-tracked memory per benchmark", func(s *Suite, _ int) ([]Section, error) {
-			res, err := Fig11(s.opts)
+			res, err := Fig11(s)
 			return titled("Fig 11: memory tracked by 1K-entry MDT (full footprints)", res.Rendered, err)
 		}},
 		{"fig12", "ECC-6 decode-latency sensitivity sweep", func(s *Suite, _ int) ([]Section, error) {
@@ -116,7 +116,7 @@ func Exhibits() []Exhibit {
 			return titled("Refresh modes (Section II-A): power vs usable capacity", res.Rendered, err)
 		}},
 		{"daemon", "Section VI-B idle-daemon study (SMD on/off)", func(s *Suite, _ int) ([]Section, error) {
-			res, err := Daemon(s.opts)
+			res, err := Daemon(s)
 			return titled("Daemon study (Section VI-B): SMD keeps slow refresh through background activity", res.Rendered, err)
 		}},
 		{"model", "simulator vs first-order CPI theory", func(s *Suite, _ int) ([]Section, error) {
@@ -137,8 +137,7 @@ func Exhibits() []Exhibit {
 // ablations runs the ten ablation tables that extend the paper's own
 // sensitivity study.
 func ablations(s *Suite, _ int) ([]Section, error) {
-	o := s.opts
-	mdt, err := AblationMDT(o)
+	mdt, err := AblationMDT(s)
 	if err != nil {
 		return nil, err
 	}
@@ -150,15 +149,15 @@ func ablations(s *Suite, _ int) ([]Section, error) {
 	if err != nil {
 		return nil, err
 	}
-	mapping, err := AblationMapping(o)
+	mapping, err := AblationMapping(s)
 	if err != nil {
 		return nil, err
 	}
-	policy, err := AblationRefreshPolicy(o)
+	policy, err := AblationRefreshPolicy(s)
 	if err != nil {
 		return nil, err
 	}
-	weak, err := AblationWeakCode(2000, o.Seed)
+	weak, err := AblationWeakCode(2000, s.opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -166,11 +165,11 @@ func ablations(s *Suite, _ int) ([]Section, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, err := AblationScheduler(o)
+	sched, err := AblationScheduler(s)
 	if err != nil {
 		return nil, err
 	}
-	pf, err := AblationPrefetch(o)
+	pf, err := AblationPrefetch(s)
 	if err != nil {
 		return nil, err
 	}

@@ -240,75 +240,92 @@ func runTask(jobs []runJob, idx []int, results []sim.Result) error {
 	return nil
 }
 
-// Suite caches the 28-benchmark x 4-scheme result matrix that Figs. 3, 7,
-// 9 and 10 share, so paperbench does not re-simulate per figure.
+// Suite runs every harness simulation of one evaluation and keeps each
+// result, so an exhibit that repeats a job an earlier exhibit ran — the
+// benchmark × scheme matrix Figs. 3, 7, 9 and 10 share, Fig 12's default
+// latency, Fig 14's MPKC-2 runs — reads it instead of simulating again.
 type Suite struct {
 	opts Options
 
-	mu      sync.Mutex
-	results map[string]map[sim.SchemeKind]sim.Result
+	// mu serializes run, so a job two callers request at once runs once.
+	mu   sync.Mutex
+	done map[runJob]*sim.Result
 }
 
-// NewSuite builds a result cache at the given scale.
+// NewSuite builds an empty suite at the given options.
 func NewSuite(opts Options) (*Suite, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return &Suite{
-		opts:    opts,
-		results: make(map[string]map[sim.SchemeKind]sim.Result),
-	}, nil
+	return &Suite{opts: opts, done: make(map[runJob]*sim.Result)}, nil
 }
 
 // Options returns the suite's options.
 func (s *Suite) Options() Options { return s.opts }
 
-// Matrix runs (or returns cached) results for every benchmark under the
-// given schemes.
-func (s *Suite) Matrix(schemes ...sim.SchemeKind) (map[string]map[sim.SchemeKind]sim.Result, error) {
-	var jobs []runJob
-	var keys []struct {
-		bench string
-		k     sim.SchemeKind
-	}
+// run returns the jobs' results in job order. It sends runMany only the
+// jobs no earlier call has run, keyed by the whole job (profile and
+// config), and serves the rest from the suite. Results are shared
+// between callers, Checkpoints and MECC stats included: no caller may
+// modify one.
+func (s *Suite) run(jobs []runJob) ([]sim.Result, error) {
 	s.mu.Lock()
-	for _, prof := range workload.All() {
-		for _, k := range schemes {
-			if _, ok := s.results[prof.Name][k]; ok {
-				continue
-			}
-			jobs = append(jobs, runJob{
-				prof: prof.Scaled(s.opts.Scale),
-				cfg:  s.opts.SimConfig(k),
-			})
-			keys = append(keys, struct {
-				bench string
-				k     sim.SchemeKind
-			}{prof.Name, k})
+	defer s.mu.Unlock()
+	fresh := 0
+	for _, j := range jobs {
+		if _, ok := s.done[j]; !ok {
+			fresh++
 		}
 	}
-	s.mu.Unlock()
-
-	res, err := runMany(jobs, s.opts.parallel())
+	todo := jobs
+	if fresh < len(jobs) {
+		todo = make([]runJob, 0, fresh)
+		for _, j := range jobs {
+			if _, ok := s.done[j]; !ok {
+				todo = append(todo, j)
+			}
+		}
+	}
+	res, err := runMany(todo, s.opts.parallel())
 	if err != nil {
 		return nil, err
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, key := range keys {
-		if s.results[key.bench] == nil {
-			s.results[key.bench] = make(map[sim.SchemeKind]sim.Result)
-		}
-		s.results[key.bench][key.k] = res[i]
+	for i, j := range todo {
+		s.done[j] = &res[i]
 	}
-	out := make(map[string]map[sim.SchemeKind]sim.Result, len(s.results))
-	for b, m := range s.results {
-		inner := make(map[sim.SchemeKind]sim.Result, len(m))
-		for k, v := range m {
-			inner[k] = v
+	if fresh == len(jobs) {
+		return res, nil
+	}
+	out := make([]sim.Result, len(jobs))
+	for i, j := range jobs {
+		out[i] = *s.done[j]
+	}
+	return out, nil
+}
+
+// Matrix returns every benchmark's result under each of the given
+// schemes, keyed by benchmark name, then scheme. It is a view over run,
+// so a (benchmark, scheme) pair an earlier call ran is not run again,
+// and the results are shared as run's are: do not modify them.
+func (s *Suite) Matrix(schemes ...sim.SchemeKind) (map[string]map[sim.SchemeKind]sim.Result, error) {
+	profs := workload.All()
+	jobs := make([]runJob, 0, len(profs)*len(schemes))
+	for _, p := range profs {
+		for _, k := range schemes {
+			jobs = append(jobs, runJob{prof: p.Scaled(s.opts.Scale), cfg: s.opts.SimConfig(k)})
 		}
-		out[b] = inner
+	}
+	res, err := s.run(jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]map[sim.SchemeKind]sim.Result, len(profs))
+	for i, p := range profs {
+		row := make(map[sim.SchemeKind]sim.Result, len(schemes))
+		for n, k := range schemes {
+			row[k] = res[i*len(schemes)+n]
+		}
+		out[p.Name] = row
 	}
 	return out, nil
 }

@@ -9,15 +9,21 @@ import (
 	"repro/internal/sim"
 )
 
-// fastSuite runs at a coarse scale to keep the test suite quick while
-// preserving the qualitative shapes the assertions check.
-func fastSuite(t *testing.T) *Suite {
+// newSuite builds a suite at opts.
+func newSuite(t *testing.T, opts Options) *Suite {
 	t.Helper()
-	s, err := NewSuite(Options{Scale: 4000, Seed: 1})
+	s, err := NewSuite(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// fastSuite runs at a coarse scale to keep the test suite quick while
+// preserving the qualitative shapes the assertions check.
+func fastSuite(t *testing.T) *Suite {
+	t.Helper()
+	return newSuite(t, Options{Scale: 4000, Seed: 1})
 }
 
 func TestOptionsValidation(t *testing.T) {
@@ -189,7 +195,7 @@ func TestFig11MDT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	res, err := Fig11(Options{Scale: 2000, Seed: 1})
+	res, err := Fig11(newSuite(t, Options{Scale: 2000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +353,7 @@ func TestAblationMDT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	res, err := AblationMDT(Options{Scale: 2000, Seed: 1})
+	res, err := AblationMDT(newSuite(t, Options{Scale: 2000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +447,7 @@ func TestAblationMapping(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	res, err := AblationMapping(Options{Scale: 4000, Seed: 1})
+	res, err := AblationMapping(newSuite(t, Options{Scale: 4000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +474,7 @@ func TestAblationRefreshPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	res, err := AblationRefreshPolicy(Options{Scale: 2000, Seed: 1})
+	res, err := AblationRefreshPolicy(newSuite(t, Options{Scale: 2000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +552,7 @@ func TestAblationScheduler(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	res, err := AblationScheduler(Options{Scale: 4000, Seed: 1})
+	res, err := AblationScheduler(newSuite(t, Options{Scale: 4000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,7 +666,7 @@ func TestAblationPrefetch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	res, err := AblationPrefetch(Options{Scale: 4000, Seed: 1})
+	res, err := AblationPrefetch(newSuite(t, Options{Scale: 4000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,11 +686,7 @@ func TestFig12Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("expensive sweep skipped in -short")
 	}
-	s, err := NewSuite(Options{Scale: 20000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Fig12(s)
+	res, err := Fig12(newSuite(t, Options{Scale: 20000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +709,7 @@ func TestDaemonStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	res, err := Daemon(Options{Scale: 2000, Seed: 1})
+	res, err := Daemon(newSuite(t, Options{Scale: 2000, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -789,11 +791,7 @@ func TestAblationSMDThresholdSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	s, err := NewSuite(Options{Scale: 20000, Seed: 1, Parallel: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := AblationSMDThreshold(s)
+	res, err := AblationSMDThreshold(newSuite(t, Options{Scale: 20000, Seed: 1, Parallel: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}

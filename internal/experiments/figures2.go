@@ -32,44 +32,15 @@ type Fig11Result struct {
 // this experiment streams addresses straight into the MECC controller
 // (full, unscaled footprints) without the timing model — which is what
 // lets it run the paper-scale access counts quickly.
-func Fig11(opts Options) (Fig11Result, error) {
-	if err := opts.Validate(); err != nil {
-		return Fig11Result{}, err
-	}
-	cfg := dram.DefaultConfig()
+func Fig11(s *Suite) (Fig11Result, error) {
+	lines := dram.DefaultConfig().TotalLines()
 	var out Fig11Result
 	tb := stats.NewTable("Benchmark", "MDT tracked (MB)", "Footprint (MB)")
 	var sum float64
 	for _, p := range workload.All() {
-		mc := core.DefaultConfig(cfg.TotalLines())
-		ctl, err := core.New(mc)
+		ctl, _, err := replayMDT(p, core.DefaultConfig(lines), s.opts)
 		if err != nil {
 			return Fig11Result{}, err
-		}
-		if err := ctl.ExitIdle(0); err != nil {
-			return Fig11Result{}, err
-		}
-		gen, err := workload.NewGenerator(p, cfg.TotalLines(), opts.Seed)
-		if err != nil {
-			return Fig11Result{}, err
-		}
-		src := workload.NewBounded(gen, opts.Instructions())
-		now := uint64(0)
-		for {
-			rec, ok := src.Next()
-			if !ok {
-				break
-			}
-			now += uint64(rec.Gap) + 1
-			if rec.Op == trace.OpWrite {
-				if err := ctl.OnWrite(rec.LineAddr, now); err != nil {
-					return Fig11Result{}, err
-				}
-				continue
-			}
-			if _, err := ctl.OnRead(rec.LineAddr, now); err != nil {
-				return Fig11Result{}, err
-			}
 		}
 		row := Fig11Row{
 			Name:        p.Name,
@@ -84,6 +55,42 @@ func Fig11(opts Options) (Fig11Result, error) {
 	tb.AddRow("MEAN", out.MeanTrackedMB, "")
 	out.Rendered = tb.String()
 	return out, nil
+}
+
+// replayMDT streams prof's slice at opts' length and seed, over its
+// full footprint, straight into a fresh MECC controller built from mc,
+// with no timing model: each record advances the clock by its gap plus
+// one cycle. It returns the controller, still active, and the cycle of
+// the last access.
+func replayMDT(prof workload.Profile, mc core.Config, opts Options) (*core.Controller, uint64, error) {
+	ctl, err := core.New(mc)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := ctl.ExitIdle(0); err != nil {
+		return nil, 0, err
+	}
+	gen, err := workload.NewGenerator(prof, mc.TotalLines, opts.Seed)
+	if err != nil {
+		return nil, 0, err
+	}
+	src := workload.NewBounded(gen, opts.Instructions())
+	now := uint64(0)
+	for {
+		rec, ok := src.Next()
+		if !ok {
+			return ctl, now, nil
+		}
+		now += uint64(rec.Gap) + 1
+		if rec.Op == trace.OpWrite {
+			err = ctl.OnWrite(rec.LineAddr, now)
+		} else {
+			_, err = ctl.OnRead(rec.LineAddr, now)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+	}
 }
 
 // Fig12Row is one decode-latency point.
@@ -108,7 +115,7 @@ func Fig12(s *Suite) (Fig12Result, error) {
 		return Fig12Result{}, err
 	}
 	jobs, keys := fig12Jobs(s.opts, workload.All())
-	res, err := runMany(jobs, s.opts.parallel())
+	res, err := s.run(jobs)
 	if err != nil {
 		return Fig12Result{}, err
 	}
@@ -207,7 +214,7 @@ func Fig13(s *Suite) (Fig13Result, error) {
 			keys = append(keys, key{k, p.Name})
 		}
 	}
-	res, err := runMany(jobs, s.opts.parallel())
+	res, err := s.run(jobs)
 	if err != nil {
 		return Fig13Result{}, err
 	}
@@ -290,7 +297,7 @@ func Fig14(s *Suite) (Fig14Result, error) {
 		jobs = append(jobs, runJob{prof: p.Scaled(s.opts.Scale), cfg: cfg})
 		names = append(names, p.Name)
 	}
-	res, err := runMany(jobs, s.opts.parallel())
+	res, err := s.run(jobs)
 	if err != nil {
 		return Fig14Result{}, err
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,13 +148,7 @@ func TestRunManyStopsOnError(t *testing.T) {
 	if _, err := runMany(jobs, 1); !errors.Is(err, sim.ErrBadScheme) {
 		t.Fatalf("runMany err = %v, want sim.ErrBadScheme", err)
 	}
-	jobSpans := 0
-	for _, e := range log.Events() {
-		if e.Kind == obs.KindSpanStart && strings.HasPrefix(e.Name, "job:") {
-			jobSpans++
-		}
-	}
-	if jobSpans != 4 {
+	if jobSpans := countJobSpans(log); jobSpans != 4 {
 		t.Errorf("%d job spans started, want only the failing task's 4", jobSpans)
 	}
 	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
@@ -165,5 +160,62 @@ func TestRunManyStopsOnError(t *testing.T) {
 	// At width 2 the error still comes back with the other worker joined.
 	if _, err := runMany(jobs, 2); !errors.Is(err, sim.ErrBadScheme) {
 		t.Fatalf("width 2: runMany err = %v, want sim.ErrBadScheme", err)
+	}
+}
+
+// countJobSpans counts the harness job spans log holds.
+func countJobSpans(log *obs.EventLog) int {
+	n := 0
+	for _, e := range log.Events() {
+		if e.Kind == obs.KindSpanStart && strings.HasPrefix(e.Name, "job:") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSuiteRunsEachJobOnce counts the simulations a suite starts: two
+// concurrent Matrix calls over the same schemes start each job once,
+// and Fig 12 then starts only the jobs the suite has not run (the
+// baseline row and the three non-default decode latencies), yet renders
+// as on a fresh suite.
+func TestSuiteRunsEachJobOnce(t *testing.T) {
+	const window = 1 << 14
+	rec := obs.New()
+	log := obs.NewEventLog(obs.MaskOf(obs.KindSpanStart), window)
+	rec.AddEventLog(log)
+	s := newSuite(t, Options{Scale: 40000, Seed: 1, Obs: rec})
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = s.Matrix(sim.SchemeECC6, sim.SchemeMECC)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if n := countJobSpans(log); n != 56 {
+		t.Errorf("two Matrix(ECC-6, MECC) calls ran %d jobs, want 56", n)
+	}
+	got, err := Fig12(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countJobSpans(log); n != 56+28+168 {
+		t.Errorf("after Fig 12 the suite has run %d jobs, want 56+28+168", n)
+	}
+	if log.Count(obs.KindSpanStart) > window {
+		t.Fatal("the span window dropped events")
+	}
+	want, err := Fig12(newSuite(t, Options{Scale: 40000, Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rendered != want.Rendered {
+		t.Errorf("Fig 12 from the cache:\n%s\nfrom a fresh suite:\n%s", got.Rendered, want.Rendered)
 	}
 }
