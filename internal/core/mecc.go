@@ -221,8 +221,11 @@ func New(cfg Config) (*Controller, error) {
 // counter and downgrade-state gauge, plus structured events for mode
 // transitions, ECC-Upgrade sweeps, SMD decisions (with the MPKC sample
 // that triggered them) and MDT region marks. All event timestamps are
-// CPU cycles.
+// CPU cycles. The recorder it replaces gets its downgrade-state gauge
+// back at rest (0), so a finished run that detaches leaves a shared
+// registry reading the same whatever order parallel runs ended in.
 func (c *Controller) SetObserver(r *obs.Recorder) {
+	c.gDowngradeOn.Set(0)
 	c.obs = r
 	if r == nil {
 		c.cMDTMarks, c.gDowngradeOn = nil, nil

@@ -52,14 +52,25 @@ type CommandRecord struct {
 	Row  int
 }
 
+// StateRecord is one power-state transition with its cycle.
+type StateRecord struct {
+	// Cycle is the DRAM cycle of the transition.
+	Cycle uint64
+	// From and To are the states before and after it.
+	From, To PowerState
+}
+
 // Auditor records every command a Channel issues and re-validates the
 // whole stream against the timing constraints INDEPENDENTLY of the
 // channel's own bookkeeping — the two implementations cross-check each
 // other, so a bug in either the Can* predicates or the issue effects
-// surfaces as an audit failure in the randomized soak tests.
+// surfaces as an audit failure in the randomized soak tests. It also
+// keeps the channel's power-state timeline, which differential tests
+// compare between two ways of driving the same channel.
 type Auditor struct {
 	cfg     Config
 	records []CommandRecord
+	states  []StateRecord
 }
 
 // NewAuditor builds an auditor for a channel configuration.
@@ -71,6 +82,14 @@ func NewAuditor(cfg Config) *Auditor {
 func (a *Auditor) Record(cycle uint64, kind CommandKind, bank, row int) {
 	a.records = append(a.records, CommandRecord{Cycle: cycle, Kind: kind, Bank: bank, Row: row})
 }
+
+// RecordState appends one power-state transition.
+func (a *Auditor) RecordState(cycle uint64, from, to PowerState) {
+	a.states = append(a.states, StateRecord{Cycle: cycle, From: from, To: to})
+}
+
+// States returns the recorded power-state transitions in order.
+func (a *Auditor) States() []StateRecord { return a.states }
 
 // Len returns the number of recorded commands.
 func (a *Auditor) Len() int { return len(a.records) }

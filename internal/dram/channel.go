@@ -178,8 +178,9 @@ func (ch *Channel) State() PowerState { return ch.state }
 // Stats returns a copy of the accumulated statistics.
 func (ch *Channel) Stats() Stats { return ch.stats }
 
-// SetAuditor attaches a command recorder (nil detaches). Auditing costs
-// one append per command; attach it in tests, not in benchmark loops.
+// SetAuditor attaches a command and power-state recorder (nil detaches).
+// Auditing costs one append per command and per transition; attach it
+// in tests, not in benchmark loops.
 func (ch *Channel) SetAuditor(a *Auditor) { ch.auditor = a }
 
 // SetObserver attaches a telemetry recorder (nil detaches): when the
@@ -205,6 +206,15 @@ func (ch *Channel) record(kind CommandKind, bank, row int) {
 	if ch.obs.Tracing(obs.KindDRAMCmd) {
 		ch.obs.Emit(obs.Event{T: ch.now, Kind: obs.KindDRAMCmd, Cmd: kind.String(), Bank: bank, Row: row})
 	}
+}
+
+// setState moves to a new power state, noting the transition when an
+// auditor is attached.
+func (ch *Channel) setState(s PowerState) {
+	if ch.auditor != nil {
+		ch.auditor.RecordState(ch.now, ch.state, s)
+	}
+	ch.state = s
 }
 
 // Tick advances time by one DRAM cycle, accounting state residency.
@@ -563,9 +573,9 @@ func (ch *Channel) EnterPowerDown() error {
 		return fmt.Errorf("%w: power-down from %v", ErrBadState, ch.state)
 	}
 	if ch.AllPrecharged() {
-		ch.state = StatePrechargePD
+		ch.setState(StatePrechargePD)
 	} else {
-		ch.state = StateActivePD
+		ch.setState(StateActivePD)
 	}
 	ch.pdEnteredAt = ch.now
 	return nil
@@ -578,7 +588,7 @@ func (ch *Channel) ExitPowerDown() error {
 	}
 	minExit := ch.pdEnteredAt + uint64(ch.cfg.Timing.TCKE)
 	exitAt := maxU64(ch.now, minExit)
-	ch.state = StateActiveStandby
+	ch.setState(StateActiveStandby)
 	ch.nextCmdAt = maxU64(ch.nextCmdAt, exitAt+uint64(ch.cfg.Timing.TXP))
 	return nil
 }
@@ -597,7 +607,7 @@ func (ch *Channel) EnterSelfRefresh(dividerBits int) error {
 	if dividerBits < 0 || dividerBits > 8 {
 		return fmt.Errorf("%w: dividerBits=%d", ErrBadConfig, dividerBits)
 	}
-	ch.state = StateSelfRefresh
+	ch.setState(StateSelfRefresh)
 	ch.dividerBits = dividerBits
 	ch.stats.SRDividerBits = dividerBits
 	if ch.obs.Tracing(obs.KindRefreshRate) {
@@ -611,7 +621,7 @@ func (ch *Channel) ExitSelfRefresh() error {
 	if ch.state != StateSelfRefresh {
 		return fmt.Errorf("%w: self-refresh exit from %v", ErrBadState, ch.state)
 	}
-	ch.state = StateActiveStandby
+	ch.setState(StateActiveStandby)
 	ch.nextCmdAt = maxU64(ch.nextCmdAt, ch.now+uint64(ch.cfg.Timing.TXSR))
 	return nil
 }

@@ -22,7 +22,7 @@ const (
 )
 
 // matrixConfig is one way to run the registry: harness workers,
-// telemetry and checkers.
+// telemetry, checkers and controller stepping.
 type matrixConfig struct {
 	parallel int
 	// telemetry is "nil" (no recorder), "default" (paperbench's defaults:
@@ -30,10 +30,13 @@ type matrixConfig struct {
 	// "traced" (the default plus a streamed trace log of every kind).
 	telemetry string
 	check     bool
+	// legacy runs the controller's per-cycle reference stepping instead
+	// of its jumps.
+	legacy bool
 }
 
 func (c matrixConfig) String() string {
-	return fmt.Sprintf("{parallel %d, telemetry %s, check %t}", c.parallel, c.telemetry, c.check)
+	return fmt.Sprintf("{parallel %d, telemetry %s, check %t, legacy %t}", c.parallel, c.telemetry, c.check, c.legacy)
 }
 
 // matrixRun is what one pass printed: each exhibit's sections as
@@ -49,7 +52,7 @@ type matrixRun struct {
 // violation.
 func runRegistry(t *testing.T, c matrixConfig) matrixRun {
 	t.Helper()
-	opts := Options{Scale: matrixScale, Seed: 1, Parallel: c.parallel}
+	opts := Options{Scale: matrixScale, Seed: 1, Parallel: c.parallel, legacyStepping: c.legacy}
 	if c.telemetry != "nil" {
 		rec, _, _ := defaultTelemetry()
 		if c.telemetry == "traced" {
@@ -102,23 +105,25 @@ func runRegistry(t *testing.T, c matrixConfig) matrixRun {
 
 // TestExhibitMatrix holds "same seed, same bytes" on every exhibit: each
 // must print the same sections at 1 and 2 workers, with no recorder,
-// paperbench's default telemetry or a full trace, and with checkers off
-// and on, and twice in a row under the first configuration. Every pass
-// with telemetry must export the same metrics, and no checker may fire.
-// -short runs three configurations that between them take every value
+// paperbench's default telemetry or a full trace, with checkers off and
+// on, with the controller's jumps or its per-cycle reference stepping,
+// and twice in a row under the first configuration. Every pass with
+// telemetry must export the same metrics, and no checker may fire.
+// -short runs four configurations that between them take every value
 // of every axis.
 func TestExhibitMatrix(t *testing.T) {
 	var configs []matrixConfig
 	for _, p := range []int{1, 2} {
 		for _, tel := range []string{"nil", "default", "traced"} {
 			for _, check := range []bool{false, true} {
-				configs = append(configs, matrixConfig{p, tel, check})
+				configs = append(configs, matrixConfig{p, tel, check, false})
 			}
 		}
 	}
-	configs = append(configs, configs[0])
+	legacy := matrixConfig{2, "default", true, true}
+	configs = append(configs, configs[0], legacy)
 	if testing.Short() {
-		configs = []matrixConfig{{1, "nil", false}, {2, "default", true}, {1, "traced", true}}
+		configs = []matrixConfig{{1, "nil", false, false}, {2, "default", true, false}, {1, "traced", true, false}, legacy}
 	}
 
 	ref := runRegistry(t, configs[0])

@@ -52,6 +52,10 @@ type Options struct {
 	// (internal/checker) to every simulation. The suite is locked, so
 	// parallel runs share it; nil (the default) keeps checking off.
 	Check *checker.Suite
+	// legacyStepping runs every simulation on the controller's
+	// per-cycle reference path (memctrl.Config.LegacyStepping), for the
+	// determinism matrix's stepping axis.
+	legacyStepping bool
 }
 
 // DefaultOptions returns the harness defaults.
@@ -89,11 +93,12 @@ func (o Options) parallel() int {
 
 // SimConfig builds the scheme's simulation config at this scale: the
 // paper's 4-billion-instruction slice and its SMD window (at least one
-// cycle) both divided by Scale, the workload seed, and the options'
-// recorder and checkers.
+// cycle) both divided by Scale, the workload seed, the options'
+// recorder and checkers, and their controller stepping.
 func (o Options) SimConfig(k sim.SchemeKind) sim.Config {
 	cfg := sim.DefaultConfig(k, o.Instructions())
 	cfg.Seed = o.Seed
+	cfg.Ctrl.LegacyStepping = o.legacyStepping
 	cfg.MECC.SMDWindowCycles /= uint64(o.Scale)
 	if cfg.MECC.SMDWindowCycles == 0 {
 		cfg.MECC.SMDWindowCycles = 1

@@ -173,3 +173,26 @@ func TestCountersPublishModelStats(t *testing.T) {
 		t.Errorf("flight spans %v, want a run and an active span per job (%d)", spans, len(jobs))
 	}
 }
+
+// TestRunsLeaveGaugesAtRest: runs that share a recorder set its state
+// gauges (refresh shift, queue depths, downgrade state) in whatever
+// order they happen to end, so each returns them to rest when it ends,
+// and a run's final exposition cannot depend on the worker count.
+// Daemon's two runs, split over two workers, used to leave
+// mecc_downgrade_on at 0 or 1 by which of them ended last, and
+// memctrl_refresh_shift_bits at 4.
+func TestRunsLeaveGaugesAtRest(t *testing.T) {
+	rec := obs.New()
+	s, err := NewSuite(Options{Scale: matrixScale, Seed: 1, Parallel: 2, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Daemon(s); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"mecc_downgrade_on", "memctrl_refresh_shift_bits", "memctrl_read_queue_depth", "memctrl_write_queue_depth"} {
+		if v := rec.Registry().Gauge(name).Value(); v != 0 {
+			t.Errorf("%s = %g after the runs ended, want 0", name, v)
+		}
+	}
+}

@@ -93,7 +93,7 @@ func (h *traceHarness) runScript(t *testing.T, ops []fuzzOp, closedLoop bool) {
 		h.enqueue(t, op.isWrite, op.addr, tag)
 		if block {
 			for !h.arrived {
-				h.step(^uint64(0))
+				h.ctl.StepOrJump(^uint64(0))
 			}
 			h.trace = append(h.trace, fmt.Sprintf("resume at=%d", h.ch.Now()))
 		}
@@ -103,16 +103,16 @@ func (h *traceHarness) runScript(t *testing.T, ops []fuzzOp, closedLoop bool) {
 
 // FuzzStepOrJumpMatchesLegacy runs a fuzz-chosen config and arrival
 // script on a LegacyStepping harness and on a jumping one and requires
-// the same completion and power-state traces, clock, state, channel
-// stats and controller stats.
+// the same completion trace, command stream and power-state timeline,
+// clock, state, channel stats and controller stats.
 func FuzzStepOrJumpMatchesLegacy(f *testing.F) {
 	tm := dram.DefaultTiming()
 	lines := func(bank, row int) uint64 {
 		cfg := dram.DefaultConfig()
 		return uint64((row*cfg.Banks + bank) * cfg.LinesPerRow())
 	}
-	// A lone read arriving in power-down: the wake Step, then the
-	// service from active standby.
+	// A lone read arriving in power-down: the wake, the service and the
+	// completion Step, all in one call.
 	f.Add(encodeFuzzInput("default", 4, false, []fuzzOp{{gap: 100, addr: lines(1, 3)}}))
 	// A lone write whose PRE/ACT/WR chain the next arrival cuts one
 	// cycle before its WR. The first write opens row 0 of bank 0; the

@@ -10,10 +10,14 @@ import (
 
 // traceHarness drives one controller through a scripted schedule and
 // records every observable: completion (tag, DoneAt) pairs in callback
-// order, channel stats, controller stats, final state.
+// order, the channel's command stream and power-state timeline (from an
+// attached dram.Auditor, so a transition is stamped with the cycle it
+// happens on, whatever call makes it), channel stats, controller stats,
+// final state.
 type traceHarness struct {
 	ch    *dram.Channel
 	ctl   *Controller
+	aud   *dram.Auditor
 	trace []string
 	// waitTag is the demand read a closed-loop client blocks on; arrived
 	// latches when its completion callback fires.
@@ -27,7 +31,8 @@ func newTraceHarness(t *testing.T, dcfg dram.Config, cfg Config) *traceHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &traceHarness{ch: ch}
+	h := &traceHarness{ch: ch, aud: dram.NewAuditor(dcfg)}
+	ch.SetAuditor(h.aud)
 	ctl, err := New(ch, cfg, func(r *Request) {
 		h.trace = append(h.trace, fmt.Sprintf("done tag=%d at=%d enq=%d", r.Tag, r.DoneAt, r.EnqueuedAt))
 		if r.Tag == h.waitTag {
@@ -42,21 +47,10 @@ func newTraceHarness(t *testing.T, dcfg dram.Config, cfg Config) *traceHarness {
 }
 
 // stepTo advances to the target cycle via StepOrJump (which per-cycle
-// steps when cfg.LegacyStepping is set), recording power-state
-// transitions as they happen.
+// steps when cfg.LegacyStepping is set).
 func (h *traceHarness) stepTo(target uint64) {
 	for h.ch.Now() < target {
-		h.step(target)
-	}
-}
-
-// step is one StepOrJump call toward limit, recording a power-state
-// transition if it made one.
-func (h *traceHarness) step(limit uint64) {
-	before := h.ch.State()
-	h.ctl.StepOrJump(limit)
-	if after := h.ch.State(); after != before {
-		h.trace = append(h.trace, fmt.Sprintf("state %v->%v at=%d", before, after, h.ch.Now()))
+		h.ctl.StepOrJump(target)
 	}
 }
 
@@ -101,25 +95,27 @@ func (h *traceHarness) runSchedule(t *testing.T, ops []scheduleOp, tailIdle uint
 
 // runClosedLoop drives the controller as a blocking client, the way the
 // simulation runner does: each of n iterations enqueues a demand read,
-// an unawaited next-line read (when the queue has room) and, one time in
-// three, a write; drifts with StepOrJump(^uint64(0)) until the demand
-// read's callback fires; then computes for 0-40 cycles. Every arrival
-// depends on the cycle at which a callback handed control back, so a
-// jump that crosses a callback shifts the rest of the run.
+// one time in two an unawaited next-line read (when the queue has room)
+// and, one time in three, a write; drifts with StepOrJump(^uint64(0))
+// until the demand read's callback fires; then computes for 0-40
+// cycles, long enough for the rank to power down. Every arrival depends
+// on the cycle at which a callback handed control back, so a jump that
+// crosses a callback shifts the rest of the run, and a demand read
+// alone in the queues is the one-request service from power-down.
 func (h *traceHarness) runClosedLoop(t *testing.T, rng *rand.Rand, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		addr := uint64(rng.Intn(1 << 16))
 		h.waitTag, h.arrived = uint64(2*i+1), false
 		h.enqueue(t, false, addr, h.waitTag)
-		if h.ctl.CanEnqueueRead() {
+		if rng.Intn(2) == 0 && h.ctl.CanEnqueueRead() {
 			h.enqueue(t, false, addr+1, h.waitTag+1)
 		}
 		if rng.Intn(3) == 0 {
 			h.enqueue(t, true, uint64(rng.Intn(1<<16)), 0)
 		}
 		for !h.arrived {
-			h.step(^uint64(0))
+			h.ctl.StepOrJump(^uint64(0))
 		}
 		h.trace = append(h.trace, fmt.Sprintf("resume at=%d", h.ch.Now()))
 		h.stepTo(h.ch.Now() + uint64(rng.Intn(41)))
@@ -160,10 +156,14 @@ type diffConfig struct {
 // diffConfigs is the config matrix the jump-vs-legacy differentials
 // run over: default, per-bank refresh, closed-page, no power-down,
 // power-down after one and after two idle cycles (entry on the idle
-// jump's first cycles), refresh off, FCFS, all on the default channel,
-// and the default policy on a channel with zero tRCD and tRP.
+// jump's first cycles), refresh off, FCFS, a drain on every write
+// (high watermark 1, low 0, so a drain can still be pending when the
+// rank powers down), all on the default channel, and the default
+// policy on a channel with zero tRCD and tRP.
 func diffConfigs() map[string]diffConfig {
 	base := DefaultConfig()
+	drain := base
+	drain.WriteHighWater, drain.WriteLowWater = 1, 0
 	perBank := base
 	perBank.PerBankRefresh = true
 	closed := base
@@ -185,7 +185,7 @@ func diffConfigs() map[string]diffConfig {
 	configs := map[string]diffConfig{"tight": {tight, base}}
 	for name, ctl := range map[string]Config{
 		"default": base, "perbank": perBank, "closedpage": closed,
-		"nopd": noPD, "pd1": pd1, "pd2": pd2, "norefresh": noRef, "fcfs": fcfs,
+		"nopd": noPD, "pd1": pd1, "pd2": pd2, "norefresh": noRef, "fcfs": fcfs, "drain": drain,
 	} {
 		configs[name] = diffConfig{dram.DefaultConfig(), ctl}
 	}
@@ -214,20 +214,14 @@ func diffAgainstLegacy(t *testing.T, drive func(t *testing.T, h *traceHarness, s
 }
 
 // requireSameRun fails unless a jumping harness and its legacy twin
-// agree bit-exactly: same completion trace, same power-state transition
-// trace (with timestamps), same clock and final state, same channel
-// command/residency statistics, same controller statistics.
+// agree bit-exactly: same completion trace, same command stream and
+// power-state timeline (with cycles), same clock and final state, same
+// channel command/residency statistics, same controller statistics.
 func requireSameRun(t *testing.T, label string, fast, ref *traceHarness) {
 	t.Helper()
-	if len(fast.trace) != len(ref.trace) {
-		t.Fatalf("%s: trace lengths differ: %d vs %d\nfast tail: %v\nref tail: %v",
-			label, len(fast.trace), len(ref.trace), tail(fast.trace), tail(ref.trace))
-	}
-	for i := range ref.trace {
-		if fast.trace[i] != ref.trace[i] {
-			t.Fatalf("%s: trace[%d] = %q, want %q", label, i, fast.trace[i], ref.trace[i])
-		}
-	}
+	requireSameList(t, label+": trace", fast.trace, ref.trace)
+	requireSameList(t, label+": power states", fast.aud.States(), ref.aud.States())
+	requireSameList(t, label+": commands", fast.aud.Records(), ref.aud.Records())
 	if fast.ch.Now() != ref.ch.Now() {
 		t.Fatalf("%s: now %d vs %d", label, fast.ch.Now(), ref.ch.Now())
 	}
@@ -241,6 +235,20 @@ func requireSameRun(t *testing.T, label string, fast, ref *traceHarness) {
 	if fast.ctl.Stats() != ref.ctl.Stats() {
 		t.Fatalf("%s: controller stats diverged:\nfast: %+v\nref:  %+v",
 			label, fast.ctl.Stats(), ref.ctl.Stats())
+	}
+}
+
+// requireSameList fails at the first entry where got and want differ.
+func requireSameList[E comparable](t *testing.T, label string, got, want []E) {
+	t.Helper()
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: lengths differ: %d vs %d\nfast tail: %+v\nref tail: %+v",
+			label, len(got), len(want), tail(got), tail(want))
 	}
 }
 
@@ -264,7 +272,7 @@ func TestJumpMatchesLegacyClosedLoop(t *testing.T) {
 	})
 }
 
-func tail(s []string) []string {
+func tail[E any](s []E) []E {
 	if len(s) > 5 {
 		return s[len(s)-5:]
 	}
@@ -298,12 +306,14 @@ func TestJumpSkipsCycles(t *testing.T) {
 	t.Logf("%d StepOrJump calls covered %d idle cycles", calls, target)
 }
 
-// TestOneRequestServiceCalls pins the one-request service's call
-// counts. From active standby with empty queues, a lone read reaches
-// its data return in one StepOrJump call, and the next call fires its
-// callback; a lone write that conflicts with the open row issues its
-// PRE, ACT and WR in one call. Per-cycle issue takes a call for every
-// command and another for every wait between them.
+// TestOneRequestServiceCalls pins the controller's call counts around a
+// lone request. An idle call enters power-down and jumps on, to limit or
+// to the next refresh slot. From power-down, a lone read takes one
+// StepOrJump call: it wakes the rank, issues ACT and RD and fires the
+// callback, ending on the cycle after the data return. A lone write that
+// conflicts with the open row issues its PRE, ACT and WR in one call.
+// Per-cycle issue takes a call for every command and another for every
+// wait between them.
 func TestOneRequestServiceCalls(t *testing.T) {
 	ch, err := dram.NewChannel(dram.DefaultConfig())
 	if err != nil {
@@ -317,22 +327,24 @@ func TestOneRequestServiceCalls(t *testing.T) {
 	// Row 0 of bank 0, then row 1 of bank 0 (row:bank:col mapping).
 	row1 := uint64(ch.Config().Banks * ch.Config().LinesPerRow())
 
+	ctl.StepOrJump(100)
+	if ch.State() != dram.StatePrechargePD || ch.Now() != 100 || ctl.Stats().PowerDownEntries != 1 {
+		t.Fatalf("idle call to 100 ended in %v at %d after %d power-down entries; want precharge power-down at 100 after 1",
+			ch.State(), ch.Now(), ctl.Stats().PowerDownEntries)
+	}
+
 	if err := ctl.EnqueueRead(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	ctl.StepOrJump(^uint64(0))
-	if s := ch.Stats(); s.NACT != 1 || s.NRD != 1 || len(done) != 0 {
-		t.Fatalf("first call: ACT %d, RD %d, callbacks %d; want 1, 1, 0", s.NACT, s.NRD, len(done))
+	if s := ch.Stats(); s.NACT != 1 || s.NRD != 1 || len(done) != 1 {
+		t.Fatalf("read call: ACT %d, RD %d, callbacks %d; want 1, 1, 1", s.NACT, s.NRD, len(done))
 	}
-	dataAt := ch.Now()
-	ctl.StepOrJump(^uint64(0))
-	if len(done) != 1 || done[0] != dataAt {
-		t.Fatalf("second call fired completions at %v, want one at the first call's end %d", done, dataAt)
+	if ch.Now() != done[0]+1 || ch.State() != dram.StateActiveStandby {
+		t.Fatalf("read call ended in %v at %d, data returned at %d; want active standby one cycle after the data",
+			ch.State(), ch.Now(), done[0])
 	}
 
-	if ch.State() != dram.StateActiveStandby {
-		t.Fatalf("state %v after the completion, want active standby", ch.State())
-	}
 	if err := ctl.EnqueueWrite(row1, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +352,15 @@ func TestOneRequestServiceCalls(t *testing.T) {
 	ctl.StepOrJump(^uint64(0))
 	s := ch.Stats()
 	if s.NPRE-before.NPRE != 1 || s.NACT-before.NACT != 1 || s.NWR-before.NWR != 1 || ctl.Pending() != 0 {
-		t.Fatalf("one call issued PRE %d, ACT %d, WR %d with %d pending; want 1, 1, 1 and 0",
+		t.Fatalf("write call issued PRE %d, ACT %d, WR %d with %d pending; want 1, 1, 1 and 0",
 			s.NPRE-before.NPRE, s.NACT-before.NACT, s.NWR-before.NWR, ctl.Pending())
+	}
+
+	ctl.StepOrJump(^uint64(0))
+	slot := uint64(ch.Config().Timing.TREFI)
+	if ch.State() != dram.StateActivePD || ch.Now() != slot || ctl.Stats().PowerDownEntries != 2 {
+		t.Fatalf("idle call ended in %v at %d after %d power-down entries; want active power-down at the refresh slot %d after 2",
+			ch.State(), ch.Now(), ctl.Stats().PowerDownEntries, slot)
 	}
 }
 

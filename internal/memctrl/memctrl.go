@@ -270,8 +270,14 @@ func New(ch *dram.Channel, cfg Config, onReadDone func(*Request)) (*Controller, 
 
 // SetObserver attaches a telemetry recorder (nil detaches): per-tier
 // refresh counters, the read-latency histogram, queue depth gauges, and
-// refresh events.
+// refresh events. The recorder it replaces gets its refresh-shift and
+// queue-depth gauges back at rest (0), so a finished run that detaches
+// leaves a shared registry reading the same whatever order parallel
+// runs ended in.
 func (c *Controller) SetObserver(r *obs.Recorder) {
+	c.gShift.Set(0)
+	c.gReadDepth.Set(0)
+	c.gWriteDepth.Set(0)
 	c.obs = r
 	if r == nil {
 		c.hLatency, c.gShift = nil, nil
@@ -538,27 +544,29 @@ const maxJumpSpan = uint64(1) << 20
 // hold nothing to do. Three fast paths exist:
 //   - an idle jump (tryJump) taken instead of the Step when the queues
 //     are empty; when it reaches the power-down entry cycle it takes that
-//     cycle's Step itself and returns on the transition;
+//     cycle's Step itself and goes on with the power-down jump;
 //   - the one-request service (serveOne), taken instead of the Step when
-//     the scheduler can pick exactly one request: it issues that
-//     request's PRE/ACT/column chain at the timing edges in one call;
+//     the scheduler can pick exactly one request: it wakes the rank from
+//     power-down, issues that request's PRE/ACT/column chain at the
+//     timing edges and, after a RD, takes the completion cycle's Step,
+//     all in one call;
 //   - a busy jump taken directly after a Step that issued no command and
 //     fired no completion callback, to the edge issueBest returned.
 //
 // Every skipped cycle is one whose Step would have issued nothing and
 // changed no state but the clock and the idle counter, and every command
-// issues on the cycle a Step would issue it, so queues, the refresh
-// schedule, power-state residency and statistics evolve exactly as under
-// per-cycle stepping (the jump-vs-legacy differential tests pin this). A
-// call that changes the power state returns right after the transition.
-// No call crosses an enqueue, a completion callback or limit: the caller
-// regains control at the first cycle where any of them could happen.
-// Only the service issues more than one command in a call, and only its
-// last command, the RD or WR, frees queue room: it returns on the WR's
-// cycle, and it refuses a read that fills the read queue, so a caller
-// waiting for room regains control on the cycle per-cycle stepping
-// would give it. With Config.LegacyStepping set StepOrJump always takes
-// the per-cycle path.
+// and power-state transition happens on the cycle a Step would make it
+// happen, so queues, the refresh schedule, power-state residency and
+// statistics evolve exactly as under per-cycle stepping (the
+// jump-vs-legacy differential tests pin this). No call crosses an
+// enqueue, a completion callback or limit: the caller regains control at
+// the first cycle where any of them could happen, and a call that fires
+// a callback returns at the end of that cycle's Step. Only the service
+// issues more than one command in a call, and only its last command, the
+// RD or WR, frees queue room: it returns on the WR's cycle, and it
+// refuses a read that fills the read queue, so a caller waiting for room
+// regains control on the cycle per-cycle stepping would give it. With
+// Config.LegacyStepping set StepOrJump always takes the per-cycle path.
 func (c *Controller) StepOrJump(limit uint64) {
 	if c.cfg.LegacyStepping {
 		c.Step()
@@ -584,26 +592,33 @@ func (c *Controller) skipTo(cycle uint64) {
 }
 
 // serveOne is the one-request service: it reports false unless the
-// scheduler can pick exactly one request, with nothing in flight, in
-// active standby under open page and with no refresh-fault plan. Then it
-// issues the request's remaining chain — PRE on a row conflict, ACT on a
-// closed bank, then its RD or WR — each command at max(previous command
-// + 1, its Earliest* cycle), which is the cycle per-cycle Steps would
-// issue it on, since with one candidate issueBest tries exactly the
-// command nextCommand names. It stops at min(limit, now+maxJumpSpan,
-// next refresh slot): before that slot no refresh is due, so the Steps
-// it replaces issue nothing else and only zero idleCycles. After a RD it
-// jumps to the data return under the same horizon, leaving the
-// completion callback to the next call's Step; after a WR it returns at
+// scheduler can pick exactly one request, with nothing in flight, under
+// open page, with no refresh-fault plan and with the rank in active
+// standby or power-down. It stops at min(limit, now+maxJumpSpan, next
+// refresh slot): before that slot no refresh is due, so the Steps it
+// replaces issue nothing else and only zero idleCycles. In power-down it
+// first takes the wake Step (ExitPowerDown, then Tick), provided the
+// horizon leaves at least one cycle after it. Then it issues the
+// request's remaining chain — PRE on a row conflict, ACT on a closed
+// bank, then its RD or WR — each command at max(previous command + 1,
+// its Earliest* cycle), which is the cycle per-cycle Steps would issue
+// it on, since with one candidate issueBest tries exactly the command
+// nextCommand names. After a RD whose data returns before the horizon it
+// takes the completion cycle's Step, which fires the callback, and
+// returns; otherwise it jumps to the horizon. After a WR it returns at
 // once. It refuses a read that fills the read queue, since its RD frees
 // the room a caller may be waiting for.
 //
 // activeQueue's side effects (drain entry and exit) happen in the first
-// Step it replaces; repeating the call with unchanged queue lengths
-// changes nothing, so the Steps after it need no replay.
+// Step it replaces in active standby; repeating the call with unchanged
+// queue lengths changes nothing, so the Steps after it need no replay.
+// The wake Step calls no activeQueue, and the Step after it calls one
+// with the same queue lengths, so in power-down the service predicts the
+// pick without side effects and refuses unless no drain is pending or
+// due: then activeQueue picks the read queue when it holds a request,
+// else the write queue, and changes nothing.
 func (c *Controller) serveOne(limit uint64) bool {
-	if len(c.inflight) > 0 || c.faults != nil || c.cfg.PagePolicy != OpenPage ||
-		c.ch.State() != dram.StateActiveStandby || c.refreshDue() {
+	if len(c.inflight) > 0 || c.faults != nil || c.cfg.PagePolicy != OpenPage || c.refreshDue() {
 		return false
 	}
 	now := c.ch.Now()
@@ -617,11 +632,33 @@ func (c *Controller) serveOne(limit uint64) bool {
 	if len(c.readQ) != 1 && len(c.writeQ) != 1 {
 		return false // no queue selection can hold exactly one request
 	}
-	q := c.activeQueue()
+	var q []*Request
+	wake := false
+	switch c.ch.State() {
+	case dram.StateActiveStandby:
+		q = c.activeQueue()
+	case dram.StatePrechargePD, dram.StateActivePD:
+		if c.draining || len(c.writeQ) >= c.cfg.WriteHighWater {
+			return false
+		}
+		q, wake = c.readQ, true
+		if len(q) == 0 {
+			q = c.writeQ
+		}
+	default:
+		return false
+	}
 	if len(q) != 1 || !q[0].IsWrite && !c.CanEnqueueRead() {
 		return false
 	}
 	r := q[0]
+	if wake {
+		if err := c.ch.ExitPowerDown(); err != nil {
+			// invariant: the state is a power-down state.
+			panic(err)
+		}
+		c.ch.Tick()
+	}
 	c.idleCycles = 0
 	for {
 		cmd, at := c.nextCommand(r)
@@ -634,7 +671,12 @@ func (c *Controller) serveOne(limit uint64) bool {
 		c.ch.Tick()
 		switch cmd {
 		case dram.CmdRD:
-			c.skipTo(min(r.DoneAt, horizon))
+			if r.DoneAt >= horizon {
+				c.skipTo(horizon)
+				return true
+			}
+			c.skipTo(r.DoneAt)
+			c.step()
 			return true
 		case dram.CmdWR:
 			return true
@@ -668,10 +710,10 @@ func (c *Controller) busyBound() uint64 {
 }
 
 // tryJump fast-forwards to the next timing edge when the current cycle
-// provably cannot issue a command or change state, or to the power-down
-// entry cycle, whose Step it takes. It returns false — punting back to
-// the cycle-exact Step — whenever anything else is due now or within
-// one cycle.
+// provably cannot issue a command or change state, taking on the way the
+// power-down entry cycle's Step. It returns false — punting back to the
+// cycle-exact Step — whenever anything else is due now or within one
+// cycle.
 //
 // The quiescence argument, case by case:
 //   - queues must be empty: queued work is the busy jump's case;
@@ -683,8 +725,8 @@ func (c *Controller) busyBound() uint64 {
 //     entry cycle now+(PowerDownIdle-idleCycles)-1. When the entry comes
 //     first, tryJump jumps to it and takes its Step (the idle counter
 //     reaches PowerDownIdle, the rank enters power-down, and the Tick
-//     accrues the cycle in power-down), then returns on the transition,
-//     the cycle at which a caller stepping per cycle sees it;
+//     accrues the cycle in power-down), then goes on with the
+//     power-down jump to the same edge;
 //   - power-down states: Steps only Tick until work appears, and with
 //     empty queues the only work source is the refresh slot;
 //   - closed-page requires all banks precharged, since otherwise idle
@@ -724,10 +766,15 @@ func (c *Controller) tryJump(limit uint64) bool {
 		if entry := now + uint64(need-1); entry < edge {
 			c.skipTo(entry)
 			c.idleCycles += need
-			if err := c.ch.EnterPowerDown(); err == nil {
-				c.stats.PowerDownEntries++
+			if err := c.ch.EnterPowerDown(); err != nil {
+				// invariant: the state is active standby.
+				panic(err)
 			}
+			c.stats.PowerDownEntries++
 			c.ch.Tick()
+			// With empty queues and nothing in flight, the power-down
+			// Steps up to the edge only Tick.
+			c.skipTo(edge)
 			return true
 		}
 	}

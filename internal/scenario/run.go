@@ -13,7 +13,6 @@ import (
 	"repro/internal/reliability"
 	"repro/internal/retention"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -80,21 +79,6 @@ type Outcome struct {
 	Violations []string `json:"violations,omitempty"`
 	// Result is the end-of-run figures of merit.
 	Result sim.Result `json:"result"`
-}
-
-// switchSource is a trace.Source whose inner generator the interpreter
-// swaps at phase boundaries, so one runner plays a different workload
-// per phase.
-type switchSource struct {
-	src trace.Source
-}
-
-// Next implements trace.Source.
-func (s *switchSource) Next() (trace.Record, bool) {
-	if s.src == nil {
-		return trace.Record{}, false
-	}
-	return s.src.Next()
 }
 
 // idleEpisode captures one idle period for the retention evaluation.
@@ -174,9 +158,12 @@ func firstProfile(s Spec) (workload.Profile, error) {
 	return workload.ByName("gcc")
 }
 
-// executePhases drives one runner through the spec's phase list and
-// returns the collected state. suite may be nil (unchecked twin runs).
-func executePhases(s Spec, cfg sim.Config, suite *checker.Suite, plan *checker.FaultPlan, rec *obs.Recorder, spanParent uint64) (*runState, error) {
+// executePhases drives one runner through the spec's phase list, reading
+// each phase's records through src, and returns the collected state.
+// suite may be nil (unchecked twin runs). It leaves src's hub when it
+// returns, whether done or failed.
+func executePhases(s Spec, cfg sim.Config, src *streamReader, suite *checker.Suite, plan *checker.FaultPlan, rec *obs.Recorder, spanParent uint64) (*runState, error) {
+	defer src.leave()
 	cfg.Check = suite
 	cfg.Obs = rec
 	scnSpan := rec.StartSpanUnder("scenario:"+s.Name, spanParent, 0)
@@ -188,7 +175,6 @@ func executePhases(s Spec, cfg sim.Config, suite *checker.Suite, plan *checker.F
 		return nil, err
 	}
 	scale := s.scale()
-	src := &switchSource{}
 	r, err := sim.NewRunnerWithSource(prof0.Scaled(scale), src, cfg)
 	if err != nil {
 		return nil, err
@@ -207,11 +193,9 @@ func executePhases(s Spec, cfg sim.Config, suite *checker.Suite, plan *checker.F
 			return err
 		}
 		sp := prof.Scaled(scale)
-		gen, err := workload.NewGenerator(sp, totalLines, s.seed()*1_000_003+int64(seq))
-		if err != nil {
+		if err := src.open(genKey{sp, totalLines, s.seed()*1_000_003 + int64(seq)}); err != nil {
 			return err
 		}
-		src.src = gen
 		cpi := sp.BaseCPI
 		if p.DVFSMult > 0 {
 			cpi *= p.DVFSMult
@@ -375,31 +359,43 @@ func totalRefreshPulses(res sim.Result) float64 {
 // compares the primary run against: the unprotected baseline
 // (max_slowdown, min_energy_saving, min_refresh_saving) or the run with
 // stepping flipped (stepping_equivalence). It runs on its own goroutine,
-// concurrently with the primary, and shares no mutable state with it:
-// it has its own runner, its own checker suite or none, and no recorder.
+// concurrently with the primary. It has its own runner, its own checker
+// suite or none, and no recorder; what it shares with the primary is
+// the read-only record chunks of the streams both replay (streamHub).
 type twin struct {
+	run  func() (*runState, error)
 	done chan struct{}
 	st   *runState
 	err  error
 }
 
-// startTwin starts executePhases for one twin on a new goroutine. cfg
-// must be fully built by the caller. what names the twin's role in its
-// error.
-func startTwin(what string, s Spec, cfg sim.Config, suite *checker.Suite, plan *checker.FaultPlan) *twin {
-	t := &twin{done: make(chan struct{})}
-	go func() {
-		defer close(t.done)
-		t.st, t.err = executePhases(s, cfg, suite, plan, nil, 0)
-		if t.err != nil {
-			t.err = fmt.Errorf("scenario %s: %s twin: %w", s.Name, what, t.err)
+// newTwin joins hub for one twin and prepares its executePhases call;
+// start runs it. cfg must be fully built by the caller. what names the
+// twin's role in its error.
+func newTwin(what string, s Spec, cfg sim.Config, hub *streamHub, suite *checker.Suite, plan *checker.FaultPlan) *twin {
+	src := hub.join(cfg.DRAM.TotalLines())
+	run := func() (*runState, error) {
+		st, err := executePhases(s, cfg, src, suite, plan, nil, 0)
+		if err != nil {
+			err = fmt.Errorf("scenario %s: %s twin: %w", s.Name, what, err)
 		}
-	}()
-	return t
+		return st, err
+	}
+	return &twin{run: run, done: make(chan struct{})}
 }
 
-// join waits for the twin to finish. It is a no-op on a twin that was
-// never started.
+// start runs the twin on a new goroutine. It is a no-op on a nil twin.
+func (t *twin) start() {
+	if t == nil {
+		return
+	}
+	go func() {
+		defer close(t.done)
+		t.st, t.err = t.run()
+	}()
+}
+
+// join waits for the twin to finish. It is a no-op on a nil twin.
 func (t *twin) join() {
 	if t != nil {
 		<-t.done
@@ -415,7 +411,8 @@ func (t *twin) result() (*runState, error) {
 // Run interprets one validated spec and evaluates its invariants. The
 // twin runs its invariants declare execute concurrently with the primary
 // run, so Run uses up to three goroutines; all have exited when it
-// returns.
+// returns. The runs replay each phase's records from one generated
+// stream where their generator inputs are equal (streamHub).
 func Run(s Spec, opts Options) (*Outcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -444,19 +441,17 @@ func Run(s Spec, opts Options) (*Outcome, error) {
 
 	// Each declared twin runs once, alongside the primary. Its config is
 	// built here, on the caller's goroutine, so Tamper is never called
-	// concurrently. Every return path joins both twins, so no goroutine
-	// outlives Run.
+	// concurrently. Every run joins the stream hub before any starts, and
+	// every return path joins both twins, so no goroutine outlives Run.
+	hub := newStreamHub()
+	src := hub.join(cfg.DRAM.TotalLines())
 	var base, step *twin
-	defer func() {
-		base.join()
-		step.join()
-	}()
 	if wantBase {
 		// No protection, no faults, no checker.
 		bs := s
 		bs.Scheme = "baseline"
 		bs.Faults = nil
-		base = startTwin("baseline", bs, buildConfig(bs, sim.SchemeBaseline, opts), nil, nil)
+		base = newTwin("baseline", bs, buildConfig(bs, sim.SchemeBaseline, opts), hub, nil, nil)
 	}
 	if wantStep {
 		twinOpts := opts
@@ -466,14 +461,20 @@ func Run(s Spec, opts Options) (*Outcome, error) {
 			opts.Tamper(&tcfg)
 			tcfg.Ctrl.LegacyStepping = twinOpts.LegacyStepping
 		}
-		step = startTwin("stepping", s, tcfg, checker.NewSuite(), faultPlan(s, twinOpts))
+		step = newTwin("stepping", s, tcfg, hub, checker.NewSuite(), faultPlan(s, twinOpts))
 	}
+	defer func() {
+		base.join()
+		step.join()
+	}()
+	base.start()
+	step.start()
 
 	var suite *checker.Suite
 	if !opts.NoCheck {
 		suite = checker.NewSuite()
 	}
-	st, err := executePhases(s, cfg, suite, faultPlan(s, opts), opts.Obs, opts.SpanParent)
+	st, err := executePhases(s, cfg, src, suite, faultPlan(s, opts), opts.Obs, opts.SpanParent)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"strings"
@@ -54,5 +55,32 @@ func TestTwinErrorSurfacesAtItsInvariant(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Errorf("Tamper called %d times, want 2 (primary, stepping twin)", calls)
+	}
+}
+
+// TestSharedStreamsAnyGOMAXPROCS: the primary and both twins replay
+// shared record chunks on their own goroutines, and which of them
+// generates a chunk depends on scheduling. The JSONL must not.
+func TestSharedStreamsAnyGOMAXPROCS(t *testing.T) {
+	s := mustBuiltin(t, "fig1-idle-pattern")
+	s.Invariants = append(s.Invariants, Invariant{Kind: InvSteppingEquivalence})
+	render := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out, err := Run(s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Passed {
+			t.Errorf("GOMAXPROCS %d: %s failed: %+v", procs, s.Name, out.Invariants)
+		}
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, []*Outcome{out}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if one, two := render(1), render(2); !bytes.Equal(one, two) {
+		t.Fatalf("JSONL differs between GOMAXPROCS 1 and 2:\n--- 1 ---\n%s\n--- 2 ---\n%s",
+			firstDiffLine(one, two), firstDiffLine(two, one))
 	}
 }

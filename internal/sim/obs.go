@@ -72,6 +72,17 @@ func (r *Runner) attachObserver() {
 	r.runSpan = rec.StartSpanUnder("run", r.cfg.SpanParent, 0)
 }
 
+// detachObserver detaches the recorder from the layers that set state
+// gauges (refresh shift, queue depths, downgrade state) once the run is
+// over, which returns those gauges to rest: runs in parallel on one
+// recorder then leave it reading the same whatever order they ended in.
+func (r *Runner) detachObserver() {
+	r.ctl.SetObserver(nil)
+	if m := r.sch.mecc(); m != nil {
+		m.SetObserver(nil)
+	}
+}
+
 // publishObs brings the shared telemetry up to date with the runner:
 // the growth of every statCounters field since the last publish, the
 // buffered decode and read-latency samples, the controller's sampled

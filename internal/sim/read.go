@@ -6,34 +6,8 @@ package sim
 func (r *Runner) doRead(lineAddr uint64, decodeCycles int) error {
 	r.noteDecode(decodeCycles)
 	r.syncDRAM()
-	// Prefetch-buffer hit: the line is already on chip; only the decode
-	// latency (and a buffer-access cycle) remains.
-	if r.prefReady[lineAddr] {
-		delete(r.prefReady, lineAddr)
-		for i, a := range r.prefFIFO {
-			if a == lineAddr {
-				r.prefFIFO = append(r.prefFIFO[:i], r.prefFIFO[i+1:]...)
-				break
-			}
-		}
-		r.prefHits++
-		r.cpu.StallUntil(r.cpu.Now() + 1 + uint64(decodeCycles))
-		r.maybePrefetch(lineAddr)
-		return nil
-	}
-	// Adopt an in-flight prefetch of the same line rather than fetching
-	// it twice: the prefetch's remaining latency is all we pay.
-	if tag, ok := r.prefetchInFlightFor(lineAddr); ok {
-		r.dropInflight(tag)
-		r.prefHits++
-		r.waitTag = tag
-		r.waitDone = false
-		for !r.waitDone {
-			r.driftDRAM()
-		}
-		dataCPU := r.waitAt * r.ratio()
-		r.cpu.StallUntil(dataCPU + uint64(decodeCycles))
-		r.maybePrefetch(lineAddr)
+	// The prefetch maps are always empty with the prefetcher off.
+	if r.cfg.NextLinePrefetch && r.readPrefetched(lineAddr, decodeCycles) {
 		return nil
 	}
 	// A full read queue frees a slot only when a RD issues. No jump
@@ -60,4 +34,42 @@ func (r *Runner) doRead(lineAddr uint64, decodeCycles int) error {
 	r.cpu.StallUntil(dataCPU + uint64(decodeCycles))
 	r.maybePrefetch(lineAddr)
 	return nil
+}
+
+// readPrefetched serves a demand read from the prefetcher when it can:
+// from the prefetch buffer, or by adopting an in-flight prefetch of the
+// same line. It reports whether it did.
+func (r *Runner) readPrefetched(lineAddr uint64, decodeCycles int) bool {
+	// Prefetch-buffer hit: the line is already on chip; only the decode
+	// latency (and a buffer-access cycle) remains.
+	if r.prefReady[lineAddr] {
+		delete(r.prefReady, lineAddr)
+		for i, a := range r.prefFIFO {
+			if a == lineAddr {
+				r.prefFIFO = append(r.prefFIFO[:i], r.prefFIFO[i+1:]...)
+				break
+			}
+		}
+		r.prefHits++
+		r.cpu.StallUntil(r.cpu.Now() + 1 + uint64(decodeCycles))
+		r.maybePrefetch(lineAddr)
+		return true
+	}
+	// Adopt an in-flight prefetch of the same line rather than fetching
+	// it twice: the prefetch's remaining latency is all we pay.
+	tag, ok := r.prefetchInFlightFor(lineAddr)
+	if !ok {
+		return false
+	}
+	r.dropInflight(tag)
+	r.prefHits++
+	r.waitTag = tag
+	r.waitDone = false
+	for !r.waitDone {
+		r.driftDRAM()
+	}
+	dataCPU := r.waitAt * r.ratio()
+	r.cpu.StallUntil(dataCPU + uint64(decodeCycles))
+	r.maybePrefetch(lineAddr)
+	return true
 }

@@ -432,7 +432,12 @@ func (r *Runner) ratio() uint64 { return r.cpuRatio }
 // priority. So a call can skip a flush only when a writeback is left
 // pending with room in the queue, which prefetch-buffer hits cause by
 // queueing several without stepping DRAM; then this call steps a single
-// cycle.
+// cycle. The call boundaries inside a service (after its wake, and
+// between its RD and the data return) and after an idle jump's
+// power-down entry are ones where this flush has nothing to do: a
+// service or an idle jump runs only after the flush emptied the
+// pending list or with the write queue full, and a RD frees no write
+// room.
 func (r *Runner) stepDRAMTo(limit uint64) {
 	if len(r.pendingWB) > 0 && r.ctl.CanEnqueueWrite() {
 		addr := r.pendingWB[len(r.pendingWB)-1]
@@ -456,12 +461,16 @@ func (r *Runner) stepDRAM() { r.stepDRAMTo(r.ch.Now() + 1) }
 // request can issue — with no CPU-side bound. Used while the core is
 // stalled on a demand read: the controller never jumps past the
 // completion, because every jump is capped by the earliest in-flight
-// DoneAt and no jump follows a Step that fired a callback.
+// DoneAt and no call goes on past a Step that fired a callback.
 func (r *Runner) driftDRAM() { r.stepDRAMTo(^uint64(0)) }
 
 // syncDRAM advances DRAM until its clock covers the CPU clock.
 func (r *Runner) syncDRAM() {
 	ratio := r.ratio()
+	if r.ch.Now()*ratio >= r.cpu.Now() {
+		// Covered already, as on doRead's call right after the gap's.
+		return
+	}
 	// First DRAM cycle whose CPU-time is >= the core's clock; quiescent
 	// stretches inside a gap are covered by controller jumps.
 	target := (r.cpu.Now() + ratio - 1) / ratio
@@ -718,6 +727,7 @@ func RunBenchmarks(prof workload.Profile, cfgs []Config) ([]Result, error) {
 			return nil, err
 		}
 		out[i] = r.result(r.checkpoints)
+		r.detachObserver()
 	}
 	return out, nil
 }
